@@ -18,8 +18,11 @@ does not exceed the upper envelope.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .criticals import (
     T2Criticals,
@@ -29,7 +32,7 @@ from .criticals import (
 )
 from .errors import CurveParseError, DomainError, GuardError
 from .mensuration import TorusProductSpec
-from .profiles import beta, circle_profile, envelope_profile
+from .profiles import beta, circle_piecewise, envelope_piecewise, envelope_profile
 from .roots import DEFAULT_TOLERANCE
 
 
@@ -48,9 +51,15 @@ class TabulatedCurve:
         pts = tuple((float(v), float(a)) for v, a in self.points)
         if len(pts) < 2:
             raise DomainError("a tabulated curve needs at least 2 points")
-        for v, a in pts:
-            if not (a > 0.0):
-                raise DomainError(f"curve areas must be positive, got {a!r}")
+        for index, (v, a) in enumerate(pts):
+            if not (v > 0.0) or not math.isfinite(v):
+                raise DomainError(
+                    f"curve volumes must be positive and finite, got {v!r} at point {index}"
+                )
+            if not (a > 0.0) or not math.isfinite(a):
+                raise DomainError(
+                    f"curve areas must be positive and finite, got {a!r} at point {index}"
+                )
         for (v1, _), (v2, _) in zip(pts, pts[1:]):
             if not v1 < v2:
                 raise DomainError("curve volumes must be strictly increasing")
@@ -127,12 +136,20 @@ def read_curve(path) -> TabulatedCurve:
                 raise CurveParseError(
                     f"line {line_no}: could not parse numbers from {line!r}", line_no
                 ) from None
+            if not (v > 0.0) or not math.isfinite(v):
+                raise CurveParseError(
+                    f"line {line_no}: volume must be positive and finite, got {v!r}",
+                    line_no,
+                )
             if points and v <= points[-1][0]:
                 raise CurveParseError(
                     f"line {line_no}: volumes must be strictly increasing", line_no
                 )
-            if not a > 0.0:
-                raise CurveParseError(f"line {line_no}: area must be positive", line_no)
+            if not (a > 0.0) or not math.isfinite(a):
+                raise CurveParseError(
+                    f"line {line_no}: area must be positive and finite, got {a!r}",
+                    line_no,
+                )
             points.append((v, a))
     if not certified:
         raise CurveParseError(
@@ -152,15 +169,67 @@ def _thresholds(report: T2Criticals | T3Criticals) -> tuple[float, float]:
     return report.u_star, report.u_dstar
 
 
+# The per-row helpers below hold each lower-bound formula once; band() calls
+# them for every row and the public *_bound functions wrap them for one volume.
+
+
+def _chord(lo_anchor: tuple[float, float], hi_anchor: tuple[float, float], v: float) -> float:
+    (v_lo, y_lo), (v_hi, y_hi) = lo_anchor, hi_anchor
+    t = (v - v_lo) / (v_hi - v_lo)
+    return y_lo + t * (y_hi - y_lo)
+
+
+def _samples(curve: TabulatedCurve) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """A curve's sample volumes as a list (for bisect) and volumes and areas as arrays."""
+    volumes = [w for w, _ in curve.points]
+    return volumes, np.array(volumes), np.array([c for _, c in curve.points])
+
+
+def _tangent(anchor: tuple[float, float], samples, v: float) -> float | None:
+    """Best anchor line through the admissible samples at v; None if there are none.
+
+    Numpy's elementwise + - * / and max are correctly rounded, so this is
+    bit-identical to the same expression evaluated sample by sample.
+    """
+    v0, a0 = anchor
+    volumes, w, c = samples
+    if v < v0:
+        cut = slice(0, bisect_right(volumes, v))  # samples w <= v
+    else:
+        cut = slice(bisect_left(volumes, v), None)  # samples w >= v
+    w, c = w[cut], c[cut]
+    if not w.size:
+        return None
+    return float(np.max(c + (a0 - c) * (v - w) / (v0 - w)))
+
+
+def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:
+    """Cylinder-offset bound at every grid volume (see cylinder_offset_bound)."""
+    if spec.circle_count != 2:
+        raise GuardError(
+            f"the offset bound needs exactly 2 circle factors, got {spec.circle_count}"
+        )
+    n = spec.euclid_dim
+    best = [0.0] * len(grid)
+    for r in spec.radii:
+        shift = 2.0 * beta(n, r)
+        for i, circle in enumerate(circle_piecewise(n + 1, r).values(grid)):
+            value = circle.area - shift
+            if value > best[i]:
+                best[i] = value
+    return best
+
+
 def chord_bound(report: T2Criticals | T3Criticals, spec: TorusProductSpec, v: float) -> float:
     """Chord between the two exactly-known threshold points; valid by concavity."""
     v_lo, v_hi = _thresholds(report)
     if not v_lo <= v <= v_hi:
         raise DomainError(f"chord bound is defined on [{v_lo}, {v_hi}], got v={v}")
-    y_lo = envelope_profile(spec, v_lo).area
-    y_hi = envelope_profile(spec, v_hi).area
-    t = (v - v_lo) / (v_hi - v_lo)
-    return y_lo + t * (y_hi - y_lo)
+    return _chord(
+        (v_lo, envelope_profile(spec, v_lo).area),
+        (v_hi, envelope_profile(spec, v_hi).area),
+        v,
+    )
 
 
 def tangent_bound(anchor: tuple[float, float], curve: TabulatedCurve, v: float) -> float:
@@ -176,19 +245,11 @@ def tangent_bound(anchor: tuple[float, float], curve: TabulatedCurve, v: float) 
         raise DomainError(f"volume must be positive, got {v!r}")
     if v == v0:
         return a0
-    if v < v0:
-        admissible = [(w, c) for w, c in curve.points if w <= v]
-    else:
-        admissible = [(w, c) for w, c in curve.points if w >= v]
-    if not admissible:
+    best = _tangent(anchor, _samples(curve), v)
+    if best is None:
         raise DomainError(
             f"no curve samples on the far side of v={v} from the anchor at {v0}"
         )
-    best = -math.inf
-    for w, c in admissible:
-        value = c + (a0 - c) * (v - w) / (v0 - w)
-        if value > best:
-            best = value
     return best
 
 
@@ -199,17 +260,7 @@ def cylinder_offset_bound(spec: TorusProductSpec, v: float) -> float:
     mixed-slice case analysis, so the band reports it as its own source and
     drops it wherever it would exceed the upper envelope.
     """
-    if spec.circle_count != 2:
-        raise GuardError(
-            f"the offset bound needs exactly 2 circle factors, got {spec.circle_count}"
-        )
-    n = spec.euclid_dim
-    best = 0.0
-    for r in spec.radii:
-        value = circle_profile(n + 1, r, v).area - 2.0 * beta(n, r)
-        if value > best:
-            best = value
-    return best
+    return _offsets(spec, (v,))[0]
 
 
 def band(
@@ -247,20 +298,24 @@ def band(
     v_lo, v_hi = _thresholds(report)
     lo_anchor = (v_lo, envelope_profile(spec, v_lo).area)
     hi_anchor = (v_hi, envelope_profile(spec, v_hi).area)
+    tops = envelope_piecewise(spec).values(grid)
+    # The grid is sorted, so the rows strictly inside (v_lo, v_hi) are one slice.
+    first, stop = bisect_right(grid, v_lo), bisect_left(grid, v_hi)
+    samples = [_samples(curve) for curve in curves]
+    if spec.circle_count == 2:
+        offsets = _offsets(spec, grid[first:stop])
 
     rows = []
-    for v in grid:
-        top = envelope_profile(spec, v)
-        if v <= v_lo or v >= v_hi:
+    for i, (v, top) in enumerate(zip(grid, tops)):
+        if not first <= i < stop:
             rows.append(BandRow(v, top.area, top.area, top.regime, "exact"))
             continue
-        lower = chord_bound(report, spec, v)
+        lower = _chord(lo_anchor, hi_anchor, v)
         source = "chord"
-        for curve in curves:
+        for curve, curve_samples in zip(curves, samples):
             for anchor, tag in ((lo_anchor, "tangent-left"), (hi_anchor, "tangent-right")):
-                try:
-                    value = tangent_bound(anchor, curve, v)
-                except DomainError:
+                value = _tangent(anchor, curve_samples, v)
+                if value is None:
                     continue
                 if value > top.area:
                     if value > top.area * (1.0 + 1e-9):
@@ -276,7 +331,7 @@ def band(
                 if value > lower:
                     lower, source = value, tag
         if spec.circle_count == 2:
-            offset = cylinder_offset_bound(spec, v)
+            offset = offsets[i - first]
             if lower < offset <= top.area:
                 lower, source = offset, "cylinder-offset"
         rows.append(BandRow(v, top.area, lower, top.regime, source))

@@ -28,7 +28,7 @@ from .errors import (
     SpecFileError,
 )
 from .mensuration import TorusProductSpec
-from .profiles import envelope_profile
+from .profiles import envelope_piecewise
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -112,10 +112,10 @@ def parse_grid(text: str) -> list[float]:
 def cmd_profile(args) -> int:
     spec, _ = load_spec_file(args.spec)
     grid = [args.v] if args.v is not None else parse_grid(args.grid)
+    values = envelope_piecewise(spec).values(grid)
     out = sys.stdout
     out.write("v,area,regime\n")
-    for v in grid:
-        value = envelope_profile(spec, v)
+    for v, value in zip(grid, values):
         out.write(f"{_fmt(v)},{_fmt(value.area)},{value.regime}\n")
     return EXIT_OK
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -99,9 +101,27 @@ class PowerSegment:
 
 @dataclass(frozen=True)
 class PiecewiseProfile:
-    """Ordered power segments covering (0, inf) with no gaps or overlaps."""
+    """Ordered power segments covering (0, inf) with no gaps or overlaps.
+
+    ``candidates`` is set when the profile is the pointwise minimum of
+    those curves (see minimum_envelope); only values() reads it.
+
+    Two tie-breaks coexist at breakpoints. ``__call__``, ``value`` and
+    ``segment_at`` use the half-open segments [v_lo, v_hi), so a volume
+    exactly on a breakpoint takes the right segment. values() follows the
+    scalar profile functions instead, so a grid gives the same bits as a
+    loop over envelope_profile: a volume on a breakpoint takes the left
+    segment (circle_profile's ``v <= beta``), and a minimum envelope takes
+    its first minimal candidate (the scalar ``min``). The two differ in the
+    last bit and in the regime tag: for radii (1, 1), n = 2 at
+    v = beta(3, 1), the scalar path gives ``ball 224.84192526231706`` and
+    ``segment_at`` gives ``cylinder 224.84192526231703``.
+    """
 
     segments: tuple[PowerSegment, ...]
+    candidates: tuple[PiecewiseProfile, ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -147,6 +167,32 @@ class PiecewiseProfile:
     def value(self, v: float) -> ProfileValue:
         seg = self.segment_at(float(v))
         return ProfileValue(seg.value(float(v)), seg.regime)
+
+    def values(self, volumes) -> list[ProfileValue]:
+        """Evaluate a volume grid, bit for bit as the scalar profile functions.
+
+        A minimum envelope takes the first minimal value of its candidates
+        row by row, as the scalar ``min`` does; any other profile bisects
+        its breakpoints with the scalar tie-break. Areas use Python float
+        pow: numpy's array pow differs from it in the last bit for some
+        volumes, which would change the printed digits.
+        """
+        volumes = [_check_volume(v) for v in volumes]
+        return [ProfileValue(area, regime) for area, regime in self._rows(volumes)]
+
+    def _rows(self, volumes: list[float]) -> list[tuple[float, str]]:
+        # (area, regime) pairs for checked volumes: plain tuples keep the
+        # candidate columns of a minimum envelope cheap.
+        if self.candidates:
+            columns = [c._rows(volumes) for c in self.candidates]
+            return [min(row, key=itemgetter(0)) for row in zip(*columns)]
+        cuts = self.breakpoints()
+        segments = self.segments
+        rows = []
+        for v in volumes:
+            seg = segments[bisect_left(cuts, v)]
+            rows.append((seg.coeff * v**seg.exponent, seg.regime))
+        return rows
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(seg.v_hi for seg in self.segments[:-1])
@@ -379,7 +425,9 @@ def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:
 
     Breakpoints are the curves' own breakpoints plus the closed-form
     crossings of overlapping segment pairs; the winner on each interval is
-    decided at an interior probe point.
+    decided at an interior probe point. The result keeps ``curves`` as its
+    candidates, in the given order, so values() takes the same minimum row
+    by row as a scalar ``min`` over the same list.
     """
     points: set[float] = set()
     for curve in curves:
@@ -415,7 +463,7 @@ def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:
             merged[-1] = replace(merged[-1], v_hi=seg.v_hi)
         else:
             merged.append(seg)
-    return PiecewiseProfile(tuple(merged))
+    return PiecewiseProfile(tuple(merged), tuple(curves))
 
 
 def _retag(profile: PiecewiseProfile, regime: str) -> PiecewiseProfile:

@@ -275,6 +275,27 @@ class TestCurveFile:
             read_curve(path)
         assert err.value.line_no == 3
 
+    # Data rows that must be refused, with the line the error must name.
+    BAD_ROWS = {
+        "negative-volume": ("-1,0.5\n2,1.0\n", 3),
+        "zero-volume": ("0,0.5\n2,1.0\n", 3),
+        "nan-volume-first": ("nan,0.5\n2,1.0\n", 3),
+        "nan-volume-later": ("1,0.5\nnan,1.0\n", 4),
+        "infinite-volume-and-area": ("1,0.5\ninf,inf\n", 4),
+        "infinite-area": ("1,0.5\n2,inf\n", 4),
+        "nan-area": ("1,0.5\n2,nan\n", 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_rejects_bad_samples_with_line_number(self, tmp_path, case):
+        rows, line_no = self.BAD_ROWS[case]
+        path = tmp_path / "curve.csv"
+        path.write_text("# certified_lower_bound: yes\nv,area\n" + rows)
+        with pytest.raises(CurveParseError) as err:
+            read_curve(path)
+        assert err.value.line_no == line_no
+        assert f"line {line_no}" in str(err.value)
+
     def test_curve_validation(self):
         with pytest.raises(DomainError):
             TabulatedCurve(((1.0, 2.0),))
@@ -282,3 +303,12 @@ class TestCurveFile:
             TabulatedCurve(((1.0, 2.0), (0.5, 1.0)))
         with pytest.raises(DomainError):
             TabulatedCurve(((1.0, -2.0), (2.0, 1.0)))
+        for bad in (
+            ((-1.0, 0.5), (2.0, 1.0)),
+            ((0.0, 0.5), (2.0, 1.0)),
+            ((1.0, 0.5), (math.nan, 1.0)),
+            ((1.0, 0.5), (math.inf, math.inf)),
+            ((1.0, 0.5), (2.0, math.inf)),
+        ):
+            with pytest.raises(DomainError):
+                TabulatedCurve(bad)

@@ -62,6 +62,12 @@ class TestProfileCommand:
         assert code == 2
         assert "2 <= euclid_dim <= 5" in err
 
+    def test_bad_volume_prints_no_table(self, capsys, example_file):
+        code, out, err = run(capsys, "profile", example_file, "--v", "0")
+        assert code == 2
+        assert out == ""
+        assert "volume must be a positive finite real" in err
+
     def test_linear_grid(self, capsys, example_file):
         code, out, _ = run(capsys, "profile", example_file, "--grid", "1:5:5,lin")
         assert code == 0
@@ -171,6 +177,28 @@ class TestBoundsCommand:
         )
         assert code == 1
         assert "line 3" in err
+
+    @pytest.mark.parametrize(
+        "rows, line_no",
+        [
+            ("-1,0.5\n2,1.0\n", 3),
+            ("1,0.5\ninf,inf\n", 4),
+            ("1,0.5\nnan,1.0\n", 4),
+            ("1,0.5\n2,inf\n", 4),
+        ],
+        ids=["negative-volume", "infinite-sample", "nan-volume", "infinite-area"],
+    )
+    def test_invalid_curve_sample_is_parse_error(
+        self, capsys, example_file, tmp_path, rows, line_no
+    ):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("# certified_lower_bound: yes\nv,area\n" + rows)
+        code, out, err = run(
+            capsys, "bounds", example_file, "--grid", "1:10:5,log", "--curve", str(curve)
+        )
+        assert code == 1
+        assert out == ""
+        assert f"line {line_no}" in err
 
     def test_deterministic_output(self, capsys, example_file):
         _, first, _ = run(capsys, "bounds", example_file, "--grid", "0.5:100:16,log")

@@ -1,0 +1,274 @@
+"""The grid path (band rows, profile/bounds --grid) against row-by-row scalar references.
+
+band() and the --grid commands evaluate every row from one piecewise
+envelope per call. These tests require them to equal, field for field and
+bit for bit, a reference built one volume at a time from the public scalar
+functions, including at volumes placed exactly on every breakpoint and
+threshold, where the tie-breaks decide the regime tag.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import torusiso.bounds as bounds_mod
+import torusiso.cli as cli_mod
+import torusiso.profiles as profiles_mod
+from torusiso import (
+    DomainError,
+    T2Criticals,
+    TabulatedCurve,
+    TorusProductSpec,
+    band,
+    beta,
+    chord_bound,
+    circle_profile,
+    cylinder_offset_bound,
+    envelope_piecewise,
+    envelope_profile,
+    tangent_bound,
+    three_torus_criticals,
+    two_torus_criticals,
+)
+
+from refvalues import SQRT_PI_RADIUS
+
+SPECS = [
+    *(TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), n) for n in (2, 3, 4, 5)),
+    *(TorusProductSpec((0.7, 1.9), n) for n in (2, 3, 4, 5)),
+    *(TorusProductSpec((1.0, 1.0, 1.0), n) for n in (2, 3, 4)),
+    *(TorusProductSpec((0.6, 1.1, 2.3), n) for n in (2, 3, 4)),
+]
+
+
+def spec_id(spec):
+    return f"k{spec.circle_count}-n{spec.euclid_dim}-r{spec.radii[0]:.3g}"
+
+
+def criticals(spec):
+    if spec.circle_count == 2:
+        return two_torus_criticals(spec)
+    return three_torus_criticals(spec)
+
+
+def thresholds(report):
+    if isinstance(report, T2Criticals):
+        return report.v_star, report.v_dstar
+    return report.u_star, report.u_dstar
+
+
+def special_volumes(spec, report):
+    """Every breakpoint, beta and threshold a grid row can sit on."""
+    n = spec.euclid_dim
+    points = set(envelope_piecewise(spec).breakpoints())
+    points.update(thresholds(report))
+    for r in spec.radii:
+        for m in (n, n + 1, n + 2):
+            points.add(beta(m, r))
+    return sorted(points)
+
+
+def grid_for(spec, report):
+    """Log grid across both thresholds plus each special volume and its neighbours."""
+    v_lo, v_hi = thresholds(report)
+    volumes = {float(v) for v in np.geomspace(v_lo / 30.0, v_hi * 30.0, 120)}
+    for p in special_volumes(spec, report):
+        volumes.update((p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)))
+        volumes.update((p * (1 - 1e-12), p * (1 + 1e-12)))
+    return sorted(volumes)
+
+
+def curves_for(spec, report):
+    """Two valid lower-bound curves: scaled copies of the candidate envelope."""
+    v_lo, v_hi = thresholds(report)
+    out = []
+    for scale, count in ((0.97, 9), (0.5, 25)):
+        ws = np.geomspace(v_lo / 2.0, v_hi * 2.0, count)
+        out.append(
+            TabulatedCurve(
+                tuple((float(w), scale * envelope_profile(spec, float(w)).area) for w in ws),
+                f"envelope x {scale}",
+            )
+        )
+    return out
+
+
+def reference_rows(spec, grid, curves, report):
+    """The band assembled one row at a time from the public scalar functions."""
+    v_lo, v_hi = thresholds(report)
+    lo_anchor = (v_lo, envelope_profile(spec, v_lo).area)
+    hi_anchor = (v_hi, envelope_profile(spec, v_hi).area)
+    rows = []
+    for v in grid:
+        top = envelope_profile(spec, v)
+        if v <= v_lo or v >= v_hi:
+            rows.append((v, top.area, top.area, top.regime, "exact"))
+            continue
+        lower, source = chord_bound(report, spec, v), "chord"
+        for curve in curves:
+            for anchor, tag in ((lo_anchor, "tangent-left"), (hi_anchor, "tangent-right")):
+                try:
+                    value = tangent_bound(anchor, curve, v)
+                except DomainError:
+                    continue
+                value = min(value, top.area)
+                if value > lower:
+                    lower, source = value, tag
+        if spec.circle_count == 2:
+            offset = cylinder_offset_bound(spec, v)
+            if lower < offset <= top.area:
+                lower, source = offset, "cylinder-offset"
+        rows.append((v, top.area, lower, top.regime, source))
+    return rows
+
+
+def as_tuples(result):
+    return [(r.v, r.upper, r.lower, r.upper_regime, r.lower_source) for r in result.rows]
+
+
+def csv_num(x):
+    return format(x, ".17g")
+
+
+@pytest.mark.parametrize("with_curves", [False, True], ids=["bare", "two-curves"])
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_band_rows_equal_scalar_reference(spec, with_curves):
+    report = criticals(spec)
+    grid = grid_for(spec, report)
+    curves = curves_for(spec, report) if with_curves else []
+    expected = reference_rows(spec, grid, curves, report)
+    assert as_tuples(band(spec, grid, curves, report=report)) == expected
+    if with_curves:
+        assert any(row[4].startswith("tangent") for row in expected)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_profile_values_equal_scalar_envelope(spec):
+    grid = grid_for(spec, criticals(spec))
+    assert envelope_piecewise(spec).values(grid) == [envelope_profile(spec, v) for v in grid]
+
+
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"radii": list(spec.radii), "euclid_dim": spec.euclid_dim}))
+    return str(path)
+
+
+def cli_grids(spec, report):
+    """A log grid plus one single-volume grid on each special volume (exact via repr)."""
+    v_lo, v_hi = thresholds(report)
+    grids = [f"{v_lo / 30.0!r}:{v_hi * 30.0!r}:97,log"]
+    grids += [f"{p!r}:{p!r}:1" for p in special_volumes(spec, report)]
+    return grids
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_cli_grid_csv_equals_scalar_reference(spec, tmp_path, capsys):
+    path = write_spec(tmp_path, spec)
+    report = criticals(spec)
+    for grid_text in cli_grids(spec, report):
+        grid = cli_mod.parse_grid(grid_text)
+
+        assert cli_mod.main(["profile", path, "--grid", grid_text]) == 0
+        expected = ["v,area,regime"]
+        for v in grid:
+            value = envelope_profile(spec, v)
+            expected.append(f"{csv_num(v)},{csv_num(value.area)},{value.regime}")
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+        assert cli_mod.main(["bounds", path, "--grid", grid_text]) == 0
+        expected = ["v,upper,lower,upper_regime,lower_source"]
+        for v, upper, lower, regime, source in reference_rows(spec, grid, [], report):
+            expected.append(f"{csv_num(v)},{csv_num(upper)},{csv_num(lower)},{regime},{source}")
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def test_tangent_bound_equals_sample_loop():
+    """The array scan gives the bits of the per-sample loop it replaced."""
+    rng = np.random.default_rng(7)
+    ws = np.sort(rng.uniform(0.5, 80.0, 300))
+    curve = TabulatedCurve(tuple((float(w), float(3.0 * w**0.6)) for w in ws))
+    for anchor in ((2.0, 4.1), (60.0, 36.0)):
+        v0, a0 = anchor
+        for v in [*rng.uniform(0.6, 79.0, 200), *ws[::10]]:
+            v = float(v)
+            side = [(w, c) for w, c in curve.points if (w <= v if v < v0 else w >= v)]
+            if not side:
+                continue
+            best = -math.inf
+            for w, c in side:
+                value = c + (a0 - c) * (v - w) / (v0 - w)
+                if value > best:
+                    best = value
+            assert tangent_bound(anchor, curve, v) == best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cylinder_offset_bound_equals_closed_form(n):
+    spec = TorusProductSpec((0.7, 1.9), n)
+    volumes = [float(v) for v in np.geomspace(1e-2, 1e5, 300)]
+    volumes += [beta(n + 1, r) for r in spec.radii]
+    for v in volumes:
+        expected = max(
+            0.0, *(circle_profile(n + 1, r, v).area - 2.0 * beta(n, r) for r in spec.radii)
+        )
+        assert cylinder_offset_bound(spec, v) == expected
+
+
+def test_breakpoint_tie_break_documented_values():
+    spec = TorusProductSpec((1.0, 1.0), 2)
+    v = beta(3, 1.0)
+    profile = envelope_piecewise(spec)
+    (grid_value,) = profile.values([v])
+    assert (grid_value.area, grid_value.regime) == (224.84192526231706, "ball")
+    assert grid_value == envelope_profile(spec, v)
+    segment = profile.segment_at(v)
+    assert (segment.value(v), segment.regime) == (224.84192526231703, "cylinder")
+
+
+def test_values_rejects_bad_volumes():
+    profile = envelope_piecewise(TorusProductSpec((1.0, 1.0), 2))
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            profile.values([1.0, bad])
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """Counts calls of the scalar envelope_profile from any module that imports it."""
+    calls = []
+    original = profiles_mod.envelope_profile
+
+    def counting(spec, v):
+        calls.append(v)
+        return original(spec, v)
+
+    for module in (profiles_mod, bounds_mod, cli_mod):
+        if hasattr(module, "envelope_profile"):
+            monkeypatch.setattr(module, "envelope_profile", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((0.6, 1.1, 2.3), 2)],
+    ids=spec_id,
+)
+def test_scalar_envelope_calls_do_not_grow_with_the_grid(spec, scalar_calls, tmp_path, capsys):
+    report = criticals(spec)
+    v_lo, v_hi = thresholds(report)
+    counts = []
+    for size in (10, 1000):
+        scalar_calls.clear()
+        band(spec, np.geomspace(v_lo / 10.0, v_hi * 10.0, size), report=report)
+        counts.append(len(scalar_calls))
+    assert counts[0] == counts[1] <= 2
+
+    path = write_spec(tmp_path, spec)
+    for size in (10, 1000):
+        scalar_calls.clear()
+        assert cli_mod.main(["profile", path, "--grid", f"0.01:1e6:{size},log"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == size + 1
+        assert scalar_calls == []

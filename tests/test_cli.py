@@ -4,6 +4,7 @@ import pytest
 
 from torusiso import cli
 
+from golden import regen
 from refvalues import SQRT_PI_RADIUS
 
 
@@ -278,3 +279,13 @@ class TestExitCodeMapping:
         code, _, err = run(capsys, "critical", example_file)
         assert code == 3
         assert "stuck" in err
+
+
+@pytest.mark.parametrize("spec", regen.CASES, ids=regen.case_name)
+def test_output_matches_golden_transcript(spec):
+    path = regen.HERE / f"{regen.case_name(spec)}.txt"
+    actual = regen.transcript(spec, regen.HERE).encode("utf-8")
+    assert actual == path.read_bytes(), (
+        f"CLI output differs from {path.name}; if the change is intended, "
+        f"rewrite the golden files with `{regen.REGEN_COMMAND}`"
+    )

@@ -17,13 +17,9 @@ from .bounds import (
 from .criticals import (
     ConstantRecord,
     CriticalReport,
-    LargeVolumeThresholds,
-    SmallVolumeThresholds,
     T2Criticals,
     T3Criticals,
     full_report,
-    large_volume_thresholds,
-    small_volume_thresholds,
     sphere_cylinder_crossing,
     three_torus_criticals,
     two_torus_criticals,
@@ -60,21 +56,14 @@ from .profiles import (
     PowerSegment,
     ProfileValue,
     alpha,
-    as_piecewise,
     beta,
     circle_piecewise,
-    circle_profile,
     envelope_piecewise,
-    envelope_profile,
     euclidean_piecewise,
     euclidean_profile,
     minimum_envelope,
     scp_piecewise,
-    scp_profile,
-    slab2_piecewise,
-    slab2_profile,
-    slab3_piecewise,
-    slab3_profile,
+    slab_piecewise,
 )
 from .roots import (
     RootResult,

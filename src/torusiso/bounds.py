@@ -32,7 +32,7 @@ from .criticals import (
 )
 from .errors import CurveParseError, DomainError, GuardError
 from .mensuration import TorusProductSpec
-from .profiles import beta, circle_piecewise, envelope_piecewise, envelope_profile
+from .profiles import beta, circle_piecewise, envelope_piecewise
 from .roots import DEFAULT_TOLERANCE
 
 
@@ -225,11 +225,8 @@ def chord_bound(report: T2Criticals | T3Criticals, spec: TorusProductSpec, v: fl
     v_lo, v_hi = _thresholds(report)
     if not v_lo <= v <= v_hi:
         raise DomainError(f"chord bound is defined on [{v_lo}, {v_hi}], got v={v}")
-    return _chord(
-        (v_lo, envelope_profile(spec, v_lo).area),
-        (v_hi, envelope_profile(spec, v_hi).area),
-        v,
-    )
+    envelope = envelope_piecewise(spec)
+    return _chord((v_lo, envelope(v_lo)), (v_hi, envelope(v_hi)), v)
 
 
 def tangent_bound(anchor: tuple[float, float], curve: TabulatedCurve, v: float) -> float:
@@ -296,9 +293,10 @@ def band(
                 f"bound bands need 2 or 3 circle factors, got {spec.circle_count}"
             )
     v_lo, v_hi = _thresholds(report)
-    lo_anchor = (v_lo, envelope_profile(spec, v_lo).area)
-    hi_anchor = (v_hi, envelope_profile(spec, v_hi).area)
-    tops = envelope_piecewise(spec).values(grid)
+    envelope = envelope_piecewise(spec)
+    lo_anchor = (v_lo, envelope(v_lo))
+    hi_anchor = (v_hi, envelope(v_hi))
+    tops = envelope.values(grid)
     # The grid is sorted, so the rows strictly inside (v_lo, v_hi) are one slice.
     first, stop = bisect_right(grid, v_lo), bisect_left(grid, v_hi)
     samples = [_samples(curve) for curve in curves]

@@ -27,21 +27,14 @@ from .errors import (
     GuardError,
     SpecFileError,
 )
-from .mensuration import TorusProductSpec
+from .mensuration import EUCLID_DIM_RANGES, TorusProductSpec
 from .profiles import envelope_piecewise
+from .roots import DEFAULT_TOLERANCE, MAX_TOLERANCE, MIN_TOLERANCE
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_GUARD = 2
 EXIT_SOLVER = 3
-
-# Solver tolerances tighter than this are meaningless in double precision
-# and looser ones violate the root-solver contract, so file values are capped.
-_MAX_SOLVER_TOLERANCE = 1e-6
-_DEFAULT_TOLERANCE = 1e-12
-
-# Dimension range each circle count supports across the CLI commands.
-_PIPELINE_RANGES = {1: (2, 7), 2: (2, 5), 3: (2, 4)}
 
 
 def _fmt(x: float) -> str:
@@ -68,12 +61,16 @@ def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
     euclid_dim = data.get("euclid_dim")
     if isinstance(euclid_dim, bool) or not isinstance(euclid_dim, int):
         raise SpecFileError("spec field 'euclid_dim' must be an integer")
-    tolerance = data.get("tolerance", _DEFAULT_TOLERANCE)
+    tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
         raise SpecFileError("spec field 'tolerance' must be a number")
-    if not 0.0 < float(tolerance) < 1.0:
-        raise SpecFileError(f"spec field 'tolerance' must be in (0, 1), got {tolerance}")
-    ranges = _PIPELINE_RANGES.get(len(radii))
+    # Tighter than MIN_TOLERANCE the solvers cannot converge; looser than
+    # MAX_TOLERANCE breaks their contract, so such values are capped.
+    if not MIN_TOLERANCE <= float(tolerance) < 1.0:
+        raise SpecFileError(
+            f"spec field 'tolerance' must be in [{MIN_TOLERANCE}, 1), got {tolerance}"
+        )
+    ranges = EUCLID_DIM_RANGES.get(len(radii))
     if ranges is not None:
         lo, hi = ranges
         if not lo <= euclid_dim <= hi:
@@ -82,7 +79,7 @@ def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
                 f"got {euclid_dim}"
             )
     spec = TorusProductSpec(tuple(float(r) for r in radii), euclid_dim)
-    return spec, min(float(tolerance), _MAX_SOLVER_TOLERANCE)
+    return spec, min(float(tolerance), MAX_TOLERANCE)
 
 
 def parse_grid(text: str) -> list[float]:

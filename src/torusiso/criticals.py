@@ -34,16 +34,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, GuardError
-from .mensuration import TWO_PI, TorusProductSpec, unit_ball_volume
+from .mensuration import EUCLID_DIM_RANGES, TWO_PI, TorusProductSpec, unit_ball_volume
 from .profiles import (
-    SCP_DIM_RANGE,
-    THREE_TORUS_DIM_RANGE,
     PiecewiseProfile,
     beta,
     circle_piecewise,
     euclidean_profile,
-    slab2_piecewise,
-    slab3_piecewise,
+    slab_piecewise,
 )
 from .roots import (
     DEFAULT_TOLERANCE,
@@ -54,28 +51,6 @@ from .roots import (
 )
 
 _IDENTITY_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SmallVolumeThresholds:
-    """Small-volume side of a two-circle report."""
-
-    theta_star: float
-    sigma_star: float
-    K_star: float
-    c_n: float
-    v_s: float
-    v0_1: float
-    v_star: float
-
-
-@dataclass(frozen=True)
-class LargeVolumeThresholds:
-    """Large-volume side of a two-circle report."""
-
-    a_n: float
-    b_n: float
-    v_dstar: float
 
 
 @dataclass(frozen=True)
@@ -128,28 +103,15 @@ class CriticalReport:
     sub_reports: dict[str, "CriticalReport"] = field(default_factory=dict)
 
 
-def _require_two_torus(spec: TorusProductSpec) -> None:
-    if spec.circle_count != 2:
+def _require_pipeline(spec: TorusProductSpec, k: int, name: str) -> None:
+    if spec.circle_count != k:
         raise GuardError(
-            f"the two-circle pipeline needs exactly 2 circle factors, got {spec.circle_count}"
+            f"the {name} pipeline needs exactly {k} circle factors, got {spec.circle_count}"
         )
-    lo, hi = SCP_DIM_RANGE
+    lo, hi = EUCLID_DIM_RANGES[k]
     if not lo <= spec.euclid_dim <= hi:
         raise GuardError(
-            f"the two-circle pipeline requires {lo} <= euclid_dim <= {hi}, "
-            f"got {spec.euclid_dim}"
-        )
-
-
-def _require_three_torus(spec: TorusProductSpec) -> None:
-    if spec.circle_count != 3:
-        raise GuardError(
-            f"the three-circle pipeline needs exactly 3 circle factors, got {spec.circle_count}"
-        )
-    lo, hi = THREE_TORUS_DIM_RANGE
-    if not lo <= spec.euclid_dim <= hi:
-        raise GuardError(
-            f"the three-circle pipeline requires {lo} <= euclid_dim <= {hi}, "
+            f"the {name} pipeline requires {lo} <= euclid_dim <= {hi}, "
             f"got {spec.euclid_dim}"
         )
 
@@ -189,7 +151,7 @@ class _T2Details:
 
 
 def _t2_pipeline(spec: TorusProductSpec, tolerance: float) -> _T2Details:
-    _require_two_torus(spec)
+    _require_pipeline(spec, 2, "two-circle")
     r1, r2 = spec.radii
     n = spec.euclid_dim
     beta_1 = beta(n, r1)
@@ -217,7 +179,7 @@ def _t2_pipeline(spec: TorusProductSpec, tolerance: float) -> _T2Details:
 
     circle_1 = circle_piecewise(n + 1, r1)
     circle_2 = circle_piecewise(n + 1, r2)
-    slab = slab2_piecewise(spec)
+    slab = slab_piecewise(spec)
 
     c_n = circle_1.solve_value(k_star)
     c_residual = circle_1(c_n) - k_star
@@ -278,26 +240,6 @@ def _check_t2_invariants(c: T2Criticals, beta_1: float, beta_2: float) -> None:
             raise ConsistencyError(message)
 
 
-def small_volume_thresholds(
-    spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
-) -> SmallVolumeThresholds:
-    """Small-volume constants of the two-circle pipeline."""
-    d = _t2_pipeline(spec, tolerance)
-    c = d.criticals
-    return SmallVolumeThresholds(
-        c.theta_star, c.sigma_star, c.K_star, c.c_n, c.v_s, c.v0_1, c.v_star
-    )
-
-
-def large_volume_thresholds(
-    spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
-) -> LargeVolumeThresholds:
-    """Large-volume constants of the two-circle pipeline."""
-    d = _t2_pipeline(spec, tolerance)
-    c = d.criticals
-    return LargeVolumeThresholds(c.a_n, c.b_n, c.v_dstar)
-
-
 def two_torus_criticals(
     spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
 ) -> T2Criticals:
@@ -340,7 +282,7 @@ class _T3Details:
 
 
 def _t3_pipeline(spec: TorusProductSpec, tolerance: float) -> _T3Details:
-    _require_three_torus(spec)
+    _require_pipeline(spec, 3, "three-circle")
     r1, r2, r3 = spec.radii
     n = spec.euclid_dim
     sub_n = _t2_pipeline(TorusProductSpec((r1, r2), n), tolerance)
@@ -365,8 +307,8 @@ def _t3_pipeline(spec: TorusProductSpec, tolerance: float) -> _T3Details:
     u_star = min(u0, sub_up.criticals.v_star, realizable)
 
     slab_gap = solve_piecewise_gap(
-        slab2_piecewise(TorusProductSpec((r1, r2), n + 1)),
-        slab3_piecewise(spec),
+        slab_piecewise(TorusProductSpec((r1, r2), n + 1)),
+        slab_piecewise(spec),
         2.0 * sub_n.criticals.v_dstar,
         tolerance=tolerance,
     )

@@ -16,9 +16,13 @@ from .errors import DomainError, GuardError
 
 TWO_PI = 2.0 * math.pi
 
-# Validity caps for the product manifolds handled by the pipelines.
-MAX_CIRCLE_FACTORS = 3
-MAX_EUCLID_DIM = 7
+# Euclidean dimensions n each circle count k is supported on: the k = 1
+# profile is known for 2 <= n <= 7, the two- and three-circle envelopes and
+# threshold pipelines for the smaller ranges. Profiles, pipelines, the CLI
+# and the TorusProductSpec caps all read this one table.
+EUCLID_DIM_RANGES = {1: (2, 7), 2: (2, 5), 3: (2, 4)}
+MAX_CIRCLE_FACTORS = max(EUCLID_DIM_RANGES)
+MAX_EUCLID_DIM = max(hi for _, hi in EUCLID_DIM_RANGES.values())
 
 
 def _gamma_half(twice_x: int) -> float:

@@ -137,7 +137,7 @@ def t2_residuals(
     b2 = profiles.beta(n, r2)
     circ1 = profiles.circle_piecewise(n + 1, r1)
     circ2 = profiles.circle_piecewise(n + 1, r2)
-    slab = profiles.slab2_piecewise(spec)
+    slab = profiles.slab_piecewise(spec)
 
     def ball_area(v: float) -> float:
         return profiles.euclidean_profile(n + 1, v).area
@@ -176,8 +176,8 @@ def t3_residuals(
     n = spec.euclid_dim
     circ1 = profiles.circle_piecewise(n + 2, r1)
     two_up = TorusProductSpec((r1, r2), n + 1)
-    slab_up = profiles.slab2_piecewise(two_up)
-    slab3 = profiles.slab3_piecewise(spec)
+    slab_up = profiles.slab_piecewise(two_up)
+    slab3 = profiles.slab_piecewise(spec)
 
     def ball_area(v: float) -> float:
         return profiles.euclidean_profile(n + 2, v).area
@@ -224,11 +224,11 @@ def verify_report(report: CriticalReport, *, tolerance: float = 1e-9) -> list[Ch
 
 
 def _profile_agreement(spec: TorusProductSpec, points: int) -> CheckResult:
+    volumes = [float(v) for v in np.geomspace(1e-3, 1e6, points)]
     worst = 0.0
-    for v in np.geomspace(1e-3, 1e6, points):
-        closed = profiles.envelope_profile(spec, float(v)).area
-        brute, _ = candidate_min_area(spec, float(v))
-        worst = max(worst, abs(closed - brute) / brute)
+    for v, closed in zip(volumes, profiles.envelope_piecewise(spec).values(volumes)):
+        brute, _ = candidate_min_area(spec, v)
+        worst = max(worst, abs(closed.area - brute) / brute)
     return CheckResult(
         "profile-vs-oracle", worst <= 1e-9, f"max relative gap {worst:.3e}"
     )
@@ -261,7 +261,7 @@ def verify_spec(
     if spec.circle_count == 2:
         crit = report.criticals
         circ1 = profiles.circle_piecewise(n + 1, spec.radii[0])
-        slab = profiles.slab2_piecewise(spec)
+        slab = profiles.slab_piecewise(spec)
         for label, r in (("r1", spec.radii[0]), ("r2", spec.radii[1])):
             target = profiles.beta(n, r)
             ball, cyl = profiles.circle_piecewise(n, r).segments
@@ -288,8 +288,8 @@ def verify_spec(
     else:
         crossing = report.constants["u_slab_crossing"].value
         r1, r2, _ = spec.radii
-        slab_up = profiles.slab2_piecewise(TorusProductSpec((r1, r2), n + 1))
-        slab3 = profiles.slab3_piecewise(spec)
+        slab_up = profiles.slab_piecewise(TorusProductSpec((r1, r2), n + 1))
+        slab3 = profiles.slab_piecewise(spec)
         target = 2.0 * report.sub_reports["n"].criticals.v_dstar
         scan = crossing_scan(
             lambda x: slab_up(x) - slab3(x),

@@ -19,7 +19,8 @@ winning and round cylinders take over:
 valid for 2 <= n <= 7. Slab profiles (full torus cross ball) are single
 power segments; the spheres-cylinders-planes envelope is the pointwise
 minimum over the candidate families and is both the conjectured profile and
-a proven upper bound for the true one.
+a proven upper bound for the true one. Every profile is a PiecewiseProfile,
+which is the only evaluator: see its docstring for the breakpoint rule.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .mensuration import (
+    EUCLID_DIM_RANGES,
     TWO_PI,
     TorusProductSpec,
     unit_ball_volume,
@@ -43,12 +45,6 @@ from .mensuration import (
 # Relative tolerance for the continuity check at piecewise breakpoints.
 _CONTINUITY_RTOL = 1e-9
 
-# Circle-product profiles are only known on this dimension range.
-CIRCLE_DIM_RANGE = (2, 7)
-# The two-circle envelope and threshold pipeline range.
-SCP_DIM_RANGE = (2, 5)
-# The three-circle pipeline range.
-THREE_TORUS_DIM_RANGE = (2, 4)
 # Euclidean profile dimensions accepted.
 EUCLIDEAN_DIM_RANGE = (2, 9)
 
@@ -67,7 +63,11 @@ class ProfileValue:
 
 @dataclass(frozen=True)
 class PowerSegment:
-    """One power law coeff * v^exponent on the half-open interval [v_lo, v_hi)."""
+    """One power law coeff * v^exponent on the interval (v_lo, v_hi].
+
+    The interval is closed on the right: a volume exactly on a breakpoint
+    belongs to the segment that ends there (see PiecewiseProfile).
+    """
 
     coeff: float
     exponent: float
@@ -83,14 +83,11 @@ class PowerSegment:
         if not 0.0 <= self.exponent <= 1.0:
             raise DomainError(f"segment exponent must be in [0, 1], got {self.exponent!r}")
         if not (0.0 <= self.v_lo < self.v_hi):
-            raise DomainError(f"bad segment domain [{self.v_lo}, {self.v_hi})")
+            raise DomainError(f"bad segment domain ({self.v_lo}, {self.v_hi}]")
 
     def value(self, v):
         """Evaluate the power law; accepts scalars and numpy arrays."""
         return self.coeff * v**self.exponent
-
-    def contains(self, v: float) -> bool:
-        return self.v_lo <= v < self.v_hi
 
     def solve_value(self, area: float) -> float:
         """Volume at which this power law takes the given area value."""
@@ -103,19 +100,18 @@ class PowerSegment:
 class PiecewiseProfile:
     """Ordered power segments covering (0, inf) with no gaps or overlaps.
 
-    ``candidates`` is set when the profile is the pointwise minimum of
-    those curves (see minimum_envelope); only values() reads it.
+    One breakpoint rule decides which power law gives the value at v:
 
-    Two tie-breaks coexist at breakpoints. ``__call__``, ``value`` and
-    ``segment_at`` use the half-open segments [v_lo, v_hi), so a volume
-    exactly on a breakpoint takes the right segment. values() follows the
-    scalar profile functions instead, so a grid gives the same bits as a
-    loop over envelope_profile: a volume on a breakpoint takes the left
-    segment (circle_profile's ``v <= beta``), and a minimum envelope takes
-    its first minimal candidate (the scalar ``min``). The two differ in the
-    last bit and in the regime tag: for radii (1, 1), n = 2 at
-    v = beta(3, 1), the scalar path gives ``ball 224.84192526231706`` and
-    ``segment_at`` gives ``cylinder 224.84192526231703``.
+    * a volume exactly on a breakpoint takes the left segment (the ball
+      branch at v = beta, as in ``v <= beta``);
+    * a minimum envelope (``candidates`` set, see minimum_envelope) is
+      evaluated through its candidates and takes the first minimal one, so
+      a tie goes to the earlier curve. Its ``segments`` record where each
+      candidate wins, for solving and for listing regimes.
+
+    segment_at, value, values and the scalar ``__call__`` all follow it and
+    give the same bits: for radii (1, 1), n = 2 at v = beta(3, 1) each
+    gives ``ball 224.84192526231706``.
     """
 
     segments: tuple[PowerSegment, ...]
@@ -145,44 +141,49 @@ class PiecewiseProfile:
         object.__setattr__(self, "segments", segs)
 
     def segment_at(self, v: float) -> PowerSegment:
-        if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError(f"volume must be positive, got {v!r}")
-        for seg in self.segments:
-            if seg.contains(v):
-                return seg
-        return self.segments[-1]
+        """The segment whose power law gives the profile's value at v.
+
+        For a minimum envelope this is a segment of the winning candidate.
+        """
+        return self._rows([_check_volume(v)])[0][1]
 
     def __call__(self, v):
-        """Evaluate the profile at a positive scalar volume or numpy array."""
+        """Evaluate the profile at a positive scalar volume or numpy array.
+
+        The array form serves the oracle scans. It picks segments with
+        ``np.searchsorted(..., side="left")``, the same breakpoint rule, and
+        takes the minimum over an envelope's candidates; but it keeps numpy's
+        array pow, which can differ from Python's in the last bit.
+        """
         if isinstance(v, np.ndarray):
             if not np.all(v > 0.0):
                 raise DomainError("volumes must be positive")
+            if self.candidates:
+                return np.minimum.reduce([c(v) for c in self.candidates])
+            index = np.searchsorted(self.breakpoints(), v, side="left")
             out = np.empty(v.shape, dtype=float)
-            for seg in self.segments:
-                mask = (v >= seg.v_lo) & (v < seg.v_hi)
+            for i, seg in enumerate(self.segments):
+                mask = index == i
                 out[mask] = seg.value(v[mask])
             return out
-        return self.segment_at(float(v)).value(float(v))
+        return self._rows([_check_volume(v)])[0][0]
 
     def value(self, v: float) -> ProfileValue:
-        seg = self.segment_at(float(v))
-        return ProfileValue(seg.value(float(v)), seg.regime)
+        area, seg = self._rows([_check_volume(v)])[0]
+        return ProfileValue(area, seg.regime)
 
     def values(self, volumes) -> list[ProfileValue]:
-        """Evaluate a volume grid, bit for bit as the scalar profile functions.
+        """Evaluate a volume grid; each row has the bits of value(v).
 
-        A minimum envelope takes the first minimal value of its candidates
-        row by row, as the scalar ``min`` does; any other profile bisects
-        its breakpoints with the scalar tie-break. Areas use Python float
-        pow: numpy's array pow differs from it in the last bit for some
-        volumes, which would change the printed digits.
+        Areas use Python float pow: numpy's array pow differs from it in
+        the last bit for some volumes, which would change printed digits.
         """
-        volumes = [_check_volume(v) for v in volumes]
-        return [ProfileValue(area, regime) for area, regime in self._rows(volumes)]
+        rows = self._rows([_check_volume(v) for v in volumes])
+        return [ProfileValue(area, seg.regime) for area, seg in rows]
 
-    def _rows(self, volumes: list[float]) -> list[tuple[float, str]]:
-        # (area, regime) pairs for checked volumes: plain tuples keep the
-        # candidate columns of a minimum envelope cheap.
+    def _rows(self, volumes: list[float]) -> list[tuple[float, PowerSegment]]:
+        # The breakpoint rule, for checked volumes: (area, segment) pairs.
+        # Plain tuples keep the candidate columns of an envelope cheap.
         if self.candidates:
             columns = [c._rows(volumes) for c in self.candidates]
             return [min(row, key=itemgetter(0)) for row in zip(*columns)]
@@ -191,7 +192,7 @@ class PiecewiseProfile:
         rows = []
         for v in volumes:
             seg = segments[bisect_left(cuts, v)]
-            rows.append((seg.coeff * v**seg.exponent, seg.regime))
+            rows.append((seg.coeff * v**seg.exponent, seg))
         return rows
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -254,7 +255,7 @@ def beta(n: int, r: float) -> float:
     circle-cross-ball cylinders do; the value is the unique crossing of the
     two power laws.
     """
-    _check_range(n, CIRCLE_DIM_RANGE, "the circle-product profile")
+    _check_range(n, EUCLID_DIM_RANGES[1], "the circle-product profile")
     r = _check_radius(r)
     w_prev = unit_sphere_area(n - 1)
     w_n = unit_sphere_area(n)
@@ -266,99 +267,9 @@ def beta(n: int, r: float) -> float:
     )
 
 
-def _circle_segments(n: int, r: float) -> tuple[PowerSegment, PowerSegment]:
-    bp = beta(n, r)
-    ball = PowerSegment(
-        tube_area_coefficient(1.0, n + 1), n / (n + 1.0), 0.0, bp, REGIME_BALL
-    )
-    cylinder = PowerSegment(
-        tube_area_coefficient(TWO_PI * r, n), (n - 1.0) / n, bp, math.inf, REGIME_CYLINDER
-    )
-    return ball, cylinder
-
-
-def circle_profile(n: int, r: float, v: float) -> ProfileValue:
-    """Profile of the circle-cross-R^n product: ball branch up to beta(n, r),
-    cylinder branch beyond it."""
-    v = _check_volume(v)
-    ball, cylinder = _circle_segments(n, r)
-    if v <= ball.v_hi:
-        return ProfileValue(ball.value(v), REGIME_BALL)
-    return ProfileValue(cylinder.value(v), REGIME_CYLINDER)
-
-
 def alpha(n: int, r: float) -> float:
     """Profile value at the breakpoint beta(n, r), where both branches agree."""
-    return circle_profile(n, r, beta(n, r)).area
-
-
-def _slab_value(spec: TorusProductSpec, v: float) -> float:
-    n = spec.euclid_dim
-    coeff = tube_area_coefficient(spec.torus_measure(), n)
-    return coeff * v ** ((n - 1.0) / n)
-
-
-def slab2_profile(spec: TorusProductSpec, v: float) -> ProfileValue:
-    """Area of (two-circle torus) x B^n at volume v.
-
-    A single power law with exponent (n-1)/n; for n = 1 it degenerates to
-    the constant 2 * (torus area), the two flat copies bounding a slab.
-    """
-    if spec.circle_count != 2:
-        raise GuardError(f"slab2_profile needs exactly 2 circle factors, got {spec.circle_count}")
-    return ProfileValue(_slab_value(spec, _check_volume(v)), REGIME_SLAB)
-
-
-def slab3_profile(spec: TorusProductSpec, v: float) -> ProfileValue:
-    """Area of (three-circle torus) x B^n at volume v; same law as slab2_profile."""
-    if spec.circle_count != 3:
-        raise GuardError(f"slab3_profile needs exactly 3 circle factors, got {spec.circle_count}")
-    return ProfileValue(_slab_value(spec, _check_volume(v)), REGIME_SLAB)
-
-
-def scp_profile(spec: TorusProductSpec, v: float) -> ProfileValue:
-    """Spheres-cylinders-planes envelope for a two-circle product.
-
-    The pointwise minimum of the smallest-circle product profile and the
-    slab profile. This is the conjectured isoperimetric profile and a proven
-    upper bound everywhere; the criticals pipeline certifies where it is
-    exact. Ties go to the circle-product branch.
-    """
-    if spec.circle_count != 2:
-        raise GuardError(f"scp_profile needs exactly 2 circle factors, got {spec.circle_count}")
-    n = _check_range(spec.euclid_dim, SCP_DIM_RANGE, "the two-circle envelope")
-    v = _check_volume(v)
-    circle = circle_profile(n + 1, spec.radii[0], v)
-    slab = slab2_profile(spec, v)
-    return circle if circle.area <= slab.area else slab
-
-
-def envelope_profile(spec: TorusProductSpec, v: float) -> ProfileValue:
-    """Candidate-family envelope for one, two or three circle factors.
-
-    k = 1 is the known circle-product profile; k = 2 the scp envelope;
-    k = 3 the minimum over one-circle cylinders, two-circle slabs one
-    dimension up (tagged "slab2") and the full three-circle slab.
-    """
-    k = spec.circle_count
-    n = spec.euclid_dim
-    v = _check_volume(v)
-    if k == 1:
-        _check_range(n, CIRCLE_DIM_RANGE, "the circle-product profile")
-        return circle_profile(n, spec.radii[0], v)
-    if k == 2:
-        return scp_profile(spec, v)
-    if k == 3:
-        _check_range(n, THREE_TORUS_DIM_RANGE, "the three-circle envelope")
-        r1, r2, _ = spec.radii
-        two_up = TorusProductSpec((r1, r2), n + 1)
-        candidates = [
-            circle_profile(n + 2, r1, v),
-            ProfileValue(_slab_value(two_up, v), "slab2"),
-            slab3_profile(spec, v),
-        ]
-        return min(candidates, key=lambda p: p.area)
-    raise GuardError(f"no candidate envelope for {k} circle factors")
+    return circle_piecewise(n, r)(beta(n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +285,28 @@ def euclidean_piecewise(m: int) -> PiecewiseProfile:
 
 
 def circle_piecewise(n: int, r: float) -> PiecewiseProfile:
-    return PiecewiseProfile(_circle_segments(n, r))
-
-
-def slab2_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
-    if spec.circle_count != 2:
-        raise GuardError(f"slab2_piecewise needs exactly 2 circle factors, got {spec.circle_count}")
-    n = spec.euclid_dim
-    seg = PowerSegment(
-        tube_area_coefficient(spec.torus_measure(), n),
-        (n - 1.0) / n,
-        0.0,
-        math.inf,
-        REGIME_SLAB,
+    """Profile of the circle-cross-R^n product: ball branch up to beta(n, r),
+    cylinder branch beyond it."""
+    bp = beta(n, r)
+    ball = PowerSegment(
+        tube_area_coefficient(1.0, n + 1), n / (n + 1.0), 0.0, bp, REGIME_BALL
     )
-    return PiecewiseProfile((seg,))
+    cylinder = PowerSegment(
+        tube_area_coefficient(TWO_PI * r, n), (n - 1.0) / n, bp, math.inf, REGIME_CYLINDER
+    )
+    return PiecewiseProfile((ball, cylinder))
 
 
-def slab3_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
-    if spec.circle_count != 3:
-        raise GuardError(f"slab3_piecewise needs exactly 3 circle factors, got {spec.circle_count}")
+def slab_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
+    """Area of (full torus) x B^n: one power law with exponent (n-1)/n.
+
+    For n = 1 it degenerates to the constant 2 * (torus measure), the two
+    flat copies bounding a slab.
+    """
+    if spec.circle_count < 2:
+        raise GuardError(
+            f"slab_piecewise needs 2 or 3 circle factors, got {spec.circle_count}"
+        )
     n = spec.euclid_dim
     seg = PowerSegment(
         tube_area_coefficient(spec.torus_measure(), n),
@@ -426,8 +339,8 @@ def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:
     Breakpoints are the curves' own breakpoints plus the closed-form
     crossings of overlapping segment pairs; the winner on each interval is
     decided at an interior probe point. The result keeps ``curves`` as its
-    candidates, in the given order, so values() takes the same minimum row
-    by row as a scalar ``min`` over the same list.
+    candidates, in the given order, and is evaluated through them (see
+    PiecewiseProfile).
     """
     points: set[float] = set()
     for curve in curves:
@@ -471,71 +384,43 @@ def _retag(profile: PiecewiseProfile, regime: str) -> PiecewiseProfile:
 
 
 def scp_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
-    """Exact segment decomposition of the two-circle scp envelope."""
+    """Spheres-cylinders-planes envelope for a two-circle product.
+
+    The minimum of the smallest-circle product profile and the slab
+    profile, ties going to the circle-product branch. This is the
+    conjectured isoperimetric profile and a proven upper bound everywhere;
+    the criticals pipeline certifies where it is exact.
+    """
     if spec.circle_count != 2:
         raise GuardError(f"scp_piecewise needs exactly 2 circle factors, got {spec.circle_count}")
-    n = _check_range(spec.euclid_dim, SCP_DIM_RANGE, "the two-circle envelope")
-    return minimum_envelope([circle_piecewise(n + 1, spec.radii[0]), slab2_piecewise(spec)])
+    n = _check_range(spec.euclid_dim, EUCLID_DIM_RANGES[2], "the two-circle envelope")
+    return minimum_envelope([circle_piecewise(n + 1, spec.radii[0]), slab_piecewise(spec)])
 
 
 def envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
-    """Piecewise form of envelope_profile for one, two or three circles."""
+    """Candidate-family envelope for one, two or three circle factors.
+
+    k = 1 is the known circle-product profile; k = 2 the scp envelope;
+    k = 3 the minimum over one-circle cylinders, two-circle slabs one
+    dimension up (tagged "slab2") and the full three-circle slab.
+    """
     k = spec.circle_count
     n = spec.euclid_dim
     if k == 1:
-        _check_range(n, CIRCLE_DIM_RANGE, "the circle-product profile")
+        _check_range(n, EUCLID_DIM_RANGES[1], "the circle-product profile")
         return circle_piecewise(n, spec.radii[0])
     if k == 2:
         return scp_piecewise(spec)
     if k == 3:
-        _check_range(n, THREE_TORUS_DIM_RANGE, "the three-circle envelope")
+        _check_range(n, EUCLID_DIM_RANGES[3], "the three-circle envelope")
         r1, r2, _ = spec.radii
         two_up = TorusProductSpec((r1, r2), n + 1)
         return minimum_envelope(
             [
                 circle_piecewise(n + 2, r1),
-                _retag(slab2_piecewise(two_up), "slab2"),
-                slab3_piecewise(spec),
+                _retag(slab_piecewise(two_up), "slab2"),
+                slab_piecewise(spec),
             ]
         )
     raise GuardError(f"no candidate envelope for {k} circle factors")
 
-
-_SELECTORS = {
-    "euclidean": lambda spec, n, r: euclidean_piecewise(n),
-    "circle": lambda spec, n, r: circle_piecewise(n, r),
-    "slab2": lambda spec, n, r: slab2_piecewise(spec),
-    "slab3": lambda spec, n, r: slab3_piecewise(spec),
-    "scp": lambda spec, n, r: scp_piecewise(spec),
-    "envelope": lambda spec, n, r: envelope_piecewise(spec),
-}
-
-
-def as_piecewise(
-    selector: str,
-    spec: TorusProductSpec | None = None,
-    *,
-    n: int | None = None,
-    r: float | None = None,
-) -> PiecewiseProfile:
-    """Exact segment decomposition of a named profile.
-
-    "euclidean" needs n (the ball dimension), "circle" needs n and r, the
-    slab/scp/envelope selectors need a spec.
-    """
-    try:
-        builder = _SELECTORS[selector]
-    except KeyError:
-        raise DomainError(
-            f"unsupported profile selector {selector!r}; "
-            f"expected one of {sorted(_SELECTORS)}"
-        ) from None
-    if selector == "euclidean":
-        if n is None:
-            raise DomainError("as_piecewise('euclidean') needs n")
-    elif selector == "circle":
-        if n is None or r is None:
-            raise DomainError("as_piecewise('circle') needs n and r")
-    elif spec is None:
-        raise DomainError(f"as_piecewise({selector!r}) needs a spec")
-    return builder(spec, n, r)

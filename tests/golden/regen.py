@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from torusiso import (
-    T2Criticals,
     TorusProductSpec,
     beta,
     cli,
@@ -66,10 +65,8 @@ def case_name(spec: TorusProductSpec) -> str:
 def _thresholds(spec: TorusProductSpec) -> tuple[float, float]:
     if spec.circle_count == 2:
         report = two_torus_criticals(spec)
-    else:
-        report = three_torus_criticals(spec)
-    if isinstance(report, T2Criticals):
         return report.v_star, report.v_dstar
+    report = three_torus_criticals(spec)
     return report.u_star, report.u_dstar
 
 

@@ -18,9 +18,8 @@ from torusiso import (
     circle_piecewise,
     crossing_scan,
     full_report,
-    scp_profile,
-    slab2_piecewise,
-    slab2_profile,
+    scp_piecewise,
+    slab_piecewise,
     sphere_cylinder_crossing,
     solve_power_gap,
     three_torus_criticals,
@@ -86,7 +85,7 @@ def test_criterion_3_slab_closed_form():
     spec = example_spec()
     ok = True
     for v in np.geomspace(1e-3, 1e6, 100):
-        ok = ok and rel(slab2_profile(spec, float(v)).area, 4 * math.pi * math.sqrt(v)) <= 1e-12
+        ok = ok and rel(slab_piecewise(spec).value(float(v)).area, 4 * math.pi * math.sqrt(v)) <= 1e-12
     report_line(3, "slab profile closed form", ok)
 
 
@@ -135,7 +134,7 @@ def test_criterion_6_profile_oracle_equality():
     ok = True
     for spec in random_two_circle_specs(10, seed=404):
         for v in np.geomspace(1e-3, 1e6, 200):
-            closed = scp_profile(spec, float(v)).area
+            closed = scp_piecewise(spec).value(float(v)).area
             brute, _ = candidate_min_area(spec, float(v))
             ok = ok and rel(closed, brute) <= 1e-9
     report_line(6, "envelope equals brute-force oracle", ok)
@@ -151,7 +150,7 @@ def test_criterion_7_band_validity():
         for row in result.rows:
             ok = ok and row.lower <= row.upper
             if row.v <= crit.v_star or row.v >= crit.v_dstar:
-                exact = scp_profile(spec, row.v).area
+                exact = scp_piecewise(spec).value(row.v).area
                 ok = ok and rel(row.lower, exact) <= 1e-12
                 ok = ok and rel(row.upper, exact) <= 1e-12
     report_line(7, "band validity and exactness regions", ok)
@@ -168,7 +167,7 @@ def test_criterion_8_documented_discrepancy():
     ok = ok and bisect_verify(residuals["v_dstar"], crit.v_dstar, 1e-9)
     ok = ok and bisect_verify(residuals["a_n"], crit.a_n, 1e-9)
     circle = circle_piecewise(3, 1.0)
-    slab = slab2_piecewise(spec)
+    slab = slab_piecewise(spec)
     scan = crossing_scan(
         lambda x: circle(x) - slab(x),
         lambda x: 2 * beta(2, 1.0) + 0.0 * x,

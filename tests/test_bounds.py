@@ -14,11 +14,11 @@ from torusiso import (
     beta,
     candidate_min_area,
     chord_bound,
-    circle_profile,
+    circle_piecewise,
     cylinder_offset_bound,
     read_curve,
-    scp_profile,
-    slab2_profile,
+    scp_piecewise,
+    slab_piecewise,
     two_torus_criticals,
 )
 
@@ -67,11 +67,11 @@ class TestTangentBound:
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
         curve = TabulatedCurve(
             (
-                (v_lo, scp_profile(example_spec, v_lo).area),
-                (v_hi, scp_profile(example_spec, v_hi).area),
+                (v_lo, scp_piecewise(example_spec).value(v_lo).area),
+                (v_hi, scp_piecewise(example_spec).value(v_hi).area),
             )
         )
-        anchor = (v_hi, scp_profile(example_spec, v_hi).area)
+        anchor = (v_hi, scp_piecewise(example_spec).value(v_hi).area)
         for v in (5.0, 20.0, 40.0):
             assert rel(
                 tangent_bound(anchor, curve, v),
@@ -88,9 +88,9 @@ class TestTangentBound:
         from torusiso import tangent_bound
 
         v_hi = example_report.v_dstar
-        anchor = (v_hi, scp_profile(example_spec, v_hi).area)
+        anchor = (v_hi, scp_piecewise(example_spec).value(v_hi).area)
         ws = np.geomspace(1.0, 50.0, 17)
-        points = tuple((float(w), 0.93 * scp_profile(example_spec, float(w)).area) for w in ws)
+        points = tuple((float(w), 0.93 * scp_piecewise(example_spec).value(float(w)).area) for w in ws)
         curve = TabulatedCurve(points)
         v = 30.0
         expected = max(
@@ -107,12 +107,12 @@ class TestTangentBound:
         mid = math.sqrt(v_lo * v_hi)
         curve = TabulatedCurve(
             (
-                (v_lo, scp_profile(example_spec, v_lo).area),
-                (mid, 0.999 * scp_profile(example_spec, mid).area),
-                (v_hi, scp_profile(example_spec, v_hi).area),
+                (v_lo, scp_piecewise(example_spec).value(v_lo).area),
+                (mid, 0.999 * scp_piecewise(example_spec).value(mid).area),
+                (v_hi, scp_piecewise(example_spec).value(v_hi).area),
             )
         )
-        anchor = (v_hi, scp_profile(example_spec, v_hi).area)
+        anchor = (v_hi, scp_piecewise(example_spec).value(v_hi).area)
         assert tangent_bound(anchor, curve, mid) > chord_bound(
             example_report, example_spec, mid
         )
@@ -128,7 +128,7 @@ class TestTangentBound:
 class TestCylinderOffsetBound:
     def test_equals_slab_at_v_dstar_for_equal_radii(self, example_spec, example_report):
         value = cylinder_offset_bound(example_spec, example_report.v_dstar)
-        slab = slab2_profile(example_spec, example_report.v_dstar).area
+        slab = slab_piecewise(example_spec).value(example_report.v_dstar).area
         assert rel(value, slab) < 1e-9
 
     def test_clamped_to_zero_at_small_volume(self, example_spec):
@@ -136,7 +136,7 @@ class TestCylinderOffsetBound:
 
     def test_positive_below_envelope(self, example_spec):
         value = cylinder_offset_bound(example_spec, 30.0)
-        upper = scp_profile(example_spec, 30.0).area
+        upper = scp_piecewise(example_spec).value(30.0).area
         brute, _ = candidate_min_area(example_spec, 30.0)
         assert 0.0 < value < upper
         assert rel(upper, brute) < 1e-9
@@ -144,7 +144,7 @@ class TestCylinderOffsetBound:
     def test_closed_form(self, example_spec):
         v = 30.0
         r = example_spec.radii[0]
-        expected = circle_profile(3, r, v).area - 2 * beta(2, r)
+        expected = circle_piecewise(3, r).value(v).area - 2 * beta(2, r)
         assert rel(cylinder_offset_bound(example_spec, v), expected) < 1e-12
 
 
@@ -154,7 +154,7 @@ class TestBand:
         result = band(example_spec, grid)
         for row in result.rows:
             assert row.lower <= row.upper
-            exact = scp_profile(example_spec, row.v).area
+            exact = scp_piecewise(example_spec).value(row.v).area
             assert rel(row.upper, exact) < 1e-12
             if row.v <= example_report.v_star or row.v >= example_report.v_dstar:
                 assert row.lower_source == "exact"
@@ -172,7 +172,7 @@ class TestBand:
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
         ws = np.geomspace(v_lo, v_hi, 9)
         curve = TabulatedCurve(
-            tuple((float(w), 0.98 * scp_profile(example_spec, float(w)).area) for w in ws)
+            tuple((float(w), 0.98 * scp_piecewise(example_spec).value(float(w)).area) for w in ws)
         )
         bare = band(example_spec, grid)
         with_curve = band(example_spec, grid, curve)
@@ -182,7 +182,7 @@ class TestBand:
     def test_single_point_grid(self, example_spec):
         result = band(example_spec, [1.0])
         (row,) = result.rows
-        exact = scp_profile(example_spec, 1.0).area
+        exact = scp_piecewise(example_spec).value(1.0).area
         assert row.lower == row.upper
         assert rel(row.lower, exact) < 1e-12
         assert row.lower_source == "exact"
@@ -206,8 +206,8 @@ class TestBand:
         mid = math.sqrt(example_report.v_star * example_report.v_dstar)
         curve = TabulatedCurve(
             (
-                (example_report.v_star, 2.0 * scp_profile(example_spec, example_report.v_star).area),
-                (mid, 2.0 * scp_profile(example_spec, mid).area),
+                (example_report.v_star, 2.0 * scp_piecewise(example_spec).value(example_report.v_star).area),
+                (mid, 2.0 * scp_piecewise(example_spec).value(mid).area),
             )
         )
         with pytest.raises(DomainError, match="cannot be a valid lower bound"):
@@ -227,7 +227,7 @@ def test_band_validity_property(r1, r2, n, scale):
     grid = np.geomspace(crit.v_star / 5.0, crit.v_dstar * 5.0, 35)
     ws = np.geomspace(crit.v_star / 2.0, crit.v_dstar * 2.0, 11)
     curve = TabulatedCurve(
-        tuple((float(w), scale * scp_profile(spec, float(w)).area) for w in ws)
+        tuple((float(w), scale * scp_piecewise(spec).value(float(w)).area) for w in ws)
     )
     result = band(spec, grid, curve, report=crit)
     for row in result.rows:

@@ -148,12 +148,12 @@ class TestBoundsCommand:
                 assert source == "exact"
 
     def test_with_curve(self, capsys, example_file, tmp_path):
-        from torusiso import TorusProductSpec, scp_profile
+        from torusiso import TorusProductSpec, scp_piecewise
 
         spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 2)
         curve = tmp_path / "curve.csv"
         rows = "\n".join(
-            f"{v},{0.9 * scp_profile(spec, v).area}" for v in (3.0, 10.0, 30.0, 50.0)
+            f"{v},{0.9 * scp_piecewise(spec).value(v).area}" for v in (3.0, 10.0, 30.0, 50.0)
         )
         curve.write_text("# certified_lower_bound: yes\nv,area\n" + rows + "\n")
         base_code, base_out, _ = run(capsys, "bounds", example_file, "--grid", "3:50:10,log")
@@ -257,6 +257,24 @@ class TestSpecFileLoading:
         )
         _, tolerance = cli.load_spec_file(str(path))
         assert tolerance == 1e-6
+
+    @pytest.mark.parametrize("tolerance", [1e-20, 1e-16, 0.0, -1e-12])
+    def test_unreachable_tolerance_is_parse_error(self, capsys, tmp_path, tolerance):
+        path = tmp_path / "tight.json"
+        path.write_text(
+            json.dumps({"radii": [0.7, 1.9, 2.3], "euclid_dim": 3, "tolerance": tolerance})
+        )
+        code, out, err = run(capsys, "critical", str(path))
+        assert code == 1
+        assert out == ""
+        assert "'tolerance'" in err
+
+    def test_tightest_tolerance_converges(self, capsys, tmp_path):
+        for radii, n in (([0.7, 1.9], 5), ([0.7, 1.9, 2.3], 3)):
+            path = tmp_path / "tightest.json"
+            path.write_text(json.dumps({"radii": radii, "euclid_dim": n, "tolerance": 1e-15}))
+            code, _, err = run(capsys, "critical", str(path))
+            assert code == 0, err
 
     def test_grid_parse_errors(self):
         with pytest.raises(cli.SpecFileError):

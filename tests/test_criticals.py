@@ -12,10 +12,8 @@ from torusiso import (
     crossing_scan,
     euclidean_profile,
     full_report,
-    large_volume_thresholds,
-    scp_profile,
-    slab2_piecewise,
-    small_volume_thresholds,
+    scp_piecewise,
+    slab_piecewise,
     solve_power_gap,
     sphere_cylinder_crossing,
     three_torus_criticals,
@@ -60,7 +58,7 @@ class TestExampleTorus:
         assert rel(crit.v_dstar, VDSTAR_EXAMPLE) < 1e-11
 
     def test_small_volume_constants(self, example_spec):
-        small = small_volume_thresholds(example_spec)
+        small = two_torus_criticals(example_spec)
         assert rel(small.theta_star, THETA_EXAMPLE) < 1e-11
         assert rel(small.sigma_star, THETA_EXAMPLE) < 1e-11
         assert rel(small.K_star, K_EXAMPLE) < 1e-11
@@ -70,18 +68,18 @@ class TestExampleTorus:
 
     def test_k_star_equals_ball_area_at_c(self, example_spec):
         # c sits on the ball branch, so the 4-ball area law reproduces K.
-        small = small_volume_thresholds(example_spec)
+        small = two_torus_criticals(example_spec)
         assert rel(euclidean_profile(4, small.c_n).area, small.K_star) < 1e-11
         assert small.c_n < BETA_3_SQ
 
     def test_balance_identity(self, example_spec):
-        small = small_volume_thresholds(example_spec)
+        small = two_torus_criticals(example_spec)
         lhs = 2 * (BETA_2_SQ - small.theta_star)
         rhs = 2 * math.pi * SQRT_PI_RADIUS * euclidean_profile(3, small.theta_star).area
         assert rel(lhs, rhs) < 1e-9
 
     def test_symmetry_of_equal_radii(self, example_spec):
-        large = large_volume_thresholds(example_spec)
+        large = two_torus_criticals(example_spec)
         assert large.a_n == large.b_n
         assert large.v_dstar == large.a_n
 
@@ -106,7 +104,7 @@ class TestUnitTorus:
     def test_v_dstar_against_scan_oracle(self, unit_spec):
         crit = two_torus_criticals(unit_spec)
         circle = circle_piecewise(3, 1.0)
-        slab = slab2_piecewise(unit_spec)
+        slab = slab_piecewise(unit_spec)
         target = 2 * beta(2, 1.0)
         scan = crossing_scan(
             lambda x: circle(x) - slab(x),
@@ -250,6 +248,6 @@ class TestFullReport:
         # scp at v_star equals the circle branch there, tying the report to
         # the profile surface.
         report = full_report(example_spec)
-        value = scp_profile(example_spec, report.criticals.v_star)
+        value = scp_piecewise(example_spec).value(report.criticals.v_star)
         assert value.regime == "ball"
         assert rel(value.area, report.criticals.K_star) < 1e-11

@@ -2,9 +2,10 @@
 
 band() and the --grid commands evaluate every row from one piecewise
 envelope per call. These tests require them to equal, field for field and
-bit for bit, a reference built one volume at a time from the public scalar
-functions, including at volumes placed exactly on every breakpoint and
-threshold, where the tie-breaks decide the regime tag.
+bit for bit, a reference built one volume at a time from the scalar closed
+forms in scalar_reference.py and the public single-volume bound functions,
+including at volumes placed exactly on every breakpoint and threshold,
+where the tie-breaks decide the regime tag.
 """
 
 import json
@@ -15,7 +16,6 @@ import pytest
 
 import torusiso.bounds as bounds_mod
 import torusiso.cli as cli_mod
-import torusiso.profiles as profiles_mod
 from torusiso import (
     DomainError,
     T2Criticals,
@@ -24,16 +24,15 @@ from torusiso import (
     band,
     beta,
     chord_bound,
-    circle_profile,
     cylinder_offset_bound,
     envelope_piecewise,
-    envelope_profile,
     tangent_bound,
     three_torus_criticals,
     two_torus_criticals,
 )
 
 from refvalues import SQRT_PI_RADIUS
+from scalar_reference import circle_profile, envelope_profile
 
 SPECS = [
     *(TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), n) for n in (2, 3, 4, 5)),
@@ -225,7 +224,30 @@ def test_breakpoint_tie_break_documented_values():
     assert (grid_value.area, grid_value.regime) == (224.84192526231706, "ball")
     assert grid_value == envelope_profile(spec, v)
     segment = profile.segment_at(v)
-    assert (segment.value(v), segment.regime) == (224.84192526231703, "cylinder")
+    assert (segment.value(v), segment.regime) == (224.84192526231706, "ball")
+
+
+def rule_volumes(profile):
+    """Every breakpoint of the profile and of its candidates, with neighbours."""
+    points = set(profile.breakpoints())
+    for candidate in profile.candidates:
+        points.update(candidate.breakpoints())
+    volumes = set()
+    for p in points:
+        volumes.update((math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)))
+    return sorted(volumes)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_every_evaluator_follows_one_breakpoint_rule(spec):
+    profile = envelope_piecewise(spec)
+    for v in rule_volumes(profile):
+        value = profile.value(v)
+        segment = profile.segment_at(v)
+        assert (segment.value(v), segment.regime) == (value.area, value.regime)
+        assert float(profile(v)) == value.area
+        assert profile.values([v])[0] == value
+        assert value == envelope_profile(spec, v)
 
 
 def test_values_rejects_bad_volumes():
@@ -236,18 +258,17 @@ def test_values_rejects_bad_volumes():
 
 
 @pytest.fixture
-def scalar_calls(monkeypatch):
-    """Counts calls of the scalar envelope_profile from any module that imports it."""
+def envelope_builds(monkeypatch):
+    """Counts envelope_piecewise builds made by band() and the CLI."""
     calls = []
-    original = profiles_mod.envelope_profile
+    original = envelope_piecewise
 
-    def counting(spec, v):
-        calls.append(v)
-        return original(spec, v)
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
 
-    for module in (profiles_mod, bounds_mod, cli_mod):
-        if hasattr(module, "envelope_profile"):
-            monkeypatch.setattr(module, "envelope_profile", counting)
+    for module in (bounds_mod, cli_mod):
+        monkeypatch.setattr(module, "envelope_piecewise", counting)
     return calls
 
 
@@ -256,19 +277,17 @@ def scalar_calls(monkeypatch):
     [TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((0.6, 1.1, 2.3), 2)],
     ids=spec_id,
 )
-def test_scalar_envelope_calls_do_not_grow_with_the_grid(spec, scalar_calls, tmp_path, capsys):
+def test_envelope_builds_do_not_grow_with_the_grid(spec, envelope_builds, tmp_path, capsys):
     report = criticals(spec)
     v_lo, v_hi = thresholds(report)
-    counts = []
     for size in (10, 1000):
-        scalar_calls.clear()
+        envelope_builds.clear()
         band(spec, np.geomspace(v_lo / 10.0, v_hi * 10.0, size), report=report)
-        counts.append(len(scalar_calls))
-    assert counts[0] == counts[1] <= 2
+        assert envelope_builds == [spec]
 
     path = write_spec(tmp_path, spec)
     for size in (10, 1000):
-        scalar_calls.clear()
+        envelope_builds.clear()
         assert cli_mod.main(["profile", path, "--grid", f"0.01:1e6:{size},log"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == size + 1
-        assert scalar_calls == []
+        assert envelope_builds == [spec]

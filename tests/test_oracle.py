@@ -13,7 +13,7 @@ from torusiso import (
     crossing_scan,
     euclidean_profile,
     full_report,
-    scp_profile,
+    scp_piecewise,
     verify_report,
     verify_spec,
 )
@@ -74,10 +74,10 @@ class TestCrossingScan:
         assert math.isnan(scan.estimate)
 
     def test_brackets_large_threshold(self, example_spec):
-        from torusiso import circle_piecewise, slab2_piecewise
+        from torusiso import circle_piecewise, slab_piecewise
 
         circle = circle_piecewise(3, SQRT_PI_RADIUS)
-        slab = slab2_piecewise(example_spec)
+        slab = slab_piecewise(example_spec)
         target = 2 * BETA_2_SQ
         scan = crossing_scan(
             lambda x: circle(x) - slab(x),
@@ -144,6 +144,6 @@ class TestOracleAgreement:
             n = rng.randint(2, 5)
             spec = TorusProductSpec(tuple(radii), n)
             for v in np.geomspace(1e-3, 1e6, 60):
-                closed = scp_profile(spec, float(v)).area
+                closed = scp_piecewise(spec).value(float(v)).area
                 brute, _ = candidate_min_area(spec, float(v))
                 assert rel(closed, brute) < 1e-9

@@ -12,21 +12,17 @@ from torusiso import (
     PowerSegment,
     TorusProductSpec,
     alpha,
-    as_piecewise,
     beta,
     candidate_min_area,
     circle_piecewise,
-    circle_profile,
     crossing_scan,
     envelope_piecewise,
-    envelope_profile,
+    euclidean_piecewise,
     euclidean_profile,
     region_boundary_area,
     region_volume,
     scp_piecewise,
-    scp_profile,
-    slab2_profile,
-    slab3_profile,
+    slab_piecewise,
     unit_ball_volume,
 )
 
@@ -125,54 +121,54 @@ class TestAlphaAndContinuity:
 
 class TestCircleProfile:
     def test_small_volume_equals_euclidean(self):
-        value = circle_profile(3, SQRT_PI_RADIUS, 1.0)
+        value = circle_piecewise(3, SQRT_PI_RADIUS).value(1.0)
         assert value.regime == "ball"
         assert rel(value.area, EUCLID4_AT_1) < 1e-12
         brute, _ = candidate_min_area(TorusProductSpec((SQRT_PI_RADIUS,), 3), 1.0)
         assert rel(value.area, brute) < 1e-12
 
     def test_cylinder_branch_closed_form(self):
-        value = circle_profile(2, 1.0, 100.0)
+        value = circle_piecewise(2, 1.0).value(100.0)
         assert value.regime == "cylinder"
         assert rel(value.area, 20 * math.pi * math.sqrt(2)) < 1e-12
 
     def test_breakpoint_assignment(self):
         bp = beta(3, 1.0)
-        assert circle_profile(3, 1.0, bp).regime == "ball"
-        assert circle_profile(3, 1.0, bp * (1 + 1e-12)).regime == "cylinder"
+        assert circle_piecewise(3, 1.0).value(bp).regime == "ball"
+        assert circle_piecewise(3, 1.0).value(bp * (1 + 1e-12)).regime == "cylinder"
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_monotone_in_radius(self, n):
         radii = [0.3, 0.7, 1.0, 1.9, 4.0]
         for v in np.geomspace(1e-2, 1e4, 25):
-            areas = [circle_profile(n, r, float(v)).area for r in radii]
+            areas = [circle_piecewise(n, r).value(float(v)).area for r in radii]
             for a, b in itertools.pairwise(areas):
                 assert a <= b * (1 + 1e-12)
         # Below every breakpoint the value is radius-independent.
         v_small = 0.5 * beta(n, radii[0])
-        areas = {circle_profile(n, r, v_small).area for r in radii}
+        areas = {circle_piecewise(n, r).value(v_small).area for r in radii}
         assert max(areas) - min(areas) < 1e-12 * max(areas)
 
 
 class TestSlabProfiles:
     def test_example_torus_closed_form(self, example_spec):
         for v in np.geomspace(1e-3, 1e6, 20):
-            value = slab2_profile(example_spec, float(v))
+            value = slab_piecewise(example_spec).value(float(v))
             assert value.regime == "slab"
             assert rel(value.area, 4 * math.pi * math.sqrt(v)) < 1e-12
 
     def test_unit_torus_value(self, unit_spec):
-        value = slab2_profile(unit_spec, 4 * math.pi**4)
+        value = slab_piecewise(unit_spec).value(4 * math.pi**4)
         assert rel(value.area, 8 * math.pi ** 3.5) < 1e-12
 
     def test_dim1_constant(self):
         spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 1)
         for v in (0.1, 3.0, 1e5):
-            assert rel(slab2_profile(spec, v).area, 8 * math.pi) < 1e-12
+            assert rel(slab_piecewise(spec).value(v).area, 8 * math.pi) < 1e-12
 
     def test_slab3_radius_one(self, unit_spec3):
         v = (2 * math.pi) ** 3 * math.pi
-        value = slab3_profile(unit_spec3, v)
+        value = slab_piecewise(unit_spec3).value(v)
         assert rel(value.area, (2 * math.pi) ** 3 * 2 * math.pi) < 1e-12
 
     def test_slab3_against_mensuration(self, unit_spec3):
@@ -181,65 +177,63 @@ class TestSlabProfiles:
             region = CandidateRegion.for_spec(unit_spec3, (0, 1, 2), radius)
             assert rel(region_volume(unit_spec3, region), v) < 1e-12
             oracle = region_boundary_area(unit_spec3, region)
-            assert rel(slab3_profile(unit_spec3, float(v)).area, oracle) < 1e-12
+            assert rel(slab_piecewise(unit_spec3).value(float(v)).area, oracle) < 1e-12
 
     def test_slab3_power_law_shape(self, unit_spec3):
-        (segment,) = as_piecewise("slab3", unit_spec3).segments
+        (segment,) = slab_piecewise(unit_spec3).segments
         assert segment.exponent == pytest.approx(0.5)
 
-    def test_guards(self, example_spec, unit_spec3):
+    def test_guards(self, example_spec):
         with pytest.raises(GuardError):
-            slab2_profile(unit_spec3, 1.0)
-        with pytest.raises(GuardError):
-            slab3_profile(example_spec, 1.0)
+            slab_piecewise(TorusProductSpec((1.0,), 2))
         with pytest.raises(DomainError):
-            slab2_profile(example_spec, -1.0)
+            slab_piecewise(example_spec).value(-1.0)
 
 
 class TestScpProfile:
     def test_small_volume_ball(self, example_spec):
-        value = scp_profile(example_spec, 1.0)
+        value = scp_piecewise(example_spec).value(1.0)
         assert value.regime == "ball"
         assert rel(value.area, EUCLID4_AT_1) < 1e-12
 
     def test_large_volume_slab(self, example_spec):
-        value = scp_profile(example_spec, 1e6)
+        value = scp_piecewise(example_spec).value(1e6)
         assert value.regime == "slab"
         assert rel(value.area, 4 * math.pi * 1e3) < 1e-12
 
     def test_value_near_first_threshold(self, example_spec):
-        value = scp_profile(example_spec, CN_EXAMPLE)
+        value = scp_piecewise(example_spec).value(CN_EXAMPLE)
         assert value.regime == "ball"
         assert rel(value.area, K_EXAMPLE) < 1e-12
         assert rel(value.area, 4 * math.pi) < 1e-4
 
     def test_matches_brute_force_on_grid(self, example_spec):
         for v in np.geomspace(1e-3, 1e6, 60):
-            closed = scp_profile(example_spec, float(v))
+            closed = scp_piecewise(example_spec).value(float(v))
             brute, winner = candidate_min_area(example_spec, float(v))
             assert rel(closed.area, brute) < 1e-9
 
     def test_guards(self, example_spec):
         with pytest.raises(GuardError):
-            scp_profile(TorusProductSpec((1.0, 1.0), 1), 1.0)
+            scp_piecewise(TorusProductSpec((1.0, 1.0), 1))
         with pytest.raises(GuardError):
-            scp_profile(TorusProductSpec((1.0,), 2), 1.0)
+            scp_piecewise(TorusProductSpec((1.0,), 2))
 
 
 class TestPiecewise:
     def test_circle_decomposition(self):
-        profile = as_piecewise("circle", n=3, r=1.0)
+        profile = circle_piecewise(3, 1.0)
         assert len(profile.segments) == 2
         assert profile.breakpoints() == (beta(3, 1.0),)
         assert [s.regime for s in profile.segments] == ["ball", "cylinder"]
 
     def test_slab_decomposition(self, example_spec):
-        profile = as_piecewise("slab2", example_spec)
+        profile = slab_piecewise(example_spec)
         assert len(profile.segments) == 1
         assert profile.segments[0].exponent == pytest.approx(0.5)
 
     def test_scp_decomposition_example_torus(self, example_spec):
-        profile = as_piecewise("scp", example_spec)
+        profile = scp_piecewise(example_spec)
         assert [s.regime for s in profile.segments] == ["ball", "cylinder", "slab"]
         b1, b2 = profile.breakpoints()
         assert rel(b1, BETA_3_SQ) < 1e-12
@@ -252,17 +246,9 @@ class TestPiecewise:
         assert scan.bracket[0] <= b2 <= scan.bracket[1]
 
     def test_euclidean_selector(self):
-        (segment,) = as_piecewise("euclidean", n=4).segments
+        (segment,) = euclidean_piecewise(4).segments
         assert segment.exponent == pytest.approx(0.75)
         assert segment.regime == "ball"
-
-    def test_unsupported_selector(self, example_spec):
-        with pytest.raises(DomainError):
-            as_piecewise("nonsense", example_spec)
-        with pytest.raises(DomainError):
-            as_piecewise("circle", n=3)
-        with pytest.raises(DomainError):
-            as_piecewise("scp")
 
     def test_strictly_increasing(self, example_spec):
         for profile in (
@@ -311,14 +297,14 @@ class TestEnvelope:
     def test_k1_is_circle_profile(self):
         spec = TorusProductSpec((1.3,), 3)
         for v in np.geomspace(0.1, 1e4, 12):
-            left = envelope_profile(spec, float(v))
-            right = circle_profile(3, 1.3, float(v))
+            left = envelope_piecewise(spec).value(float(v))
+            right = circle_piecewise(3, 1.3).value(float(v))
             assert left == right
 
     def test_minimum_envelope_is_pointwise_min(self):
         import random
 
-        from torusiso import minimum_envelope, slab2_piecewise
+        from torusiso import minimum_envelope
 
         rng = random.Random(31)
         grid = np.geomspace(1e-4, 1e7, 300)
@@ -326,18 +312,18 @@ class TestEnvelope:
             n = rng.randint(2, 5)
             radii = sorted(rng.uniform(0.3, 3.0) for _ in range(2))
             spec = TorusProductSpec(tuple(radii), n)
-            curves = [circle_piecewise(n + 1, radii[0]), slab2_piecewise(spec)]
+            curves = [circle_piecewise(n + 1, radii[0]), slab_piecewise(spec)]
             envelope = minimum_envelope(curves)
             direct = np.minimum(curves[0](grid), curves[1](grid))
             assert np.allclose(envelope(grid), direct, rtol=1e-12, atol=0.0)
 
     def test_k0_envelope_rejected(self):
         with pytest.raises(GuardError):
-            envelope_profile(TorusProductSpec((), 3), 1.0)
+            envelope_piecewise(TorusProductSpec((), 3))
 
     def test_k3_against_brute_force(self, unit_spec3):
         for v in np.geomspace(1e-2, 1e6, 40):
-            closed = envelope_profile(unit_spec3, float(v))
+            closed = envelope_piecewise(unit_spec3).value(float(v))
             brute, _ = candidate_min_area(unit_spec3, float(v))
             assert rel(closed.area, brute) < 1e-9
 

@@ -11,7 +11,7 @@ from torusiso import (
     DomainError,
     RootResult,
     circle_piecewise,
-    slab2_piecewise,
+    slab_piecewise,
     solve_increasing,
     solve_piecewise_gap,
     solve_power_gap,
@@ -159,19 +159,19 @@ class TestRootResult:
 class TestSolvePiecewiseGap:
     def test_example_torus_terminal_root(self, example_spec):
         circle = circle_piecewise(3, SQRT_PI_RADIUS)
-        slab = slab2_piecewise(example_spec)
+        slab = slab_piecewise(example_spec)
         result = solve_piecewise_gap(circle, slab, 2 * BETA_2_SQ)
         assert rel(result.root, VDSTAR_EXAMPLE) < 1e-11
         assert circle.segment_at(result.root).regime == "cylinder"
 
     def test_degenerate_equal_profiles(self, example_spec):
-        slab = slab2_piecewise(example_spec)
+        slab = slab_piecewise(example_spec)
         with pytest.raises(ConsistencyError):
             solve_piecewise_gap(slab, slab, 0.0)
 
     def test_unit_torus_crossing(self, unit_spec):
         circle = circle_piecewise(3, 1.0)
-        slab = slab2_piecewise(unit_spec)
+        slab = slab_piecewise(unit_spec)
         result = solve_piecewise_gap(circle, slab, 0.0)
         assert rel(result.root, V0_UNIT) < 1e-11
         assert rel(result.root, 64 * math.pi**5 / 81) < 1e-11
@@ -180,7 +180,7 @@ class TestSolvePiecewiseGap:
 
     def test_no_admissible_root(self, example_spec):
         circle = circle_piecewise(3, SQRT_PI_RADIUS)
-        slab = slab2_piecewise(example_spec)
+        slab = slab_piecewise(example_spec)
         # The slab never exceeds the circle profile by any positive amount
         # in the long run, so the swapped gap has no terminal root.
         with pytest.raises(DomainError):

@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .criticals import (
     T2Criticals,
@@ -34,6 +32,9 @@ from .errors import CurveParseError, DomainError, GuardError
 from .mensuration import TorusProductSpec
 from .profiles import beta, circle_piecewise, envelope_piecewise
 from .roots import DEFAULT_TOLERANCE
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,8 @@ def _chord(lo_anchor: tuple[float, float], hi_anchor: tuple[float, float], v: fl
 
 def _samples(curve: TabulatedCurve) -> tuple[list[float], np.ndarray, np.ndarray]:
     """A curve's sample volumes as a list (for bisect) and volumes and areas as arrays."""
+    import numpy as np  # only curves need arrays: band() without one runs without numpy
+
     volumes = [w for w, _ in curve.points]
     return volumes, np.array(volumes), np.array([c for _, c in curve.points])
 
@@ -200,7 +203,7 @@ def _tangent(anchor: tuple[float, float], samples, v: float) -> float | None:
     w, c = w[cut], c[cut]
     if not w.size:
         return None
-    return float(np.max(c + (a0 - c) * (v - w) / (v0 - w)))
+    return float((c + (a0 - c) * (v - w) / (v0 - w)).max())
 
 
 def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:

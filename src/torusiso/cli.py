@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import oracle
 from .criticals import CriticalReport, full_report
@@ -102,6 +100,8 @@ def parse_grid(text: str) -> list[float]:
         raise SpecFileError(f"grid range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     if count == 1:
         return [lo]
+    import numpy as np  # loaded here only: one-volume commands start without it
+
     points = np.geomspace(lo, hi, count) if mode == "log" else np.linspace(lo, hi, count)
     return [float(v) for v in points]
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import profiles
 from .criticals import CriticalReport, T2Criticals, T3Criticals, full_report
 from .errors import DomainError, GuardError
@@ -88,6 +86,8 @@ def crossing_scan(f, g, lo: float, hi: float, steps: int) -> ScanReport:
         raise DomainError(f"scan range must satisfy 0 < lo < hi, got ({lo}, {hi})")
     if steps < 2:
         raise DomainError(f"scan needs at least 2 steps, got {steps}")
+    import numpy as np  # loaded on first use: scalar-only commands start without it
+
     xs = np.geomspace(lo, hi, steps)
     diff = np.asarray(f(xs), dtype=float) - np.asarray(g(xs), dtype=float)
     step = (hi / lo) ** (1.0 / (steps - 1))
@@ -224,6 +224,8 @@ def verify_report(report: CriticalReport, *, tolerance: float = 1e-9) -> list[Ch
 
 
 def _profile_agreement(spec: TorusProductSpec, points: int) -> CheckResult:
+    import numpy as np
+
     volumes = [float(v) for v in np.geomspace(1e-3, 1e6, points)]
     worst = 0.0
     for v, closed in zip(volumes, profiles.envelope_piecewise(spec).values(volumes)):
@@ -256,6 +258,8 @@ def verify_spec(
 
     report = full_report(spec, tolerance=DEFAULT_TOLERANCE)
     checks.extend(verify_report(report, tolerance=tolerance))
+
+    import numpy as np
 
     n = spec.euclid_dim
     if spec.circle_count == 2:

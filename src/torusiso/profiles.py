@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-
-import numpy as np
 
 from .errors import DomainError, GuardError
 from .mensuration import (
@@ -154,8 +153,14 @@ class PiecewiseProfile:
         ``np.searchsorted(..., side="left")``, the same breakpoint rule, and
         takes the minimum over an envelope's candidates; but it keeps numpy's
         array pow, which can differ from Python's in the last bit.
+
+        numpy is never imported here: an ndarray can only exist once numpy is
+        loaded, so scalar-only callers (``profile --v``, ``critical``) start
+        without it, and numpy scalars such as ``np.float64`` take the scalar
+        path.
         """
-        if isinstance(v, np.ndarray):
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(v, np.ndarray):
             if not np.all(v > 0.0):
                 raise DomainError("volumes must be positive")
             if self.candidates:

@@ -63,8 +63,12 @@ class RootResult:
 
 
 def _validate_request(tolerance: float, max_iter: int) -> None:
-    if not 0.0 < tolerance <= MAX_TOLERANCE:
-        raise DomainError(f"tolerance must be in (0, {MAX_TOLERANCE}], got {tolerance!r}")
+    # Below MIN_TOLERANCE bisection runs out of iterations instead of
+    # converging, so such requests are refused before any work is done.
+    if not MIN_TOLERANCE <= tolerance <= MAX_TOLERANCE:
+        raise DomainError(
+            f"tolerance must be in [{MIN_TOLERANCE}, {MAX_TOLERANCE}], got {tolerance!r}"
+        )
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
 

@@ -286,6 +286,28 @@ class TestSpecFileLoading:
         assert cli.parse_grid("2:2:1") == [2.0]
 
 
+class TestColdImports:
+    def test_only_array_commands_load_numpy(self, fresh_python, example_file):
+        # profile --v and critical never build an array, so a cold process
+        # running them must not pay for importing numpy; a grid does.
+        source = f"""
+import contextlib, io, json, sys
+from torusiso import cli
+loaded = {{"import": "numpy" in sys.modules}}
+for argv in (
+    ["profile", {example_file!r}, "--v", "10"],
+    ["critical", {example_file!r}],
+    ["bounds", {example_file!r}, "--grid", "0.5:100:64,log"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+        loaded = json.loads(fresh_python(source))
+        assert loaded == {"import": False, "profile": False, "critical": False, "bounds": True}
+
+
 class TestExitCodeMapping:
     def test_solver_failures_map_to_three(self, capsys, example_file, monkeypatch):
         from torusiso.errors import ConvergenceError

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from torusiso import (
+    DomainError,
     GuardError,
     TorusProductSpec,
     beta,
@@ -212,6 +213,15 @@ class TestFullReport:
             full_report(TorusProductSpec((1.0, 1.0), 6))
         with pytest.raises(GuardError):
             full_report(TorusProductSpec((1.0,), 2))
+
+    @pytest.mark.parametrize("radii, n", [((0.7, 1.9), 3), ((0.7, 1.9, 2.3), 3)])
+    def test_unreachable_tolerance_is_refused_up_front(self, radii, n):
+        # Below 1e-15 bisection cannot converge: the request is a DomainError
+        # naming the accepted range, not a ConvergenceError after 200 steps.
+        spec = TorusProductSpec(radii, n)
+        with pytest.raises(DomainError, match=r"tolerance must be in \[1e-15, 1e-06\]"):
+            full_report(spec, tolerance=1e-16)
+        assert full_report(spec, tolerance=1e-15).constants
 
     def test_two_torus_provenance(self, example_spec):
         report = full_report(example_spec)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -330,3 +331,30 @@ class TestEnvelope:
     def test_k3_segment_tags(self, unit_spec3):
         regimes = [s.regime for s in envelope_piecewise(unit_spec3).segments]
         assert regimes == ["ball", "cylinder", "slab2", "slab"]
+
+
+def test_numpy_imported_after_torusiso_keeps_array_and_scalar_dispatch(fresh_python):
+    # PiecewiseProfile.__call__ never imports numpy: it looks numpy up in
+    # sys.modules, so numpy imported after torusiso must dispatch as before.
+    spec = TorusProductSpec((0.7, 1.9), 3)
+    profile = envelope_piecewise(spec)
+    volumes = [1e-3, 0.5, beta(3, 0.7), beta(4, 0.7), 55.0, 1e4]
+    source = f"""
+import json, sys
+import torusiso
+assert "numpy" not in sys.modules
+import numpy as np
+profile = torusiso.envelope_piecewise(torusiso.TorusProductSpec({spec.radii!r}, {spec.euclid_dim}))
+array = profile(np.array({volumes!r}))
+scalars = [profile(np.float64(v)) for v in {volumes!r}] + [profile(np.int64(7))]
+print(json.dumps({{
+    "array_type": type(array).__name__,
+    "array": [float(a).hex() for a in array],
+    "scalars": [[type(a).__name__, a.hex()] for a in scalars],
+}}))
+"""
+    result = json.loads(fresh_python(source))
+    assert result["array_type"] == "ndarray"
+    assert result["array"] == [float(a).hex() for a in profile(np.array(volumes))]
+    expected = [["float", profile.value(v).area.hex()] for v in [*volumes, 7.0]]
+    assert result["scalars"] == expected

@@ -22,12 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .criticals import (
-    T2Criticals,
-    T3Criticals,
-    three_torus_criticals,
-    two_torus_criticals,
-)
+from .criticals import T2Criticals, T3Criticals, full_report
 from .errors import CurveParseError, DomainError, GuardError
 from .mensuration import TorusProductSpec
 from .profiles import beta, circle_piecewise, envelope_piecewise
@@ -287,14 +282,7 @@ def band(
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid volumes must be sorted ascending")
     if report is None:
-        if spec.circle_count == 2:
-            report = two_torus_criticals(spec, tolerance=tolerance)
-        elif spec.circle_count == 3:
-            report = three_torus_criticals(spec, tolerance=tolerance)
-        else:
-            raise GuardError(
-                f"bound bands need 2 or 3 circle factors, got {spec.circle_count}"
-            )
+        report = full_report(spec, tolerance=tolerance).criticals
     v_lo, v_hi = _thresholds(report)
     envelope = envelope_piecewise(spec)
     lo_anchor = (v_lo, envelope(v_lo))

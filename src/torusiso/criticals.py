@@ -26,17 +26,23 @@ Then v_star = min(v_s, c_n, v0_1) and v_dstar = max(a_n, b_n).
 The three-circle pipeline replays the same construction one dimension up,
 bootstrapping from the two-circle reports at n and n+1; its thresholds are
 ``u_star`` and ``u_dstar``.
+
+Each pipeline builds one CriticalReport as it solves: a ConstantRecord per
+constant (value, defining relation, residual, active branch), with the two
+two-circle reports nested as sub-reports of a three-circle one. The
+T2Criticals/T3Criticals bundle is then read off the records' values.
+``u_slab_crossing``, the slab crossing that enters ``u_dstar``, is a record
+with no T3Criticals field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConsistencyError, GuardError
 from .mensuration import EUCLID_DIM_RANGES, TWO_PI, TorusProductSpec, unit_ball_volume
 from .profiles import (
-    PiecewiseProfile,
     beta,
     circle_piecewise,
     euclidean_profile,
@@ -44,7 +50,6 @@ from .profiles import (
 )
 from .roots import (
     DEFAULT_TOLERANCE,
-    RootResult,
     solve_increasing,
     solve_piecewise_gap,
     solve_power_gap,
@@ -129,28 +134,18 @@ def _balance_equation(radius: float, m: int):
     return f
 
 
-@dataclass(frozen=True)
-class _T2Details:
-    """Internal: values plus solver evidence for one two-circle pipeline run."""
-
-    criticals: T2Criticals
-    beta_1: float
-    beta_2: float
-    theta: RootResult
-    sigma: RootResult
-    k_gap: float
-    c_residual: float
-    c_regime: str
-    v0_1: RootResult
-    v0_2: RootResult
-    a_n: RootResult
-    b_n: RootResult
-    circle_1: PiecewiseProfile
-    circle_2: PiecewiseProfile
-    slab: PiecewiseProfile
+def _check_invariants(checks: list[tuple[bool, str]]) -> None:
+    for ok, message in checks:
+        if not ok:
+            raise ConsistencyError(message)
 
 
-def _t2_pipeline(spec: TorusProductSpec, tolerance: float) -> _T2Details:
+def _derived(kind: type, records: dict[str, ConstantRecord]):
+    """The criticals bundle ``kind`` read off the records' values."""
+    return kind(**{f.name: records[f.name].value for f in fields(kind)})
+
+
+def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     _require_pipeline(spec, 2, "two-circle")
     r1, r2 = spec.radii
     n = spec.euclid_dim
@@ -166,8 +161,7 @@ def _t2_pipeline(spec: TorusProductSpec, tolerance: float) -> _T2Details:
     k_from_sigma = TWO_PI * r2 * _euclid_area(n + 1, sigma.root)
     k_star = max(k_from_theta, k_from_sigma)
     k_alt = max(2.0 * (beta_2 - theta.root), 2.0 * (beta_1 - sigma.root))
-    k_gap = abs(k_star - k_alt)
-    if k_gap > _IDENTITY_RTOL * k_star:
+    if abs(k_star - k_alt) > _IDENTITY_RTOL * k_star:
         raise ConsistencyError(
             f"the two K_star computations disagree: {k_star} vs {k_alt}"
         )
@@ -190,61 +184,74 @@ def _t2_pipeline(spec: TorusProductSpec, tolerance: float) -> _T2Details:
     a_n = solve_piecewise_gap(circle_1, slab, 2.0 * beta_1, tolerance=tolerance)
     b_n = solve_piecewise_gap(circle_2, slab, 2.0 * beta_2, tolerance=tolerance)
 
-    v_star = min(v_s, c_n, v0_1.root)
     v_dstar = max(a_n.root, b_n.root)
-    criticals = T2Criticals(
-        theta_star=theta.root,
-        sigma_star=sigma.root,
-        K_star=k_star,
-        c_n=c_n,
-        v_s=v_s,
-        v0_1=v0_1.root,
-        v0_2=v0_2.root,
-        v_star=v_star,
-        a_n=a_n.root,
-        b_n=b_n.root,
-        v_dstar=v_dstar,
+    records = {
+        "theta_star": ConstantRecord(
+            theta.root, "pi*r1 * ball_area(n+1, x) + x = beta(n, r2)", theta.residual
+        ),
+        "sigma_star": ConstantRecord(
+            sigma.root, "pi*r2 * ball_area(n+1, x) + x = beta(n, r1)", sigma.residual
+        ),
+        "K_star": ConstantRecord(
+            k_star,
+            "max(2*pi*r1 * ball_area(n+1, theta_star), 2*pi*r2 * ball_area(n+1, sigma_star))",
+            abs(k_star - k_alt),
+        ),
+        "c_n": ConstantRecord(c_n, "circle_area(n+1, r1, x) = K_star", c_residual, c_regime),
+        "v_s": ConstantRecord(
+            v_s,
+            "min(volume(circle r1 x ball(n+1, pi*r2)), volume(ball(n+2, pi*r1)))",
+            0.0,
+        ),
+        "v0_1": ConstantRecord(
+            v0_1.root,
+            "circle_area(n+1, r1, x) = slab_area(x)",
+            v0_1.residual,
+            circle_1.segment_at(v0_1.root).regime,
+        ),
+        "v0_2": ConstantRecord(
+            v0_2.root,
+            "circle_area(n+1, r2, x) = slab_area(x)",
+            v0_2.residual,
+            circle_2.segment_at(v0_2.root).regime,
+        ),
+        "v_star": ConstantRecord(min(v_s, c_n, v0_1.root), "min(v_s, c_n, v0_1)", 0.0),
+        "a_n": ConstantRecord(
+            a_n.root,
+            "circle_area(n+1, r1, x) - slab_area(x) = 2*beta(n, r1)",
+            a_n.residual,
+            circle_1.segment_at(a_n.root).regime,
+        ),
+        "b_n": ConstantRecord(
+            b_n.root,
+            "circle_area(n+1, r2, x) - slab_area(x) = 2*beta(n, r2)",
+            b_n.residual,
+            circle_2.segment_at(b_n.root).regime,
+        ),
+        "v_dstar": ConstantRecord(
+            v_dstar, "max(a_n, b_n)", 0.0, circle_1.segment_at(v_dstar).regime
+        ),
+    }
+    c = _derived(T2Criticals, records)
+    _check_invariants(
+        [
+            (c.K_star > 0.0, "K_star must be positive"),
+            (0.0 < c.theta_star < beta_2, "theta_star must lie inside (0, beta(n, r2))"),
+            (0.0 < c.sigma_star < beta_1, "sigma_star must lie inside (0, beta(n, r1))"),
+            (c.v_star <= c.v0_1 < c.v_dstar, "expected v_star <= v0_1 < v_dstar"),
+            (c.v0_1 < c.a_n, "expected v0_1 < a_n"),
+            (c.v0_2 < c.b_n, "expected v0_2 < b_n"),
+            (c.v_star < c.v_dstar, "expected v_star < v_dstar"),
+        ]
     )
-    _check_t2_invariants(criticals, beta_1, beta_2)
-    return _T2Details(
-        criticals,
-        beta_1,
-        beta_2,
-        theta,
-        sigma,
-        k_gap,
-        c_residual,
-        c_regime,
-        v0_1,
-        v0_2,
-        a_n,
-        b_n,
-        circle_1,
-        circle_2,
-        slab,
-    )
-
-
-def _check_t2_invariants(c: T2Criticals, beta_1: float, beta_2: float) -> None:
-    checks = [
-        (c.K_star > 0.0, "K_star must be positive"),
-        (0.0 < c.theta_star < beta_2, "theta_star must lie inside (0, beta(n, r2))"),
-        (0.0 < c.sigma_star < beta_1, "sigma_star must lie inside (0, beta(n, r1))"),
-        (c.v_star <= c.v0_1 < c.v_dstar, "expected v_star <= v0_1 < v_dstar"),
-        (c.v0_1 < c.a_n, "expected v0_1 < a_n"),
-        (c.v0_2 < c.b_n, "expected v0_2 < b_n"),
-        (c.v_star < c.v_dstar, "expected v_star < v_dstar"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConsistencyError(message)
+    return CriticalReport(spec, "two-torus", c, records)
 
 
 def two_torus_criticals(
     spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
 ) -> T2Criticals:
     """Full two-circle report for T^2 x R^n, 2 <= n <= 5."""
-    return _t2_pipeline(spec, tolerance).criticals
+    return _t2_report(spec, tolerance).criticals
 
 
 def sphere_cylinder_crossing(
@@ -268,32 +275,18 @@ def sphere_cylinder_crossing(
     return result.root
 
 
-@dataclass(frozen=True)
-class _T3Details:
-    criticals: T3Criticals
-    eta: RootResult
-    c_gap: float
-    u0_residual: float
-    u0_regime: str
-    slab_gap: RootResult
-    realizable: float
-    sub_n: _T2Details
-    sub_up: _T2Details
-
-
-def _t3_pipeline(spec: TorusProductSpec, tolerance: float) -> _T3Details:
+def _t3_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     _require_pipeline(spec, 3, "three-circle")
     r1, r2, r3 = spec.radii
     n = spec.euclid_dim
-    sub_n = _t2_pipeline(TorusProductSpec((r1, r2), n), tolerance)
-    sub_up = _t2_pipeline(TorusProductSpec((r1, r2), n + 1), tolerance)
+    sub_n = _t2_report(TorusProductSpec((r1, r2), n), tolerance)
+    sub_up = _t2_report(TorusProductSpec((r1, r2), n + 1), tolerance)
 
     w_star = min(sub_n.criticals.v_star, beta(n + 1, r1))
     eta = solve_increasing(_balance_equation(r3, n + 2), w_star, tolerance=tolerance)
     c_star = 2.0 * (w_star - eta.root)
     c_alt = TWO_PI * r3 * _euclid_area(n + 2, eta.root)
-    c_gap = abs(c_star - c_alt)
-    if c_gap > _IDENTITY_RTOL * c_star:
+    if abs(c_star - c_alt) > _IDENTITY_RTOL * c_star:
         raise ConsistencyError(f"the two C_star computations disagree: {c_star} vs {c_alt}")
 
     circle_1 = circle_piecewise(n + 2, r1)
@@ -304,7 +297,6 @@ def _t3_pipeline(spec: TorusProductSpec, tolerance: float) -> _T3Details:
     # Largest volume at which the one-circle minimizers embed: the ball
     # factor must fit within half the second circumference, radius pi * r2.
     realizable = TWO_PI * r1 * unit_ball_volume(n + 2) * (math.pi * r2) ** (n + 2)
-    u_star = min(u0, sub_up.criticals.v_star, realizable)
 
     slab_gap = solve_piecewise_gap(
         slab_piecewise(TorusProductSpec((r1, r2), n + 1)),
@@ -312,20 +304,42 @@ def _t3_pipeline(spec: TorusProductSpec, tolerance: float) -> _T3Details:
         2.0 * sub_n.criticals.v_dstar,
         tolerance=tolerance,
     )
-    u_dstar = max(sub_up.criticals.v_dstar, slab_gap.root)
 
-    criticals = T3Criticals(w_star, eta.root, c_star, u0, u_star, u_dstar)
-    checks = [
-        (criticals.w_star <= sub_n.criticals.v_star, "expected w_star <= v_star"),
-        (criticals.C_star > 0.0, "C_star must be positive"),
-        (criticals.u_star <= criticals.u0, "expected u_star <= u0"),
-        (criticals.u_star <= criticals.u_dstar, "expected u_star <= u_dstar"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConsistencyError(message)
-    return _T3Details(
-        criticals, eta, c_gap, u0_residual, u0_regime, slab_gap, realizable, sub_n, sub_up
+    records = {
+        "w_star": ConstantRecord(w_star, "min(v_star(r1, r2; n), beta(n+1, r1))", 0.0),
+        "eta_star": ConstantRecord(
+            eta.root, "pi*r3 * ball_area(n+2, x) + x = w_star", eta.residual
+        ),
+        "C_star": ConstantRecord(c_star, "2*(w_star - eta_star)", abs(c_star - c_alt)),
+        "u0": ConstantRecord(u0, "circle_area(n+2, r1, x) = C_star", u0_residual, u0_regime),
+        "u_star": ConstantRecord(
+            min(u0, sub_up.criticals.v_star, realizable),
+            "min(u0, v_star(r1, r2; n+1), 2*pi*r1 * volume(ball(n+2, pi*r2)))",
+            0.0,
+        ),
+        "u_slab_crossing": ConstantRecord(
+            slab_gap.root,
+            "two_circle_slab_area(n+1, x) - three_circle_slab_area(n, x) "
+            "= 2*v_dstar(r1, r2; n)",
+            slab_gap.residual,
+        ),
+        "u_dstar": ConstantRecord(
+            max(sub_up.criticals.v_dstar, slab_gap.root),
+            "max(v_dstar(r1, r2; n+1), u_slab_crossing)",
+            0.0,
+        ),
+    }
+    c = _derived(T3Criticals, records)
+    _check_invariants(
+        [
+            (c.w_star <= sub_n.criticals.v_star, "expected w_star <= v_star"),
+            (c.C_star > 0.0, "C_star must be positive"),
+            (c.u_star <= c.u0, "expected u_star <= u0"),
+            (c.u_star <= c.u_dstar, "expected u_star <= u_dstar"),
+        ]
+    )
+    return CriticalReport(
+        spec, "three-torus", c, records, {"n": sub_n, "n_plus_1": sub_up}
     )
 
 
@@ -333,63 +347,7 @@ def three_torus_criticals(
     spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
 ) -> T3Criticals:
     """Full three-circle report for T^3 x R^n, 2 <= n <= 4."""
-    return _t3_pipeline(spec, tolerance).criticals
-
-
-def _t2_records(d: _T2Details) -> dict[str, ConstantRecord]:
-    c = d.criticals
-    at_dstar = d.circle_1.segment_at(c.v_dstar).regime
-    return {
-        "theta_star": ConstantRecord(
-            c.theta_star,
-            "pi*r1 * ball_area(n+1, x) + x = beta(n, r2)",
-            d.theta.residual,
-        ),
-        "sigma_star": ConstantRecord(
-            c.sigma_star,
-            "pi*r2 * ball_area(n+1, x) + x = beta(n, r1)",
-            d.sigma.residual,
-        ),
-        "K_star": ConstantRecord(
-            c.K_star,
-            "max(2*pi*r1 * ball_area(n+1, theta_star), 2*pi*r2 * ball_area(n+1, sigma_star))",
-            d.k_gap,
-        ),
-        "c_n": ConstantRecord(
-            c.c_n, "circle_area(n+1, r1, x) = K_star", d.c_residual, d.c_regime
-        ),
-        "v_s": ConstantRecord(
-            c.v_s,
-            "min(volume(circle r1 x ball(n+1, pi*r2)), volume(ball(n+2, pi*r1)))",
-            0.0,
-        ),
-        "v0_1": ConstantRecord(
-            c.v0_1,
-            "circle_area(n+1, r1, x) = slab_area(x)",
-            d.v0_1.residual,
-            d.circle_1.segment_at(c.v0_1).regime,
-        ),
-        "v0_2": ConstantRecord(
-            c.v0_2,
-            "circle_area(n+1, r2, x) = slab_area(x)",
-            d.v0_2.residual,
-            d.circle_2.segment_at(c.v0_2).regime,
-        ),
-        "v_star": ConstantRecord(c.v_star, "min(v_s, c_n, v0_1)", 0.0),
-        "a_n": ConstantRecord(
-            c.a_n,
-            "circle_area(n+1, r1, x) - slab_area(x) = 2*beta(n, r1)",
-            d.a_n.residual,
-            d.circle_1.segment_at(c.a_n).regime,
-        ),
-        "b_n": ConstantRecord(
-            c.b_n,
-            "circle_area(n+1, r2, x) - slab_area(x) = 2*beta(n, r2)",
-            d.b_n.residual,
-            d.circle_2.segment_at(c.b_n).regime,
-        ),
-        "v_dstar": ConstantRecord(c.v_dstar, "max(a_n, b_n)", 0.0, at_dstar),
-    }
+    return _t3_report(spec, tolerance).criticals
 
 
 def full_report(
@@ -402,54 +360,9 @@ def full_report(
     is meaningful.
     """
     if spec.circle_count == 2:
-        d = _t2_pipeline(spec, tolerance)
-        return CriticalReport(spec, "two-torus", d.criticals, _t2_records(d))
+        return _t2_report(spec, tolerance)
     if spec.circle_count == 3:
-        d = _t3_pipeline(spec, tolerance)
-        c = d.criticals
-        records = {
-            "w_star": ConstantRecord(
-                c.w_star, "min(v_star(r1, r2; n), beta(n+1, r1))", 0.0
-            ),
-            "eta_star": ConstantRecord(
-                c.eta_star,
-                "pi*r3 * ball_area(n+2, x) + x = w_star",
-                d.eta.residual,
-            ),
-            "C_star": ConstantRecord(c.C_star, "2*(w_star - eta_star)", d.c_gap),
-            "u0": ConstantRecord(
-                c.u0, "circle_area(n+2, r1, x) = C_star", d.u0_residual, d.u0_regime
-            ),
-            "u_star": ConstantRecord(
-                c.u_star,
-                "min(u0, v_star(r1, r2; n+1), 2*pi*r1 * volume(ball(n+2, pi*r2)))",
-                0.0,
-            ),
-            "u_slab_crossing": ConstantRecord(
-                d.slab_gap.root,
-                "two_circle_slab_area(n+1, x) - three_circle_slab_area(n, x) "
-                "= 2*v_dstar(r1, r2; n)",
-                d.slab_gap.residual,
-            ),
-            "u_dstar": ConstantRecord(
-                c.u_dstar, "max(v_dstar(r1, r2; n+1), u_slab_crossing)", 0.0
-            ),
-        }
-        subs = {
-            "n": CriticalReport(
-                TorusProductSpec(spec.radii[:2], spec.euclid_dim),
-                "two-torus",
-                d.sub_n.criticals,
-                _t2_records(d.sub_n),
-            ),
-            "n_plus_1": CriticalReport(
-                TorusProductSpec(spec.radii[:2], spec.euclid_dim + 1),
-                "two-torus",
-                d.sub_up.criticals,
-                _t2_records(d.sub_up),
-            ),
-        }
-        return CriticalReport(spec, "three-torus", c, records, subs)
+        return _t3_report(spec, tolerance)
     raise GuardError(
         f"critical reports are defined for 2 or 3 circle factors, got {spec.circle_count}"
     )

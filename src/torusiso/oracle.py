@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import profiles
-from .criticals import CriticalReport, T2Criticals, T3Criticals, full_report
+from .criticals import CriticalReport, T2Criticals, full_report
 from .errors import DomainError, GuardError
 from .mensuration import (
     TWO_PI,
@@ -165,13 +165,16 @@ def t2_residuals(
     }
 
 
-def t3_residuals(
-    spec: TorusProductSpec,
-    crit: T3Criticals,
-    sub_n: T2Criticals,
-    sub_up: T2Criticals,
-) -> dict[str, Callable[[float], float]]:
-    """Defining-equation residuals for every three-circle constant."""
+def t3_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
+    """Defining-equation residuals for every constant of a three-circle report.
+
+    The max and min relations read their terms from the sub-reports and
+    sibling records, never from the constant they define.
+    """
+    spec, crit = report.spec, report.criticals
+    sub_n = report.sub_reports["n"].criticals
+    sub_up = report.sub_reports["n_plus_1"].criticals
+    crossing = report.constants["u_slab_crossing"].value
     r1, r2, r3 = spec.radii
     n = spec.euclid_dim
     circ1 = profiles.circle_piecewise(n + 2, r1)
@@ -191,21 +194,14 @@ def t3_residuals(
         "u0": lambda x: circ1(x) - crit.C_star,
         "u_star": lambda x: x - min(crit.u0, sub_up.v_star, realizable),
         "u_slab_crossing": lambda x: slab_up(x) - slab3(x) - 2.0 * sub_n.v_dstar,
-        "u_dstar": lambda x: x - crit.u_dstar,
+        "u_dstar": lambda x: x - max(sub_up.v_dstar, crossing),
     }
 
 
 def report_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
     if report.kind == "two-torus":
         return t2_residuals(report.spec, report.criticals)
-    sub_n = report.sub_reports["n"].criticals
-    sub_up = report.sub_reports["n_plus_1"].criticals
-    residuals = t3_residuals(report.spec, report.criticals, sub_n, sub_up)
-    # u_dstar is a max over v_dstar(n+1) and the slab crossing; verify it
-    # against the recomputed max rather than itself.
-    crossing = report.constants["u_slab_crossing"].value
-    residuals["u_dstar"] = lambda x: x - max(sub_up.v_dstar, crossing)
-    return residuals
+    return t3_residuals(report)
 
 
 def verify_report(report: CriticalReport, *, tolerance: float = 1e-9) -> list[CheckResult]:

@@ -258,18 +258,28 @@ def beta(n: int, r: float) -> float:
 
     Below this volume round balls minimize boundary area, above it the
     circle-cross-ball cylinders do; the value is the unique crossing of the
-    two power laws.
+    two power laws. Radii so extreme that this volume overflows or
+    underflows a double are refused.
     """
     _check_range(n, EUCLID_DIM_RANGES[1], "the circle-product profile")
     r = _check_radius(r)
     w_prev = unit_sphere_area(n - 1)
     w_n = unit_sphere_area(n)
-    return (
-        float(n) ** ((n - 1) * (n + 1))
-        * (TWO_PI * r * w_prev) ** (n + 1)
-        * float(1 + n) ** (-(n * n))
-        * w_n ** (-n)
-    )
+    try:
+        volume = (
+            float(n) ** ((n - 1) * (n + 1))
+            * (TWO_PI * r * w_prev) ** (n + 1)
+            * float(1 + n) ** (-(n * n))
+            * w_n ** (-n)
+        )
+    except OverflowError:
+        volume = math.inf
+    if not (volume > 0.0) or not math.isfinite(volume):
+        raise DomainError(
+            f"the breakpoint volume beta(n={n}, r={r!r}) is not a positive finite "
+            f"double (got {volume!r})"
+        )
+    return volume
 
 
 def alpha(n: int, r: float) -> float:
@@ -324,10 +334,17 @@ def slab_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
 
 
 def _segment_crossing(a: PowerSegment, b: PowerSegment) -> float | None:
-    """Unique positive crossing of two distinct power laws, or None."""
+    """Unique positive crossing of two distinct power laws, or None.
+
+    None also when the crossing overflows: it then lies beyond every double
+    volume, so it cannot split a segment.
+    """
     if a.exponent == b.exponent:
         return None
-    return (b.coeff / a.coeff) ** (1.0 / (a.exponent - b.exponent))
+    try:
+        return (b.coeff / a.coeff) ** (1.0 / (a.exponent - b.exponent))
+    except OverflowError:
+        return None
 
 
 def _probe_point(lo: float, hi: float) -> float:

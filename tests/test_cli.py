@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +310,35 @@ print(json.dumps(loaded))
 """
         loaded = json.loads(fresh_python(source))
         assert loaded == {"import": False, "profile": False, "critical": False, "bounds": True}
+
+
+class TestExtremeRadii:
+    # Breakpoint volumes that leave the double range are refused by name, in
+    # a real process: a crash there would print a traceback and exit 1, the
+    # parse-failure code.
+    @pytest.mark.parametrize(
+        "radii, n", [((1e100, 1e100), 3), ((1e-300, 1e-300), 3), ((1.0, 1e110), 2)]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["profile", "--v", "1"], ["critical", "--format", "csv"], ["bounds", "--grid", "1:10:1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_guard_exit_without_traceback(self, tmp_path, radii, n, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"radii": list(radii), "euclid_dim": n}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "torusiso", command[0], str(path), *command[1:]],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode in (0, 2), result.stderr
+        assert "Traceback" not in result.stderr
+        if result.returncode == 2:
+            assert repr(radii[-1]) in result.stderr
 
 
 class TestExitCodeMapping:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -261,3 +262,36 @@ class TestFullReport:
         value = scp_piecewise(example_spec).value(report.criticals.v_star)
         assert value.regime == "ball"
         assert rel(value.area, report.criticals.K_star) < 1e-11
+
+
+def _seeded_specs(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        k = 2 if i % 2 == 0 else 3
+        n = rng.randint(2, 5 if k == 2 else 4)
+        yield TorusProductSpec(tuple(math.exp(rng.uniform(-1.0, 1.0)) for _ in range(k)), n)
+
+
+class TestReportParity:
+    # The criticals bundles are read off the records, the public entry points
+    # agree with full_report, and a sub-report is the report of its sub-spec.
+    @pytest.mark.parametrize("spec", list(_seeded_specs(11, 6)))
+    def test_criticals_records_and_entry_points_agree(self, spec):
+        report = full_report(spec)
+        for r in (report, *report.sub_reports.values()):
+            for f in dataclasses.fields(r.criticals):
+                assert getattr(r.criticals, f.name) == r.constants[f.name].value, f.name
+        criticals = two_torus_criticals if spec.circle_count == 2 else three_torus_criticals
+        assert criticals(spec) == report.criticals
+        for sub in report.sub_reports.values():
+            again = full_report(sub.spec)
+            assert (sub.kind, sub.criticals, sub.constants) == (
+                again.kind,
+                again.criticals,
+                again.constants,
+            )
+        if report.sub_reports:
+            r1, r2, _ = spec.radii
+            n = spec.euclid_dim
+            assert report.sub_reports["n"].spec == TorusProductSpec((r1, r2), n)
+            assert report.sub_reports["n_plus_1"].spec == TorusProductSpec((r1, r2), n + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,41 @@ class TestVerification:
     def test_verify_spec_k1(self):
         checks = verify_spec(TorusProductSpec((1.2,), 3), profile_points=40)
         assert all(check.ok for check in checks)
+
+
+def _tampered(report, name, path=()):
+    """``report`` with constant ``name`` of the sub-report at ``path`` scaled by
+    1 + 1e-6, in its record and in the same-named criticals field if any."""
+    if path:
+        key, *rest = path
+        subs = {**report.sub_reports, key: _tampered(report.sub_reports[key], name, rest)}
+        return dataclasses.replace(report, sub_reports=subs)
+    record = report.constants[name]
+    wrong = record.value * (1.0 + 1e-6)
+    constants = {**report.constants, name: dataclasses.replace(record, value=wrong)}
+    criticals = report.criticals
+    if name in {f.name for f in dataclasses.fields(criticals)}:
+        criticals = dataclasses.replace(criticals, **{name: wrong})
+    return dataclasses.replace(report, criticals=criticals, constants=constants)
+
+
+def _constant_paths(report, path=()):
+    for name in report.constants:
+        yield path, name
+    for key, sub in report.sub_reports.items():
+        yield from _constant_paths(sub, (*path, key))
+
+
+class TestTamperedReports:
+    # No residual may be defined by its own reported value: moving any one
+    # constant off its defining relation must fail that constant's check.
+    @pytest.mark.parametrize("fixture", ["example_spec", "unit_spec3"])
+    def test_every_scaled_constant_fails_its_check(self, fixture, request):
+        report = full_report(request.getfixturevalue(fixture))
+        for path, name in _constant_paths(report):
+            check = "".join(f"sub[{key}]:" for key in path) + f"constant:{name}"
+            results = {r.name: r.ok for r in verify_report(_tampered(report, name, path))}
+            assert results[check] is False, check
 
 
 class TestOracleAgreement:

@@ -2,74 +2,67 @@
 
 Closed-form candidate profiles, certified critical-volume thresholds and
 rigorous bound bands for S^1_{r1} x ... x S^1_{rk} x R^n, k <= 3.
+
+Each public name is resolved from its module on first use, so ``import
+torusiso`` loads no submodule and a CLI command loads only what it runs.
 """
 
-from .bounds import (
-    BandRow,
-    BoundBand,
-    TabulatedCurve,
-    band,
-    chord_bound,
-    cylinder_offset_bound,
-    read_curve,
-    tangent_bound,
-)
-from .criticals import (
-    ConstantRecord,
-    CriticalReport,
-    T2Criticals,
-    T3Criticals,
-    full_report,
-    sphere_cylinder_crossing,
-    three_torus_criticals,
-    two_torus_criticals,
-)
-from .errors import (
-    ConsistencyError,
-    ConvergenceError,
-    CurveParseError,
-    DomainError,
-    GuardError,
-    SpecFileError,
-    TorusIsoError,
-)
-from .mensuration import (
-    CandidateRegion,
-    TorusProductSpec,
-    candidate_regime,
-    region_boundary_area,
-    region_volume,
-    unit_ball_volume,
-    unit_sphere_area,
-)
-from .oracle import (
-    CheckResult,
-    ScanReport,
-    bisect_verify,
-    candidate_min_area,
-    crossing_scan,
-    verify_report,
-    verify_spec,
-)
-from .profiles import (
-    PiecewiseProfile,
-    PowerSegment,
-    ProfileValue,
-    alpha,
-    beta,
-    circle_piecewise,
-    envelope_piecewise,
-    euclidean_piecewise,
-    euclidean_profile,
-    minimum_envelope,
-    scp_piecewise,
-    slab_piecewise,
-)
-from .roots import (
-    RootResult,
-    solve_increasing,
-    solve_piecewise_gap,
-    solve_power_gap,
-)
+from importlib import import_module
 
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BandRow": "bounds",
+    "BoundBand": "bounds",
+    "TabulatedCurve": "bounds",
+    "band": "bounds",
+    "read_curve": "bounds",
+    "ConstantRecord": "criticals",
+    "CriticalReport": "criticals",
+    "T2Criticals": "criticals",
+    "T3Criticals": "criticals",
+    "full_report": "criticals",
+    "sphere_cylinder_crossing": "criticals",
+    "ConsistencyError": "errors",
+    "ConvergenceError": "errors",
+    "CurveParseError": "errors",
+    "DomainError": "errors",
+    "GuardError": "errors",
+    "SpecFileError": "errors",
+    "TorusIsoError": "errors",
+    "TorusProductSpec": "mensuration",
+    "unit_ball_volume": "mensuration",
+    "unit_sphere_area": "mensuration",
+    "CheckResult": "oracle",
+    "candidate_min_area": "oracle",
+    "verify_report": "oracle",
+    "verify_spec": "oracle",
+    "PiecewiseProfile": "profiles",
+    "PowerSegment": "profiles",
+    "ProfileValue": "profiles",
+    "beta": "profiles",
+    "circle_piecewise": "profiles",
+    "envelope_piecewise": "profiles",
+    "euclidean_profile": "profiles",
+    "minimum_envelope": "profiles",
+    "scp_piecewise": "profiles",
+    "slab_piecewise": "profiles",
+    "RootResult": "roots",
+    "solve_increasing": "roots",
+    "solve_piecewise_gap": "roots",
+    "solve_power_gap": "roots",
+}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Resolved on every access and never cached in this namespace, so a patch
+    # of the defining module is also seen through the package root.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_EXPORTS])

@@ -165,11 +165,8 @@ def _thresholds(report: T2Criticals | T3Criticals) -> tuple[float, float]:
     return report.u_star, report.u_dstar
 
 
-# The per-row helpers below hold each lower-bound formula once; band() calls
-# them for every row and the public *_bound functions wrap them for one volume.
-
-
 def _chord(lo_anchor: tuple[float, float], hi_anchor: tuple[float, float], v: float) -> float:
+    """Chord between the two exactly-known threshold points; valid by concavity."""
     (v_lo, y_lo), (v_hi, y_hi) = lo_anchor, hi_anchor
     t = (v - v_lo) / (v_hi - v_lo)
     return y_lo + t * (y_hi - y_lo)
@@ -186,7 +183,9 @@ def _samples(curve: TabulatedCurve) -> tuple[list[float], np.ndarray, np.ndarray
 def _tangent(anchor: tuple[float, float], samples, v: float) -> float | None:
     """Best anchor line through the admissible samples at v; None if there are none.
 
-    Numpy's elementwise + - * / and max are correctly rounded, so this is
+    Admissible samples sit on the far side of v from the anchor, so v lies
+    between the sample and the anchor and concavity makes each line a valid
+    lower bound at v. Numpy's elementwise + - * / and max are correctly rounded, so this is
     bit-identical to the same expression evaluated sample by sample.
     """
     v0, a0 = anchor
@@ -202,7 +201,10 @@ def _tangent(anchor: tuple[float, float], samples, v: float) -> float | None:
 
 
 def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:
-    """Cylinder-offset bound at every grid volume (see cylinder_offset_bound)."""
+    """Circle-product profiles shifted down by twice their breakpoint volumes.
+
+    Max over both circle factors, clamped at zero, at every grid volume.
+    """
     if spec.circle_count != 2:
         raise GuardError(
             f"the offset bound needs exactly 2 circle factors, got {spec.circle_count}"
@@ -216,46 +218,6 @@ def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:
             if value > best[i]:
                 best[i] = value
     return best
-
-
-def chord_bound(report: T2Criticals | T3Criticals, spec: TorusProductSpec, v: float) -> float:
-    """Chord between the two exactly-known threshold points; valid by concavity."""
-    v_lo, v_hi = _thresholds(report)
-    if not v_lo <= v <= v_hi:
-        raise DomainError(f"chord bound is defined on [{v_lo}, {v_hi}], got v={v}")
-    envelope = envelope_piecewise(spec)
-    return _chord((v_lo, envelope(v_lo)), (v_hi, envelope(v_hi)), v)
-
-
-def tangent_bound(anchor: tuple[float, float], curve: TabulatedCurve, v: float) -> float:
-    """Best line from an exact anchor through the curve, evaluated at v.
-
-    Admissible curve samples sit on the far side of v from the anchor, so v
-    lies between the sample and the anchor; concavity of the true profile
-    then makes the line a valid lower bound at v.
-    """
-    v0, a0 = anchor
-    v = float(v)
-    if not (v > 0.0):
-        raise DomainError(f"volume must be positive, got {v!r}")
-    if v == v0:
-        return a0
-    best = _tangent(anchor, _samples(curve), v)
-    if best is None:
-        raise DomainError(
-            f"no curve samples on the far side of v={v} from the anchor at {v0}"
-        )
-    return best
-
-
-def cylinder_offset_bound(spec: TorusProductSpec, v: float) -> float:
-    """Circle-product profiles shifted down by twice their breakpoint volumes.
-
-    max over both circle factors, clamped at zero. Comes from the
-    mixed-slice case analysis, so the band reports it as its own source and
-    drops it wherever it would exceed the upper envelope.
-    """
-    return _offsets(spec, (v,))[0]
 
 
 def band(

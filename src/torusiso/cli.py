@@ -3,6 +3,9 @@
 Exit codes are part of the interface: 0 success, 1 parse failure (spec
 file, curve file or grid syntax), 2 guard/domain violation, 3 solver or
 verification failure.
+
+Each command imports the modules it runs when it runs, so a cold
+``critical`` or ``profile`` does not load the bound or oracle modules.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ import json
 import math
 import sys
 
-from . import bounds as bounds_mod
-from . import oracle
-from .criticals import CriticalReport, full_report
 from .errors import (
     ConsistencyError,
     ConvergenceError,
@@ -117,7 +117,7 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _report_payload(report: CriticalReport) -> dict:
+def _report_payload(report) -> dict:
     payload = {
         "radii": list(report.spec.radii),
         "euclid_dim": report.spec.euclid_dim,
@@ -139,7 +139,7 @@ def _report_payload(report: CriticalReport) -> dict:
     return payload
 
 
-def _report_csv(report: CriticalReport, prefix: str = "") -> list[list[str]]:
+def _report_csv(report, prefix: str = "") -> list[list[str]]:
     rows = []
     for name, record in report.constants.items():
         rows.append(
@@ -157,6 +157,8 @@ def _report_csv(report: CriticalReport, prefix: str = "") -> list[list[str]]:
 
 
 def cmd_critical(args) -> int:
+    from .criticals import full_report
+
     spec, tolerance = load_spec_file(args.spec)
     report = full_report(spec, tolerance=tolerance)
     if args.format == "json":
@@ -172,10 +174,12 @@ def cmd_critical(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
+
     spec, tolerance = load_spec_file(args.spec)
     grid = parse_grid(args.grid)
-    curves = [bounds_mod.read_curve(path) for path in args.curve]
-    result = bounds_mod.band(spec, grid, curves, tolerance=tolerance)
+    curves = [bounds.read_curve(path) for path in args.curve]
+    result = bounds.band(spec, grid, curves, tolerance=tolerance)
     out = sys.stdout
     out.write("v,upper,lower,upper_regime,lower_source\n")
     for row in result.rows:
@@ -187,6 +191,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     spec, _ = load_spec_file(args.spec)
     checks = oracle.verify_spec(spec)
     first_failure = None

@@ -109,10 +109,6 @@ class CriticalReport:
 
 
 def _require_pipeline(spec: TorusProductSpec, k: int, name: str) -> None:
-    if spec.circle_count != k:
-        raise GuardError(
-            f"the {name} pipeline needs exactly {k} circle factors, got {spec.circle_count}"
-        )
     lo, hi = EUCLID_DIM_RANGES[k]
     if not lo <= spec.euclid_dim <= hi:
         raise GuardError(
@@ -247,13 +243,6 @@ def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     return CriticalReport(spec, "two-torus", c, records)
 
 
-def two_torus_criticals(
-    spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
-) -> T2Criticals:
-    """Full two-circle report for T^2 x R^n, 2 <= n <= 5."""
-    return _t2_report(spec, tolerance).criticals
-
-
 def sphere_cylinder_crossing(
     spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
 ) -> float:
@@ -341,13 +330,6 @@ def _t3_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     return CriticalReport(
         spec, "three-torus", c, records, {"n": sub_n, "n_plus_1": sub_up}
     )
-
-
-def three_torus_criticals(
-    spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
-) -> T3Criticals:
-    """Full three-circle report for T^3 x R^n, 2 <= n <= 4."""
-    return _t3_report(spec, tolerance).criticals
 
 
 def full_report(

@@ -133,21 +133,6 @@ class CandidateRegion:
         return cls(indices, ball_dim, ball_radius)
 
 
-def candidate_regime(n_circles: int, total_circles: int) -> str:
-    """Conventional tag for a candidate by how many circle factors it uses.
-
-    0 -> "ball", 1 -> "cylinder", all -> "slab"; the only remaining case
-    (two circles out of three) is tagged "slab2".
-    """
-    if n_circles == 0:
-        return "ball"
-    if n_circles == 1:
-        return "cylinder"
-    if n_circles == total_circles:
-        return "slab"
-    return f"slab{n_circles}"
-
-
 def _check_region(spec: TorusProductSpec, region: CandidateRegion) -> None:
     indices = region.circle_indices
     if len(set(indices)) != len(indices):

@@ -259,7 +259,7 @@ def beta(n: int, r: float) -> float:
     Below this volume round balls minimize boundary area, above it the
     circle-cross-ball cylinders do; the value is the unique crossing of the
     two power laws. Radii so extreme that this volume overflows or
-    underflows a double are refused.
+    underflows to a subnormal are refused.
     """
     _check_range(n, EUCLID_DIM_RANGES[1], "the circle-product profile")
     r = _check_radius(r)
@@ -274,29 +274,16 @@ def beta(n: int, r: float) -> float:
         )
     except OverflowError:
         volume = math.inf
-    if not (volume > 0.0) or not math.isfinite(volume):
+    if not (volume >= sys.float_info.min) or not math.isfinite(volume):
         raise DomainError(
-            f"the breakpoint volume beta(n={n}, r={r!r}) is not a positive finite "
+            f"the breakpoint volume beta(n={n}, r={r!r}) is not a normal positive "
             f"double (got {volume!r})"
         )
     return volume
 
 
-def alpha(n: int, r: float) -> float:
-    """Profile value at the breakpoint beta(n, r), where both branches agree."""
-    return circle_piecewise(n, r)(beta(n, r))
-
-
 # ---------------------------------------------------------------------------
 # Piecewise decompositions.
-
-
-def euclidean_piecewise(m: int) -> PiecewiseProfile:
-    _check_range(m, EUCLIDEAN_DIM_RANGE, "the Euclidean profile")
-    seg = PowerSegment(
-        tube_area_coefficient(1.0, m), (m - 1.0) / m, 0.0, math.inf, REGIME_BALL
-    )
-    return PiecewiseProfile((seg,))
 
 
 def circle_piecewise(n: int, r: float) -> PiecewiseProfile:
@@ -352,7 +339,7 @@ def _probe_point(lo: float, hi: float) -> float:
         return max(2.0 * lo, 1.0)
     if lo == 0.0:
         return 0.5 * hi
-    return math.sqrt(lo * hi)
+    return math.sqrt(lo) * math.sqrt(hi)  # lo * hi can leave the double range
 
 
 def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:

@@ -32,7 +32,7 @@ def unit_spec3():
     return TorusProductSpec((1.0, 1.0, 1.0), 2)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def fresh_python():
     """Run Python source in a new interpreter with src/ on its path; returns stdout.
 

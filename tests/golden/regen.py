@@ -40,8 +40,7 @@ from torusiso import (
     beta,
     cli,
     envelope_piecewise,
-    three_torus_criticals,
-    two_torus_criticals,
+    full_report,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -63,10 +62,9 @@ def case_name(spec: TorusProductSpec) -> str:
 
 
 def _thresholds(spec: TorusProductSpec) -> tuple[float, float]:
+    report = full_report(spec).criticals
     if spec.circle_count == 2:
-        report = two_torus_criticals(spec)
         return report.v_star, report.v_dstar
-    report = three_torus_criticals(spec)
     return report.u_star, report.u_dstar
 
 

@@ -16,17 +16,14 @@ from torusiso import (
     beta,
     candidate_min_area,
     circle_piecewise,
-    crossing_scan,
     full_report,
     scp_piecewise,
     slab_piecewise,
     sphere_cylinder_crossing,
     solve_power_gap,
-    three_torus_criticals,
-    two_torus_criticals,
     verify_report,
 )
-from torusiso.oracle import bisect_verify, report_residuals
+from torusiso.oracle import bisect_verify, crossing_scan, report_residuals
 
 from refvalues import SQRT_PI_RADIUS
 
@@ -64,7 +61,7 @@ def random_three_circle_specs(count, seed):
 
 def test_criterion_1_example_reproduction():
     start = time.perf_counter()
-    crit = two_torus_criticals(example_spec())
+    crit = full_report(example_spec()).criticals
     elapsed = time.perf_counter() - start
     ok = (
         abs(crit.v_star - 2.70) <= 0.05
@@ -144,7 +141,7 @@ def test_criterion_7_band_validity():
     ok = True
     specs = [example_spec(), *random_two_circle_specs(5, seed=505)]
     for spec in specs:
-        crit = two_torus_criticals(spec)
+        crit = full_report(spec).criticals
         grid = np.geomspace(crit.v_star / 10.0, crit.v_dstar * 10.0, 120)
         result = band(spec, grid, report=crit)
         for row in result.rows:
@@ -183,9 +180,9 @@ def test_criterion_8_documented_discrepancy():
 def test_criterion_9_three_torus_property_suite():
     spec = TorusProductSpec((1.0, 1.0, 1.0), 2)
     start = time.perf_counter()
-    crit = three_torus_criticals(spec)
+    crit = full_report(spec).criticals
     elapsed = time.perf_counter() - start
-    sub = two_torus_criticals(TorusProductSpec((1.0, 1.0), 2))
+    sub = full_report(TorusProductSpec((1.0, 1.0), 2)).criticals
     ok = crit.w_star <= sub.v_star
     ok = ok and rel(crit.C_star, 2 * (crit.w_star - crit.eta_star)) <= 1e-9
     ok = ok and crit.u_star <= crit.u0

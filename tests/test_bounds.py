@@ -13,14 +13,13 @@ from torusiso import (
     band,
     beta,
     candidate_min_area,
-    chord_bound,
     circle_piecewise,
-    cylinder_offset_bound,
+    full_report,
     read_curve,
     scp_piecewise,
     slab_piecewise,
-    two_torus_criticals,
 )
+from torusiso import bounds as bounds_mod
 
 from refvalues import (
     K_EXAMPLE,
@@ -35,60 +34,69 @@ def rel(a, b):
 
 @pytest.fixture
 def example_report(example_spec):
-    return two_torus_criticals(example_spec)
+    return full_report(example_spec).criticals
+
+
+def band_row(spec, report, v, curves=None):
+    """The one band row at volume v."""
+    (row,) = band(spec, [v], curves, report=report).rows
+    return row
+
+
+def anchors(spec, report):
+    """The exactly-known (volume, area) points at both thresholds."""
+    envelope = scp_piecewise(spec)
+    return tuple((v, envelope.value(v).area) for v in (report.v_star, report.v_dstar))
+
+
+# Each lower bound is checked on band rows whose lower_source names it; the
+# per-row helpers are called directly only where another source wins every
+# row at the volumes a check needs.
 
 
 class TestChordBound:
     def test_endpoints(self, example_spec, example_report):
-        low = chord_bound(example_report, example_spec, example_report.v_star)
-        assert rel(low, K_EXAMPLE) < 1e-11
-        assert abs(low - 12.57) < 0.01
-        high = chord_bound(example_report, example_spec, example_report.v_dstar)
-        assert rel(high, SLAB_AT_VDSTAR_EXAMPLE) < 1e-11
-        assert rel(high, 4 * math.pi * math.sqrt(VDSTAR_EXAMPLE)) < 1e-11
+        # One ulp inside each threshold the row is the chord, not the exact value.
+        inside_lo = math.nextafter(example_report.v_star, math.inf)
+        inside_hi = math.nextafter(example_report.v_dstar, 0.0)
+        low = band_row(example_spec, example_report, inside_lo)
+        high = band_row(example_spec, example_report, inside_hi)
+        assert low.lower_source == high.lower_source == "chord"
+        assert rel(low.lower, K_EXAMPLE) < 1e-11
+        assert abs(low.lower - 12.57) < 0.01
+        assert rel(high.lower, SLAB_AT_VDSTAR_EXAMPLE) < 1e-11
+        assert rel(high.lower, 4 * math.pi * math.sqrt(VDSTAR_EXAMPLE)) < 1e-11
 
     def test_midpoint_is_mean(self, example_spec, example_report):
+        # The offset bound wins the band row at the midpoint.
+        lo_anchor, hi_anchor = anchors(example_spec, example_report)
         mid = 0.5 * (example_report.v_star + example_report.v_dstar)
-        left = chord_bound(example_report, example_spec, example_report.v_star)
-        right = chord_bound(example_report, example_spec, example_report.v_dstar)
-        assert rel(chord_bound(example_report, example_spec, mid), 0.5 * (left + right)) < 1e-12
-
-    def test_outside_interval(self, example_spec, example_report):
-        with pytest.raises(DomainError):
-            chord_bound(example_report, example_spec, example_report.v_star / 2)
-        with pytest.raises(DomainError):
-            chord_bound(example_report, example_spec, example_report.v_dstar * 2)
+        left = bounds_mod._chord(lo_anchor, hi_anchor, example_report.v_star)
+        right = bounds_mod._chord(lo_anchor, hi_anchor, example_report.v_dstar)
+        assert rel(left, lo_anchor[1]) < 1e-15 and rel(right, hi_anchor[1]) < 1e-15
+        chord = bounds_mod._chord(lo_anchor, hi_anchor, mid)
+        assert rel(chord, 0.5 * (left + right)) < 1e-12
 
 
 class TestTangentBound:
     def test_degenerate_curve_reproduces_chord(self, example_spec, example_report):
-        from torusiso import tangent_bound
-
-        v_lo, v_hi = example_report.v_star, example_report.v_dstar
-        curve = TabulatedCurve(
-            (
-                (v_lo, scp_piecewise(example_spec).value(v_lo).area),
-                (v_hi, scp_piecewise(example_spec).value(v_hi).area),
-            )
-        )
-        anchor = (v_hi, scp_piecewise(example_spec).value(v_hi).area)
+        # A curve through the two anchors spans the chord from either anchor.
+        # The offset bound wins the rows at 20 and 40, so the right anchor's
+        # line is read from the per-row helper there.
+        lo_anchor, hi_anchor = anchors(example_spec, example_report)
+        curve = TabulatedCurve((lo_anchor, hi_anchor))
+        row = band_row(example_spec, example_report, 5.0, curve)
+        assert row.lower_source == "tangent-left"
+        assert rel(row.lower, bounds_mod._chord(lo_anchor, hi_anchor, 5.0)) < 1e-12
+        samples = bounds_mod._samples(curve)
         for v in (5.0, 20.0, 40.0):
             assert rel(
-                tangent_bound(anchor, curve, v),
-                chord_bound(example_report, example_spec, v),
+                bounds_mod._tangent(hi_anchor, samples, v),
+                bounds_mod._chord(lo_anchor, hi_anchor, v),
             ) < 1e-12
 
-    def test_anchor_volume_returns_anchor_area(self):
-        from torusiso import tangent_bound
-
-        curve = TabulatedCurve(((1.0, 1.0), (2.0, 1.5)))
-        assert tangent_bound((10.0, 7.0), curve, 10.0) == 7.0
-
     def test_matches_direct_discrete_maximum(self, example_spec, example_report):
-        from torusiso import tangent_bound
-
-        v_hi = example_report.v_dstar
-        anchor = (v_hi, scp_piecewise(example_spec).value(v_hi).area)
+        _, anchor = anchors(example_spec, example_report)
         ws = np.geomspace(1.0, 50.0, 17)
         points = tuple((float(w), 0.93 * scp_piecewise(example_spec).value(float(w)).area) for w in ws)
         curve = TabulatedCurve(points)
@@ -98,11 +106,11 @@ class TestTangentBound:
             for w, c in points
             if w <= v
         )
-        assert rel(tangent_bound(anchor, curve, v), expected) < 1e-12
+        row = band_row(example_spec, example_report, v, curve)
+        assert row.lower_source == "tangent-right"
+        assert rel(row.lower, expected) < 1e-12
 
     def test_beats_chord_with_interior_knowledge(self, example_spec, example_report):
-        from torusiso import tangent_bound
-
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
         mid = math.sqrt(v_lo * v_hi)
         curve = TabulatedCurve(
@@ -112,40 +120,51 @@ class TestTangentBound:
                 (v_hi, scp_piecewise(example_spec).value(v_hi).area),
             )
         )
-        anchor = (v_hi, scp_piecewise(example_spec).value(v_hi).area)
-        assert tangent_bound(anchor, curve, mid) > chord_bound(
-            example_report, example_spec, mid
-        )
+        bare = band_row(example_spec, example_report, mid)
+        row = band_row(example_spec, example_report, mid, curve)
+        assert bare.lower_source == "chord"
+        assert row.lower_source.startswith("tangent")
+        assert row.lower > bare.lower
 
-    def test_empty_far_side(self):
-        from torusiso import tangent_bound
-
-        curve = TabulatedCurve(((5.0, 1.0), (6.0, 1.2)))
-        with pytest.raises(DomainError):
-            tangent_bound((10.0, 3.0), curve, 2.0)
+    def test_empty_far_side(self, example_spec, example_report):
+        # Every sample lies above v, so the right anchor has no admissible
+        # sample and the left anchor's lines fall below the chord: the row
+        # keeps the chord.
+        lo_anchor, hi_anchor = anchors(example_spec, example_report)
+        curve = TabulatedCurve(((60.0, 1.0), (70.0, 1.2)))
+        assert bounds_mod._tangent(hi_anchor, bounds_mod._samples(curve), 5.0) is None
+        row = band_row(example_spec, example_report, 5.0, curve)
+        assert row == band_row(example_spec, example_report, 5.0)
+        assert row.lower_source == "chord"
+        assert row.lower == bounds_mod._chord(lo_anchor, hi_anchor, 5.0)
 
 
 class TestCylinderOffsetBound:
     def test_equals_slab_at_v_dstar_for_equal_radii(self, example_spec, example_report):
-        value = cylinder_offset_bound(example_spec, example_report.v_dstar)
+        # At v_dstar itself the row is exact; the offset meets the slab there.
+        (value,) = bounds_mod._offsets(example_spec, [example_report.v_dstar])
         slab = slab_piecewise(example_spec).value(example_report.v_dstar).area
         assert rel(value, slab) < 1e-9
 
     def test_clamped_to_zero_at_small_volume(self, example_spec):
-        assert cylinder_offset_bound(example_spec, 1e-3) == 0.0
+        # 1e-3 is below v_star, where every row is exact.
+        assert bounds_mod._offsets(example_spec, [1e-3]) == [0.0]
 
-    def test_positive_below_envelope(self, example_spec):
-        value = cylinder_offset_bound(example_spec, 30.0)
-        upper = scp_piecewise(example_spec).value(30.0).area
+    def test_positive_below_envelope(self, example_spec, example_report):
+        row = band_row(example_spec, example_report, 30.0)
         brute, _ = candidate_min_area(example_spec, 30.0)
-        assert 0.0 < value < upper
-        assert rel(upper, brute) < 1e-9
+        assert row.lower_source == "cylinder-offset"
+        assert 0.0 < row.lower < row.upper
+        assert row.upper == scp_piecewise(example_spec).value(30.0).area
+        assert rel(row.upper, brute) < 1e-9
 
-    def test_closed_form(self, example_spec):
+    def test_closed_form(self, example_spec, example_report):
         v = 30.0
         r = example_spec.radii[0]
         expected = circle_piecewise(3, r).value(v).area - 2 * beta(2, r)
-        assert rel(cylinder_offset_bound(example_spec, v), expected) < 1e-12
+        row = band_row(example_spec, example_report, v)
+        assert row.lower_source == "cylinder-offset"
+        assert rel(row.lower, expected) < 1e-12
 
 
 class TestBand:
@@ -223,7 +242,7 @@ class TestBand:
 )
 def test_band_validity_property(r1, r2, n, scale):
     spec = TorusProductSpec((r1, r2), n)
-    crit = two_torus_criticals(spec)
+    crit = full_report(spec).criticals
     grid = np.geomspace(crit.v_star / 5.0, crit.v_dstar * 5.0, 35)
     ws = np.geomspace(crit.v_star / 2.0, crit.v_dstar * 2.0, 11)
     curve = TabulatedCurve(

@@ -291,31 +291,114 @@ class TestSpecFileLoading:
 
 
 class TestColdImports:
-    def test_only_array_commands_load_numpy(self, fresh_python, example_file):
-        # profile --v and critical never build an array, so a cold process
-        # running them must not pay for importing numpy; a grid does.
-        source = f"""
+    # Modules accumulate within a process, so each command runs in a fresh one.
+    # Every command loads these modules.
+    BASE = {
+        "torusiso",
+        "torusiso.cli",
+        "torusiso.errors",
+        "torusiso.mensuration",
+        "torusiso.profiles",
+        "torusiso.roots",
+    }
+    COMMANDS = {
+        "profile": ["profile", "--v", "10"],
+        "critical": ["critical"],
+        "bounds": ["bounds", "--grid", "0.5:100:64,log"],
+        "verify": ["verify"],
+    }
+
+    @pytest.fixture(scope="class")
+    def cold_runs(self, fresh_python, tmp_path_factory):
+        """For a bare import and each command: numpy loaded?, torusiso modules loaded."""
+        path = tmp_path_factory.mktemp("cold") / "spec.json"
+        path.write_text(json.dumps({"radii": [SQRT_PI_RADIUS] * 2, "euclid_dim": 2}))
+        runs = {}
+        for name, argv in {"import": None, **self.COMMANDS}.items():
+            if argv is not None:
+                argv = [argv[0], str(path), *argv[1:]]
+            source = f"""
 import contextlib, io, json, sys
-from torusiso import cli
-loaded = {{"import": "numpy" in sys.modules}}
-for argv in (
-    ["profile", {example_file!r}, "--v", "10"],
-    ["critical", {example_file!r}],
-    ["bounds", {example_file!r}, "--grid", "0.5:100:64,log"],
-):
+import torusiso
+argv = {argv!r}
+if argv:
+    from torusiso import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    loaded[argv[0]] = "numpy" in sys.modules
-print(json.dumps(loaded))
+modules = sorted(m for m in sys.modules if m.partition(".")[0] == "torusiso")
+print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
 """
-        loaded = json.loads(fresh_python(source))
-        assert loaded == {"import": False, "profile": False, "critical": False, "bounds": True}
+            runs[name] = json.loads(fresh_python(source))
+        return runs
+
+    def test_only_array_commands_load_numpy(self, cold_runs):
+        # profile --v and critical never build an array, so a cold process
+        # running them must not pay for importing numpy; a grid does.
+        loaded = {name: run["numpy"] for name, run in cold_runs.items()}
+        assert loaded == {
+            "import": False,
+            "profile": False,
+            "critical": False,
+            "bounds": True,
+            "verify": True,
+        }
+
+    def test_each_command_loads_only_its_modules(self, cold_runs):
+        loaded = {name: set(run["modules"]) for name, run in cold_runs.items()}
+        assert loaded == {
+            "import": {"torusiso"},
+            "profile": self.BASE,
+            "critical": self.BASE | {"torusiso.criticals"},
+            "bounds": self.BASE | {"torusiso.criticals", "torusiso.bounds"},
+            "verify": self.BASE | {"torusiso.criticals", "torusiso.oracle"},
+        }
+
+    def test_package_root_exports(self, monkeypatch):
+        import importlib
+
+        import torusiso
+        from torusiso import criticals
+
+        assert sorted(torusiso.__all__) == [
+            "BandRow", "BoundBand", "CheckResult", "ConsistencyError",
+            "ConstantRecord", "ConvergenceError", "CriticalReport",
+            "CurveParseError", "DomainError", "GuardError", "PiecewiseProfile",
+            "PowerSegment", "ProfileValue", "RootResult", "SpecFileError",
+            "T2Criticals", "T3Criticals", "TabulatedCurve", "TorusIsoError",
+            "TorusProductSpec", "band", "beta", "candidate_min_area",
+            "circle_piecewise", "envelope_piecewise", "euclidean_profile",
+            "full_report", "minimum_envelope", "read_curve", "scp_piecewise",
+            "slab_piecewise", "solve_increasing", "solve_piecewise_gap",
+            "solve_power_gap", "sphere_cylinder_crossing", "unit_ball_volume",
+            "unit_sphere_area", "verify_report", "verify_spec",
+        ]
+        for name in torusiso.__all__:
+            value = getattr(torusiso, name)
+            assert value is getattr(importlib.import_module(value.__module__), name), name
+        with pytest.raises(AttributeError):
+            torusiso.two_torus_criticals
+        # Never cached at the root: a patch of the defining module shows through.
+        monkeypatch.setattr(criticals, "full_report", "patched")
+        assert torusiso.full_report == "patched"
 
 
 class TestExtremeRadii:
     # Breakpoint volumes that leave the double range are refused by name, in
     # a real process: a crash there would print a traceback and exit 1, the
     # parse-failure code.
+    @staticmethod
+    def run_module(tmp_path, radii, n, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"radii": list(radii), "euclid_dim": n}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "torusiso", command[0], str(path), *command[1:]],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
     @pytest.mark.parametrize(
         "radii, n", [((1e100, 1e100), 3), ((1e-300, 1e-300), 3), ((1.0, 1e110), 2)]
     )
@@ -325,30 +408,41 @@ class TestExtremeRadii:
         ids=lambda argv: argv[0],
     )
     def test_guard_exit_without_traceback(self, tmp_path, radii, n, command):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"radii": list(radii), "euclid_dim": n}))
-        src = Path(__file__).resolve().parents[1] / "src"
-        result = subprocess.run(
-            [sys.executable, "-m", "torusiso", command[0], str(path), *command[1:]],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = self.run_module(tmp_path, radii, n, command)
         assert result.returncode in (0, 2), result.stderr
         assert "Traceback" not in result.stderr
         if result.returncode == 2:
             assert repr(radii[-1]) in result.stderr
 
+    @pytest.mark.parametrize(
+        "radii, n, code, named",
+        [
+            # The envelope's probe volumes must not under- or overflow.
+            ((1e-70, 1e-70), 2, 0, ()),
+            ((1e40, 1e40), 2, 0, ()),
+            # A subnormal breakpoint volume is refused by name.
+            ((1e-80,), 3, 2, ("1e-80", "n=3")),
+        ],
+    )
+    def test_profile_at_the_ends_of_the_double_range(self, tmp_path, radii, n, code, named):
+        # Not in the parametrization above: critical and bounds still refuse
+        # these specs, with exit 3 or with a message that names no radius.
+        result = self.run_module(tmp_path, radii, n, ["profile", "--v", "1"])
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        for text in named:
+            assert text in result.stderr
+
 
 class TestExitCodeMapping:
     def test_solver_failures_map_to_three(self, capsys, example_file, monkeypatch):
+        from torusiso import criticals
         from torusiso.errors import ConvergenceError
 
         def boom(*args, **kwargs):
             raise ConvergenceError("stuck", bracket=(1.0, 2.0))
 
-        monkeypatch.setattr(cli, "full_report", boom)
+        monkeypatch.setattr(criticals, "full_report", boom)
         code, _, err = run(capsys, "critical", example_file)
         assert code == 3
         assert "stuck" in err

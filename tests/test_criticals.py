@@ -9,19 +9,16 @@ from torusiso import (
     GuardError,
     TorusProductSpec,
     beta,
-    bisect_verify,
     circle_piecewise,
-    crossing_scan,
     euclidean_profile,
     full_report,
     scp_piecewise,
     slab_piecewise,
     solve_power_gap,
     sphere_cylinder_crossing,
-    three_torus_criticals,
-    two_torus_criticals,
     unit_ball_volume,
 )
+from torusiso.oracle import bisect_verify, crossing_scan
 
 from refvalues import (
     BETA_2_SQ,
@@ -53,14 +50,14 @@ def rel(a, b):
 
 class TestExampleTorus:
     def test_headline_thresholds(self, example_spec):
-        crit = two_torus_criticals(example_spec)
+        crit = full_report(example_spec).criticals
         assert abs(crit.v_star - 2.70) < 0.05
         assert abs(crit.v_dstar - 55.84) < 0.10
         assert rel(crit.v_star, CN_EXAMPLE) < 1e-11
         assert rel(crit.v_dstar, VDSTAR_EXAMPLE) < 1e-11
 
     def test_small_volume_constants(self, example_spec):
-        small = two_torus_criticals(example_spec)
+        small = full_report(example_spec).criticals
         assert rel(small.theta_star, THETA_EXAMPLE) < 1e-11
         assert rel(small.sigma_star, THETA_EXAMPLE) < 1e-11
         assert rel(small.K_star, K_EXAMPLE) < 1e-11
@@ -70,18 +67,18 @@ class TestExampleTorus:
 
     def test_k_star_equals_ball_area_at_c(self, example_spec):
         # c sits on the ball branch, so the 4-ball area law reproduces K.
-        small = two_torus_criticals(example_spec)
+        small = full_report(example_spec).criticals
         assert rel(euclidean_profile(4, small.c_n).area, small.K_star) < 1e-11
         assert small.c_n < BETA_3_SQ
 
     def test_balance_identity(self, example_spec):
-        small = two_torus_criticals(example_spec)
+        small = full_report(example_spec).criticals
         lhs = 2 * (BETA_2_SQ - small.theta_star)
         rhs = 2 * math.pi * SQRT_PI_RADIUS * euclidean_profile(3, small.theta_star).area
         assert rel(lhs, rhs) < 1e-9
 
     def test_symmetry_of_equal_radii(self, example_spec):
-        large = two_torus_criticals(example_spec)
+        large = full_report(example_spec).criticals
         assert large.a_n == large.b_n
         assert large.v_dstar == large.a_n
 
@@ -93,18 +90,18 @@ class TestExampleTorus:
 
 class TestUnitTorus:
     def test_k_star_value(self, unit_spec):
-        crit = two_torus_criticals(unit_spec)
+        crit = full_report(unit_spec).criticals
         assert rel(crit.K_star, K_UNIT) < 1e-11
         assert abs(crit.K_star - 70.1) < 0.5
 
     def test_thresholds(self, unit_spec):
-        crit = two_torus_criticals(unit_spec)
+        crit = full_report(unit_spec).criticals
         assert rel(crit.v_star, VSTAR_UNIT) < 1e-11
         assert rel(crit.v_dstar, VDSTAR_UNIT) < 1e-11
         assert rel(crit.v0_1, V0_UNIT) < 1e-11
 
     def test_v_dstar_against_scan_oracle(self, unit_spec):
-        crit = two_torus_criticals(unit_spec)
+        crit = full_report(unit_spec).criticals
         circle = circle_piecewise(3, 1.0)
         slab = slab_piecewise(unit_spec)
         target = 2 * beta(2, 1.0)
@@ -153,7 +150,7 @@ class TestOrderingInvariants:
         for _ in range(8):
             radii = sorted(rng.uniform(0.5, 2.5) for _ in range(2))
             n = rng.randint(2, 5)
-            crit = two_torus_criticals(TorusProductSpec(tuple(radii), n))
+            crit = full_report(TorusProductSpec(tuple(radii), n)).criticals
             assert crit.v0_1 < crit.a_n
             assert crit.v0_2 < crit.b_n
             assert crit.v_star <= crit.v0_1 < crit.v_dstar
@@ -162,14 +159,14 @@ class TestOrderingInvariants:
             assert 0 < crit.sigma_star < beta(n, radii[0])
 
     def test_radius_swap_invariance(self):
-        a = two_torus_criticals(TorusProductSpec((0.7, 1.8), 3))
-        b = two_torus_criticals(TorusProductSpec((1.8, 0.7), 3))
+        a = full_report(TorusProductSpec((0.7, 1.8), 3)).criticals
+        b = full_report(TorusProductSpec((1.8, 0.7), 3)).criticals
         assert a == b
 
 
 class TestThreeTorus:
     def test_unit_cubic_torus(self, unit_spec3):
-        crit = three_torus_criticals(unit_spec3)
+        crit = full_report(unit_spec3).criticals
         assert rel(crit.w_star, W_STAR_UNIT3) < 1e-11
         assert rel(crit.eta_star, ETA_UNIT3) < 1e-11
         assert rel(crit.C_star, C_STAR_UNIT3) < 1e-11
@@ -178,8 +175,8 @@ class TestThreeTorus:
         assert rel(crit.u_dstar, U_SLAB_UNIT3) < 1e-11
 
     def test_invariants(self, unit_spec3):
-        crit = three_torus_criticals(unit_spec3)
-        sub = two_torus_criticals(TorusProductSpec((1.0, 1.0), 2))
+        crit = full_report(unit_spec3).criticals
+        sub = full_report(TorusProductSpec((1.0, 1.0), 2)).criticals
         assert crit.w_star <= sub.v_star
         assert crit.C_star > 0
         assert crit.u_star <= crit.u0
@@ -190,7 +187,7 @@ class TestThreeTorus:
 
     def test_eta_decreases_with_third_radius(self):
         etas = [
-            three_torus_criticals(TorusProductSpec((1.0, 1.0, r3), 2)).eta_star
+            full_report(TorusProductSpec((1.0, 1.0, r3), 2)).criticals.eta_star
             for r3 in (1.0, 2.0, 4.0)
         ]
         assert etas[0] > etas[1] > etas[2]
@@ -203,9 +200,7 @@ class TestThreeTorus:
 
     def test_guards(self):
         with pytest.raises(GuardError):
-            three_torus_criticals(TorusProductSpec((1.0, 1.0, 1.0), 5))
-        with pytest.raises(GuardError):
-            three_torus_criticals(TorusProductSpec((1.0, 1.0), 2))
+            full_report(TorusProductSpec((1.0, 1.0, 1.0), 5))
 
 
 class TestFullReport:
@@ -273,16 +268,15 @@ def _seeded_specs(seed: int, count: int):
 
 
 class TestReportParity:
-    # The criticals bundles are read off the records, the public entry points
-    # agree with full_report, and a sub-report is the report of its sub-spec.
+    # The criticals bundles are read off the records, a rebuilt report gives
+    # the same criticals, and a sub-report is the report of its sub-spec.
     @pytest.mark.parametrize("spec", list(_seeded_specs(11, 6)))
     def test_criticals_records_and_entry_points_agree(self, spec):
         report = full_report(spec)
         for r in (report, *report.sub_reports.values()):
             for f in dataclasses.fields(r.criticals):
                 assert getattr(r.criticals, f.name) == r.constants[f.name].value, f.name
-        criticals = two_torus_criticals if spec.circle_count == 2 else three_torus_criticals
-        assert criticals(spec) == report.criticals
+        assert full_report(spec).criticals == report.criticals
         for sub in report.sub_reports.values():
             again = full_report(sub.spec)
             assert (sub.kind, sub.criticals, sub.constants) == (

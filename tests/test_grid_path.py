@@ -3,8 +3,8 @@
 band() and the --grid commands evaluate every row from one piecewise
 envelope per call. These tests require them to equal, field for field and
 bit for bit, a reference built one volume at a time from the scalar closed
-forms in scalar_reference.py and the public single-volume bound functions,
-including at volumes placed exactly on every breakpoint and threshold,
+forms in scalar_reference.py, with the chord, the tangent sample loop and
+the offset closed form written out per volume, including at volumes placed exactly on every breakpoint and threshold,
 where the tie-breaks decide the regime tag.
 """
 
@@ -23,12 +23,8 @@ from torusiso import (
     TorusProductSpec,
     band,
     beta,
-    chord_bound,
-    cylinder_offset_bound,
     envelope_piecewise,
-    tangent_bound,
-    three_torus_criticals,
-    two_torus_criticals,
+    full_report,
 )
 
 from refvalues import SQRT_PI_RADIUS
@@ -47,9 +43,7 @@ def spec_id(spec):
 
 
 def criticals(spec):
-    if spec.circle_count == 2:
-        return two_torus_criticals(spec)
-    return three_torus_criticals(spec)
+    return full_report(spec).criticals
 
 
 def thresholds(report):
@@ -94,8 +88,35 @@ def curves_for(spec, report):
     return out
 
 
+def chord_reference(lo_anchor, hi_anchor, v):
+    (v_lo, y_lo), (v_hi, y_hi) = lo_anchor, hi_anchor
+    t = (v - v_lo) / (v_hi - v_lo)
+    return y_lo + t * (y_hi - y_lo)
+
+
+def tangent_reference(anchor, curve, v):
+    """Best line from the anchor through the samples on the far side of v, or None."""
+    v0, a0 = anchor
+    side = [(w, c) for w, c in curve.points if (w <= v if v < v0 else w >= v)]
+    if not side:
+        return None
+    best = -math.inf
+    for w, c in side:
+        value = c + (a0 - c) * (v - w) / (v0 - w)
+        if value > best:
+            best = value
+    return best
+
+
+def offset_reference(spec, v):
+    n = spec.euclid_dim
+    return max(
+        0.0, *(circle_profile(n + 1, r, v).area - 2.0 * beta(n, r) for r in spec.radii)
+    )
+
+
 def reference_rows(spec, grid, curves, report):
-    """The band assembled one row at a time from the public scalar functions."""
+    """The band assembled one row at a time from the scalar closed forms."""
     v_lo, v_hi = thresholds(report)
     lo_anchor = (v_lo, envelope_profile(spec, v_lo).area)
     hi_anchor = (v_hi, envelope_profile(spec, v_hi).area)
@@ -105,18 +126,17 @@ def reference_rows(spec, grid, curves, report):
         if v <= v_lo or v >= v_hi:
             rows.append((v, top.area, top.area, top.regime, "exact"))
             continue
-        lower, source = chord_bound(report, spec, v), "chord"
+        lower, source = chord_reference(lo_anchor, hi_anchor, v), "chord"
         for curve in curves:
             for anchor, tag in ((lo_anchor, "tangent-left"), (hi_anchor, "tangent-right")):
-                try:
-                    value = tangent_bound(anchor, curve, v)
-                except DomainError:
+                value = tangent_reference(anchor, curve, v)
+                if value is None:
                     continue
                 value = min(value, top.area)
                 if value > lower:
                     lower, source = value, tag
         if spec.circle_count == 2:
-            offset = cylinder_offset_bound(spec, v)
+            offset = offset_reference(spec, v)
             if lower < offset <= top.area:
                 lower, source = offset, "cylinder-offset"
         rows.append((v, top.area, lower, top.regime, source))
@@ -189,19 +209,14 @@ def test_tangent_bound_equals_sample_loop():
     rng = np.random.default_rng(7)
     ws = np.sort(rng.uniform(0.5, 80.0, 300))
     curve = TabulatedCurve(tuple((float(w), float(3.0 * w**0.6)) for w in ws))
+    samples = bounds_mod._samples(curve)
     for anchor in ((2.0, 4.1), (60.0, 36.0)):
-        v0, a0 = anchor
         for v in [*rng.uniform(0.6, 79.0, 200), *ws[::10]]:
             v = float(v)
-            side = [(w, c) for w, c in curve.points if (w <= v if v < v0 else w >= v)]
-            if not side:
+            best = tangent_reference(anchor, curve, v)
+            if best is None:
                 continue
-            best = -math.inf
-            for w, c in side:
-                value = c + (a0 - c) * (v - w) / (v0 - w)
-                if value > best:
-                    best = value
-            assert tangent_bound(anchor, curve, v) == best
+            assert bounds_mod._tangent(anchor, samples, v) == best
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -209,11 +224,7 @@ def test_cylinder_offset_bound_equals_closed_form(n):
     spec = TorusProductSpec((0.7, 1.9), n)
     volumes = [float(v) for v in np.geomspace(1e-2, 1e5, 300)]
     volumes += [beta(n + 1, r) for r in spec.radii]
-    for v in volumes:
-        expected = max(
-            0.0, *(circle_profile(n + 1, r, v).area - 2.0 * beta(n, r) for r in spec.radii)
-        )
-        assert cylinder_offset_bound(spec, v) == expected
+    assert bounds_mod._offsets(spec, volumes) == [offset_reference(spec, v) for v in volumes]
 
 
 def test_breakpoint_tie_break_documented_values():

@@ -3,16 +3,13 @@ import math
 import pytest
 
 from torusiso import (
-    CandidateRegion,
     DomainError,
     GuardError,
     TorusProductSpec,
-    candidate_regime,
-    region_boundary_area,
-    region_volume,
     unit_ball_volume,
     unit_sphere_area,
 )
+from torusiso.mensuration import CandidateRegion, region_boundary_area, region_volume
 
 
 def rel(a, b):
@@ -148,11 +145,3 @@ def test_region_consistency_errors(example_spec):
         region_volume(example_spec, CandidateRegion((0,), 2, 1.0))  # wrong ball_dim
     with pytest.raises(DomainError):
         region_volume(example_spec, CandidateRegion((0,), 3, -2.0))
-
-
-def test_candidate_regime_tags():
-    assert candidate_regime(0, 2) == "ball"
-    assert candidate_regime(1, 2) == "cylinder"
-    assert candidate_regime(2, 2) == "slab"
-    assert candidate_regime(2, 3) == "slab2"
-    assert candidate_regime(3, 3) == "slab"

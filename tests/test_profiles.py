@@ -6,26 +6,22 @@ import numpy as np
 import pytest
 
 from torusiso import (
-    CandidateRegion,
     DomainError,
     GuardError,
     PiecewiseProfile,
     PowerSegment,
     TorusProductSpec,
-    alpha,
     beta,
     candidate_min_area,
     circle_piecewise,
-    crossing_scan,
     envelope_piecewise,
-    euclidean_piecewise,
     euclidean_profile,
-    region_boundary_area,
-    region_volume,
     scp_piecewise,
     slab_piecewise,
     unit_ball_volume,
 )
+from torusiso.mensuration import CandidateRegion, region_boundary_area, region_volume
+from torusiso.oracle import crossing_scan
 
 from refvalues import (
     BETA_2_1,
@@ -113,11 +109,11 @@ class TestAlphaAndContinuity:
         bp = beta(n, r)
         ball, cylinder = circle_piecewise(n, r).segments
         assert rel(ball.value(bp), cylinder.value(bp)) < 1e-9
-        assert rel(alpha(n, r), ball.value(bp)) < 1e-12
+        assert rel(circle_piecewise(n, r)(bp), ball.value(bp)) < 1e-12
 
     def test_alpha_closed_form(self):
         expected = (36 * math.pi) ** (1 / 3) * (32 * math.pi**4 / 81) ** (2 / 3)
-        assert rel(alpha(2, 1.0), expected) < 1e-12
+        assert rel(circle_piecewise(2, 1.0)(beta(2, 1.0)), expected) < 1e-12
 
 
 class TestCircleProfile:
@@ -247,9 +243,10 @@ class TestPiecewise:
         assert scan.bracket[0] <= b2 <= scan.bracket[1]
 
     def test_euclidean_selector(self):
-        (segment,) = euclidean_piecewise(4).segments
-        assert segment.exponent == pytest.approx(0.75)
-        assert segment.regime == "ball"
+        # The R^4 profile is one ball power law with exponent 3/4.
+        small, large = euclidean_profile(4, 1.0), euclidean_profile(4, 16.0)
+        assert math.log(large.area / small.area, 16.0) == pytest.approx(0.75)
+        assert small.regime == large.regime == "ball"
 
     def test_strictly_increasing(self, example_spec):
         for profile in (

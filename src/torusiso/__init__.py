@@ -38,11 +38,10 @@ _EXPORTS = {
     "verify_spec": "oracle",
     "PiecewiseProfile": "profiles",
     "PowerSegment": "profiles",
-    "ProfileValue": "profiles",
     "beta": "profiles",
     "circle_piecewise": "profiles",
     "envelope_piecewise": "profiles",
-    "euclidean_profile": "profiles",
+    "euclidean_piecewise": "profiles",
     "minimum_envelope": "profiles",
     "scp_piecewise": "profiles",
     "slab_piecewise": "profiles",

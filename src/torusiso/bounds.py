@@ -213,8 +213,8 @@ def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:
     best = [0.0] * len(grid)
     for r in spec.radii:
         shift = 2.0 * beta(n, r)
-        for i, circle in enumerate(circle_piecewise(n + 1, r).values(grid)):
-            value = circle.area - shift
+        for i, (area, _) in enumerate(circle_piecewise(n + 1, r).values(grid)):
+            value = area - shift
             if value > best[i]:
                 best[i] = value
     return best
@@ -223,7 +223,7 @@ def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:
 def band(
     spec: TorusProductSpec,
     grid: Sequence[float],
-    curves: Sequence[TabulatedCurve] | TabulatedCurve | None = None,
+    curves: Sequence[TabulatedCurve] | None = None,
     *,
     report: T2Criticals | T3Criticals | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -234,8 +234,6 @@ def band(
     interval). Lower is the best of chord, tangent-to-curve and offset
     sources inside the interval, and equals the upper value outside it.
     """
-    if isinstance(curves, TabulatedCurve):
-        curves = (curves,)
     curves = tuple(curves or ())
     grid = [float(v) for v in grid]
     for v in grid:
@@ -257,9 +255,9 @@ def band(
         offsets = _offsets(spec, grid[first:stop])
 
     rows = []
-    for i, (v, top) in enumerate(zip(grid, tops)):
+    for i, (v, (top, seg)) in enumerate(zip(grid, tops)):
         if not first <= i < stop:
-            rows.append(BandRow(v, top.area, top.area, top.regime, "exact"))
+            rows.append(BandRow(v, top, top, seg.regime, "exact"))
             continue
         lower = _chord(lo_anchor, hi_anchor, v)
         source = "chord"
@@ -268,22 +266,22 @@ def band(
                 value = _tangent(anchor, curve_samples, v)
                 if value is None:
                     continue
-                if value > top.area:
-                    if value > top.area * (1.0 + 1e-9):
+                if value > top:
+                    if value > top * (1.0 + 1e-9):
                         # A genuine lower-bound curve can never push the band
                         # above the candidate envelope.
                         label = curve.label or "unlabeled"
                         raise DomainError(
                             f"curve {label!r} yields lower bound {value} above "
-                            f"the envelope {top.area} at v={v}; it cannot be a "
+                            f"the envelope {top} at v={v}; it cannot be a "
                             "valid lower bound for this manifold"
                         )
-                    value = top.area  # envelope touch, within rounding
+                    value = top  # envelope touch, within rounding
                 if value > lower:
                     lower, source = value, tag
         if spec.circle_count == 2:
             offset = offsets[i - first]
-            if lower < offset <= top.area:
+            if lower < offset <= top:
                 lower, source = offset, "cylinder-offset"
-        rows.append(BandRow(v, top.area, lower, top.regime, source))
+        rows.append(BandRow(v, top, lower, seg.regime, source))
     return BoundBand(tuple(rows))

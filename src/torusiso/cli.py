@@ -39,6 +39,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _spec_float(value: int | float, field: str) -> float:
+    # JSON integers are unbounded; one past the double range is a file error.
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecFileError(
+            f"spec field {field!r} holds an integer too large for a double"
+        ) from None
+
+
 def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
     """Read a manifold spec JSON file; returns the spec and the solver tolerance."""
     try:
@@ -46,7 +56,7 @@ def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
             data = json.load(handle)
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise SpecFileError(f"invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecFileError("spec file must contain a JSON object")
@@ -64,7 +74,7 @@ def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
         raise SpecFileError("spec field 'tolerance' must be a number")
     # Tighter than MIN_TOLERANCE the solvers cannot converge; looser than
     # MAX_TOLERANCE breaks their contract, so such values are capped.
-    if not MIN_TOLERANCE <= float(tolerance) < 1.0:
+    if not MIN_TOLERANCE <= _spec_float(tolerance, "tolerance") < 1.0:
         raise SpecFileError(
             f"spec field 'tolerance' must be in [{MIN_TOLERANCE}, 1), got {tolerance}"
         )
@@ -76,7 +86,7 @@ def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
                 f"a {len(radii)}-circle spec requires {lo} <= euclid_dim <= {hi}, "
                 f"got {euclid_dim}"
             )
-    spec = TorusProductSpec(tuple(float(r) for r in radii), euclid_dim)
+    spec = TorusProductSpec(tuple(_spec_float(r, "radii") for r in radii), euclid_dim)
     return spec, min(float(tolerance), MAX_TOLERANCE)
 
 
@@ -109,11 +119,11 @@ def parse_grid(text: str) -> list[float]:
 def cmd_profile(args) -> int:
     spec, _ = load_spec_file(args.spec)
     grid = [args.v] if args.v is not None else parse_grid(args.grid)
-    values = envelope_piecewise(spec).values(grid)
+    rows = envelope_piecewise(spec).values(grid)
     out = sys.stdout
     out.write("v,area,regime\n")
-    for v, value in zip(grid, values):
-        out.write(f"{_fmt(v)},{_fmt(value.area)},{value.regime}\n")
+    for v, (area, seg) in zip(grid, rows):
+        out.write(f"{_fmt(v)},{_fmt(area)},{seg.regime}\n")
     return EXIT_OK
 
 

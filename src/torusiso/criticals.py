@@ -43,9 +43,10 @@ from dataclasses import dataclass, field, fields
 from .errors import ConsistencyError, GuardError
 from .mensuration import EUCLID_DIM_RANGES, TWO_PI, TorusProductSpec, unit_ball_volume
 from .profiles import (
+    PiecewiseProfile,
     beta,
     circle_piecewise,
-    euclidean_profile,
+    euclidean_piecewise,
     slab_piecewise,
 )
 from .roots import (
@@ -117,15 +118,11 @@ def _require_pipeline(spec: TorusProductSpec, k: int, name: str) -> None:
         )
 
 
-def _euclid_area(m: int, v: float) -> float:
-    return euclidean_profile(m, v).area
-
-
-def _balance_equation(radius: float, m: int):
-    """x -> pi * radius * (area of the m-ball of volume x) + x."""
+def _balance_equation(radius: float, ball: PiecewiseProfile):
+    """x -> pi * radius * ball(x) + x, for the ball law of some R^m."""
 
     def f(x: float) -> float:
-        return math.pi * radius * _euclid_area(m, x) + x
+        return math.pi * radius * ball(x) + x
 
     return f
 
@@ -150,11 +147,12 @@ def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
 
     # The shorter circumference is balanced against the larger factor's
     # breakpoint volume, and vice versa; for equal radii both coincide.
-    theta = solve_increasing(_balance_equation(r1, n + 1), beta_2, tolerance=tolerance)
-    sigma = solve_increasing(_balance_equation(r2, n + 1), beta_1, tolerance=tolerance)
+    ball = euclidean_piecewise(n + 1)
+    theta = solve_increasing(_balance_equation(r1, ball), beta_2, tolerance=tolerance)
+    sigma = solve_increasing(_balance_equation(r2, ball), beta_1, tolerance=tolerance)
 
-    k_from_theta = TWO_PI * r1 * _euclid_area(n + 1, theta.root)
-    k_from_sigma = TWO_PI * r2 * _euclid_area(n + 1, sigma.root)
+    k_from_theta = TWO_PI * r1 * ball(theta.root)
+    k_from_sigma = TWO_PI * r2 * ball(sigma.root)
     k_star = max(k_from_theta, k_from_sigma)
     k_alt = max(2.0 * (beta_2 - theta.root), 2.0 * (beta_1 - sigma.root))
     if abs(k_star - k_alt) > _IDENTITY_RTOL * k_star:
@@ -272,9 +270,10 @@ def _t3_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     sub_up = _t2_report(TorusProductSpec((r1, r2), n + 1), tolerance)
 
     w_star = min(sub_n.criticals.v_star, beta(n + 1, r1))
-    eta = solve_increasing(_balance_equation(r3, n + 2), w_star, tolerance=tolerance)
+    ball = euclidean_piecewise(n + 2)
+    eta = solve_increasing(_balance_equation(r3, ball), w_star, tolerance=tolerance)
     c_star = 2.0 * (w_star - eta.root)
-    c_alt = TWO_PI * r3 * _euclid_area(n + 2, eta.root)
+    c_alt = TWO_PI * r3 * ball(eta.root)
     if abs(c_star - c_alt) > _IDENTITY_RTOL * c_star:
         raise ConsistencyError(f"the two C_star computations disagree: {c_star} vs {c_alt}")
 

@@ -53,14 +53,6 @@ REGIME_SLAB = "slab"
 
 
 @dataclass(frozen=True)
-class ProfileValue:
-    """A profile evaluation: the area and the candidate family that wins."""
-
-    area: float
-    regime: str
-
-
-@dataclass(frozen=True)
 class PowerSegment:
     """One power law coeff * v^exponent on the interval (v_lo, v_hi].
 
@@ -108,9 +100,12 @@ class PiecewiseProfile:
       a tie goes to the earlier curve. Its ``segments`` record where each
       candidate wins, for solving and for listing regimes.
 
-    segment_at, value, values and the scalar ``__call__`` all follow it and
-    give the same bits: for radii (1, 1), n = 2 at v = beta(3, 1) each
-    gives ``ball 224.84192526231706``.
+    There are three evaluators, and all follow it: the scalar or ndarray
+    ``__call__`` (the area), ``segment_at`` (the winning power law) and
+    ``values`` (an ``(area, segment)`` row per volume; ``segment.regime``
+    names the winning family). The scalar ones give the same bits: for
+    radii (1, 1), n = 2 at v = beta(3, 1) each gives area
+    224.84192526231706 from the ball segment.
     """
 
     segments: tuple[PowerSegment, ...]
@@ -173,18 +168,14 @@ class PiecewiseProfile:
             return out
         return self._rows([_check_volume(v)])[0][0]
 
-    def value(self, v: float) -> ProfileValue:
-        area, seg = self._rows([_check_volume(v)])[0]
-        return ProfileValue(area, seg.regime)
+    def values(self, volumes) -> list[tuple[float, PowerSegment]]:
+        """Evaluate a volume grid as ``(area, segment)`` rows.
 
-    def values(self, volumes) -> list[ProfileValue]:
-        """Evaluate a volume grid; each row has the bits of value(v).
-
+        Each row has the bits of the scalar ``__call__`` and ``segment_at``.
         Areas use Python float pow: numpy's array pow differs from it in
         the last bit for some volumes, which would change printed digits.
         """
-        rows = self._rows([_check_volume(v) for v in volumes])
-        return [ProfileValue(area, seg.regime) for area, seg in rows]
+        return self._rows([_check_volume(v) for v in volumes])
 
     def _rows(self, volumes: list[float]) -> list[tuple[float, PowerSegment]]:
         # The breakpoint rule, for checked volumes: (area, segment) pairs.
@@ -245,12 +236,13 @@ def tube_area_coefficient(circle_measure: float, m: int) -> float:
     return m * (circle_measure * unit_ball_volume(m)) ** (1.0 / m)
 
 
-def euclidean_profile(m: int, v: float) -> ProfileValue:
-    """Boundary area of the round m-ball of volume v (the profile of R^m)."""
+def euclidean_piecewise(m: int) -> PiecewiseProfile:
+    """Profile of R^m: the round-ball law, one segment with exponent (m-1)/m."""
     _check_range(m, EUCLIDEAN_DIM_RANGE, "the Euclidean profile")
-    v = _check_volume(v)
-    coeff = tube_area_coefficient(1.0, m)
-    return ProfileValue(coeff * v ** ((m - 1.0) / m), REGIME_BALL)
+    seg = PowerSegment(
+        tube_area_coefficient(1.0, m), (m - 1.0) / m, 0.0, math.inf, REGIME_BALL
+    )
+    return PiecewiseProfile((seg,))
 
 
 def beta(n: int, r: float) -> float:

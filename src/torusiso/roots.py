@@ -30,7 +30,8 @@ MAX_TOLERANCE = 1e-6
 # seeded probe (200 specs, k = 2 and 3, radii 0.1-10) the criticals pipelines
 # converged for all 200 at 1e-15 and failed for 198 of them at 1e-16.
 MIN_TOLERANCE = 1e-15
-DEFAULT_MAX_ITER = 200
+# Function evaluations one solve may spend, bracketing included.
+_MAX_ITER = 200
 _MAX_DOUBLINGS = 60
 
 
@@ -62,15 +63,13 @@ class RootResult:
             )
 
 
-def _validate_request(tolerance: float, max_iter: int) -> None:
+def _validate_request(tolerance: float) -> None:
     # Below MIN_TOLERANCE bisection runs out of iterations instead of
     # converging, so such requests are refused before any work is done.
     if not MIN_TOLERANCE <= tolerance <= MAX_TOLERANCE:
         raise DomainError(
             f"tolerance must be in [{MIN_TOLERANCE}, {MAX_TOLERANCE}], got {tolerance!r}"
         )
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
 def _bisect(
@@ -79,7 +78,6 @@ def _bisect(
     lo: float,
     hi: float,
     tolerance: float,
-    max_iter: int,
     scale_at: Callable[[float], float],
     iterations: int,
 ) -> RootResult:
@@ -89,7 +87,7 @@ def _bisect(
     scale-aware bound; keeps halving down to one ulp when the bound needs
     more than the bracket criterion alone.
     """
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # bracket exhausted at machine resolution
@@ -111,7 +109,7 @@ def _bisect(
     if abs(residual) <= tolerance * scale and lo <= root <= hi:
         return RootResult(root, residual, iterations, (lo, hi), tolerance, scale)
     raise ConvergenceError(
-        f"bisection did not converge within {max_iter} evaluations", bracket=(lo, hi)
+        f"bisection did not converge within {_MAX_ITER} evaluations", bracket=(lo, hi)
     )
 
 
@@ -120,7 +118,6 @@ def solve_increasing(
     target: float,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITER,
     bracket_hint: tuple[float, float] | None = None,
 ) -> RootResult:
     """Unique root of a strictly increasing, unbounded expression on (0, inf).
@@ -129,7 +126,7 @@ def solve_increasing(
     DomainError when the target sits below the expression's infimum and
     ConvergenceError when bracketing or bisection runs out of budget.
     """
-    _validate_request(tolerance, max_iter)
+    _validate_request(tolerance)
     iterations = 0
     if bracket_hint is not None:
         lo, hi = bracket_hint
@@ -166,7 +163,7 @@ def solve_increasing(
                 raise DomainError(
                     f"target {target} lies below the expression's infimum"
                 )
-    return _bisect(f, target, lo, hi, tolerance, max_iter, lambda x: 0.0, iterations)
+    return _bisect(f, target, lo, hi, tolerance, lambda x: 0.0, iterations)
 
 
 def power_gap_stationary_point(c1: float, p1: float, c2: float, p2: float) -> float:
@@ -182,7 +179,6 @@ def solve_power_gap(
     target: float,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RootResult:
     """Terminal root of phi(x) = c1 x^p1 - c2 x^p2 = target, p1 > p2 > 0.
 
@@ -190,7 +186,7 @@ def solve_power_gap(
     bound afterwards, so for target >= 0 there is exactly one root on the
     increasing side; bracketing starts just right of the stationary point.
     """
-    _validate_request(tolerance, max_iter)
+    _validate_request(tolerance)
     for name, c in (("c1", c1), ("c2", c2)):
         if not (c > 0.0) or not math.isfinite(c):
             raise DomainError(f"{name} must be a positive finite real, got {c!r}")
@@ -214,9 +210,7 @@ def solve_power_gap(
         iterations += 1
     else:
         raise ConvergenceError("no upper bracket found while doubling", bracket=(lo, hi))
-    return _bisect(
-        phi, target, lo, hi, tolerance, max_iter, lambda x: c2 * x**p2, iterations
-    )
+    return _bisect(phi, target, lo, hi, tolerance, lambda x: c2 * x**p2, iterations)
 
 
 def _closed_form_result(root: float, residual: float, scale: float, tolerance: float) -> RootResult:
@@ -229,7 +223,6 @@ def solve_piecewise_gap(
     target: float,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RootResult:
     """Terminal root of upper(v) - lower(v) = target over piecewise profiles.
 
@@ -239,7 +232,7 @@ def solve_piecewise_gap(
     a failure there, or a gap that is identically zero, signals that the
     structural assumptions behind the pipeline were violated.
     """
-    _validate_request(tolerance, max_iter)
+    _validate_request(tolerance)
     if target < 0.0:
         raise DomainError(f"target must be nonnegative, got {target}")
     admissible: list[RootResult] = []
@@ -272,13 +265,7 @@ def solve_piecewise_gap(
                 # eventually decreasing; those pairs never host it here.
                 continue
             result = solve_power_gap(
-                sa.coeff,
-                sa.exponent,
-                sb.coeff,
-                sb.exponent,
-                target,
-                tolerance=tolerance,
-                max_iter=max_iter,
+                sa.coeff, sa.exponent, sb.coeff, sb.exponent, target, tolerance=tolerance
             )
             if lo <= result.root < hi:
                 admissible.append(result)

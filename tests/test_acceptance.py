@@ -82,7 +82,7 @@ def test_criterion_3_slab_closed_form():
     spec = example_spec()
     ok = True
     for v in np.geomspace(1e-3, 1e6, 100):
-        ok = ok and rel(slab_piecewise(spec).value(float(v)).area, 4 * math.pi * math.sqrt(v)) <= 1e-12
+        ok = ok and rel(slab_piecewise(spec)(float(v)), 4 * math.pi * math.sqrt(v)) <= 1e-12
     report_line(3, "slab profile closed form", ok)
 
 
@@ -131,7 +131,7 @@ def test_criterion_6_profile_oracle_equality():
     ok = True
     for spec in random_two_circle_specs(10, seed=404):
         for v in np.geomspace(1e-3, 1e6, 200):
-            closed = scp_piecewise(spec).value(float(v)).area
+            closed = scp_piecewise(spec)(float(v))
             brute, _ = candidate_min_area(spec, float(v))
             ok = ok and rel(closed, brute) <= 1e-9
     report_line(6, "envelope equals brute-force oracle", ok)
@@ -147,7 +147,7 @@ def test_criterion_7_band_validity():
         for row in result.rows:
             ok = ok and row.lower <= row.upper
             if row.v <= crit.v_star or row.v >= crit.v_dstar:
-                exact = scp_piecewise(spec).value(row.v).area
+                exact = scp_piecewise(spec)(row.v)
                 ok = ok and rel(row.lower, exact) <= 1e-12
                 ok = ok and rel(row.upper, exact) <= 1e-12
     report_line(7, "band validity and exactness regions", ok)

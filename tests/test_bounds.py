@@ -46,7 +46,7 @@ def band_row(spec, report, v, curves=None):
 def anchors(spec, report):
     """The exactly-known (volume, area) points at both thresholds."""
     envelope = scp_piecewise(spec)
-    return tuple((v, envelope.value(v).area) for v in (report.v_star, report.v_dstar))
+    return tuple((v, envelope(v)) for v in (report.v_star, report.v_dstar))
 
 
 # Each lower bound is checked on band rows whose lower_source names it; the
@@ -85,7 +85,7 @@ class TestTangentBound:
         # line is read from the per-row helper there.
         lo_anchor, hi_anchor = anchors(example_spec, example_report)
         curve = TabulatedCurve((lo_anchor, hi_anchor))
-        row = band_row(example_spec, example_report, 5.0, curve)
+        row = band_row(example_spec, example_report, 5.0, [curve])
         assert row.lower_source == "tangent-left"
         assert rel(row.lower, bounds_mod._chord(lo_anchor, hi_anchor, 5.0)) < 1e-12
         samples = bounds_mod._samples(curve)
@@ -98,7 +98,7 @@ class TestTangentBound:
     def test_matches_direct_discrete_maximum(self, example_spec, example_report):
         _, anchor = anchors(example_spec, example_report)
         ws = np.geomspace(1.0, 50.0, 17)
-        points = tuple((float(w), 0.93 * scp_piecewise(example_spec).value(float(w)).area) for w in ws)
+        points = tuple((float(w), 0.93 * scp_piecewise(example_spec)(float(w))) for w in ws)
         curve = TabulatedCurve(points)
         v = 30.0
         expected = max(
@@ -106,7 +106,7 @@ class TestTangentBound:
             for w, c in points
             if w <= v
         )
-        row = band_row(example_spec, example_report, v, curve)
+        row = band_row(example_spec, example_report, v, [curve])
         assert row.lower_source == "tangent-right"
         assert rel(row.lower, expected) < 1e-12
 
@@ -115,13 +115,13 @@ class TestTangentBound:
         mid = math.sqrt(v_lo * v_hi)
         curve = TabulatedCurve(
             (
-                (v_lo, scp_piecewise(example_spec).value(v_lo).area),
-                (mid, 0.999 * scp_piecewise(example_spec).value(mid).area),
-                (v_hi, scp_piecewise(example_spec).value(v_hi).area),
+                (v_lo, scp_piecewise(example_spec)(v_lo)),
+                (mid, 0.999 * scp_piecewise(example_spec)(mid)),
+                (v_hi, scp_piecewise(example_spec)(v_hi)),
             )
         )
         bare = band_row(example_spec, example_report, mid)
-        row = band_row(example_spec, example_report, mid, curve)
+        row = band_row(example_spec, example_report, mid, [curve])
         assert bare.lower_source == "chord"
         assert row.lower_source.startswith("tangent")
         assert row.lower > bare.lower
@@ -133,7 +133,7 @@ class TestTangentBound:
         lo_anchor, hi_anchor = anchors(example_spec, example_report)
         curve = TabulatedCurve(((60.0, 1.0), (70.0, 1.2)))
         assert bounds_mod._tangent(hi_anchor, bounds_mod._samples(curve), 5.0) is None
-        row = band_row(example_spec, example_report, 5.0, curve)
+        row = band_row(example_spec, example_report, 5.0, [curve])
         assert row == band_row(example_spec, example_report, 5.0)
         assert row.lower_source == "chord"
         assert row.lower == bounds_mod._chord(lo_anchor, hi_anchor, 5.0)
@@ -143,7 +143,7 @@ class TestCylinderOffsetBound:
     def test_equals_slab_at_v_dstar_for_equal_radii(self, example_spec, example_report):
         # At v_dstar itself the row is exact; the offset meets the slab there.
         (value,) = bounds_mod._offsets(example_spec, [example_report.v_dstar])
-        slab = slab_piecewise(example_spec).value(example_report.v_dstar).area
+        slab = slab_piecewise(example_spec)(example_report.v_dstar)
         assert rel(value, slab) < 1e-9
 
     def test_clamped_to_zero_at_small_volume(self, example_spec):
@@ -155,13 +155,13 @@ class TestCylinderOffsetBound:
         brute, _ = candidate_min_area(example_spec, 30.0)
         assert row.lower_source == "cylinder-offset"
         assert 0.0 < row.lower < row.upper
-        assert row.upper == scp_piecewise(example_spec).value(30.0).area
+        assert row.upper == scp_piecewise(example_spec)(30.0)
         assert rel(row.upper, brute) < 1e-9
 
     def test_closed_form(self, example_spec, example_report):
         v = 30.0
         r = example_spec.radii[0]
-        expected = circle_piecewise(3, r).value(v).area - 2 * beta(2, r)
+        expected = circle_piecewise(3, r)(v) - 2 * beta(2, r)
         row = band_row(example_spec, example_report, v)
         assert row.lower_source == "cylinder-offset"
         assert rel(row.lower, expected) < 1e-12
@@ -173,7 +173,7 @@ class TestBand:
         result = band(example_spec, grid)
         for row in result.rows:
             assert row.lower <= row.upper
-            exact = scp_piecewise(example_spec).value(row.v).area
+            exact = scp_piecewise(example_spec)(row.v)
             assert rel(row.upper, exact) < 1e-12
             if row.v <= example_report.v_star or row.v >= example_report.v_dstar:
                 assert row.lower_source == "exact"
@@ -191,17 +191,17 @@ class TestBand:
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
         ws = np.geomspace(v_lo, v_hi, 9)
         curve = TabulatedCurve(
-            tuple((float(w), 0.98 * scp_piecewise(example_spec).value(float(w)).area) for w in ws)
+            tuple((float(w), 0.98 * scp_piecewise(example_spec)(float(w))) for w in ws)
         )
         bare = band(example_spec, grid)
-        with_curve = band(example_spec, grid, curve)
+        with_curve = band(example_spec, grid, [curve])
         for before, after in zip(bare.rows, with_curve.rows):
             assert after.lower >= before.lower - 1e-12 * before.lower
 
     def test_single_point_grid(self, example_spec):
         result = band(example_spec, [1.0])
         (row,) = result.rows
-        exact = scp_piecewise(example_spec).value(1.0).area
+        exact = scp_piecewise(example_spec)(1.0)
         assert row.lower == row.upper
         assert rel(row.lower, exact) < 1e-12
         assert row.lower_source == "exact"
@@ -225,12 +225,12 @@ class TestBand:
         mid = math.sqrt(example_report.v_star * example_report.v_dstar)
         curve = TabulatedCurve(
             (
-                (example_report.v_star, 2.0 * scp_piecewise(example_spec).value(example_report.v_star).area),
-                (mid, 2.0 * scp_piecewise(example_spec).value(mid).area),
+                (example_report.v_star, 2.0 * scp_piecewise(example_spec)(example_report.v_star)),
+                (mid, 2.0 * scp_piecewise(example_spec)(mid)),
             )
         )
         with pytest.raises(DomainError, match="cannot be a valid lower bound"):
-            band(example_spec, [mid], curve, report=example_report)
+            band(example_spec, [mid], [curve], report=example_report)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -246,9 +246,9 @@ def test_band_validity_property(r1, r2, n, scale):
     grid = np.geomspace(crit.v_star / 5.0, crit.v_dstar * 5.0, 35)
     ws = np.geomspace(crit.v_star / 2.0, crit.v_dstar * 2.0, 11)
     curve = TabulatedCurve(
-        tuple((float(w), scale * scp_piecewise(spec).value(float(w)).area) for w in ws)
+        tuple((float(w), scale * scp_piecewise(spec)(float(w))) for w in ws)
     )
-    result = band(spec, grid, curve, report=crit)
+    result = band(spec, grid, [curve], report=crit)
     for row in result.rows:
         assert row.lower <= row.upper
         if row.v <= crit.v_star or row.v >= crit.v_dstar:

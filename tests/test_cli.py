@@ -157,7 +157,7 @@ class TestBoundsCommand:
         spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 2)
         curve = tmp_path / "curve.csv"
         rows = "\n".join(
-            f"{v},{0.9 * scp_piecewise(spec).value(v).area}" for v in (3.0, 10.0, 30.0, 50.0)
+            f"{v},{0.9 * scp_piecewise(spec)(v)}" for v in (3.0, 10.0, 30.0, 50.0)
         )
         curve.write_text("# certified_lower_bound: yes\nv,area\n" + rows + "\n")
         base_code, base_out, _ = run(capsys, "bounds", example_file, "--grid", "3:50:10,log")
@@ -280,6 +280,28 @@ class TestSpecFileLoading:
             code, _, err = run(capsys, "critical", str(path))
             assert code == 0, err
 
+    @pytest.mark.parametrize("field", ["radii", "tolerance"])
+    def test_integer_past_the_double_range_is_parse_error(self, capsys, tmp_path, field):
+        # JSON integers are unbounded; a 401-digit one cannot become a double.
+        huge = "1" + "0" * 400
+        radii, tolerance = (f"[1.0, {huge}]", "1e-12") if field == "radii" else ("[1.0, 1.0]", huge)
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"radii": {radii}, "euclid_dim": 2, "tolerance": {tolerance}}}')
+        with pytest.raises(cli.SpecFileError, match=f"'{field}'"):
+            cli.load_spec_file(str(path))
+        code, out, err = run(capsys, "critical", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and f"'{field}'" in err
+
+    def test_integer_past_the_digit_limit_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"radii": [1' + "0" * 5000 + '], "euclid_dim": 2}')
+        code, out, err = run(capsys, "profile", str(path), "--v", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid JSON")
+
     def test_grid_parse_errors(self):
         with pytest.raises(cli.SpecFileError):
             cli.parse_grid("1:10")
@@ -363,10 +385,10 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
             "BandRow", "BoundBand", "CheckResult", "ConsistencyError",
             "ConstantRecord", "ConvergenceError", "CriticalReport",
             "CurveParseError", "DomainError", "GuardError", "PiecewiseProfile",
-            "PowerSegment", "ProfileValue", "RootResult", "SpecFileError",
+            "PowerSegment", "RootResult", "SpecFileError",
             "T2Criticals", "T3Criticals", "TabulatedCurve", "TorusIsoError",
             "TorusProductSpec", "band", "beta", "candidate_min_area",
-            "circle_piecewise", "envelope_piecewise", "euclidean_profile",
+            "circle_piecewise", "envelope_piecewise", "euclidean_piecewise",
             "full_report", "minimum_envelope", "read_curve", "scp_piecewise",
             "slab_piecewise", "solve_increasing", "solve_piecewise_gap",
             "solve_power_gap", "sphere_cylinder_crossing", "unit_ball_volume",

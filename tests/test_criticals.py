@@ -10,7 +10,7 @@ from torusiso import (
     TorusProductSpec,
     beta,
     circle_piecewise,
-    euclidean_profile,
+    euclidean_piecewise,
     full_report,
     scp_piecewise,
     slab_piecewise,
@@ -68,13 +68,13 @@ class TestExampleTorus:
     def test_k_star_equals_ball_area_at_c(self, example_spec):
         # c sits on the ball branch, so the 4-ball area law reproduces K.
         small = full_report(example_spec).criticals
-        assert rel(euclidean_profile(4, small.c_n).area, small.K_star) < 1e-11
+        assert rel(euclidean_piecewise(4)(small.c_n), small.K_star) < 1e-11
         assert small.c_n < BETA_3_SQ
 
     def test_balance_identity(self, example_spec):
         small = full_report(example_spec).criticals
         lhs = 2 * (BETA_2_SQ - small.theta_star)
-        rhs = 2 * math.pi * SQRT_PI_RADIUS * euclidean_profile(3, small.theta_star).area
+        rhs = 2 * math.pi * SQRT_PI_RADIUS * euclidean_piecewise(3)(small.theta_star)
         assert rel(lhs, rhs) < 1e-9
 
     def test_symmetry_of_equal_radii(self, example_spec):
@@ -182,7 +182,7 @@ class TestThreeTorus:
         assert crit.u_star <= crit.u0
         assert crit.u_star <= crit.u_dstar
         lhs = crit.C_star
-        rhs = 2 * math.pi * euclidean_profile(4, crit.eta_star).area
+        rhs = 2 * math.pi * euclidean_piecewise(4)(crit.eta_star)
         assert rel(lhs, rhs) < 1e-9
 
     def test_eta_decreases_with_third_radius(self):
@@ -254,9 +254,9 @@ class TestFullReport:
         # scp at v_star equals the circle branch there, tying the report to
         # the profile surface.
         report = full_report(example_spec)
-        value = scp_piecewise(example_spec).value(report.criticals.v_star)
-        assert value.regime == "ball"
-        assert rel(value.area, report.criticals.K_star) < 1e-11
+        area, seg = scp_piecewise(example_spec).values([report.criticals.v_star])[0]
+        assert seg.regime == "ball"
+        assert rel(area, report.criticals.K_star) < 1e-11
 
 
 def _seeded_specs(seed: int, count: int):

@@ -81,7 +81,7 @@ def curves_for(spec, report):
         ws = np.geomspace(v_lo / 2.0, v_hi * 2.0, count)
         out.append(
             TabulatedCurve(
-                tuple((float(w), scale * envelope_profile(spec, float(w)).area) for w in ws),
+                tuple((float(w), scale * envelope_profile(spec, float(w))[0]) for w in ws),
                 f"envelope x {scale}",
             )
         )
@@ -111,20 +111,20 @@ def tangent_reference(anchor, curve, v):
 def offset_reference(spec, v):
     n = spec.euclid_dim
     return max(
-        0.0, *(circle_profile(n + 1, r, v).area - 2.0 * beta(n, r) for r in spec.radii)
+        0.0, *(circle_profile(n + 1, r, v)[0] - 2.0 * beta(n, r) for r in spec.radii)
     )
 
 
 def reference_rows(spec, grid, curves, report):
     """The band assembled one row at a time from the scalar closed forms."""
     v_lo, v_hi = thresholds(report)
-    lo_anchor = (v_lo, envelope_profile(spec, v_lo).area)
-    hi_anchor = (v_hi, envelope_profile(spec, v_hi).area)
+    lo_anchor = (v_lo, envelope_profile(spec, v_lo)[0])
+    hi_anchor = (v_hi, envelope_profile(spec, v_hi)[0])
     rows = []
     for v in grid:
-        top = envelope_profile(spec, v)
+        top, regime = envelope_profile(spec, v)
         if v <= v_lo or v >= v_hi:
-            rows.append((v, top.area, top.area, top.regime, "exact"))
+            rows.append((v, top, top, regime, "exact"))
             continue
         lower, source = chord_reference(lo_anchor, hi_anchor, v), "chord"
         for curve in curves:
@@ -132,14 +132,14 @@ def reference_rows(spec, grid, curves, report):
                 value = tangent_reference(anchor, curve, v)
                 if value is None:
                     continue
-                value = min(value, top.area)
+                value = min(value, top)
                 if value > lower:
                     lower, source = value, tag
         if spec.circle_count == 2:
             offset = offset_reference(spec, v)
-            if lower < offset <= top.area:
+            if lower < offset <= top:
                 lower, source = offset, "cylinder-offset"
-        rows.append((v, top.area, lower, top.regime, source))
+        rows.append((v, top, lower, regime, source))
     return rows
 
 
@@ -149,6 +149,11 @@ def as_tuples(result):
 
 def csv_num(x):
     return format(x, ".17g")
+
+
+def regime_rows(rows):
+    """(area, segment) rows from PiecewiseProfile.values as (area, regime) pairs."""
+    return [(area, seg.regime) for area, seg in rows]
 
 
 @pytest.mark.parametrize("with_curves", [False, True], ids=["bare", "two-curves"])
@@ -166,7 +171,8 @@ def test_band_rows_equal_scalar_reference(spec, with_curves):
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_profile_values_equal_scalar_envelope(spec):
     grid = grid_for(spec, criticals(spec))
-    assert envelope_piecewise(spec).values(grid) == [envelope_profile(spec, v) for v in grid]
+    rows = regime_rows(envelope_piecewise(spec).values(grid))
+    assert rows == [envelope_profile(spec, v) for v in grid]
 
 
 def write_spec(tmp_path, spec):
@@ -193,8 +199,8 @@ def test_cli_grid_csv_equals_scalar_reference(spec, tmp_path, capsys):
         assert cli_mod.main(["profile", path, "--grid", grid_text]) == 0
         expected = ["v,area,regime"]
         for v in grid:
-            value = envelope_profile(spec, v)
-            expected.append(f"{csv_num(v)},{csv_num(value.area)},{value.regime}")
+            area, regime = envelope_profile(spec, v)
+            expected.append(f"{csv_num(v)},{csv_num(area)},{regime}")
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
         assert cli_mod.main(["bounds", path, "--grid", grid_text]) == 0
@@ -231,8 +237,8 @@ def test_breakpoint_tie_break_documented_values():
     spec = TorusProductSpec((1.0, 1.0), 2)
     v = beta(3, 1.0)
     profile = envelope_piecewise(spec)
-    (grid_value,) = profile.values([v])
-    assert (grid_value.area, grid_value.regime) == (224.84192526231706, "ball")
+    (grid_value,) = regime_rows(profile.values([v]))
+    assert grid_value == (224.84192526231706, "ball")
     assert grid_value == envelope_profile(spec, v)
     segment = profile.segment_at(v)
     assert (segment.value(v), segment.regime) == (224.84192526231706, "ball")
@@ -253,11 +259,10 @@ def rule_volumes(profile):
 def test_every_evaluator_follows_one_breakpoint_rule(spec):
     profile = envelope_piecewise(spec)
     for v in rule_volumes(profile):
-        value = profile.value(v)
+        (value,) = regime_rows(profile.values([v]))
         segment = profile.segment_at(v)
-        assert (segment.value(v), segment.regime) == (value.area, value.regime)
-        assert float(profile(v)) == value.area
-        assert profile.values([v])[0] == value
+        assert (segment.value(v), segment.regime) == value
+        assert float(profile(v)) == value[0]
         assert value == envelope_profile(spec, v)
 
 

@@ -9,7 +9,7 @@ from torusiso import (
     TorusProductSpec,
     beta,
     candidate_min_area,
-    euclidean_profile,
+    envelope_piecewise,
     full_report,
     scp_piecewise,
     verify_report,
@@ -54,6 +54,17 @@ class TestCandidateMinArea:
     def test_volume_validation(self, example_spec):
         with pytest.raises(DomainError):
             candidate_min_area(example_spec, 0.0)
+
+    @pytest.mark.parametrize("radii", [(1e-70, 1e-70), (1e40, 1e40)])
+    def test_extreme_tori_over_the_double_range(self, radii):
+        # The ball radius stays a normal double even where the volume over
+        # the torus measure does not; the envelope evaluates every volume.
+        spec = TorusProductSpec(radii, 2)
+        envelope = envelope_piecewise(spec)
+        for e in range(-300, 301, 2):
+            v = 10.0**e
+            area, _ = candidate_min_area(spec, v)
+            assert rel(area, envelope(v)) < 1e-12, v
 
 
 class TestCrossingScan:
@@ -178,6 +189,6 @@ class TestOracleAgreement:
             n = rng.randint(2, 5)
             spec = TorusProductSpec(tuple(radii), n)
             for v in np.geomspace(1e-3, 1e6, 60):
-                closed = scp_piecewise(spec).value(float(v)).area
+                closed = scp_piecewise(spec)(float(v))
                 brute, _ = candidate_min_area(spec, float(v))
                 assert rel(closed, brute) < 1e-9

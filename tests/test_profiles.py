@@ -15,7 +15,7 @@ from torusiso import (
     candidate_min_area,
     circle_piecewise,
     envelope_piecewise,
-    euclidean_profile,
+    euclidean_piecewise,
     scp_piecewise,
     slab_piecewise,
     unit_ball_volume,
@@ -49,27 +49,27 @@ def ball_area_oracle(m, v):
 
 class TestEuclideanProfile:
     def test_unit_ball(self):
-        value = euclidean_profile(3, 4 * math.pi / 3)
-        assert math.isclose(value.area, 4 * math.pi, rel_tol=1e-12)
-        assert value.regime == "ball"
+        area, seg = euclidean_piecewise(3).values([4 * math.pi / 3])[0]
+        assert math.isclose(area, 4 * math.pi, rel_tol=1e-12)
+        assert seg.regime == "ball"
 
     def test_dim4_against_mensuration_oracle(self):
         assert rel(ball_area_oracle(4, 1.0), EUCLID4_AT_1) < 1e-12
-        assert rel(euclidean_profile(4, 1.0).area, EUCLID4_AT_1) < 1e-12
+        assert rel(euclidean_piecewise(4)(1.0), EUCLID4_AT_1) < 1e-12
 
     def test_scaling_from_unit_ball(self):
-        value = euclidean_profile(3, 8 * math.pi / 3)
-        assert math.isclose(value.area, 4 * math.pi * 2 ** (2 / 3), rel_tol=1e-12)
+        area = euclidean_piecewise(3)(8 * math.pi / 3)
+        assert math.isclose(area, 4 * math.pi * 2 ** (2 / 3), rel_tol=1e-12)
 
     def test_guards(self):
         with pytest.raises(GuardError):
-            euclidean_profile(1, 1.0)
+            euclidean_piecewise(1)
         with pytest.raises(GuardError):
-            euclidean_profile(10, 1.0)
+            euclidean_piecewise(10)
         with pytest.raises(DomainError):
-            euclidean_profile(3, 0.0)
+            euclidean_piecewise(3)(0.0)
         with pytest.raises(DomainError):
-            euclidean_profile(3, -1.0)
+            euclidean_piecewise(3)(-1.0)
 
 
 class TestBeta:
@@ -118,55 +118,55 @@ class TestAlphaAndContinuity:
 
 class TestCircleProfile:
     def test_small_volume_equals_euclidean(self):
-        value = circle_piecewise(3, SQRT_PI_RADIUS).value(1.0)
-        assert value.regime == "ball"
-        assert rel(value.area, EUCLID4_AT_1) < 1e-12
+        area, seg = circle_piecewise(3, SQRT_PI_RADIUS).values([1.0])[0]
+        assert seg.regime == "ball"
+        assert rel(area, EUCLID4_AT_1) < 1e-12
         brute, _ = candidate_min_area(TorusProductSpec((SQRT_PI_RADIUS,), 3), 1.0)
-        assert rel(value.area, brute) < 1e-12
+        assert rel(area, brute) < 1e-12
 
     def test_cylinder_branch_closed_form(self):
-        value = circle_piecewise(2, 1.0).value(100.0)
-        assert value.regime == "cylinder"
-        assert rel(value.area, 20 * math.pi * math.sqrt(2)) < 1e-12
+        area, seg = circle_piecewise(2, 1.0).values([100.0])[0]
+        assert seg.regime == "cylinder"
+        assert rel(area, 20 * math.pi * math.sqrt(2)) < 1e-12
 
     def test_breakpoint_assignment(self):
         bp = beta(3, 1.0)
-        assert circle_piecewise(3, 1.0).value(bp).regime == "ball"
-        assert circle_piecewise(3, 1.0).value(bp * (1 + 1e-12)).regime == "cylinder"
+        assert circle_piecewise(3, 1.0).segment_at(bp).regime == "ball"
+        assert circle_piecewise(3, 1.0).segment_at(bp * (1 + 1e-12)).regime == "cylinder"
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_monotone_in_radius(self, n):
         radii = [0.3, 0.7, 1.0, 1.9, 4.0]
         for v in np.geomspace(1e-2, 1e4, 25):
-            areas = [circle_piecewise(n, r).value(float(v)).area for r in radii]
+            areas = [circle_piecewise(n, r)(float(v)) for r in radii]
             for a, b in itertools.pairwise(areas):
                 assert a <= b * (1 + 1e-12)
         # Below every breakpoint the value is radius-independent.
         v_small = 0.5 * beta(n, radii[0])
-        areas = {circle_piecewise(n, r).value(v_small).area for r in radii}
+        areas = {circle_piecewise(n, r)(v_small) for r in radii}
         assert max(areas) - min(areas) < 1e-12 * max(areas)
 
 
 class TestSlabProfiles:
     def test_example_torus_closed_form(self, example_spec):
         for v in np.geomspace(1e-3, 1e6, 20):
-            value = slab_piecewise(example_spec).value(float(v))
-            assert value.regime == "slab"
-            assert rel(value.area, 4 * math.pi * math.sqrt(v)) < 1e-12
+            area, seg = slab_piecewise(example_spec).values([float(v)])[0]
+            assert seg.regime == "slab"
+            assert rel(area, 4 * math.pi * math.sqrt(v)) < 1e-12
 
     def test_unit_torus_value(self, unit_spec):
-        value = slab_piecewise(unit_spec).value(4 * math.pi**4)
-        assert rel(value.area, 8 * math.pi ** 3.5) < 1e-12
+        area = slab_piecewise(unit_spec)(4 * math.pi**4)
+        assert rel(area, 8 * math.pi ** 3.5) < 1e-12
 
     def test_dim1_constant(self):
         spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 1)
         for v in (0.1, 3.0, 1e5):
-            assert rel(slab_piecewise(spec).value(v).area, 8 * math.pi) < 1e-12
+            assert rel(slab_piecewise(spec)(v), 8 * math.pi) < 1e-12
 
     def test_slab3_radius_one(self, unit_spec3):
         v = (2 * math.pi) ** 3 * math.pi
-        value = slab_piecewise(unit_spec3).value(v)
-        assert rel(value.area, (2 * math.pi) ** 3 * 2 * math.pi) < 1e-12
+        area = slab_piecewise(unit_spec3)(v)
+        assert rel(area, (2 * math.pi) ** 3 * 2 * math.pi) < 1e-12
 
     def test_slab3_against_mensuration(self, unit_spec3):
         for v in np.geomspace(0.5, 1e5, 12):
@@ -174,7 +174,7 @@ class TestSlabProfiles:
             region = CandidateRegion.for_spec(unit_spec3, (0, 1, 2), radius)
             assert rel(region_volume(unit_spec3, region), v) < 1e-12
             oracle = region_boundary_area(unit_spec3, region)
-            assert rel(slab_piecewise(unit_spec3).value(float(v)).area, oracle) < 1e-12
+            assert rel(slab_piecewise(unit_spec3)(float(v)), oracle) < 1e-12
 
     def test_slab3_power_law_shape(self, unit_spec3):
         (segment,) = slab_piecewise(unit_spec3).segments
@@ -184,31 +184,31 @@ class TestSlabProfiles:
         with pytest.raises(GuardError):
             slab_piecewise(TorusProductSpec((1.0,), 2))
         with pytest.raises(DomainError):
-            slab_piecewise(example_spec).value(-1.0)
+            slab_piecewise(example_spec)(-1.0)
 
 
 class TestScpProfile:
     def test_small_volume_ball(self, example_spec):
-        value = scp_piecewise(example_spec).value(1.0)
-        assert value.regime == "ball"
-        assert rel(value.area, EUCLID4_AT_1) < 1e-12
+        area, seg = scp_piecewise(example_spec).values([1.0])[0]
+        assert seg.regime == "ball"
+        assert rel(area, EUCLID4_AT_1) < 1e-12
 
     def test_large_volume_slab(self, example_spec):
-        value = scp_piecewise(example_spec).value(1e6)
-        assert value.regime == "slab"
-        assert rel(value.area, 4 * math.pi * 1e3) < 1e-12
+        area, seg = scp_piecewise(example_spec).values([1e6])[0]
+        assert seg.regime == "slab"
+        assert rel(area, 4 * math.pi * 1e3) < 1e-12
 
     def test_value_near_first_threshold(self, example_spec):
-        value = scp_piecewise(example_spec).value(CN_EXAMPLE)
-        assert value.regime == "ball"
-        assert rel(value.area, K_EXAMPLE) < 1e-12
-        assert rel(value.area, 4 * math.pi) < 1e-4
+        area, seg = scp_piecewise(example_spec).values([CN_EXAMPLE])[0]
+        assert seg.regime == "ball"
+        assert rel(area, K_EXAMPLE) < 1e-12
+        assert rel(area, 4 * math.pi) < 1e-4
 
     def test_matches_brute_force_on_grid(self, example_spec):
         for v in np.geomspace(1e-3, 1e6, 60):
-            closed = scp_piecewise(example_spec).value(float(v))
+            closed = scp_piecewise(example_spec)(float(v))
             brute, winner = candidate_min_area(example_spec, float(v))
-            assert rel(closed.area, brute) < 1e-9
+            assert rel(closed, brute) < 1e-9
 
     def test_guards(self, example_spec):
         with pytest.raises(GuardError):
@@ -244,9 +244,9 @@ class TestPiecewise:
 
     def test_euclidean_selector(self):
         # The R^4 profile is one ball power law with exponent 3/4.
-        small, large = euclidean_profile(4, 1.0), euclidean_profile(4, 16.0)
-        assert math.log(large.area / small.area, 16.0) == pytest.approx(0.75)
-        assert small.regime == large.regime == "ball"
+        (small, small_seg), (large, large_seg) = euclidean_piecewise(4).values([1.0, 16.0])
+        assert math.log(large / small, 16.0) == pytest.approx(0.75)
+        assert small_seg.regime == large_seg.regime == "ball"
 
     def test_strictly_increasing(self, example_spec):
         for profile in (
@@ -295,8 +295,8 @@ class TestEnvelope:
     def test_k1_is_circle_profile(self):
         spec = TorusProductSpec((1.3,), 3)
         for v in np.geomspace(0.1, 1e4, 12):
-            left = envelope_piecewise(spec).value(float(v))
-            right = circle_piecewise(3, 1.3).value(float(v))
+            left = envelope_piecewise(spec).values([float(v)])
+            right = circle_piecewise(3, 1.3).values([float(v)])
             assert left == right
 
     def test_minimum_envelope_is_pointwise_min(self):
@@ -321,9 +321,9 @@ class TestEnvelope:
 
     def test_k3_against_brute_force(self, unit_spec3):
         for v in np.geomspace(1e-2, 1e6, 40):
-            closed = envelope_piecewise(unit_spec3).value(float(v))
+            closed = envelope_piecewise(unit_spec3)(float(v))
             brute, _ = candidate_min_area(unit_spec3, float(v))
-            assert rel(closed.area, brute) < 1e-9
+            assert rel(closed, brute) < 1e-9
 
     def test_k3_segment_tags(self, unit_spec3):
         regimes = [s.regime for s in envelope_piecewise(unit_spec3).segments]
@@ -353,5 +353,5 @@ print(json.dumps({{
     result = json.loads(fresh_python(source))
     assert result["array_type"] == "ndarray"
     assert result["array"] == [float(a).hex() for a in profile(np.array(volumes))]
-    expected = [["float", profile.value(v).area.hex()] for v in [*volumes, 7.0]]
+    expected = [["float", profile(v).hex()] for v in [*volumes, 7.0]]
     assert result["scalars"] == expected

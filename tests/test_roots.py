@@ -86,8 +86,6 @@ class TestSolveIncreasing:
         with pytest.raises(DomainError, match=r"\[1e-15, 1e-06\]"):
             solve_power_gap(1.0, 2 / 3, 1.0, 0.5, 0.0, tolerance=1e-16)
         assert solve_increasing(lambda x: x, 1.0, tolerance=1e-15).tolerance == 1e-15
-        with pytest.raises(DomainError):
-            solve_increasing(lambda x: x, 1.0, max_iter=0)
 
 
 class TestSolvePowerGap:

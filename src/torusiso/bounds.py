@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter, gt
 from typing import TYPE_CHECKING, Sequence
 
 from .criticals import T2Criticals, T3Criticals, full_report
@@ -30,6 +32,10 @@ from .roots import DEFAULT_TOLERANCE
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Relative slack within which a lower bound above the envelope is taken as
+# touching it (rounding), and clamped to it.
+_TOUCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,16 +79,36 @@ class BandRow:
 
 @dataclass(frozen=True)
 class BoundBand:
-    """Per-volume bound rows; lower <= upper holds on every row."""
+    """Bound columns over a volume grid; lower <= upper holds on every row.
 
-    rows: tuple[BandRow, ...]
+    Row i is ``(v[i], upper[i], lower[i], upper_regime[i], lower_source[i])``.
+    ``rows`` builds those rows as BandRow objects on first use.
+    """
+
+    v: tuple[float, ...]
+    upper: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper_regime: tuple[str, ...]
+    lower_source: tuple[str, ...]
 
     def __post_init__(self):
-        for row in self.rows:
-            if row.lower > row.upper:
-                raise DomainError(
-                    f"invalid band row at v={row.v}: lower {row.lower} > upper {row.upper}"
-                )
+        columns = (self.v, self.upper, self.lower, self.upper_regime, self.lower_source)
+        if len({len(column) for column in columns}) != 1:
+            raise DomainError(
+                f"band columns differ in length: {[len(column) for column in columns]}"
+            )
+        if any(map(gt, self.lower, self.upper)):
+            i = list(map(gt, self.lower, self.upper)).index(True)
+            raise DomainError(
+                f"invalid band row at v={self.v[i]}: "
+                f"lower {self.lower[i]} > upper {self.upper[i]}"
+            )
+
+    @cached_property
+    def rows(self) -> tuple[BandRow, ...]:
+        return tuple(
+            map(BandRow, self.v, self.upper, self.lower, self.upper_regime, self.lower_source)
+        )
 
 
 def read_curve(path) -> TabulatedCurve:
@@ -200,10 +226,11 @@ def _tangent(anchor: tuple[float, float], samples, v: float) -> float | None:
     return float((c + (a0 - c) * (v - w) / (v0 - w)).max())
 
 
-def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:
+def _offsets(spec: TorusProductSpec, grid: list[float]) -> list[float]:
     """Circle-product profiles shifted down by twice their breakpoint volumes.
 
-    Max over both circle factors, clamped at zero, at every grid volume.
+    Max over both circle factors, clamped at zero, at every (checked) grid
+    volume.
     """
     if spec.circle_count != 2:
         raise GuardError(
@@ -213,10 +240,8 @@ def _offsets(spec: TorusProductSpec, grid: Sequence[float]) -> list[float]:
     best = [0.0] * len(grid)
     for r in spec.radii:
         shift = 2.0 * beta(n, r)
-        for i, (area, _) in enumerate(circle_piecewise(n + 1, r).values(grid)):
-            value = area - shift
-            if value > best[i]:
-                best[i] = value
+        areas, _ = circle_piecewise(n + 1, r)._columns(grid)
+        best = [a - shift if a - shift > b else b for a, b in zip(areas, best)]
     return best
 
 
@@ -239,7 +264,7 @@ def band(
     for v in grid:
         if not (v > 0.0) or not math.isfinite(v):
             raise DomainError(f"grid volumes must be positive, got {v!r}")
-    if any(b < a for a, b in zip(grid, grid[1:])):
+    if any(map(gt, grid, grid[1:])):
         raise DomainError("grid volumes must be sorted ascending")
     if report is None:
         report = full_report(spec, tolerance=tolerance).criticals
@@ -247,19 +272,20 @@ def band(
     envelope = envelope_piecewise(spec)
     lo_anchor = (v_lo, envelope(v_lo))
     hi_anchor = (v_hi, envelope(v_hi))
-    tops = envelope.values(grid)
-    # The grid is sorted, so the rows strictly inside (v_lo, v_hi) are one slice.
+    tops, segs = envelope._columns(grid)
+    # The grid is sorted, so the rows strictly inside (v_lo, v_hi) are one
+    # slice; the exact rows outside it take the upper value as their lower.
     first, stop = bisect_right(grid, v_lo), bisect_left(grid, v_hi)
     samples = [_samples(curve) for curve in curves]
     if spec.circle_count == 2:
         offsets = _offsets(spec, grid[first:stop])
 
-    rows = []
-    for i, (v, (top, seg)) in enumerate(zip(grid, tops)):
-        if not first <= i < stop:
-            rows.append(BandRow(v, top, top, seg.regime, "exact"))
-            continue
+    lowers, sources = [], []
+    for i in range(first, stop):
+        v, top = grid[i], tops[i]
         lower = _chord(lo_anchor, hi_anchor, v)
+        if top < lower <= top * (1.0 + _TOUCH_RTOL):
+            lower = top  # the rounded chord touches the envelope
         source = "chord"
         for curve, curve_samples in zip(curves, samples):
             for anchor, tag in ((lo_anchor, "tangent-left"), (hi_anchor, "tangent-right")):
@@ -267,7 +293,7 @@ def band(
                 if value is None:
                     continue
                 if value > top:
-                    if value > top * (1.0 + 1e-9):
+                    if value > top * (1.0 + _TOUCH_RTOL):
                         # A genuine lower-bound curve can never push the band
                         # above the candidate envelope.
                         label = curve.label or "unlabeled"
@@ -283,5 +309,12 @@ def band(
             offset = offsets[i - first]
             if lower < offset <= top:
                 lower, source = offset, "cylinder-offset"
-        rows.append(BandRow(v, top, lower, seg.regime, source))
-    return BoundBand(tuple(rows))
+        lowers.append(lower)
+        sources.append(source)
+    return BoundBand(
+        tuple(grid),
+        tuple(tops),
+        (*tops[:first], *lowers, *tops[stop:]),
+        tuple(map(attrgetter("regime"), segs)),
+        ("exact",) * first + tuple(sources) + ("exact",) * (len(grid) - stop),
+    )

@@ -113,17 +113,17 @@ def parse_grid(text: str) -> list[float]:
     import numpy as np  # loaded here only: one-volume commands start without it
 
     points = np.geomspace(lo, hi, count) if mode == "log" else np.linspace(lo, hi, count)
-    return [float(v) for v in points]
+    return points.tolist()
 
 
 def cmd_profile(args) -> int:
     spec, _ = load_spec_file(args.spec)
     grid = [args.v] if args.v is not None else parse_grid(args.grid)
-    rows = envelope_piecewise(spec).values(grid)
-    out = sys.stdout
-    out.write("v,area,regime\n")
-    for v, (area, seg) in zip(grid, rows):
-        out.write(f"{_fmt(v)},{_fmt(area)},{seg.regime}\n")
+    areas, segments = envelope_piecewise(spec).values(grid)
+    # "%.17g" gives the bytes of _fmt; one format call and one write per table.
+    lines = ["v,area,regime\n"]
+    lines += ["%.17g,%.17g,%s\n" % (v, a, s.regime) for v, a, s in zip(grid, areas, segments)]
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 
@@ -190,13 +190,16 @@ def cmd_bounds(args) -> int:
     grid = parse_grid(args.grid)
     curves = [bounds.read_curve(path) for path in args.curve]
     result = bounds.band(spec, grid, curves, tolerance=tolerance)
-    out = sys.stdout
-    out.write("v,upper,lower,upper_regime,lower_source\n")
-    for row in result.rows:
-        out.write(
-            f"{_fmt(row.v)},{_fmt(row.upper)},{_fmt(row.lower)},"
-            f"{row.upper_regime},{row.lower_source}\n"
-        )
+    lines = ["v,upper,lower,upper_regime,lower_source\n"]
+    for v, upper, lower, regime, source in zip(
+        result.v, result.upper, result.lower, result.upper_regime, result.lower_source
+    ):
+        if source == "exact":  # band gives an exact row lower == upper
+            top = "%.17g" % upper
+            lines.append("%.17g,%s,%s,%s,exact\n" % (v, top, top, regime))
+        else:
+            lines.append("%.17g,%.17g,%.17g,%s,%s\n" % (v, upper, lower, regime, source))
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

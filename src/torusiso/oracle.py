@@ -222,7 +222,8 @@ def _profile_agreement(spec: TorusProductSpec, points: int) -> CheckResult:
 
     volumes = [float(v) for v in np.geomspace(1e-3, 1e6, points)]
     worst = 0.0
-    for v, (closed, _) in zip(volumes, profiles.envelope_piecewise(spec).values(volumes)):
+    closed_areas, _ = profiles.envelope_piecewise(spec).values(volumes)
+    for v, closed in zip(volumes, closed_areas):
         brute, _ = candidate_min_area(spec, v)
         worst = max(worst, abs(closed - brute) / brute)
     return CheckResult(

@@ -30,7 +30,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 from .errors import DomainError, GuardError
 from .mensuration import (
@@ -102,10 +101,10 @@ class PiecewiseProfile:
 
     There are three evaluators, and all follow it: the scalar or ndarray
     ``__call__`` (the area), ``segment_at`` (the winning power law) and
-    ``values`` (an ``(area, segment)`` row per volume; ``segment.regime``
-    names the winning family). The scalar ones give the same bits: for
-    radii (1, 1), n = 2 at v = beta(3, 1) each gives area
-    224.84192526231706 from the ball segment.
+    ``values`` (an ``(areas, segments)`` pair of columns over a volume
+    grid; ``segment.regime`` names the winning family). The scalar ones
+    give the same bits: for radii (1, 1), n = 2 at v = beta(3, 1) each
+    gives area 224.84192526231706 from the ball segment.
     """
 
     segments: tuple[PowerSegment, ...]
@@ -133,13 +132,14 @@ class PiecewiseProfile:
                     f"discontinuity at breakpoint {left.v_hi}: {a} vs {b}"
                 )
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_cuts", tuple(seg.v_hi for seg in segs[:-1]))
 
     def segment_at(self, v: float) -> PowerSegment:
         """The segment whose power law gives the profile's value at v.
 
         For a minimum envelope this is a segment of the winning candidate.
         """
-        return self._rows([_check_volume(v)])[0][1]
+        return self._columns([_check_volume(v)])[1][0]
 
     def __call__(self, v):
         """Evaluate the profile at a positive scalar volume or numpy array.
@@ -160,39 +160,55 @@ class PiecewiseProfile:
                 raise DomainError("volumes must be positive")
             if self.candidates:
                 return np.minimum.reduce([c(v) for c in self.candidates])
-            index = np.searchsorted(self.breakpoints(), v, side="left")
+            index = np.searchsorted(self._cuts, v, side="left")
             out = np.empty(v.shape, dtype=float)
             for i, seg in enumerate(self.segments):
                 mask = index == i
                 out[mask] = seg.value(v[mask])
             return out
-        return self._rows([_check_volume(v)])[0][0]
+        return self._area(_check_volume(v))
 
-    def values(self, volumes) -> list[tuple[float, PowerSegment]]:
-        """Evaluate a volume grid as ``(area, segment)`` rows.
-
-        Each row has the bits of the scalar ``__call__`` and ``segment_at``.
-        Areas use Python float pow: numpy's array pow differs from it in
-        the last bit for some volumes, which would change printed digits.
-        """
-        return self._rows([_check_volume(v) for v in volumes])
-
-    def _rows(self, volumes: list[float]) -> list[tuple[float, PowerSegment]]:
-        # The breakpoint rule, for checked volumes: (area, segment) pairs.
-        # Plain tuples keep the candidate columns of an envelope cheap.
+    def _area(self, v: float) -> float:
+        # The scalar area at a checked volume; ties between candidates give
+        # equal areas, so the plain minimum follows the breakpoint rule.
         if self.candidates:
-            columns = [c._rows(volumes) for c in self.candidates]
-            return [min(row, key=itemgetter(0)) for row in zip(*columns)]
-        cuts = self.breakpoints()
-        segments = self.segments
-        rows = []
-        for v in volumes:
-            seg = segments[bisect_left(cuts, v)]
-            rows.append((seg.coeff * v**seg.exponent, seg))
-        return rows
+            return min([c._area(v) for c in self.candidates])
+        seg = self.segments[bisect_left(self._cuts, v)]
+        return seg.coeff * v**seg.exponent
+
+    def values(self, volumes) -> tuple[list[float], list[PowerSegment]]:
+        """Evaluate a volume grid as two columns, ``(areas, segments)``.
+
+        Row i has the bits of the scalar ``__call__`` and ``segment_at`` at
+        ``volumes[i]``. Areas use Python float pow: numpy's array pow differs
+        from it in the last bit for some volumes, which would change printed
+        digits.
+        """
+        return self._columns([_check_volume(v) for v in volumes])
+
+    def _columns(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
+        # values() without the volume checks, for callers that checked the
+        # grid already.
+        if self.candidates:
+            first, *rest = self.candidates
+            areas, segs = first._columns(volumes)
+            for candidate in rest:
+                # The breakpoint rule: a later candidate wins a row only
+                # when its area is strictly smaller.
+                c_areas, c_segs = candidate._columns(volumes)
+                segs = [t if b < a else s for a, b, s, t in zip(areas, c_areas, segs, c_segs)]
+                areas = [b if b < a else a for a, b in zip(areas, c_areas)]
+            return areas, segs
+        if len(self.segments) == 1:
+            seg = self.segments[0]
+            coeff, exponent = seg.coeff, seg.exponent
+            return [coeff * v**exponent for v in volumes], [seg] * len(volumes)
+        cuts, segments = self._cuts, self.segments
+        segs = [segments[bisect_left(cuts, v)] for v in volumes]
+        return [s.coeff * v**s.exponent for v, s in zip(volumes, segs)], segs
 
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(seg.v_hi for seg in self.segments[:-1])
+        return self._cuts
 
     def solve_value(self, area: float) -> float:
         """Volume at which this (strictly increasing) profile reaches ``area``."""

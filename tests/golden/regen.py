@@ -88,9 +88,9 @@ def curve_texts(spec: TorusProductSpec) -> list[str]:
     texts = []
     for scale, count in ((0.97, 9), (0.5, 25)):
         ws = [float(w) for w in np.geomspace(v_lo / 2.0, v_hi * 2.0, count)]
-        values = envelope_piecewise(spec).values(ws)
+        areas, _ = envelope_piecewise(spec).values(ws)
         lines = [f"# label: envelope x {scale}", "# certified_lower_bound: yes", "v,area"]
-        lines += [f"{w!r},{scale * value.area!r}" for w, value in zip(ws, values)]
+        lines += [f"{w!r},{scale * area!r}" for w, area in zip(ws, areas)]
         texts.append("\n".join(lines) + "\n")
     return texts
 

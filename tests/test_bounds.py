@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusiso import (
+    BandRow,
+    BoundBand,
     CurveParseError,
     DomainError,
     TabulatedCurve,
@@ -253,6 +255,56 @@ def test_band_validity_property(r1, r2, n, scale):
         assert row.lower <= row.upper
         if row.v <= crit.v_star or row.v >= crit.v_dstar:
             assert row.lower == row.upper
+
+
+class TestBoundBand:
+    def test_refusal_names_the_first_offending_row(self):
+        message = r"^invalid band row at v=2\.0: lower 6\.0 > upper 5\.0$"
+        with pytest.raises(DomainError, match=message):
+            BoundBand(
+                (1.0, 2.0, 3.0),
+                (5.0, 5.0, 5.0),
+                (4.0, 6.0, 7.0),
+                ("ball",) * 3,
+                ("chord",) * 3,
+            )
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(DomainError, match="differ in length"):
+            BoundBand((1.0, 2.0), (5.0, 5.0), (4.0,), ("ball",) * 2, ("chord",) * 2)
+
+    def test_rows_are_the_zipped_columns(self, example_spec, example_report):
+        result = band(example_spec, np.geomspace(0.1, 200.0, 40), report=example_report)
+        columns = (result.v, result.upper, result.lower, result.upper_regime, result.lower_source)
+        assert all(isinstance(column, tuple) for column in columns)
+        assert isinstance(result.rows, tuple)
+        assert all(type(row) is BandRow for row in result.rows)
+        assert result.rows == tuple(BandRow(*row) for row in zip(*columns))
+        assert result.rows is result.rows
+
+
+# Specs whose rounded chord lies a few ulps above the envelope just inside a
+# threshold (it touches the envelope there); the band clamps it to the
+# envelope instead of refusing the row.
+CHORD_TOUCH_SPECS = [
+    TorusProductSpec((0.46373542652131605, 4.53029577031198), 5),
+    TorusProductSpec((0.29580361049067844, 1.1055546140145887, 1.119819119425284), 4),
+]
+
+
+@pytest.mark.parametrize("spec", CHORD_TOUCH_SPECS, ids=["k2-n5", "k3-n4"])
+def test_chord_touching_the_envelope_is_clamped(spec):
+    report = full_report(spec).criticals
+    lo, hi = bounds_mod._thresholds(report)
+    grid = set()
+    for threshold, inward in ((lo, math.inf), (hi, 0.0)):
+        v = threshold
+        for _ in range(50):
+            v = math.nextafter(v, inward)
+            grid.add(v)
+    result = band(spec, sorted(grid), report=report)
+    assert set(result.lower_source) <= {"chord", "cylinder-offset"}
+    assert all(lower <= upper for lower, upper in zip(result.lower, result.upper))
 
 
 class TestCurveFile:

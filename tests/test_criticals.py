@@ -254,7 +254,7 @@ class TestFullReport:
         # scp at v_star equals the circle branch there, tying the report to
         # the profile surface.
         report = full_report(example_spec)
-        area, seg = scp_piecewise(example_spec).values([report.criticals.v_star])[0]
+        (area,), (seg,) = scp_piecewise(example_spec).values([report.criticals.v_star])
         assert seg.regime == "ball"
         assert rel(area, report.criticals.K_star) < 1e-11
 

@@ -127,6 +127,8 @@ def reference_rows(spec, grid, curves, report):
             rows.append((v, top, top, regime, "exact"))
             continue
         lower, source = chord_reference(lo_anchor, hi_anchor, v), "chord"
+        if top < lower <= top * (1.0 + 1e-9):
+            lower = top  # a rounded chord touching the envelope
         for curve in curves:
             for anchor, tag in ((lo_anchor, "tangent-left"), (hi_anchor, "tangent-right")):
                 value = tangent_reference(anchor, curve, v)
@@ -151,9 +153,10 @@ def csv_num(x):
     return format(x, ".17g")
 
 
-def regime_rows(rows):
-    """(area, segment) rows from PiecewiseProfile.values as (area, regime) pairs."""
-    return [(area, seg.regime) for area, seg in rows]
+def regime_rows(columns):
+    """(areas, segments) columns from PiecewiseProfile.values as (area, regime) rows."""
+    areas, segments = columns
+    return [(area, seg.regime) for area, seg in zip(areas, segments)]
 
 
 @pytest.mark.parametrize("with_curves", [False, True], ids=["bare", "two-curves"])

@@ -49,7 +49,7 @@ def ball_area_oracle(m, v):
 
 class TestEuclideanProfile:
     def test_unit_ball(self):
-        area, seg = euclidean_piecewise(3).values([4 * math.pi / 3])[0]
+        (area,), (seg,) = euclidean_piecewise(3).values([4 * math.pi / 3])
         assert math.isclose(area, 4 * math.pi, rel_tol=1e-12)
         assert seg.regime == "ball"
 
@@ -118,14 +118,14 @@ class TestAlphaAndContinuity:
 
 class TestCircleProfile:
     def test_small_volume_equals_euclidean(self):
-        area, seg = circle_piecewise(3, SQRT_PI_RADIUS).values([1.0])[0]
+        (area,), (seg,) = circle_piecewise(3, SQRT_PI_RADIUS).values([1.0])
         assert seg.regime == "ball"
         assert rel(area, EUCLID4_AT_1) < 1e-12
         brute, _ = candidate_min_area(TorusProductSpec((SQRT_PI_RADIUS,), 3), 1.0)
         assert rel(area, brute) < 1e-12
 
     def test_cylinder_branch_closed_form(self):
-        area, seg = circle_piecewise(2, 1.0).values([100.0])[0]
+        (area,), (seg,) = circle_piecewise(2, 1.0).values([100.0])
         assert seg.regime == "cylinder"
         assert rel(area, 20 * math.pi * math.sqrt(2)) < 1e-12
 
@@ -150,7 +150,7 @@ class TestCircleProfile:
 class TestSlabProfiles:
     def test_example_torus_closed_form(self, example_spec):
         for v in np.geomspace(1e-3, 1e6, 20):
-            area, seg = slab_piecewise(example_spec).values([float(v)])[0]
+            (area,), (seg,) = slab_piecewise(example_spec).values([float(v)])
             assert seg.regime == "slab"
             assert rel(area, 4 * math.pi * math.sqrt(v)) < 1e-12
 
@@ -189,17 +189,17 @@ class TestSlabProfiles:
 
 class TestScpProfile:
     def test_small_volume_ball(self, example_spec):
-        area, seg = scp_piecewise(example_spec).values([1.0])[0]
+        (area,), (seg,) = scp_piecewise(example_spec).values([1.0])
         assert seg.regime == "ball"
         assert rel(area, EUCLID4_AT_1) < 1e-12
 
     def test_large_volume_slab(self, example_spec):
-        area, seg = scp_piecewise(example_spec).values([1e6])[0]
+        (area,), (seg,) = scp_piecewise(example_spec).values([1e6])
         assert seg.regime == "slab"
         assert rel(area, 4 * math.pi * 1e3) < 1e-12
 
     def test_value_near_first_threshold(self, example_spec):
-        area, seg = scp_piecewise(example_spec).values([CN_EXAMPLE])[0]
+        (area,), (seg,) = scp_piecewise(example_spec).values([CN_EXAMPLE])
         assert seg.regime == "ball"
         assert rel(area, K_EXAMPLE) < 1e-12
         assert rel(area, 4 * math.pi) < 1e-4
@@ -244,7 +244,7 @@ class TestPiecewise:
 
     def test_euclidean_selector(self):
         # The R^4 profile is one ball power law with exponent 3/4.
-        (small, small_seg), (large, large_seg) = euclidean_piecewise(4).values([1.0, 16.0])
+        (small, large), (small_seg, large_seg) = euclidean_piecewise(4).values([1.0, 16.0])
         assert math.log(large / small, 16.0) == pytest.approx(0.75)
         assert small_seg.regime == large_seg.regime == "ball"
 

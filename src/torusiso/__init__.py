@@ -21,7 +21,6 @@ _EXPORTS = {
     "T2Criticals": "criticals",
     "T3Criticals": "criticals",
     "full_report": "criticals",
-    "sphere_cylinder_crossing": "criticals",
     "ConsistencyError": "errors",
     "ConvergenceError": "errors",
     "CurveParseError": "errors",

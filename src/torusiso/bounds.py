@@ -25,7 +25,7 @@ from operator import attrgetter, gt
 from typing import TYPE_CHECKING, Sequence
 
 from .criticals import T2Criticals, T3Criticals, full_report
-from .errors import CurveParseError, DomainError, GuardError
+from .errors import CurveParseError, DomainError
 from .mensuration import TorusProductSpec
 from .profiles import beta, circle_piecewise, envelope_piecewise
 from .roots import DEFAULT_TOLERANCE
@@ -232,10 +232,6 @@ def _offsets(spec: TorusProductSpec, grid: list[float]) -> list[float]:
     Max over both circle factors, clamped at zero, at every (checked) grid
     volume.
     """
-    if spec.circle_count != 2:
-        raise GuardError(
-            f"the offset bound needs exactly 2 circle factors, got {spec.circle_count}"
-        )
     n = spec.euclid_dim
     best = [0.0] * len(grid)
     for r in spec.radii:

@@ -25,7 +25,7 @@ from .errors import (
     GuardError,
     SpecFileError,
 )
-from .mensuration import EUCLID_DIM_RANGES, TorusProductSpec
+from .mensuration import TorusProductSpec
 from .profiles import envelope_piecewise
 from .roots import DEFAULT_TOLERANCE, MAX_TOLERANCE, MIN_TOLERANCE
 
@@ -78,14 +78,6 @@ def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
         raise SpecFileError(
             f"spec field 'tolerance' must be in [{MIN_TOLERANCE}, 1), got {tolerance}"
         )
-    ranges = EUCLID_DIM_RANGES.get(len(radii))
-    if ranges is not None:
-        lo, hi = ranges
-        if not lo <= euclid_dim <= hi:
-            raise GuardError(
-                f"a {len(radii)}-circle spec requires {lo} <= euclid_dim <= {hi}, "
-                f"got {euclid_dim}"
-            )
     spec = TorusProductSpec(tuple(_spec_float(r, "radii") for r in radii), euclid_dim)
     return spec, min(float(tolerance), MAX_TOLERANCE)
 

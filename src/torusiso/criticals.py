@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConsistencyError, GuardError
-from .mensuration import EUCLID_DIM_RANGES, TWO_PI, TorusProductSpec, unit_ball_volume
+from .mensuration import TWO_PI, TorusProductSpec, unit_ball_volume
 from .profiles import (
     PiecewiseProfile,
     beta,
@@ -49,12 +49,7 @@ from .profiles import (
     euclidean_piecewise,
     slab_piecewise,
 )
-from .roots import (
-    DEFAULT_TOLERANCE,
-    solve_increasing,
-    solve_piecewise_gap,
-    solve_power_gap,
-)
+from .roots import DEFAULT_TOLERANCE, solve_increasing, solve_piecewise_gap
 
 _IDENTITY_RTOL = 1e-9
 
@@ -109,15 +104,6 @@ class CriticalReport:
     sub_reports: dict[str, "CriticalReport"] = field(default_factory=dict)
 
 
-def _require_pipeline(spec: TorusProductSpec, k: int, name: str) -> None:
-    lo, hi = EUCLID_DIM_RANGES[k]
-    if not lo <= spec.euclid_dim <= hi:
-        raise GuardError(
-            f"the {name} pipeline requires {lo} <= euclid_dim <= {hi}, "
-            f"got {spec.euclid_dim}"
-        )
-
-
 def _balance_equation(radius: float, ball: PiecewiseProfile):
     """x -> pi * radius * ball(x) + x, for the ball law of some R^m."""
 
@@ -139,7 +125,6 @@ def _derived(kind: type, records: dict[str, ConstantRecord]):
 
 
 def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
-    _require_pipeline(spec, 2, "two-circle")
     r1, r2 = spec.radii
     n = spec.euclid_dim
     beta_1 = beta(n, r1)
@@ -241,29 +226,7 @@ def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     return CriticalReport(spec, "two-torus", c, records)
 
 
-def sphere_cylinder_crossing(
-    spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
-) -> float:
-    """Volume where spheres hand over to round cylinders in T^2 x R^1.
-
-    The crossing of the Euclidean 3-ball area law with the area law of the
-    smallest-circle-cross-disk family; for the square torus of area 4 pi
-    this is 32 pi^(5/2) / 81.
-    """
-    if spec.circle_count != 2 or spec.euclid_dim != 1:
-        raise GuardError(
-            "the sphere/cylinder crossing is defined for 2 circle factors "
-            f"with euclid_dim = 1, got k={spec.circle_count}, n={spec.euclid_dim}"
-        )
-    r1 = spec.radii[0]
-    sphere_coeff = 3.0 * unit_ball_volume(3) ** (1.0 / 3.0)
-    cyl_coeff = 2.0 * (TWO_PI * r1 * unit_ball_volume(2)) ** 0.5
-    result = solve_power_gap(sphere_coeff, 2.0 / 3.0, cyl_coeff, 0.5, 0.0, tolerance=tolerance)
-    return result.root
-
-
 def _t3_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
-    _require_pipeline(spec, 3, "three-circle")
     r1, r2, r3 = spec.radii
     n = spec.euclid_dim
     sub_n = _t2_report(TorusProductSpec((r1, r2), n), tolerance)

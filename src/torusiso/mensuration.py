@@ -18,11 +18,9 @@ TWO_PI = 2.0 * math.pi
 
 # Euclidean dimensions n each circle count k is supported on: the k = 1
 # profile is known for 2 <= n <= 7, the two- and three-circle envelopes and
-# threshold pipelines for the smaller ranges. Profiles, pipelines, the CLI
-# and the TorusProductSpec caps all read this one table.
+# threshold pipelines for the smaller ranges. TorusProductSpec enforces this
+# one table, so every spec downstream code sees is in range.
 EUCLID_DIM_RANGES = {1: (2, 7), 2: (2, 5), 3: (2, 4)}
-MAX_CIRCLE_FACTORS = max(EUCLID_DIM_RANGES)
-MAX_EUCLID_DIM = max(hi for _, hi in EUCLID_DIM_RANGES.values())
 
 
 def _gamma_half(twice_x: int) -> float:
@@ -63,9 +61,9 @@ class TorusProductSpec:
 
     ``radii`` are the circle radii, stored sorted ascending (a circle of
     radius r has circumference 2 pi r); ``euclid_dim`` is the dimension of
-    the Euclidean factor. At most three circles and euclid_dim <= 7 are
-    accepted: outside those ranges the downstream formulas are unvalidated,
-    so construction fails loudly instead.
+    the Euclidean factor. Exactly the (circle count, euclid_dim) pairs of
+    EUCLID_DIM_RANGES are accepted: outside them the downstream formulas are
+    unvalidated, so construction fails loudly instead.
     """
 
     radii: tuple[float, ...]
@@ -73,10 +71,12 @@ class TorusProductSpec:
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
-        if len(radii) > MAX_CIRCLE_FACTORS:
+        k = len(radii)
+        if k == 0:
+            raise GuardError("at least 1 circle factor is required, got 0")
+        if k not in EUCLID_DIM_RANGES:
             raise GuardError(
-                f"at most {MAX_CIRCLE_FACTORS} circle factors are supported, "
-                f"got {len(radii)}"
+                f"at most {max(EUCLID_DIM_RANGES)} circle factors are supported, got {k}"
             )
         for r in radii:
             if not (r > 0.0) or not math.isfinite(r):
@@ -84,8 +84,9 @@ class TorusProductSpec:
         n = self.euclid_dim
         if not isinstance(n, int) or isinstance(n, bool):
             raise DomainError(f"euclid_dim must be an integer, got {n!r}")
-        if not 1 <= n <= MAX_EUCLID_DIM:
-            raise GuardError(f"euclid_dim must be in [1, {MAX_EUCLID_DIM}], got {n}")
+        lo, hi = EUCLID_DIM_RANGES[k]
+        if not lo <= n <= hi:
+            raise GuardError(f"a {k}-circle spec requires {lo} <= euclid_dim <= {hi}, got {n}")
         object.__setattr__(self, "radii", tuple(sorted(radii)))
 
     @property

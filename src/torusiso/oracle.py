@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import profiles
 from .criticals import CriticalReport, T2Criticals, full_report
-from .errors import DomainError, GuardError
+from .errors import DomainError
 from .mensuration import (
     TWO_PI,
     CandidateRegion,
@@ -26,6 +26,12 @@ from .mensuration import (
     unit_ball_volume,
 )
 from .roots import DEFAULT_TOLERANCE
+
+# verify_spec's fixed effort: profile-vs-oracle volumes, points per
+# sign-change scan, and the residual tolerance for every reported constant.
+_PROFILE_POINTS = 160
+_SCAN_STEPS = 200_000
+_CHECK_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,9 @@ def report_residuals(report: CriticalReport) -> dict[str, Callable[[float], floa
     return t3_residuals(report)
 
 
-def verify_report(report: CriticalReport, *, tolerance: float = 1e-9) -> list[CheckResult]:
+def verify_report(
+    report: CriticalReport, *, tolerance: float = _CHECK_TOLERANCE
+) -> list[CheckResult]:
     """bisect_verify every reported constant against its defining residual."""
     residuals = report_residuals(report)
     results = []
@@ -217,10 +225,10 @@ def verify_report(report: CriticalReport, *, tolerance: float = 1e-9) -> list[Ch
     return results
 
 
-def _profile_agreement(spec: TorusProductSpec, points: int) -> CheckResult:
+def _profile_agreement(spec: TorusProductSpec) -> CheckResult:
     import numpy as np
 
-    volumes = [float(v) for v in np.geomspace(1e-3, 1e6, points)]
+    volumes = [float(v) for v in np.geomspace(1e-3, 1e6, _PROFILE_POINTS)]
     worst = 0.0
     closed_areas, _ = profiles.envelope_piecewise(spec).values(volumes)
     for v, closed in zip(volumes, closed_areas):
@@ -231,28 +239,18 @@ def _profile_agreement(spec: TorusProductSpec, points: int) -> CheckResult:
     )
 
 
-def verify_spec(
-    spec: TorusProductSpec,
-    *,
-    profile_points: int = 160,
-    scan_steps: int = 200_000,
-    tolerance: float = 1e-9,
-) -> list[CheckResult]:
+def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
     """Full oracle suite for one spec: profiles, constants and scans.
 
     Uses fixed internal tolerances regardless of what a spec file asked
     for; the point is to check the reported numbers, not to re-derive them.
     """
-    if spec.circle_count not in (1, 2, 3):
-        raise GuardError(
-            f"verification needs 1, 2 or 3 circle factors, got {spec.circle_count}"
-        )
-    checks = [_profile_agreement(spec, profile_points)]
+    checks = [_profile_agreement(spec)]
     if spec.circle_count == 1:
         return checks
 
     report = full_report(spec, tolerance=DEFAULT_TOLERANCE)
-    checks.extend(verify_report(report, tolerance=tolerance))
+    checks.extend(verify_report(report))
 
     import numpy as np
 
@@ -265,7 +263,7 @@ def verify_spec(
             target = profiles.beta(n, r)
             ball, cyl = profiles.circle_piecewise(n, r).segments
             scan = crossing_scan(
-                ball.value, cyl.value, target * 1e-3, target * 1e3, scan_steps
+                ball.value, cyl.value, target * 1e-3, target * 1e3, _SCAN_STEPS
             )
             ok = scan.found and scan.bracket[0] <= target <= scan.bracket[1]
             checks.append(
@@ -280,7 +278,7 @@ def verify_spec(
                 lambda x, off=offset: np.full_like(x, off),
                 root * 1e-2,
                 root * 1e2,
-                scan_steps,
+                _SCAN_STEPS,
             )
             ok = scan.found and scan.bracket[0] <= root <= scan.bracket[1]
             checks.append(CheckResult(f"scan:{name}", ok, f"bracket={scan.bracket}"))
@@ -295,7 +293,7 @@ def verify_spec(
             lambda x: np.full_like(x, target),
             crossing * 1e-2,
             crossing * 1e2,
-            scan_steps,
+            _SCAN_STEPS,
         )
         ok = scan.found and scan.bracket[0] <= crossing <= scan.bracket[1]
         checks.append(CheckResult("scan:u_slab_crossing", ok, f"bracket={scan.bracket}"))

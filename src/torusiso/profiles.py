@@ -68,10 +68,8 @@ class PowerSegment:
     def __post_init__(self):
         if not (self.coeff > 0.0) or not math.isfinite(self.coeff):
             raise DomainError(f"segment coefficient must be positive, got {self.coeff!r}")
-        # Exponent 0 (a constant segment) only arises for the degenerate
-        # one-dimensional slab; everything else lies in (0, 1].
-        if not 0.0 <= self.exponent <= 1.0:
-            raise DomainError(f"segment exponent must be in [0, 1], got {self.exponent!r}")
+        if not 0.0 < self.exponent <= 1.0:
+            raise DomainError(f"segment exponent must be in (0, 1], got {self.exponent!r}")
         if not (0.0 <= self.v_lo < self.v_hi):
             raise DomainError(f"bad segment domain ({self.v_lo}, {self.v_hi}]")
 
@@ -81,8 +79,6 @@ class PowerSegment:
 
     def solve_value(self, area: float) -> float:
         """Volume at which this power law takes the given area value."""
-        if self.exponent == 0.0:
-            raise DomainError("a constant segment cannot be inverted")
         return (area / self.coeff) ** (1.0 / self.exponent)
 
 
@@ -308,11 +304,7 @@ def circle_piecewise(n: int, r: float) -> PiecewiseProfile:
 
 
 def slab_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
-    """Area of (full torus) x B^n: one power law with exponent (n-1)/n.
-
-    For n = 1 it degenerates to the constant 2 * (torus measure), the two
-    flat copies bounding a slab.
-    """
+    """Area of (full torus) x B^n: one power law with exponent (n-1)/n."""
     if spec.circle_count < 2:
         raise GuardError(
             f"slab_piecewise needs 2 or 3 circle factors, got {spec.circle_count}"
@@ -410,7 +402,7 @@ def scp_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
     """
     if spec.circle_count != 2:
         raise GuardError(f"scp_piecewise needs exactly 2 circle factors, got {spec.circle_count}")
-    n = _check_range(spec.euclid_dim, EUCLID_DIM_RANGES[2], "the two-circle envelope")
+    n = spec.euclid_dim
     return minimum_envelope([circle_piecewise(n + 1, spec.radii[0]), slab_piecewise(spec)])
 
 
@@ -424,20 +416,16 @@ def envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
     k = spec.circle_count
     n = spec.euclid_dim
     if k == 1:
-        _check_range(n, EUCLID_DIM_RANGES[1], "the circle-product profile")
         return circle_piecewise(n, spec.radii[0])
     if k == 2:
         return scp_piecewise(spec)
-    if k == 3:
-        _check_range(n, EUCLID_DIM_RANGES[3], "the three-circle envelope")
-        r1, r2, _ = spec.radii
-        two_up = TorusProductSpec((r1, r2), n + 1)
-        return minimum_envelope(
-            [
-                circle_piecewise(n + 2, r1),
-                _retag(slab_piecewise(two_up), "slab2"),
-                slab_piecewise(spec),
-            ]
-        )
-    raise GuardError(f"no candidate envelope for {k} circle factors")
+    r1, r2, _ = spec.radii
+    two_up = TorusProductSpec((r1, r2), n + 1)
+    return minimum_envelope(
+        [
+            circle_piecewise(n + 2, r1),
+            _retag(slab_piecewise(two_up), "slab2"),
+            slab_piecewise(spec),
+        ]
+    )
 

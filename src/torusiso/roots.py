@@ -118,7 +118,6 @@ def solve_increasing(
     target: float,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    bracket_hint: tuple[float, float] | None = None,
 ) -> RootResult:
     """Unique root of a strictly increasing, unbounded expression on (0, inf).
 
@@ -127,42 +126,33 @@ def solve_increasing(
     ConvergenceError when bracketing or bisection runs out of budget.
     """
     _validate_request(tolerance)
-    iterations = 0
-    if bracket_hint is not None:
-        lo, hi = bracket_hint
-        if not 0.0 < lo <= hi:
-            raise DomainError(f"bad bracket hint {bracket_hint!r}")
-        iterations = 2
-        if not (f(lo) <= target <= f(hi)):
-            raise DomainError(f"bracket hint {bracket_hint!r} does not straddle the target")
-    else:
-        x = 1.0
-        fx = f(x)
-        iterations = 1
-        if fx <= target:
-            lo = hi = x
-            for _ in range(_MAX_DOUBLINGS):
-                hi *= 2.0
-                iterations += 1
-                if f(hi) >= target:
-                    break
-                lo = hi
-            else:
-                raise ConvergenceError(
-                    "no upper bracket found while doubling", bracket=(lo, hi)
-                )
+    x = 1.0
+    fx = f(x)
+    iterations = 1
+    if fx <= target:
+        lo = hi = x
+        for _ in range(_MAX_DOUBLINGS):
+            hi *= 2.0
+            iterations += 1
+            if f(hi) >= target:
+                break
+            lo = hi
         else:
-            lo = hi = x
-            for _ in range(_MAX_DOUBLINGS):
-                lo *= 0.5
-                iterations += 1
-                if f(lo) <= target:
-                    break
-                hi = lo
-            else:
-                raise DomainError(
-                    f"target {target} lies below the expression's infimum"
-                )
+            raise ConvergenceError(
+                "no upper bracket found while doubling", bracket=(lo, hi)
+            )
+    else:
+        lo = hi = x
+        for _ in range(_MAX_DOUBLINGS):
+            lo *= 0.5
+            iterations += 1
+            if f(lo) <= target:
+                break
+            hi = lo
+        else:
+            raise DomainError(
+                f"target {target} lies below the expression's infimum"
+            )
     return _bisect(f, target, lo, hi, tolerance, lambda x: 0.0, iterations)
 
 
@@ -249,7 +239,7 @@ def solve_piecewise_gap(
                             "gap is identically zero on part of the domain"
                         )
                     continue
-                if target == 0.0 or sa.coeff < sb.coeff or sa.exponent == 0.0:
+                if target == 0.0 or sa.coeff < sb.coeff:
                     continue
                 root = (target / (sa.coeff - sb.coeff)) ** (1.0 / sa.exponent)
                 if lo <= root < hi:

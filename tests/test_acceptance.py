@@ -19,7 +19,6 @@ from torusiso import (
     full_report,
     scp_piecewise,
     slab_piecewise,
-    sphere_cylinder_crossing,
     solve_power_gap,
     verify_report,
 )
@@ -72,8 +71,8 @@ def test_criterion_1_example_reproduction():
 
 
 def test_criterion_2_sphere_cylinder_constant():
-    spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 1)
-    value = sphere_cylinder_crossing(spec)
+    # T^2 x R^1: spheres hand over to cylinders about r1 at beta(2, r1).
+    value = beta(2, SQRT_PI_RADIUS)
     exact = 32 * math.pi ** 2.5 / 81
     report_line(2, "sphere/cylinder crossing constant", rel(value, exact) <= 1e-9)
 

@@ -391,7 +391,7 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
             "circle_piecewise", "envelope_piecewise", "euclidean_piecewise",
             "full_report", "minimum_envelope", "read_curve", "scp_piecewise",
             "slab_piecewise", "solve_increasing", "solve_piecewise_gap",
-            "solve_power_gap", "sphere_cylinder_crossing", "unit_ball_volume",
+            "solve_power_gap", "unit_ball_volume",
             "unit_sphere_area", "verify_report", "verify_spec",
         ]
         for name in torusiso.__all__:

@@ -15,7 +15,6 @@ from torusiso import (
     scp_piecewise,
     slab_piecewise,
     solve_power_gap,
-    sphere_cylinder_crossing,
     unit_ball_volume,
 )
 from torusiso.oracle import bisect_verify, crossing_scan
@@ -117,31 +116,23 @@ class TestUnitTorus:
 
 
 class TestSphereCylinderCrossing:
+    # In T^2 x R^1 spheres hand over to round cylinders about the smaller
+    # circle r1 at beta(2, r1): the 3-ball law against the circle-cross-disk law.
     def test_reference_torus(self):
-        spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 1)
-        value = sphere_cylinder_crossing(spec)
+        value = beta(2, SQRT_PI_RADIUS)
         assert rel(value, 32 * math.pi**2.5 / 81) < 1e-9
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
     def test_scaling(self, lam):
-        base = sphere_cylinder_crossing(
-            TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 1)
-        )
-        scaled = sphere_cylinder_crossing(
-            TorusProductSpec((lam * SQRT_PI_RADIUS, lam * SQRT_PI_RADIUS), 1)
-        )
+        base = beta(2, SQRT_PI_RADIUS)
+        scaled = beta(2, lam * SQRT_PI_RADIUS)
         assert rel(scaled, lam**3 * base) < 1e-9
 
     def test_matches_power_gap_directly(self):
-        spec = TorusProductSpec((0.8, 1.1), 1)
         sphere_coeff = 3 * unit_ball_volume(3) ** (1 / 3)
         cyl_coeff = 2 * (2 * math.pi * 0.8 * math.pi) ** 0.5
         direct = solve_power_gap(sphere_coeff, 2 / 3, cyl_coeff, 0.5, 0.0)
-        assert rel(sphere_cylinder_crossing(spec), direct.root) < 1e-12
-
-    def test_guard(self, example_spec):
-        with pytest.raises(GuardError):
-            sphere_cylinder_crossing(example_spec)
+        assert rel(beta(2, 0.8), direct.root) < 1e-12
 
 
 class TestOrderingInvariants:

@@ -9,7 +9,12 @@ from torusiso import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from torusiso.mensuration import CandidateRegion, region_boundary_area, region_volume
+from torusiso.mensuration import (
+    EUCLID_DIM_RANGES,
+    CandidateRegion,
+    region_boundary_area,
+    region_volume,
+)
 
 
 def rel(a, b):
@@ -114,9 +119,24 @@ def test_spec_sorts_radii():
     assert spec.dimension == 5
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_spec_accepts_exactly_the_support_table(k):
+    for n in range(9):
+        if k in EUCLID_DIM_RANGES and EUCLID_DIM_RANGES[k][0] <= n <= EUCLID_DIM_RANGES[k][1]:
+            assert TorusProductSpec((1.0,) * k, n).circle_count == k
+            continue
+        with pytest.raises(GuardError) as refusal:
+            TorusProductSpec((1.0,) * k, n)
+        if k in EUCLID_DIM_RANGES:
+            lo, hi = EUCLID_DIM_RANGES[k]
+            assert f"{lo} <= euclid_dim <= {hi}" in str(refusal.value)
+
+
 def test_spec_guards():
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="at most 3 circle factors are supported, got 4"):
         TorusProductSpec((1.0, 1.0, 1.0, 1.0), 2)
+    with pytest.raises(GuardError, match="at least 1 circle factor is required, got 0"):
+        TorusProductSpec((), 2)
     with pytest.raises(GuardError):
         TorusProductSpec((1.0,), 8)
     with pytest.raises(GuardError):
@@ -125,6 +145,9 @@ def test_spec_guards():
         TorusProductSpec((-1.0,), 2)
     with pytest.raises(DomainError):
         TorusProductSpec((0.0, 1.0), 2)
+    # Radii are checked before the Euclidean dimension's range.
+    with pytest.raises(DomainError):
+        TorusProductSpec((-1.0, 1.0), 6)
     with pytest.raises(DomainError):
         TorusProductSpec((1.0,), 2.0)
 

@@ -136,11 +136,16 @@ class TestVerification:
         assert all(check.ok for check in results)
 
     def test_verify_spec_clean(self, example_spec):
-        checks = verify_spec(example_spec, profile_points=60, scan_steps=50_000)
+        checks = verify_spec(example_spec)
         assert all(check.ok for check in checks)
 
     def test_verify_spec_k1(self):
-        checks = verify_spec(TorusProductSpec((1.2,), 3), profile_points=40)
+        checks = verify_spec(TorusProductSpec((1.2,), 3))
+        assert all(check.ok for check in checks)
+
+    def test_verify_spec_k3_scans_slab_crossing(self):
+        checks = verify_spec(TorusProductSpec((0.6, 1.1, 2.3), 3))
+        assert "scan:u_slab_crossing" in {check.name for check in checks}
         assert all(check.ok for check in checks)
 
 

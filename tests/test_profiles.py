@@ -158,11 +158,6 @@ class TestSlabProfiles:
         area = slab_piecewise(unit_spec)(4 * math.pi**4)
         assert rel(area, 8 * math.pi ** 3.5) < 1e-12
 
-    def test_dim1_constant(self):
-        spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 1)
-        for v in (0.1, 3.0, 1e5):
-            assert rel(slab_piecewise(spec)(v), 8 * math.pi) < 1e-12
-
     def test_slab3_radius_one(self, unit_spec3):
         v = (2 * math.pi) ** 3 * math.pi
         area = slab_piecewise(unit_spec3)(v)
@@ -263,6 +258,8 @@ class TestPiecewise:
             PowerSegment(-1.0, 0.5, 0.0, math.inf, "slab")
         with pytest.raises(DomainError):
             PowerSegment(1.0, 1.5, 0.0, math.inf, "slab")
+        with pytest.raises(DomainError):
+            PowerSegment(1.0, 0.0, 0.0, math.inf, "slab")
         with pytest.raises(DomainError):
             PowerSegment(1.0, 0.5, 2.0, 1.0, "slab")
 

@@ -10,6 +10,7 @@ from torusiso import (
     ConvergenceError,
     DomainError,
     RootResult,
+    TorusProductSpec,
     circle_piecewise,
     slab_piecewise,
     solve_increasing,
@@ -65,10 +66,6 @@ class TestSolveIncreasing:
         assert lo <= result.root <= hi
         assert rel(result.root, THETA_UNIT) < 1e-11
         assert abs(result.root - 3.49) < 5e-3
-
-    def test_bracket_hint(self):
-        result = solve_increasing(lambda x: x**0.5 + x, 12.0, bracket_hint=(1.0, 100.0))
-        assert rel(result.root ** 0.5 + result.root, 12.0) < 1e-11
 
     def test_target_below_infimum(self):
         with pytest.raises(DomainError):
@@ -180,6 +177,19 @@ class TestSolvePiecewiseGap:
         assert rel(result.root, 64 * math.pi**5 / 81) < 1e-11
         assert abs(result.root - 241.0) < 1.0
         assert circle.segment_at(result.root).regime == "cylinder"
+
+    def test_equal_exponent_closed_form(self):
+        # Slabs of one dimension over tori of different size share the
+        # exponent, so their gap meets a positive target in closed form.
+        upper = slab_piecewise(TorusProductSpec((1.0, 2.0), 3))
+        lower = slab_piecewise(TorusProductSpec((0.5, 0.7), 3))
+        (sa,), (sb,) = upper.segments, lower.segments
+        assert sa.exponent == sb.exponent and sa.coeff > sb.coeff
+        target = 40.0
+        result = solve_piecewise_gap(upper, lower, target)
+        assert result.root == (target / (sa.coeff - sb.coeff)) ** (1 / sa.exponent)
+        assert result.iterations == 0
+        assert rel(upper(result.root) - lower(result.root), target) < 1e-12
 
     def test_no_admissible_root(self, example_spec):
         circle = circle_piecewise(3, SQRT_PI_RADIUS)

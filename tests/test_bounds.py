@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,12 +91,10 @@ class TestTangentBound:
         row = band_row(example_spec, example_report, 5.0, [curve])
         assert row.lower_source == "tangent-left"
         assert rel(row.lower, bounds_mod._chord(lo_anchor, hi_anchor, 5.0)) < 1e-12
-        samples = bounds_mod._samples(curve)
-        for v in (5.0, 20.0, 40.0):
-            assert rel(
-                bounds_mod._tangent(hi_anchor, samples, v),
-                bounds_mod._chord(lo_anchor, hi_anchor, v),
-            ) < 1e-12
+        volumes = (5.0, 20.0, 40.0)
+        values = bounds_mod._tangents(hi_anchor, "right", bounds_mod._samples(curve), volumes)
+        for v, value in zip(volumes, values):
+            assert rel(value, bounds_mod._chord(lo_anchor, hi_anchor, v)) < 1e-12
 
     def test_matches_direct_discrete_maximum(self, example_spec, example_report):
         _, anchor = anchors(example_spec, example_report)
@@ -134,7 +133,8 @@ class TestTangentBound:
         # keeps the chord.
         lo_anchor, hi_anchor = anchors(example_spec, example_report)
         curve = TabulatedCurve(((60.0, 1.0), (70.0, 1.2)))
-        assert bounds_mod._tangent(hi_anchor, bounds_mod._samples(curve), 5.0) is None
+        samples = bounds_mod._samples(curve)
+        assert bounds_mod._tangents(hi_anchor, "right", samples, [5.0]) == [None]
         row = band_row(example_spec, example_report, 5.0, [curve])
         assert row == band_row(example_spec, example_report, 5.0)
         assert row.lower_source == "chord"
@@ -233,6 +233,26 @@ class TestBand:
         )
         with pytest.raises(DomainError, match="cannot be a valid lower bound"):
             band(example_spec, [mid], [curve], report=example_report)
+
+    def test_tangent_memory_stays_in_blocks(self, example_spec, example_report):
+        # 2,000 inside rows x 5,000 samples in one block would take ~150 MiB.
+        v_lo, v_hi = example_report.v_star, example_report.v_dstar
+        grid = np.geomspace(v_lo, v_hi, 2002)[1:-1].tolist()
+        envelope = scp_piecewise(example_spec)
+        curve = TabulatedCurve(
+            tuple(
+                (float(w), 0.5 * envelope(float(w)))
+                for w in np.geomspace(v_lo / 2.0, v_hi * 2.0, 5000)
+            )
+        )
+        tracemalloc.start()
+        try:
+            result = band(example_spec, grid, [curve], report=example_report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "exact" not in result.lower_source
+        assert peak < 4 * 2**20
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

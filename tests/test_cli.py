@@ -205,6 +205,37 @@ class TestBoundsCommand:
         assert out == ""
         assert f"line {line_no}" in err
 
+    def test_missing_curve_file_is_parse_error(self, capsys, example_file, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(
+            capsys, "bounds", example_file, "--grid", "1:10:5,log", "--curve", missing
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read curve file {missing!r}: ")
+
+    def test_non_utf8_curve_file_is_parse_error(self, capsys, example_file, tmp_path):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(b"# label: caf\xe9\n# certified_lower_bound: yes\nv,area\n1,2\n3,4\n")
+        code, out, err = run(
+            capsys, "bounds", example_file, "--grid", "1:10:5,log", "--curve", str(curve)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read curve file {str(curve)!r}: ")
+        assert "utf-8" in err
+
+    def test_curve_file_with_byte_order_mark(self, capsys, example_file, tmp_path):
+        body = "# label: spreadsheet\n# certified_lower_bound: yes\nv,area\n3,10\n30,40\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text(body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        grid = ("--grid", "3:50:10,log")
+        expected = run(capsys, "bounds", example_file, *grid, "--curve", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "bounds", example_file, *grid, "--curve", str(marked)) == expected
+
     def test_deterministic_output(self, capsys, example_file):
         _, first, _ = run(capsys, "bounds", example_file, "--grid", "0.5:100:16,log")
         _, second, _ = run(capsys, "bounds", example_file, "--grid", "0.5:100:16,log")

@@ -10,6 +10,8 @@ where the tie-breaks decide the regime tag.
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -213,19 +215,132 @@ def test_cli_grid_csv_equals_scalar_reference(spec, tmp_path, capsys):
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
+def tangent_columns(anchor, curve, volumes):
+    """The column kernel's values and tangent_reference's, over ascending volumes.
+
+    Volumes below the anchor take the right-anchor side (samples w <= v),
+    the others the left-anchor side (samples w >= v), as tangent_reference does.
+    """
+    samples = bounds_mod._samples(curve)
+    volumes = sorted(float(v) for v in volumes)
+    below = [v for v in volumes if v < anchor[0]]
+    above = volumes[len(below):]
+    got = [
+        *bounds_mod._tangents(anchor, "right", samples, below),
+        *bounds_mod._tangents(anchor, "left", samples, above),
+    ]
+    return got, [tangent_reference(anchor, curve, v) for v in volumes]
+
+
+def power_curve(ws):
+    return TabulatedCurve(tuple((float(w), float(3.0 * w**0.6)) for w in ws))
+
+
 def test_tangent_bound_equals_sample_loop():
-    """The array scan gives the bits of the per-sample loop it replaced."""
+    """The column kernel gives the bits of the per-sample loop, None rows included."""
     rng = np.random.default_rng(7)
     ws = np.sort(rng.uniform(0.5, 80.0, 300))
-    curve = TabulatedCurve(tuple((float(w), float(3.0 * w**0.6)) for w in ws))
-    samples = bounds_mod._samples(curve)
+    curve = power_curve(ws)
     for anchor in ((2.0, 4.1), (60.0, 36.0)):
-        for v in [*rng.uniform(0.6, 79.0, 200), *ws[::10]]:
-            v = float(v)
-            best = tangent_reference(anchor, curve, v)
-            if best is None:
-                continue
-            assert bounds_mod._tangent(anchor, samples, v) == best
+        # 0.5 and 80.0 lie past every sample, so one side admits none there.
+        volumes = [0.5, 80.0, *rng.uniform(0.6, 79.0, 200), *ws[::10]]
+        got, expected = tangent_columns(anchor, curve, volumes)
+        assert got == expected
+        assert None in expected
+
+
+def test_tangent_kernel_curve_longer_than_a_block():
+    # Past _BLOCK samples a block holds a single row.
+    ws = np.geomspace(1.0, 100.0, bounds_mod._BLOCK + 37)
+    curve = power_curve(ws)
+    volumes = [0.5, 1.0, 3.3, 50.0, float(ws[5000]), 99.0, 100.0, 150.0]
+    for anchor in ((0.2, 1.0), (200.0, 80.0)):
+        got, expected = tangent_columns(anchor, curve, volumes)
+        assert got == expected
+        assert None in expected
+
+
+def test_tangent_kernel_partial_last_chunk():
+    ws = np.geomspace(1.0, 100.0, 300)
+    rows_per_block = bounds_mod._BLOCK // ws.size
+    volumes = np.geomspace(1.5, 99.0, 3 * rows_per_block + 7)
+    assert len(volumes) % rows_per_block != 0
+    curve = power_curve(ws)
+    for anchor in ((0.5, 1.0), (150.0, 60.0)):
+        got, expected = tangent_columns(anchor, curve, volumes)
+        assert got == expected
+
+
+def test_tangent_kernel_volumes_on_the_samples():
+    # w == v is admissible from either side; the line through it gives its area.
+    ws = np.geomspace(1.0, 100.0, 300)
+    curve = power_curve(ws)
+    for anchor in ((0.5, 1.0), (150.0, 60.0)):
+        got, expected = tangent_columns(anchor, curve, ws)
+        assert got == expected
+        assert None not in expected
+
+
+@pytest.mark.parametrize("spec", [SPECS[0], SPECS[8]], ids=spec_id)
+def test_curve_samples_at_the_thresholds(spec):
+    # Samples at v_lo and v_hi carry the anchors' own areas: a line from an
+    # anchor through its own sample is 0/0, and no numpy warning may leak.
+    report = criticals(spec)
+    v_lo, v_hi = thresholds(report)
+    inner = np.geomspace(v_lo, v_hi, 12)[1:-1]
+    points = [(v_lo, envelope_profile(spec, v_lo)[0])]
+    points += [(float(w), 0.9 * envelope_profile(spec, float(w))[0]) for w in inner]
+    points.append((v_hi, envelope_profile(spec, v_hi)[0]))
+    curves = [TabulatedCurve(tuple(points), "through the anchors")]
+    grid = grid_for(spec, report)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = band(spec, grid, curves, report=report)
+    expected = reference_rows(spec, grid, curves, report)
+    assert as_tuples(result) == expected
+    assert any(row[4].startswith("tangent") for row in expected)
+
+
+def first_offence(spec, grid, curves, report):
+    """(v, message) of the first row, curve and anchor, in that order, whose line
+    rises above the envelope."""
+    v_lo, v_hi = thresholds(report)
+    anchors = [(v, envelope_profile(spec, v)[0]) for v in (v_lo, v_hi)]
+    for v in grid:
+        top = envelope_profile(spec, v)[0]
+        for curve in curves:
+            for anchor in anchors:
+                value = tangent_reference(anchor, curve, v)
+                if value is not None and value > top * (1.0 + 1e-9):
+                    return v, (
+                        f"curve {curve.label!r} yields lower bound {value} above "
+                        f"the envelope {top} at v={v}"
+                    )
+    return None
+
+
+def test_curves_above_the_envelope_refused_in_row_order():
+    spec = SPECS[0]
+    report = criticals(spec)
+    v_lo, v_hi = thresholds(report)
+    grid = np.geomspace(v_lo, v_hi, 42)[1:-1].tolist()
+
+    def bumped(label, row):
+        # A 0.9x envelope curve with one sample 1% above the envelope.
+        scales = [1.01 if i == row else 0.9 for i in range(len(grid))]
+        return TabulatedCurve(
+            tuple((v, s * envelope_profile(spec, v)[0]) for v, s in zip(grid, scales)), label
+        )
+
+    late, early = bumped("late", 30), bumped("early", 10)
+    # A curve-by-curve scan would name "late"; band scans row by row.
+    early_v, _ = first_offence(spec, grid, [early], report)
+    late_v, _ = first_offence(spec, grid, [late], report)
+    assert early_v < late_v
+    _, message = first_offence(spec, grid, [late, early], report)
+    assert "'early'" in message
+    with pytest.raises(DomainError, match=re.escape(message)):
+        band(spec, grid, [late, early], report=report)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -3,16 +3,19 @@
 ``candidate_min_area`` never touches the profile algebra: it enumerates
 every circle-subset candidate, solves the ball radius from the requested
 volume and measures the boundary directly, so agreement with the profile
-modules is a meaningful cross-check. ``crossing_scan`` and
-``bisect_verify`` are the matching scan/sign-change oracles for the root
-solvers and the reported constants.
+modules is a meaningful cross-check. ``gap_crossings`` enumerates every
+sign change of a profile difference exactly, and ``bisect_verify`` checks a
+reported constant against its defining residual; neither calls the root
+solvers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import struct
+import sys
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import profiles
@@ -27,25 +30,10 @@ from .mensuration import (
 )
 from .roots import DEFAULT_TOLERANCE
 
-# verify_spec's fixed effort: profile-vs-oracle volumes, points per
-# sign-change scan, and the residual tolerance for every reported constant.
+# verify_spec's fixed effort: profile-vs-oracle volumes, and the relative
+# tolerance for every reported constant and crossing.
 _PROFILE_POINTS = 160
-_SCAN_STEPS = 200_000
 _CHECK_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Outcome of a log-grid sign-change scan.
-
-    When no sign change is found the report flags it instead of raising;
-    the consuming test turns that into an assertion failure.
-    """
-
-    found: bool
-    estimate: float
-    bracket: tuple[float, float]
-    step: float
 
 
 @dataclass(frozen=True)
@@ -83,38 +71,75 @@ def candidate_min_area(
     return best
 
 
-def crossing_scan(f, g, lo: float, hi: float, steps: int) -> ScanReport:
-    """Scan a log-spaced grid for the (single) sign change of f - g.
+def gap_crossings(
+    upper: profiles.PiecewiseProfile,
+    lower: profiles.PiecewiseProfile,
+    target: float,
+    lo: float,
+    hi: float,
+) -> list[tuple[float, float]]:
+    """Every sign change of upper(v) - lower(v) - target on [lo, hi].
 
-    f and g must accept numpy arrays. The caller guarantees at most one
-    crossing on the range; the first sign change found is reported with its
-    bracketing grid pair and the geometric midpoint as the estimate.
+    Between the profiles' breakpoints the gap is c1 v^p1 - c2 v^p2 - target,
+    monotone on either side of its one stationary point. The range ends,
+    the breakpoints and those points cut [lo, hi] into monotone pieces, and
+    a piece whose ends differ in sign holds exactly one crossing: it is
+    narrowed to two adjacent doubles, or to (x, x) where the gap is exactly
+    zero. Crossings come in ascending order; a zero on a cut counts once,
+    and only if the sign changes across it, so a gap that is zero at every
+    cut gives [].
     """
-    if not (0.0 < lo < hi):
-        raise DomainError(f"scan range must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    if steps < 2:
-        raise DomainError(f"scan needs at least 2 steps, got {steps}")
-    import numpy as np  # loaded on first use: scalar-only commands start without it
+    if not (0.0 < lo < hi < math.inf):
+        raise DomainError(f"crossing range must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
+    edges = sorted(
+        {lo, hi, *(b for b in (*upper.breakpoints(), *lower.breakpoints()) if lo < b < hi)}
+    )
+    cuts = set(edges)
+    for a, b in itertools.pairwise(edges):
+        # Segments are closed on the right, so the pair at b holds on (a, b];
+        # the gap is stationary where c1 p1 v^p1 = c2 p2 v^p2.
+        s1, s2 = upper.segment_at(b), lower.segment_at(b)
+        if s1.exponent == s2.exponent:
+            continue
+        try:
+            x = (s2.coeff * s2.exponent / (s1.coeff * s1.exponent)) ** (
+                1.0 / (s1.exponent - s2.exponent)
+            )
+        except OverflowError:  # beyond every double
+            continue
+        if a < x < b:
+            cuts.add(x)
 
-    xs = np.geomspace(lo, hi, steps)
-    diff = np.asarray(f(xs), dtype=float) - np.asarray(g(xs), dtype=float)
-    step = (hi / lo) ** (1.0 / (steps - 1))
-    signs = np.sign(diff)
-    nonzero = np.nonzero(signs != 0)[0]
-    if nonzero.size == 0:
-        # Identically zero difference: nothing crosses anything.
-        return ScanReport(False, math.nan, (math.nan, math.nan), step)
-    flips = np.nonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])[0]
-    if flips.size == 0:
-        return ScanReport(False, math.nan, (math.nan, math.nan), step)
-    i, j = int(nonzero[flips[0]]), int(nonzero[flips[0] + 1])
-    if j > i + 1:
-        # The crossing landed exactly on a grid point between the two
-        # opposite-sign samples.
-        x = float(xs[i + 1])
-        return ScanReport(True, x, (x, x), step)
-    a, b = float(xs[i]), float(xs[j])
-    return ScanReport(True, math.sqrt(a * b), (a, b), step)
+    def sign(v: float) -> int:
+        gap = upper(v) - lower(v) - target
+        return (gap > 0.0) - (gap < 0.0)
+
+    crossings = []
+    last = zero = None  # last cut with a nonzero gap and its sign; first zero since
+    for x in sorted(cuts):
+        s = sign(x)
+        if s == 0:
+            zero = x if zero is None else zero
+            continue
+        if last is not None and last[1] != s:
+            crossings.append((zero, zero) if zero is not None else _narrow(sign, last[0], x))
+        last, zero = (x, s), None
+    return crossings
+
+
+def _narrow(sign: Callable[[float], int], a: float, b: float) -> tuple[float, float]:
+    # Bisect the int64 bit patterns of positive doubles, which order them by
+    # value, down to two adjacent doubles: at most 63 halvings.
+    sign_a = sign(a)
+    ia, ib = struct.unpack("<2q", struct.pack("<2d", a, b))
+    while ib - ia > 1:
+        mid = (ia + ib) // 2
+        (x,) = struct.unpack("<d", struct.pack("<q", mid))
+        s = sign(x)
+        if s == 0:
+            return x, x
+        ia, ib = (mid, ib) if s == sign_a else (ia, mid)
+    return struct.unpack("<2d", struct.pack("<2q", ia, ib))
 
 
 def bisect_verify(residual: Callable[[float], float], root: float, tolerance: float) -> bool:
@@ -226,11 +251,17 @@ def verify_report(
 
 
 def _profile_agreement(spec: TorusProductSpec) -> CheckResult:
-    import numpy as np
-
-    volumes = [float(v) for v in np.geomspace(1e-3, 1e6, _PROFILE_POINTS)]
+    # Log-spaced volumes from three decades below the envelope's first
+    # breakpoint to three above its last, so every regime is sampled at any
+    # scale; clamped to the normal doubles.
+    envelope = profiles.envelope_piecewise(spec)
+    cuts = envelope.breakpoints()
+    log_lo = math.log(max(cuts[0] * 1e-3, sys.float_info.min))
+    log_hi = math.log(min(cuts[-1] * 1e3, sys.float_info.max))
+    step = (log_hi - log_lo) / (_PROFILE_POINTS - 1)
+    volumes = [math.exp(log_lo + i * step) for i in range(_PROFILE_POINTS)]
     worst = 0.0
-    closed_areas, _ = profiles.envelope_piecewise(spec).values(volumes)
+    closed_areas, _ = envelope.values(volumes)
     for v, closed in zip(volumes, closed_areas):
         brute, _ = candidate_min_area(spec, v)
         worst = max(worst, abs(closed - brute) / brute)
@@ -239,8 +270,19 @@ def _profile_agreement(spec: TorusProductSpec) -> CheckResult:
     )
 
 
+def _scan_check(
+    name: str, upper, lower, target: float, root: float, spread: float
+) -> CheckResult:
+    # The last crossing on [root / spread, root * spread] must be the reported
+    # root within tolerance; with no crossing the NaN bracket fails.
+    crossings = gap_crossings(upper, lower, target, root / spread, root * spread)
+    a, b = crossings[-1] if crossings else (math.nan, math.nan)
+    ok = a * (1.0 - _CHECK_TOLERANCE) <= root <= b * (1.0 + _CHECK_TOLERANCE)
+    return CheckResult(f"scan:{name}", ok, f"crossings={crossings}")
+
+
 def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
-    """Full oracle suite for one spec: profiles, constants and scans.
+    """Full oracle suite for one spec: profiles, constants and crossings.
 
     Uses fixed internal tolerances regardless of what a spec file asked
     for; the point is to check the reported numbers, not to re-derive them.
@@ -252,49 +294,26 @@ def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
     report = full_report(spec, tolerance=DEFAULT_TOLERANCE)
     checks.extend(verify_report(report))
 
-    import numpy as np
-
     n = spec.euclid_dim
     if spec.circle_count == 2:
         crit = report.criticals
+        for label, r in (("r1", spec.radii[0]), ("r2", spec.radii[1])):
+            # The whole ball and cylinder laws, each as a one-segment profile.
+            ball, cyl = (
+                profiles.PiecewiseProfile((replace(seg, v_lo=0.0, v_hi=math.inf),))
+                for seg in profiles.circle_piecewise(n, r).segments
+            )
+            checks.append(_scan_check(f"beta({label})", ball, cyl, 0.0, profiles.beta(n, r), 1e3))
         circ1 = profiles.circle_piecewise(n + 1, spec.radii[0])
         slab = profiles.slab_piecewise(spec)
-        for label, r in (("r1", spec.radii[0]), ("r2", spec.radii[1])):
-            target = profiles.beta(n, r)
-            ball, cyl = profiles.circle_piecewise(n, r).segments
-            scan = crossing_scan(
-                ball.value, cyl.value, target * 1e-3, target * 1e3, _SCAN_STEPS
-            )
-            ok = scan.found and scan.bracket[0] <= target <= scan.bracket[1]
-            checks.append(
-                CheckResult(f"scan:beta({label})", ok, f"bracket={scan.bracket}")
-            )
-        for name, root, offset in (
-            ("v0_1", crit.v0_1, 0.0),
-            ("a_n", crit.a_n, 2.0 * profiles.beta(n, spec.radii[0])),
-        ):
-            scan = crossing_scan(
-                lambda x, off=offset: circ1(x) - slab(x),
-                lambda x, off=offset: np.full_like(x, off),
-                root * 1e-2,
-                root * 1e2,
-                _SCAN_STEPS,
-            )
-            ok = scan.found and scan.bracket[0] <= root <= scan.bracket[1]
-            checks.append(CheckResult(f"scan:{name}", ok, f"bracket={scan.bracket}"))
+        two_beta = 2.0 * profiles.beta(n, spec.radii[0])
+        checks.append(_scan_check("v0_1", circ1, slab, 0.0, crit.v0_1, 1e2))
+        checks.append(_scan_check("a_n", circ1, slab, two_beta, crit.a_n, 1e2))
     else:
-        crossing = report.constants["u_slab_crossing"].value
         r1, r2, _ = spec.radii
         slab_up = profiles.slab_piecewise(TorusProductSpec((r1, r2), n + 1))
         slab3 = profiles.slab_piecewise(spec)
         target = 2.0 * report.sub_reports["n"].criticals.v_dstar
-        scan = crossing_scan(
-            lambda x: slab_up(x) - slab3(x),
-            lambda x: np.full_like(x, target),
-            crossing * 1e-2,
-            crossing * 1e2,
-            _SCAN_STEPS,
-        )
-        ok = scan.found and scan.bracket[0] <= crossing <= scan.bracket[1]
-        checks.append(CheckResult("scan:u_slab_crossing", ok, f"bracket={scan.bracket}"))
+        root = report.constants["u_slab_crossing"].value
+        checks.append(_scan_check("u_slab_crossing", slab_up, slab3, target, root, 1e2))
     return checks

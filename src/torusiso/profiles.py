@@ -74,7 +74,7 @@ class PowerSegment:
             raise DomainError(f"bad segment domain ({self.v_lo}, {self.v_hi}]")
 
     def value(self, v):
-        """Evaluate the power law; accepts scalars and numpy arrays."""
+        """Evaluate the power law at v."""
         return self.coeff * v**self.exponent
 
     def solve_value(self, area: float) -> float:
@@ -95,12 +95,12 @@ class PiecewiseProfile:
       a tie goes to the earlier curve. Its ``segments`` record where each
       candidate wins, for solving and for listing regimes.
 
-    There are three evaluators, and all follow it: the scalar or ndarray
-    ``__call__`` (the area), ``segment_at`` (the winning power law) and
-    ``values`` (an ``(areas, segments)`` pair of columns over a volume
-    grid; ``segment.regime`` names the winning family). The scalar ones
-    give the same bits: for radii (1, 1), n = 2 at v = beta(3, 1) each
-    gives area 224.84192526231706 from the ball segment.
+    There are three evaluators, and all follow it: ``__call__`` (the area
+    at one volume), ``segment_at`` (the winning power law) and ``values``
+    (an ``(areas, segments)`` pair of columns over a volume grid;
+    ``segment.regime`` names the winning family). They give the same bits:
+    for radii (1, 1), n = 2 at v = beta(3, 1) each gives area
+    224.84192526231706 from the ball segment.
     """
 
     segments: tuple[PowerSegment, ...]
@@ -137,35 +137,12 @@ class PiecewiseProfile:
         """
         return self._columns([_check_volume(v)])[1][0]
 
-    def __call__(self, v):
-        """Evaluate the profile at a positive scalar volume or numpy array.
-
-        The array form serves the oracle scans. It picks segments with
-        ``np.searchsorted(..., side="left")``, the same breakpoint rule, and
-        takes the minimum over an envelope's candidates; but it keeps numpy's
-        array pow, which can differ from Python's in the last bit.
-
-        numpy is never imported here: an ndarray can only exist once numpy is
-        loaded, so scalar-only callers (``profile --v``, ``critical``) start
-        without it, and numpy scalars such as ``np.float64`` take the scalar
-        path.
-        """
-        np = sys.modules.get("numpy")
-        if np is not None and isinstance(v, np.ndarray):
-            if not np.all(v > 0.0):
-                raise DomainError("volumes must be positive")
-            if self.candidates:
-                return np.minimum.reduce([c(v) for c in self.candidates])
-            index = np.searchsorted(self._cuts, v, side="left")
-            out = np.empty(v.shape, dtype=float)
-            for i, seg in enumerate(self.segments):
-                mask = index == i
-                out[mask] = seg.value(v[mask])
-            return out
+    def __call__(self, v: float) -> float:
+        """The area at a positive finite volume v."""
         return self._area(_check_volume(v))
 
     def _area(self, v: float) -> float:
-        # The scalar area at a checked volume; ties between candidates give
+        # The area at a checked volume; ties between candidates give
         # equal areas, so the plain minimum follows the breakpoint rule.
         if self.candidates:
             return min([c._area(v) for c in self.candidates])
@@ -175,9 +152,9 @@ class PiecewiseProfile:
     def values(self, volumes) -> tuple[list[float], list[PowerSegment]]:
         """Evaluate a volume grid as two columns, ``(areas, segments)``.
 
-        Row i has the bits of the scalar ``__call__`` and ``segment_at`` at
-        ``volumes[i]``. Areas use Python float pow: numpy's array pow differs
-        from it in the last bit for some volumes, which would change printed
+        Row i has the bits of ``__call__`` and ``segment_at`` at
+        ``volumes[i]``. Areas use Python float pow: a vectorised array pow
+        can differ from it in the last bit, which would change printed
         digits.
         """
         return self._columns([_check_volume(v) for v in volumes])

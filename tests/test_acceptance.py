@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are pinned here and nowhere else.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -11,6 +12,7 @@ import time
 import numpy as np
 
 from torusiso import (
+    PiecewiseProfile,
     TorusProductSpec,
     band,
     beta,
@@ -22,7 +24,7 @@ from torusiso import (
     solve_power_gap,
     verify_report,
 )
-from torusiso.oracle import bisect_verify, crossing_scan, report_residuals
+from torusiso.oracle import bisect_verify, gap_crossings, report_residuals
 
 from refvalues import SQRT_PI_RADIUS
 
@@ -91,10 +93,13 @@ def test_criterion_4_breakpoint_scan_agreement():
         for r in (0.1, SQRT_PI_RADIUS, 1.0, 2.0):
             target = beta(n, r)
             ball, cylinder = circle_piecewise(n, r).segments
-            scan = crossing_scan(
-                ball.value, cylinder.value, target * 1e-3, target * 1e3, 1_000_000
-            )
-            ok = ok and scan.found and scan.bracket[0] <= target <= scan.bracket[1]
+            # Each branch's whole power law, as a one-segment profile.
+            laws = [
+                PiecewiseProfile((dataclasses.replace(s, v_lo=0.0, v_hi=math.inf),))
+                for s in (ball, cylinder)
+            ]
+            crossings = gap_crossings(*laws, 0.0, target * 1e-3, target * 1e3)
+            ok = ok and bool(crossings) and rel(crossings[-1][1], target) <= 1e-9
             ok = ok and rel(ball.value(target), cylinder.value(target)) <= 1e-9
     report_line(4, "breakpoint volumes vs scan oracle", ok)
 
@@ -164,14 +169,10 @@ def test_criterion_8_documented_discrepancy():
     ok = ok and bisect_verify(residuals["a_n"], crit.a_n, 1e-9)
     circle = circle_piecewise(3, 1.0)
     slab = slab_piecewise(spec)
-    scan = crossing_scan(
-        lambda x: circle(x) - slab(x),
-        lambda x: 2 * beta(2, 1.0) + 0.0 * x,
-        crit.v_dstar * 1e-2,
-        crit.v_dstar * 1e2,
-        1_000_000,
+    crossings = gap_crossings(
+        circle, slab, 2 * beta(2, 1.0), crit.v_dstar * 1e-2, crit.v_dstar * 1e2
     )
-    ok = ok and scan.found and scan.bracket[0] <= crit.v_dstar <= scan.bracket[1]
+    ok = ok and bool(crossings) and rel(crossings[-1][1], crit.v_dstar) <= 1e-9
     ok = ok and abs(crit.v_dstar - 551.0) < 1.0
     report_line(8, "unit-torus K_star interpretation", ok)
 

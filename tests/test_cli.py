@@ -385,15 +385,15 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
         return runs
 
     def test_only_array_commands_load_numpy(self, cold_runs):
-        # profile --v and critical never build an array, so a cold process
-        # running them must not pay for importing numpy; a grid does.
+        # profile --v, critical and verify never build an array, so a cold
+        # process running them must not pay for importing numpy; a grid does.
         loaded = {name: run["numpy"] for name, run in cold_runs.items()}
         assert loaded == {
             "import": False,
             "profile": False,
             "critical": False,
             "bounds": True,
-            "verify": True,
+            "verify": False,
         }
 
     def test_each_command_loads_only_its_modules(self, cold_runs):

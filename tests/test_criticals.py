@@ -17,7 +17,7 @@ from torusiso import (
     solve_power_gap,
     unit_ball_volume,
 )
-from torusiso.oracle import bisect_verify, crossing_scan
+from torusiso.oracle import bisect_verify, gap_crossings
 
 from refvalues import (
     BETA_2_SQ,
@@ -104,15 +104,9 @@ class TestUnitTorus:
         circle = circle_piecewise(3, 1.0)
         slab = slab_piecewise(unit_spec)
         target = 2 * beta(2, 1.0)
-        scan = crossing_scan(
-            lambda x: circle(x) - slab(x),
-            lambda x: target + 0.0 * x,
-            10.0,
-            1e5,
-            400_000,
-        )
-        assert scan.found
-        assert scan.bracket[0] <= crit.v_dstar <= scan.bracket[1]
+        crossings = gap_crossings(circle, slab, target, 10.0, 1e5)
+        assert crossings
+        assert rel(crossings[-1][1], crit.v_dstar) < 1e-9
 
 
 class TestSphereCylinderCrossing:

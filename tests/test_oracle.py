@@ -6,6 +6,8 @@ import pytest
 
 from torusiso import (
     DomainError,
+    PiecewiseProfile,
+    PowerSegment,
     TorusProductSpec,
     beta,
     candidate_min_area,
@@ -15,13 +17,32 @@ from torusiso import (
     verify_report,
     verify_spec,
 )
-from torusiso.oracle import bisect_verify, crossing_scan
+from torusiso import oracle
+from torusiso.oracle import bisect_verify, gap_crossings
 
 from refvalues import BETA_2_SQ, EUCLID4_AT_1, SQRT_PI_RADIUS, THETA_EXAMPLE, VDSTAR_EXAMPLE
 
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
+
+
+def law(coeff, exponent):
+    """The power law coeff * v^exponent on all of (0, inf), as a profile."""
+    return PiecewiseProfile((PowerSegment(coeff, exponent, 0.0, math.inf, "slab"),))
+
+
+def whole(segment):
+    """A profile segment's power law extended to all of (0, inf)."""
+    return PiecewiseProfile((dataclasses.replace(segment, v_lo=0.0, v_hi=math.inf),))
+
+
+def grid_scan_crossings(upper, lower, target, lo, hi, steps=200_000):
+    """The log-grid sign-change scan ``verify`` used before: a crossing per
+    sign flip between neighbouring grid points, as the bracketing pair."""
+    xs = np.geomspace(lo, hi, steps)
+    signs = np.sign([upper(x) - lower(x) - target for x in xs])
+    return [(xs[i], xs[i + 1]) for i in np.nonzero(signs[:-1] != signs[1:])[0]]
 
 
 class TestCandidateMinArea:
@@ -72,38 +93,97 @@ class TestCrossingScan:
         from torusiso import circle_piecewise
 
         ball, cylinder = circle_piecewise(2, 1.0).segments
-        scan = crossing_scan(ball.value, cylinder.value, 1.0, 1000.0, 1_000_000)
-        assert scan.found
+        crossings = gap_crossings(whole(ball), whole(cylinder), 0.0, 1.0, 1000.0)
         target = 32 * math.pi**4 / 81
-        assert scan.bracket[0] <= target <= scan.bracket[1]
-        assert rel(scan.estimate, target) < 1e-4
+        assert len(crossings) == 1
+        a, b = crossings[0]
+        assert b == a or b == math.nextafter(a, math.inf)
+        assert rel(b, target) < 1e-12
 
     def test_equal_curves_report_failure(self):
-        scan = crossing_scan(lambda x: x, lambda x: x, 1.0, 10.0, 1000)
-        assert not scan.found
-        assert math.isnan(scan.estimate)
+        profile = scp_piecewise(TorusProductSpec((0.7, 1.9), 3))
+        assert gap_crossings(profile, profile, 0.0, 1.0, 1e4) == []
+        assert gap_crossings(law(2.0, 0.5), law(2.0, 0.5), 0.0, 1e-3, 1e3) == []
 
     def test_brackets_large_threshold(self, example_spec):
         from torusiso import circle_piecewise, slab_piecewise
 
         circle = circle_piecewise(3, SQRT_PI_RADIUS)
         slab = slab_piecewise(example_spec)
-        target = 2 * BETA_2_SQ
-        scan = crossing_scan(
-            lambda x: circle(x) - slab(x),
-            lambda x: target + 0.0 * x,
-            1.0,
-            1e4,
-            500_000,
-        )
-        assert scan.found
-        assert scan.bracket[0] <= VDSTAR_EXAMPLE <= scan.bracket[1]
+        crossings = gap_crossings(circle, slab, 2 * BETA_2_SQ, 1.0, 1e4)
+        assert crossings
+        assert rel(crossings[-1][1], VDSTAR_EXAMPLE) < 1e-9
 
     def test_range_validation(self):
-        with pytest.raises(DomainError):
-            crossing_scan(lambda x: x, lambda x: 1.0 + 0.0 * x, -1.0, 10.0, 100)
-        with pytest.raises(DomainError):
-            crossing_scan(lambda x: x, lambda x: 1.0 + 0.0 * x, 1.0, 10.0, 1)
+        for lo, hi in [(-1.0, 10.0), (0.0, 10.0), (10.0, 10.0), (10.0, 1.0), (1.0, math.inf)]:
+            with pytest.raises(DomainError):
+                gap_crossings(law(1.0, 1.0), law(1.0, 0.5), 1.0, lo, hi)
+
+    @pytest.mark.parametrize("eps, scan_finds", [(0.19, 2), (1e-10, 0)])
+    def test_two_crossings_in_one_window(self, eps, scan_finds):
+        # v - 2 sqrt(v) + 1 - eps dips to -eps at v = 1 and is zero at
+        # v = (1 -+ sqrt(eps))^2. At eps = 1e-10 the two crossings are
+        # 4e-5 apart relative, closer than a 200,000-point log grid over
+        # [1e-3, 1e3] (step 6.9e-5), which misses both.
+        upper, lower, target = law(1.0, 1.0), law(2.0, 0.5), eps - 1.0
+        crossings = gap_crossings(upper, lower, target, 1e-3, 1e3)
+        assert len(crossings) == 2
+        for (a, b), root in zip(crossings, [(1 - eps**0.5) ** 2, (1 + eps**0.5) ** 2]):
+            assert a <= b <= math.nextafter(a, math.inf)
+            assert rel(b, root) < 1e-9
+        assert len(grid_scan_crossings(upper, lower, target, 1e-3, 1e3)) == scan_finds
+
+    def test_crossings_across_breakpoints_in_order(self):
+        # The envelope's cylinder law scaled by 0.999 lies below the envelope
+        # only on the cylinder window, so it crosses the envelope once on the
+        # ball window and once on the slab window, in ascending order.
+        spec = TorusProductSpec((0.7, 1.9), 3)
+        envelope = envelope_piecewise(spec)
+        ball_to_cylinder, cylinder_to_slab = envelope.breakpoints()
+        cylinder = envelope.segments[1]
+        shifted = law(cylinder.coeff * 0.999, cylinder.exponent)
+        crossings = gap_crossings(envelope, shifted, 0.0, 1e-3, 1e6)
+        assert len(crossings) == 2
+        (a1, b1), (a2, b2) = crossings
+        assert b1 < ball_to_cylinder < cylinder_to_slab < a2
+        for a, b in crossings:
+            assert rel(envelope(b), shifted(b)) < 1e-12
+
+    def test_exact_zero_on_a_cut_counts_once(self):
+        # Equal exponents: the gap 3 v^0.5 - v^0.5 - 4 is exactly zero at the
+        # double v = 4, which is also a breakpoint of the upper profile.
+        upper = PiecewiseProfile(
+            (
+                PowerSegment(3.0, 0.5, 0.0, 4.0, "ball"),
+                PowerSegment(3.0, 0.5, 4.0, math.inf, "slab"),
+            )
+        )
+        assert gap_crossings(upper, law(1.0, 0.5), 4.0, 1.0, 100.0) == [(4.0, 4.0)]
+
+
+class TestScanCheck:
+    # verify's crossing checks hold the reported root to the last crossing.
+    def two_crossings(self):
+        eps = 0.19
+        roots = [(1 - eps**0.5) ** 2, (1 + eps**0.5) ** 2]
+        return law(1.0, 1.0), law(2.0, 0.5), eps - 1.0, roots
+
+    def test_terminal_crossing_passes(self):
+        upper, lower, target, roots = self.two_crossings()
+        check = oracle._scan_check("x", upper, lower, target, roots[1], 1e2)
+        assert check.name == "scan:x"
+        assert check.ok, check.detail
+
+    def test_first_of_two_crossings_fails(self):
+        upper, lower, target, roots = self.two_crossings()
+        assert not oracle._scan_check("x", upper, lower, target, roots[0], 1e2).ok
+
+    def test_off_root_and_no_crossing_fail(self):
+        upper, lower, target, roots = self.two_crossings()
+        assert not oracle._scan_check("x", upper, lower, target, roots[1] * (1 + 1e-8), 1e2).ok
+        check = oracle._scan_check("x", law(2.0, 0.5), law(1.0, 0.5), 0.0, 1.0, 1e2)
+        assert not check.ok
+        assert check.detail == "crossings=[]"
 
 
 class TestBisectVerify:
@@ -147,6 +227,27 @@ class TestVerification:
         checks = verify_spec(TorusProductSpec((0.6, 1.1, 2.3), 3))
         assert "scan:u_slab_crossing" in {check.name for check in checks}
         assert all(check.ok for check in checks)
+
+
+class TestProfileAgreementWindow:
+    # Homothety by lam moves every breakpoint by lam^(k+n), so the sampled
+    # volumes must follow the envelope: every regime is compared at any scale.
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "radii, n", [((1.2,), 3), ((0.7, 1.9), 3), ((0.6, 1.1, 2.3), 2)]
+    )
+    def test_every_regime_sampled(self, radii, n, lam, monkeypatch):
+        spec = TorusProductSpec(tuple(r * lam for r in radii), n)
+        sampled = []
+        brute = oracle.candidate_min_area
+        monkeypatch.setattr(
+            oracle, "candidate_min_area", lambda s, v: sampled.append(v) or brute(s, v)
+        )
+        check = oracle._profile_agreement(spec)
+        assert check.ok, check.detail
+        envelope = envelope_piecewise(spec)
+        _, segments = envelope.values(sampled)
+        assert {seg.regime for seg in segments} == {seg.regime for seg in envelope.segments}
 
 
 def _tampered(report, name, path=()):

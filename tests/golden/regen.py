@@ -16,9 +16,14 @@ The special volumes are every envelope breakpoint, every beta(m, r) a
 candidate family breaks at, and both thresholds. Each one comes with its
 two ``nextafter`` neighbours.
 
-``tests/test_cli.py`` requires the current output to equal these files
-byte for byte. Rewrite them only when an output change is intended, and
-only with
+``reports.json`` holds, for REPORT_COUNT seeded two- and three-circle
+specs (half with radii in [1e-3, 1e3], half in [0.1, 10]), the hex of
+every constant and residual of ``full_report`` with its regime, sub-reports
+included, or the class and message of the error it raised.
+
+``tests/test_cli.py`` and ``tests/test_criticals.py`` require the current
+output to equal these files byte for byte. Rewrite them only when an output
+change is intended, and only with
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -29,6 +34,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -36,12 +42,14 @@ from pathlib import Path
 import numpy as np
 
 from torusiso import (
+    TorusIsoError,
     TorusProductSpec,
     beta,
     cli,
     envelope_piecewise,
     full_report,
 )
+from torusiso.mensuration import EUCLID_DIM_RANGES
 
 HERE = Path(__file__).resolve().parent
 REGEN_COMMAND = "PYTHONPATH=src python tests/golden/regen.py"
@@ -55,6 +63,12 @@ CASES = [
 ]
 
 _GRID_POINTS = 41
+
+REPORTS_PATH = HERE / "reports.json"
+REPORT_COUNT = 400
+_REPORT_SEED = 12
+# (circle count, radius range) of each quarter of the report specs.
+_REPORT_GROUPS = ((2, (1e-3, 1e3)), (2, (0.1, 10.0)), (3, (1e-3, 1e3)), (3, (0.1, 10.0)))
 
 
 def case_name(spec: TorusProductSpec) -> str:
@@ -135,7 +149,47 @@ def transcript(spec: TorusProductSpec, curve_dir: Path) -> str:
     return "".join(parts)
 
 
+def report_specs() -> list[TorusProductSpec]:
+    """REPORT_COUNT specs, log-uniform radii and uniform dimensions, from one seed."""
+    rng = random.Random(_REPORT_SEED)
+    specs = []
+    for k, (lo, hi) in _REPORT_GROUPS:
+        for _ in range(REPORT_COUNT // len(_REPORT_GROUPS)):
+            radii = [math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(k)]
+            specs.append(TorusProductSpec(tuple(radii), rng.randint(*EUCLID_DIM_RANGES[k])))
+    return specs
+
+
+def _records(report) -> dict:
+    fingerprint = {
+        name: [record.value.hex(), record.residual.hex(), record.regime]
+        for name, record in report.constants.items()
+    }
+    for key, sub in report.sub_reports.items():
+        fingerprint[key] = _records(sub)
+    return fingerprint
+
+
+def report_fingerprint(spec: TorusProductSpec) -> dict:
+    """Every constant and residual of full_report(spec), or the error it raised."""
+    entry = {"radii": [r.hex() for r in spec.radii], "euclid_dim": spec.euclid_dim}
+    try:
+        entry["constants"] = _records(full_report(spec))
+    except TorusIsoError as exc:
+        entry["error"] = [type(exc).__name__, str(exc)]
+    return entry
+
+
+def reports_text() -> str:
+    entries = [
+        json.dumps(report_fingerprint(spec), separators=(",", ":")) for spec in report_specs()
+    ]
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
 def main() -> int:
+    REPORTS_PATH.write_text(reports_text(), encoding="utf-8", newline="")
+    print(f"wrote {REPORTS_PATH.name}")
     for spec in CASES:
         name = case_name(spec)
         for i, text in enumerate(curve_texts(spec), start=1):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -19,6 +20,7 @@ from torusiso import (
 )
 from torusiso.oracle import bisect_verify, gap_crossings
 
+from golden import regen
 from refvalues import (
     BETA_2_SQ,
     BETA_3_SQ,
@@ -274,3 +276,15 @@ class TestReportParity:
             n = spec.euclid_dim
             assert report.sub_reports["n"].spec == TorusProductSpec((r1, r2), n)
             assert report.sub_reports["n_plus_1"].spec == TorusProductSpec((r1, r2), n + 1)
+
+
+def test_reports_match_golden_fixture():
+    # Every constant, residual and regime bit, and every refusal message, of
+    # the seeded fixture specs; rewrite the fixture only for an intended change.
+    expected = json.loads(regen.REPORTS_PATH.read_text(encoding="utf-8"))
+    specs = regen.report_specs()
+    assert len(expected) == len(specs) == regen.REPORT_COUNT
+    for spec, entry in zip(specs, expected):
+        assert regen.report_fingerprint(spec) == entry, (
+            f"full_report({spec}) changed; rewrite the fixture with `{regen.REGEN_COMMAND}`"
+        )

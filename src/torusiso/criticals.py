@@ -105,10 +105,19 @@ class CriticalReport:
 
 
 def _balance_equation(radius: float, ball: PiecewiseProfile):
-    """x -> pi * radius * ball(x) + x, for the ball law of some R^m."""
+    """x -> pi * radius * ball(x) + x, for the one-segment ball law of some R^m.
+
+    The segment's power law is read once and evaluated directly: for the
+    positive finite x the solver passes, ``coeff * x**exponent`` is
+    ball(x) bit for bit, and ``scale * (...) + x`` repeats the float
+    operations of ``math.pi * radius * ball(x) + x`` in their order.
+    """
+    (segment,) = ball.segments
+    coeff, exponent = segment.coeff, segment.exponent
+    scale = math.pi * radius
 
     def f(x: float) -> float:
-        return math.pi * radius * ball(x) + x
+        return scale * (coeff * x**exponent) + x
 
     return f
 

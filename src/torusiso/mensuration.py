@@ -8,6 +8,7 @@ results are deterministic and bit-identical across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,19 +40,33 @@ def _gamma_half(twice_x: int) -> float:
 
 
 def unit_sphere_area(n: int) -> float:
-    """Surface measure of the unit n-sphere: 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
+    """Surface measure of the unit n-sphere: 2 pi^((n+1)/2) / Gamma((n+1)/2).
+
+    Computed once per dimension; only a checked int reaches the table.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"sphere dimension must be a positive integer, got {n!r}")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / _gamma_half(n + 1)
+    return _sphere_area(n)
 
 
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit m-ball: pi^(m/2) / Gamma(m/2 + 1).
 
-    Satisfies unit_ball_volume(m) == unit_sphere_area(m - 1) / m.
+    Satisfies unit_ball_volume(m) == unit_sphere_area(m - 1) / m. Computed
+    once per dimension; only a checked int reaches the table.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise DomainError(f"ball dimension must be a positive integer, got {m!r}")
+    return _ball_volume(m)
+
+
+@functools.cache
+def _sphere_area(n: int) -> float:
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / _gamma_half(n + 1)
+
+
+@functools.cache
+def _ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / _gamma_half(m + 2)
 
 

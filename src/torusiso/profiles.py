@@ -255,6 +255,17 @@ def beta(n: int, r: float) -> float:
         )
     except OverflowError:
         volume = math.inf
+    if not sys.float_info.min <= volume < math.inf:
+        # The (n+1)-th power of 2 pi r w_(n-1) leaves the double range long
+        # before beta does: root each factor apart and take the power once.
+        try:
+            volume = (
+                float(n) ** (n - 1)
+                * (TWO_PI * r * w_prev)
+                / (float(1 + n) ** (n * n / (n + 1.0)) * w_n ** (n / (n + 1.0)))
+            ) ** (n + 1)
+        except OverflowError:
+            volume = math.inf
     if not (volume >= sys.float_info.min) or not math.isfinite(volume):
         raise DomainError(
             f"the breakpoint volume beta(n={n}, r={r!r}) is not a normal positive "

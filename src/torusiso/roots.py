@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .profiles import PiecewiseProfile
+from .profiles import PiecewiseProfile, PowerSegment
 
 DEFAULT_TOLERANCE = 1e-12
 # Looser tolerances break the solver contract, so requests above it are refused.
@@ -97,7 +97,8 @@ def _bisect(
         else:
             hi = mid
         root = 0.5 * (lo + hi)
-        if hi - lo <= tolerance * max(abs(root), 1e-300):
+        size = abs(root)
+        if hi - lo <= tolerance * (1e-300 if size < 1e-300 else size):
             iterations += 1
             residual = f(root) - target
             scale = max(1.0, abs(target), scale_at(root))
@@ -203,8 +204,28 @@ def solve_power_gap(
     return _bisect(phi, target, lo, hi, tolerance, lambda x: c2 * x**p2, iterations)
 
 
-def _closed_form_result(root: float, residual: float, scale: float, tolerance: float) -> RootResult:
-    return RootResult(root, residual, 0, (root, root), tolerance, max(1.0, scale))
+def _window_root(
+    sa: PowerSegment, sb: PowerSegment, lo: float, hi: float, target: float, tolerance: float
+) -> RootResult | None:
+    """Root of sa(v) - sb(v) = target inside the window [lo, hi), or None."""
+    if sa.exponent == sb.exponent:
+        # Equal coefficients with a zero target were refused by the caller.
+        if target == 0.0 or sa.coeff <= sb.coeff:
+            return None
+        root = (target / (sa.coeff - sb.coeff)) ** (1.0 / sa.exponent)
+        if not lo <= root < hi:
+            return None
+        residual = (sa.value(root) - sb.value(root)) - target
+        scale = max(1.0, abs(target), sb.value(root))
+        return RootResult(root, residual, 0, (root, root), tolerance, scale)
+    if sa.exponent < sb.exponent:
+        # The terminal crossing cannot sit on a pair whose gap is
+        # eventually decreasing; those pairs never host it here.
+        return None
+    result = solve_power_gap(
+        sa.coeff, sa.exponent, sb.coeff, sb.exponent, target, tolerance=tolerance
+    )
+    return result if lo <= result.root < hi else None
 
 
 def solve_piecewise_gap(
@@ -216,52 +237,36 @@ def solve_piecewise_gap(
 ) -> RootResult:
     """Terminal root of upper(v) - lower(v) = target over piecewise profiles.
 
-    Solves the gap per overlapping segment pair, keeps the roots that land
-    inside their own segment window, and returns the largest one. The gap
-    must stay above the target past that root (checked at twice the root);
-    a failure there, or a gap that is identically zero, signals that the
+    Each overlapping segment pair spans one window [lo, hi), and the
+    windows are disjoint. They are scanned from the right: a window's gap
+    is solved in closed form or by solve_power_gap, and the first root that
+    lands inside its own window is returned. Every root in a window lies
+    below every root in the windows right of it, so that root is the
+    largest admissible one, and the windows left of it are never solved.
+    The gap must stay above the target past that root (checked at twice
+    the root); a failure there, or a gap that is identically zero on any
+    window, checked over all of them before the scan, signals that the
     structural assumptions behind the pipeline were violated.
     """
     _validate_request(tolerance)
     if target < 0.0:
         raise DomainError(f"target must be nonnegative, got {target}")
-    admissible: list[RootResult] = []
+    windows = []  # ascending: both profiles' segments are in volume order
     for sa in upper.segments:
         for sb in lower.segments:
             lo = max(sa.v_lo, sb.v_lo)
             hi = min(sa.v_hi, sb.v_hi)
             if hi <= lo:
                 continue
-            if sa.exponent == sb.exponent:
-                if sa.coeff == sb.coeff:
-                    if target == 0.0:
-                        raise ConsistencyError(
-                            "gap is identically zero on part of the domain"
-                        )
-                    continue
-                if target == 0.0 or sa.coeff < sb.coeff:
-                    continue
-                root = (target / (sa.coeff - sb.coeff)) ** (1.0 / sa.exponent)
-                if lo <= root < hi:
-                    residual = (sa.value(root) - sb.value(root)) - target
-                    admissible.append(
-                        _closed_form_result(
-                            root, residual, max(abs(target), sb.value(root)), tolerance
-                        )
-                    )
-                continue
-            if sa.exponent < sb.exponent:
-                # The terminal crossing cannot sit on a pair whose gap is
-                # eventually decreasing; those pairs never host it here.
-                continue
-            result = solve_power_gap(
-                sa.coeff, sa.exponent, sb.coeff, sb.exponent, target, tolerance=tolerance
-            )
-            if lo <= result.root < hi:
-                admissible.append(result)
-    if not admissible:
+            if target == 0.0 and sa.exponent == sb.exponent and sa.coeff == sb.coeff:
+                raise ConsistencyError("gap is identically zero on part of the domain")
+            windows.append((sa, sb, lo, hi))
+    for window in reversed(windows):
+        best = _window_root(*window, target, tolerance)
+        if best is not None:
+            break
+    else:
         raise DomainError("the gap never meets the target inside any segment window")
-    best = max(admissible, key=lambda res: res.root)
     probe = 2.0 * best.root
     if upper(probe) - lower(probe) <= target:
         raise ConsistencyError(

@@ -223,6 +223,14 @@ class TestVerification:
         checks = verify_spec(TorusProductSpec((1.2,), 3))
         assert all(check.ok for check in checks)
 
+    def test_verify_spec_k1_breakpoint_near_the_double_limit(self):
+        # beta(7, 9.24e36) is about 1e300: a normal double whose direct
+        # product form overflows, so verify once refused the spec.
+        spec = TorusProductSpec((9.24e36,), 7)
+        checks = verify_spec(spec)
+        assert checks and all(check.ok for check in checks)
+        assert 1e299 < envelope_piecewise(spec).breakpoints()[0] < 1e301
+
     def test_verify_spec_k3_scans_slab_crossing(self):
         checks = verify_spec(TorusProductSpec((0.6, 1.1, 2.3), 3))
         assert "scan:u_slab_crossing" in {check.name for check in checks}

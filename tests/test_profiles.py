@@ -20,8 +20,14 @@ from torusiso import (
     scp_piecewise,
     slab_piecewise,
     unit_ball_volume,
+    unit_sphere_area,
 )
-from torusiso.mensuration import CandidateRegion, region_boundary_area, region_volume
+from torusiso.mensuration import (
+    TWO_PI,
+    CandidateRegion,
+    region_boundary_area,
+    region_volume,
+)
 from torusiso.oracle import gap_crossings
 
 from refvalues import (
@@ -98,6 +104,34 @@ class TestBeta:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_scaling_law(self, n, lam):
         assert rel(beta(n, lam * 0.8), lam ** (n + 1) * beta(n, 0.8)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_normal_breakpoints_at_the_ends_of_the_double_range(self, n):
+        # At n = 7 the (n+1)-th power in the direct product overflowed from
+        # beta ~ 1e256 on, so normal breakpoint volumes were refused as inf.
+        for e in [*range(240, 309, 4), 308, *range(-240, -308, -4), -307]:
+            r = (10.0**e / beta(n, 1.0)) ** (1.0 / (n + 1))
+            assert rel(beta(n, r), 10.0**e) < 1e-12, e
+
+    def test_direct_product_bits_kept_where_finite(self):
+        # Below the overflow the rooted fallback is never taken.
+        n, r = 7, (1e250 / beta(7, 1.0)) ** (1 / 8)
+        w_prev, w_n = unit_sphere_area(n - 1), unit_sphere_area(n)
+        direct = (
+            float(n) ** ((n - 1) * (n + 1))
+            * (TWO_PI * r * w_prev) ** (n + 1)
+            * float(1 + n) ** (-(n * n))
+            * w_n ** (-n)
+        )
+        assert beta(n, r) == direct
+
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("lam, volume", [(2.0, 1e308), (1.0, 1e-310)])
+    def test_breakpoints_outside_the_normal_doubles_refused(self, n, lam, volume):
+        # beta about 2^(n+1) * 1e308 overflows; 1e-310 is subnormal.
+        r = lam * (volume / beta(n, 1.0)) ** (1.0 / (n + 1))
+        with pytest.raises(DomainError, match="not a normal positive double"):
+            beta(n, r)
 
     def test_guards(self):
         with pytest.raises(GuardError):

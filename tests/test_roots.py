@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,11 @@ from torusiso import (
     ConsistencyError,
     ConvergenceError,
     DomainError,
+    PiecewiseProfile,
+    PowerSegment,
     RootResult,
     TorusProductSpec,
+    beta,
     circle_piecewise,
     slab_piecewise,
     solve_increasing,
@@ -28,6 +32,7 @@ from refvalues import (
     V0_UNIT,
     VDSTAR_EXAMPLE,
 )
+from scalar_reference import solve_piecewise_gap_every_window
 
 
 def rel(a, b):
@@ -198,3 +203,82 @@ class TestSolvePiecewiseGap:
         # in the long run, so the swapped gap has no terminal root.
         with pytest.raises(DomainError):
             solve_piecewise_gap(slab, circle, 1.0)
+
+
+def power_profile(*laws):
+    """PiecewiseProfile from (coeff, exponent, v_hi) laws, each starting where the last ended."""
+    segments, v_lo = [], 0.0
+    for coeff, exponent, v_hi in laws:
+        segments.append(PowerSegment(coeff, exponent, v_lo, v_hi, "ball"))
+        v_lo = v_hi
+    return PiecewiseProfile(tuple(segments))
+
+
+# Upper profile for the window tests: 0.5 v^0.75 up to 256, 8 v^0.25 up to
+# 65536, then v^0.75 / 32 (continuous). Against sqrt(v) its gap crosses zero
+# at 16 in the first window, falls below zero in the second (skipped: its
+# exponent is the smaller) and crosses again at 2^20 in the third.
+THREE_WINDOWS = power_profile((0.5, 0.75, 256.0), (8.0, 0.25, 65536.0), (1 / 32, 0.75, math.inf))
+SQRT = power_profile((1.0, 0.5, math.inf))
+
+
+class TestWindowScan:
+    def test_right_window_root_wins(self):
+        result = solve_piecewise_gap(THREE_WINDOWS, SQRT, 0.0)
+        assert rel(result.root, 2.0**20) < 1e-12
+        assert result == solve_piecewise_gap_every_window(THREE_WINDOWS, SQRT, 0.0)
+        # The left window holds a root too: the scan must not stop there.
+        left = solve_power_gap(0.5, 0.75, 1.0, 0.5, 0.0)
+        assert left.root < 256.0 and rel(left.root, 16.0) < 1e-12
+
+    def test_inadmissible_right_root_falls_back_left(self):
+        # Past 256 the upper law is 32 (v/256)^0.6, whose gap against sqrt(v)
+        # vanishes below 1, outside its window: the left window is solved.
+        upper = power_profile((0.5, 0.75, 256.0), (32.0 / 256.0**0.6, 0.6, math.inf))
+        right = solve_power_gap(32.0 / 256.0**0.6, 0.6, 1.0, 0.5, 0.0)
+        assert right.root < 256.0
+        result = solve_piecewise_gap(upper, SQRT, 0.0)
+        assert rel(result.root, 16.0) < 1e-12
+        assert result == solve_piecewise_gap_every_window(upper, SQRT, 0.0)
+
+    def test_zero_gap_in_a_left_window_raises(self):
+        # Identical laws up to 1, a terminal root at 2^32 further right: the
+        # zero gap is refused although the scan would stop before reaching it.
+        upper = power_profile(
+            (1.0, 0.5, 1.0), (1.0, 0.25, 65536.0), (16.0 / 65536.0**0.75, 0.75, math.inf)
+        )
+        with pytest.raises(ConsistencyError, match="identically zero"):
+            solve_piecewise_gap(upper, SQRT, 0.0)
+        with pytest.raises(ConsistencyError, match="identically zero"):
+            solve_piecewise_gap_every_window(upper, SQRT, 0.0)
+        # With a positive target the shared window is no refusal.
+        assert solve_piecewise_gap(upper, SQRT, 1.0) == solve_piecewise_gap_every_window(
+            upper, SQRT, 1.0
+        )
+
+
+_LOG_RADIUS = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    log_radii=st.tuples(_LOG_RADIUS, _LOG_RADIUS),
+    which=st.integers(min_value=0, max_value=1),
+    doubled_beta=st.booleans(),
+)
+def test_window_scan_equals_every_window_reference(n, log_radii, which, doubled_beta):
+    # Circle/slab pairs as the two-circle pipeline draws them, at target 0
+    # (v0_i) and 2*beta (a_n, b_n): wherever the every-window reference
+    # returns, the right-to-left scan returns the same six fields.
+    spec = TorusProductSpec(tuple(math.exp(x) for x in log_radii), n)
+    r = spec.radii[which]
+    circle = circle_piecewise(n + 1, r)
+    slab = slab_piecewise(spec)
+    target = 2.0 * beta(n, r) if doubled_beta else 0.0
+    try:
+        expected = solve_piecewise_gap_every_window(circle, slab, target)
+    except (ConsistencyError, ConvergenceError, DomainError):
+        return
+    result = solve_piecewise_gap(circle, slab, target)
+    assert dataclasses.astuple(result) == dataclasses.astuple(expected)

@@ -57,21 +57,23 @@ class TabulatedCurve:
     label: str = ""
 
     def __post_init__(self):
+        # The one check of every sample, in point order; read_curve relabels
+        # the "point i" of a failure with the line it came from.
         pts = tuple((float(v), float(a)) for v, a in self.points)
+        previous = 0.0
+        for index, (v, a) in enumerate(pts):
+            if not 0.0 < v < math.inf:
+                problem = f"volume must be positive and finite, got {v!r}"
+            elif v <= previous:
+                problem = "volumes must be strictly increasing"
+            elif not 0.0 < a < math.inf:
+                problem = f"area must be positive and finite, got {a!r}"
+            else:
+                previous = v
+                continue
+            raise DomainError(f"point {index}: {problem}")
         if len(pts) < 2:
             raise DomainError("a tabulated curve needs at least 2 points")
-        for index, (v, a) in enumerate(pts):
-            if not (v > 0.0) or not math.isfinite(v):
-                raise DomainError(
-                    f"curve volumes must be positive and finite, got {v!r} at point {index}"
-                )
-            if not (a > 0.0) or not math.isfinite(a):
-                raise DomainError(
-                    f"curve areas must be positive and finite, got {a!r} at point {index}"
-                )
-        for (v1, _), (v2, _) in zip(pts, pts[1:]):
-            if not v1 < v2:
-                raise DomainError("curve volumes must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
 
@@ -123,12 +125,15 @@ def read_curve(path) -> TabulatedCurve:
 
     Expected layout: comment lines ``# label: <text>`` and
     ``# certified_lower_bound: yes``, then the header ``v,area``, then the
-    strictly-increasing data rows.
+    strictly-increasing data rows. The reader checks only this syntax; the
+    samples are checked once, by TabulatedCurve, after the whole file is
+    read, so a syntax or declaration fault anywhere wins over a bad sample.
     """
     label = ""
     certified = False
     header_seen = False
     points: list[tuple[float, float]] = []
+    line_nos: list[int] = []  # the line each point was read from
     try:
         # utf-8-sig drops the byte order mark that spreadsheet exports put first.
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -165,26 +170,12 @@ def read_curve(path) -> TabulatedCurve:
                 f"line {line_no}: expected two comma-separated values", line_no
             )
         try:
-            v, a = float(parts[0]), float(parts[1])
+            points.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise CurveParseError(
                 f"line {line_no}: could not parse numbers from {line!r}", line_no
             ) from None
-        if not (v > 0.0) or not math.isfinite(v):
-            raise CurveParseError(
-                f"line {line_no}: volume must be positive and finite, got {v!r}",
-                line_no,
-            )
-        if points and v <= points[-1][0]:
-            raise CurveParseError(
-                f"line {line_no}: volumes must be strictly increasing", line_no
-            )
-        if not (a > 0.0) or not math.isfinite(a):
-            raise CurveParseError(
-                f"line {line_no}: area must be positive and finite, got {a!r}",
-                line_no,
-            )
-        points.append((v, a))
+        line_nos.append(line_no)
     if not certified:
         raise CurveParseError(
             "missing '# certified_lower_bound: yes' declaration", None
@@ -194,7 +185,11 @@ def read_curve(path) -> TabulatedCurve:
     try:
         return TabulatedCurve(tuple(points), label)
     except DomainError as exc:
-        raise CurveParseError(str(exc), None) from exc
+        where, _, problem = str(exc).partition(": ")
+        if not where.startswith("point "):
+            raise CurveParseError(str(exc), None) from exc
+        line_no = line_nos[int(where.removeprefix("point "))]
+        raise CurveParseError(f"line {line_no}: {problem}", line_no) from exc
 
 
 def _thresholds(report: T2Criticals | T3Criticals) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, GuardError
 
@@ -130,26 +130,17 @@ class TorusProductSpec:
 class CandidateRegion:
     """Some of a spec's circle factors crossed with a ball filling the rest.
 
-    ``circle_indices`` index into the spec's sorted radii. ``ball_dim`` must
-    equal (circle_count - len(circle_indices)) + euclid_dim: the ball fills
-    every dimension not taken up by a chosen circle.
+    ``circle_indices`` index into the spec's sorted radii. The ball fills
+    every dimension not taken up by a chosen circle, so its dimension is
+    (circle_count - len(circle_indices)) + euclid_dim, at least euclid_dim.
     """
 
     circle_indices: tuple[int, ...]
-    ball_dim: int
     ball_radius: float
 
-    @classmethod
-    def for_spec(
-        cls, spec: TorusProductSpec, circle_indices: Sequence[int], ball_radius: float
-    ) -> "CandidateRegion":
-        """Build a region for ``spec`` with the ball dimension filled in."""
-        indices = tuple(circle_indices)
-        ball_dim = spec.circle_count - len(indices) + spec.euclid_dim
-        return cls(indices, ball_dim, ball_radius)
 
-
-def _check_region(spec: TorusProductSpec, region: CandidateRegion) -> None:
+def _ball_dim(spec: TorusProductSpec, region: CandidateRegion) -> int:
+    """Check the region against the spec and return its ball's dimension."""
     indices = region.circle_indices
     if len(set(indices)) != len(indices):
         raise DomainError(f"duplicate circle indices in region: {indices}")
@@ -158,20 +149,14 @@ def _check_region(spec: TorusProductSpec, region: CandidateRegion) -> None:
             raise DomainError(
                 f"circle index {i} out of range for {spec.circle_count} factors"
             )
-    expected = spec.circle_count - len(indices) + spec.euclid_dim
-    if region.ball_dim != expected:
-        raise DomainError(
-            f"inconsistent ball dimension {region.ball_dim}: the ball must fill "
-            f"the remaining {expected} dimensions"
-        )
     if not (region.ball_radius > 0.0) or not math.isfinite(region.ball_radius):
         raise DomainError(f"ball radius must be positive, got {region.ball_radius!r}")
+    return spec.circle_count - len(indices) + spec.euclid_dim
 
 
 def region_volume(spec: TorusProductSpec, region: CandidateRegion) -> float:
     """Volume of the region: (product of circumferences) * b_m * R^m."""
-    _check_region(spec, region)
-    m = region.ball_dim
+    m = _ball_dim(spec, region)
     return (
         spec.torus_measure(region.circle_indices)
         * unit_ball_volume(m)
@@ -184,10 +169,7 @@ def region_boundary_area(spec: TorusProductSpec, region: CandidateRegion) -> flo
 
     Equals the derivative of region_volume with respect to the ball radius.
     """
-    _check_region(spec, region)
-    m = region.ball_dim
-    if m < 1:
-        raise DomainError("region has no ball factor, so no boundary to measure")
+    m = _ball_dim(spec, region)
     return (
         spec.torus_measure(region.circle_indices)
         * m

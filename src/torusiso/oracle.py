@@ -63,7 +63,7 @@ def candidate_min_area(
             # Root each factor apart: the quotient leaves the double range
             # for tiny or huge tori long before the radius does.
             radius = v ** (1.0 / m) / (measure * unit_ball_volume(m)) ** (1.0 / m)
-            region = CandidateRegion(indices, m, radius)
+            region = CandidateRegion(indices, radius)
             area = region_boundary_area(spec, region)
             if best is None or area < best[0]:
                 best = (area, region)
@@ -233,19 +233,17 @@ def report_residuals(report: CriticalReport) -> dict[str, Callable[[float], floa
     return t3_residuals(report)
 
 
-def verify_report(
-    report: CriticalReport, *, tolerance: float = _CHECK_TOLERANCE
-) -> list[CheckResult]:
+def verify_report(report: CriticalReport) -> list[CheckResult]:
     """bisect_verify every reported constant against its defining residual."""
     residuals = report_residuals(report)
     results = []
     for name, record in report.constants.items():
         residual = residuals[name]
-        ok = bisect_verify(residual, record.value, tolerance)
+        ok = bisect_verify(residual, record.value, _CHECK_TOLERANCE)
         detail = f"value={record.value!r} residual_at_value={residual(record.value):.3e}"
         results.append(CheckResult(f"constant:{name}", ok, detail))
     for key, sub in report.sub_reports.items():
-        for res in verify_report(sub, tolerance=tolerance):
+        for res in verify_report(sub):
             results.append(CheckResult(f"sub[{key}]:{res.name}", res.ok, res.detail))
     return results
 

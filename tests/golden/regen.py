@@ -21,6 +21,13 @@ specs (half with radii in [1e-3, 1e3], half in [0.1, 10]), the hex of
 every constant and residual of ``full_report`` with its regime, sub-reports
 included, or the class and message of the error it raised.
 
+The float bits of these files depend on more than the source: the
+interpreter, libc's math functions and the CPU features numpy dispatches to.
+``environment.json`` records those for the host that wrote the files, and a
+transcript mismatch prints it beside the current host's, so a difference of
+host is told apart from a change of code. It is a record, not a check: a
+different environment alone fails nothing.
+
 ``tests/test_cli.py`` and ``tests/test_criticals.py`` require the current
 output to equal these files byte for byte. Rewrite them only when an output
 change is intended, and only with
@@ -34,6 +41,7 @@ import contextlib
 import io
 import json
 import math
+import platform
 import random
 import sys
 import tempfile
@@ -64,6 +72,7 @@ CASES = [
 
 _GRID_POINTS = 41
 
+ENVIRONMENT_PATH = HERE / "environment.json"
 REPORTS_PATH = HERE / "reports.json"
 REPORT_COUNT = 400
 _REPORT_SEED = 12
@@ -187,7 +196,41 @@ def reports_text() -> str:
     return "[\n" + ",\n".join(entries) + "\n]\n"
 
 
+def numeric_environment() -> dict:
+    """Python, libc, machine, numpy and numpy's enabled CPU features here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {
+        "python": platform.python_version(),
+        "libc": list(platform.libc_ver()),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        # Space-separated, as NPY_DISABLE_CPU_FEATURES takes them.
+        "numpy_cpu_features": " ".join(name for name, on in __cpu_features__.items() if on),
+    }
+
+
+def environment_text() -> str:
+    return json.dumps(numeric_environment(), indent=2) + "\n"
+
+
+def environment_note() -> str:
+    """The recorded and the current numeric environment, for a mismatch message."""
+    try:
+        recorded = ENVIRONMENT_PATH.read_text(encoding="utf-8")
+    except OSError:
+        recorded = "(none recorded)\n"
+    return (
+        f"recorded numeric environment:\n{recorded}"
+        f"current numeric environment:\n{environment_text()}"
+    )
+
+
 def main() -> int:
+    ENVIRONMENT_PATH.write_text(environment_text(), encoding="utf-8", newline="")
+    print(f"wrote {ENVIRONMENT_PATH.name}")
     REPORTS_PATH.write_text(reports_text(), encoding="utf-8", newline="")
     print(f"wrote {REPORTS_PATH.name}")
     for spec in CASES:

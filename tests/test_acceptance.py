@@ -107,10 +107,10 @@ def test_criterion_4_breakpoint_scan_agreement():
 def test_criterion_5_solver_oracle_equivalence():
     ok = True
     for spec in random_two_circle_specs(10, seed=101):
-        results = verify_report(full_report(spec), tolerance=1e-9)
+        results = verify_report(full_report(spec))
         ok = ok and all(check.ok for check in results)
     for spec in random_three_circle_specs(10, seed=202):
-        results = verify_report(full_report(spec), tolerance=1e-9)
+        results = verify_report(full_report(spec))
         ok = ok and all(check.ok for check in results)
     rng = random.Random(303)
     for _ in range(100):
@@ -187,7 +187,7 @@ def test_criterion_9_three_torus_property_suite():
     ok = ok and rel(crit.C_star, 2 * (crit.w_star - crit.eta_star)) <= 1e-9
     ok = ok and crit.u_star <= crit.u0
     ok = ok and crit.u_star <= crit.u_dstar
-    results = verify_report(full_report(spec), tolerance=1e-9)
+    results = verify_report(full_report(spec))
     ok = ok and all(check.ok for check in results)
     ok = ok and elapsed < 2.0
     report_line(9, "three-circle property suite", ok)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -386,6 +387,93 @@ class TestCurveFile:
             read_curve(path)
         assert err.value.line_no == line_no
         assert f"line {line_no}" in str(err.value)
+
+    INCREASING = "volumes must be strictly increasing"
+    # One fault per file: (the field it replaces, 0 volume or 1 area, the new
+    # text given the previous row's volume text, the problem both labelings
+    # must carry).
+    FAULTS = {
+        "volume -1": (0, lambda before: "-1", "volume must be positive and finite, got -1.0"),
+        "volume 0": (0, lambda before: "0", "volume must be positive and finite, got 0.0"),
+        "volume nan": (0, lambda before: "nan", "volume must be positive and finite, got nan"),
+        "volume inf": (0, lambda before: "inf", "volume must be positive and finite, got inf"),
+        "duplicate volume": (0, lambda before: before, INCREASING),
+        "decreasing volume": (0, lambda before: repr(float(before) / 2.0), INCREASING),
+        "area 0": (1, lambda before: "0", "area must be positive and finite, got 0.0"),
+        "area nan": (1, lambda before: "nan", "area must be positive and finite, got nan"),
+        "area inf": (1, lambda before: "inf", "area must be positive and finite, got inf"),
+    }
+
+    @staticmethod
+    def valid_rows(rng, count):
+        volumes = sorted(rng.sample(range(1, 10_000), count))
+        return [[repr(v / 7.0), repr(rng.uniform(0.1, 50.0))] for v in volumes]
+
+    @staticmethod
+    def curve_text(rng, rows):
+        """A certified curve file with blank and comment lines strewn among the rows.
+
+        Returns the text and the line number of every data row.
+        """
+        lines = ["# label: injected", "# certified_lower_bound: yes", "v,area"]
+        line_nos = []
+        for fields in rows:
+            while rng.random() < 0.3:
+                lines.append(rng.choice(["", "# a note", "   "]))
+            lines.append(",".join(fields))
+            line_nos.append(len(lines))
+        return "\n".join(lines) + "\n", line_nos
+
+    def test_single_fault_named_by_line_and_by_point(self, tmp_path):
+        rng = random.Random(13)
+        path = tmp_path / "curve.csv"
+        for trial in range(90):
+            name = sorted(self.FAULTS)[trial % len(self.FAULTS)]
+            field, inject, problem = self.FAULTS[name]
+            rows = self.valid_rows(rng, rng.randint(2, 30))
+            # An order fault needs a row before it.
+            index = rng.randrange(problem == self.INCREASING, len(rows))
+            rows[index][field] = inject(rows[index - 1][0])
+            text, line_nos = self.curve_text(rng, rows)
+            path.write_text(text)
+            with pytest.raises(CurveParseError) as err:
+                read_curve(path)
+            assert str(err.value) == f"line {line_nos[index]}: {problem}", name
+            assert err.value.line_no == line_nos[index], name
+            with pytest.raises(DomainError) as direct:
+                TabulatedCurve(tuple((float(v), float(a)) for v, a in rows))
+            assert str(direct.value) == f"point {index}: {problem}", name
+
+    def test_syntax_fault_wins_over_an_earlier_sample_fault(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(
+            "# certified_lower_bound: yes\nv,area\n1.0,2.0\n0.5,3.0\n4.0,5.0\n6.0,seven\n"
+        )
+        with pytest.raises(CurveParseError) as err:
+            read_curve(path)
+        assert err.value.line_no == 6
+        assert str(err.value) == "line 6: could not parse numbers from '6.0,seven'"
+
+    def test_samples_checked_once_and_only_by_the_curve(self, tmp_path, monkeypatch):
+        rng = random.Random(7)
+        path = tmp_path / "curve.csv"
+        path.write_text(self.curve_text(rng, self.valid_rows(rng, 500))[0])
+        checked = []
+        check = TabulatedCurve.__post_init__
+
+        def counted(curve):
+            checked.append(len(curve.points))
+            check(curve)
+
+        monkeypatch.setattr(TabulatedCurve, "__post_init__", counted)
+        assert len(read_curve(path).points) == 500
+        assert checked == [500]
+        # With the curve's check switched off a bad sample gets through:
+        # read_curve holds no sample rule of its own.
+        monkeypatch.setattr(TabulatedCurve, "__post_init__", lambda curve: None)
+        path.write_text("# certified_lower_bound: yes\nv,area\n2.0,1.0\n1.0,nan\n")
+        first, second = read_curve(path).points
+        assert first == (2.0, 1.0) and second[0] == 1.0 and math.isnan(second[1])
 
     def test_curve_validation(self):
         with pytest.raises(DomainError):

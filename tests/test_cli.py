@@ -342,6 +342,11 @@ class TestSpecFileLoading:
             cli.parse_grid("-1:10:5,log")
         assert cli.parse_grid("2:2:1") == [2.0]
 
+    def test_grid_count_is_bounded(self):
+        assert len(cli.parse_grid("1:10:1000000,lin")) == 10**6
+        with pytest.raises(cli.SpecFileError, match="grid count must be at most 1000000"):
+            cli.parse_grid("1:10:1000001")
+
 
 class TestColdImports:
     # Modules accumulate within a process, so each command runs in a fresh one.
@@ -467,6 +472,23 @@ class TestExtremeRadii:
         if result.returncode == 2:
             assert repr(radii[-1]) in result.stderr
 
+    def test_huge_grid_count_refused_before_numpy(self, tmp_path, fresh_python):
+        # Left unbounded, 1e15 volumes ended in a numpy memory-error traceback.
+        result = self.run_module(
+            tmp_path, (1.0, 1.0), 2, ["profile", "--grid", "1:10:1000000000000000"]
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error: grid count must be at most 1000000")
+        assert "Traceback" not in result.stderr
+        source = f"""
+import contextlib, io, sys
+from torusiso import cli
+with contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["profile", {str(tmp_path / "spec.json")!r}, "--grid", "1:10:100000000"])
+print(code, "numpy" in sys.modules)
+"""
+        assert fresh_python(source).split() == ["1", "False"]
+
     @pytest.mark.parametrize(
         "radii, n, code, named",
         [
@@ -507,5 +529,24 @@ def test_output_matches_golden_transcript(spec):
     actual = regen.transcript(spec, regen.HERE).encode("utf-8")
     assert actual == path.read_bytes(), (
         f"CLI output differs from {path.name}; if the change is intended, "
-        f"rewrite the golden files with `{regen.REGEN_COMMAND}`"
+        f"rewrite the golden files with `{regen.REGEN_COMMAND}`\n{regen.environment_note()}"
     )
+
+
+def test_golden_mismatch_names_both_environments(monkeypatch):
+    monkeypatch.setattr(regen, "transcript", lambda spec, curve_dir: "changed\n")
+    with pytest.raises(AssertionError) as err:
+        test_output_matches_golden_transcript(regen.CASES[0])
+    # pytest indents the lines of an assertion message, so compare words.
+    words = " ".join(str(err.value).split())
+    recorded = regen.ENVIRONMENT_PATH.read_text(encoding="utf-8")
+    for expected in (
+        f"recorded numeric environment: {recorded}",
+        f"current numeric environment: {regen.environment_text()}",
+    ):
+        assert " ".join(expected.split()) in words
+
+
+def test_recorded_environment_has_the_current_fields():
+    recorded = json.loads(regen.ENVIRONMENT_PATH.read_text(encoding="utf-8"))
+    assert recorded.keys() == regen.numeric_environment().keys()

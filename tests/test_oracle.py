@@ -63,10 +63,10 @@ class TestCandidateMinArea:
         spec = TorusProductSpec((1.0,), 2)
         v = beta(2, 1.0)
         ball_radius = (v / unit_ball_volume(3)) ** (1 / 3)
-        ball = region_boundary_area(spec, CandidateRegion.for_spec(spec, (), ball_radius))
+        ball = region_boundary_area(spec, CandidateRegion((), ball_radius))
         cyl_radius = (v / (2 * math.pi * unit_ball_volume(2))) ** 0.5
         cylinder = region_boundary_area(
-            spec, CandidateRegion.for_spec(spec, (0,), cyl_radius)
+            spec, CandidateRegion((0,), cyl_radius)
         )
         assert rel(ball, cylinder) < 1e-9
         area, _ = candidate_min_area(spec, v)
@@ -204,13 +204,13 @@ class TestBisectVerify:
 class TestVerification:
     def test_example_report_passes(self, example_spec):
         report = full_report(example_spec)
-        results = verify_report(report, tolerance=1e-9)
+        results = verify_report(report)
         assert results
         assert all(check.ok for check in results)
 
     def test_three_torus_report_passes(self, unit_spec3):
         report = full_report(unit_spec3)
-        results = verify_report(report, tolerance=1e-9)
+        results = verify_report(report)
         names = {check.name for check in results}
         assert any(name.startswith("sub[n]") for name in names)
         assert all(check.ok for check in results)

@@ -56,7 +56,7 @@ def ball_area_oracle(m, v):
     # Mensuration-only path: solve the radius from the volume, measure the boundary.
     spec = TorusProductSpec((1.0,), m - 1)
     radius = (v / unit_ball_volume(m)) ** (1.0 / m)
-    return region_boundary_area(spec, CandidateRegion.for_spec(spec, (), radius))
+    return region_boundary_area(spec, CandidateRegion((), radius))
 
 
 class TestEuclideanProfile:
@@ -206,7 +206,7 @@ class TestSlabProfiles:
     def test_slab3_against_mensuration(self, unit_spec3):
         for v in np.geomspace(0.5, 1e5, 12):
             radius = (v / (unit_spec3.torus_measure() * unit_ball_volume(2))) ** 0.5
-            region = CandidateRegion.for_spec(unit_spec3, (0, 1, 2), radius)
+            region = CandidateRegion((0, 1, 2), radius)
             assert rel(region_volume(unit_spec3, region), v) < 1e-12
             oracle = region_boundary_area(unit_spec3, region)
             assert rel(slab_piecewise(unit_spec3)(float(v)), oracle) < 1e-12

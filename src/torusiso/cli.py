@@ -16,6 +16,8 @@ import io
 import json
 import math
 import sys
+from itertools import accumulate
+from operator import gt
 
 from .errors import (
     ConsistencyError,
@@ -38,6 +40,10 @@ EXIT_SOLVER = 3
 # took 4.5 s and 369 MiB peak RSS on an x86-64 host, and the cost grows
 # linearly, so larger counts are refused before any grid is built.
 _MAX_GRID_COUNT = 10**6
+
+# 10.0 ** y overflows from this exponent up, the log10 of the largest double
+# having rounded up.
+_LOG10_MAX = math.log10(sys.float_info.max)
 
 
 def _fmt(x: float) -> str:
@@ -109,10 +115,27 @@ def parse_grid(text: str) -> list[float]:
         raise SpecFileError(f"grid range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     if count == 1:
         return [lo]
-    import numpy as np  # loaded here only: one-volume commands start without it
+    if mode == "lin":
+        grid = _spaced(lo, hi, count)
+    else:
+        # The linear layout of the exponents, mapped back through libm's pow.
+        ys = _spaced(math.log10(lo), math.log10(hi), count)
+        grid = [10.0**y if y < _LOG10_MAX else hi for y in ys]
+        grid[0], grid[-1] = lo, hi
+    # With ends a few ulps apart, or a subnormal step, rounding can put an
+    # interior point past an end. A running maximum capped at hi orders such
+    # a grid and leaves an ascending one as it is.
+    if any(map(gt, grid, grid[1:])):
+        grid = [min(v, hi) for v in accumulate(grid, max)]
+    return grid
 
-    points = np.geomspace(lo, hi, count) if mode == "log" else np.linspace(lo, hi, count)
-    return points.tolist()
+
+def _spaced(lo: float, hi: float, count: int) -> list[float]:
+    """``i * step + lo`` for i < count - 1, then hi: count points from lo to hi."""
+    step = (hi - lo) / (count - 1)
+    points = [i * step + lo for i in range(count - 1)]
+    points.append(hi)
+    return points
 
 
 def cmd_profile(args) -> int:

@@ -22,11 +22,20 @@ every constant and residual of ``full_report`` with its regime, sub-reports
 included, or the class and message of the error it raised.
 
 The float bits of these files depend on more than the source: the
-interpreter, libc's math functions and the CPU features numpy dispatches to.
-``environment.json`` records those for the host that wrote the files, and a
-transcript mismatch prints it beside the current host's, so a difference of
-host is told apart from a change of code. It is a record, not a check: a
-different environment alone fails nothing.
+interpreter and libc's math functions, whose ``log10`` and ``pow`` lay out
+the log grids. Grids are built without numpy, so the CPU features numpy
+dispatches to do not reach the transcripts: with AVX-512 masked
+(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) every
+transcript still matches, while masking glibc's own FMA/AVX2 variants
+(``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX512DQ,-FMA4``)
+changes 2 of them on an x86-64 host. Only the curve files still sample
+the envelope at ``np.geomspace`` volumes, so rewriting them on another host
+may change their bits; the tests read them as stored inputs.
+``environment.json`` records the numeric environment of the host that wrote
+the files, numpy's CPU features included, and a transcript mismatch prints
+it beside the current host's, so a difference of host is told apart from a
+change of code. It is a record, not a check: a different environment alone
+fails nothing.
 
 ``tests/test_cli.py`` and ``tests/test_criticals.py`` require the current
 output to equal these files byte for byte. Rewrite them only when an output

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +350,75 @@ class TestSpecFileLoading:
             cli.parse_grid("1:10:1000001")
 
 
+class TestGridBuilder:
+    @staticmethod
+    def seeded_cases(count=500):
+        rng = random.Random(14)
+        for _ in range(count):
+            lo = math.exp(rng.uniform(-40.0, 40.0))
+            hi = lo * math.exp(rng.choice((0.0, 1e-12, rng.uniform(0.0, 30.0))))
+            yield lo, hi, rng.randint(2, 400)
+
+    def test_linear_grid_has_the_bits_of_linspace(self):
+        np = pytest.importorskip("numpy")
+        for lo, hi, count in self.seeded_cases():
+            expected = np.linspace(lo, hi, count).tolist()
+            assert cli.parse_grid(f"{lo!r}:{hi!r}:{count},lin") == expected, (lo, hi, count)
+
+    def test_log_grid_pins_its_ends_and_tracks_geomspace(self):
+        np = pytest.importorskip("numpy")
+        for lo, hi, count in self.seeded_cases():
+            grid = cli.parse_grid(f"{lo!r}:{hi!r}:{count},log")
+            assert grid[0] == lo and grid[-1] == hi
+            expected = np.geomspace(lo, hi, count).tolist()
+            for v, w in zip(grid, expected):
+                assert abs(v - w) <= 1e-13 * w, (lo, hi, count, v, w)
+
+    @staticmethod
+    def assert_ordered(grid, lo, hi, count):
+        assert len(grid) == count
+        assert grid[0] == lo and grid[-1] == hi
+        assert all(math.isfinite(v) and v > 0.0 for v in grid)
+        assert all(a <= b for a, b in zip(grid, grid[1:]))
+
+    @pytest.mark.parametrize("mode", ["log", "lin"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1e300:1.7976931348623157e308:1000",
+            "5e-324:1.7976931348623157e308:1001",
+            "1e-310:1e-300:50",
+            "1.7976931348623155e308:1.7976931348623157e308:4",
+        ],
+    )
+    def test_extreme_ranges(self, body, mode):
+        lo, hi, count = body.split(":")
+        self.assert_ordered(
+            cli.parse_grid(f"{body},{mode}"), float(lo), float(hi), int(count)
+        )
+
+    # Rounding put interior points of these grids past an end.
+    NEAR_DEGENERATE = [
+        "0.3:0.3:5",
+        "0.3:0.3:5,lin",
+        "7.7:7.7000000000000002:3",
+        "4.9406564584e-314:4.9406564634e-314:17,lin",
+    ]
+
+    @pytest.mark.parametrize("text", NEAR_DEGENERATE)
+    def test_near_degenerate_grid_stays_ordered(self, text):
+        lo, hi, count = text.partition(",")[0].split(":")
+        self.assert_ordered(cli.parse_grid(text), float(lo), float(hi), int(count))
+
+    @pytest.mark.parametrize("command", ["profile", "bounds"])
+    @pytest.mark.parametrize("text", NEAR_DEGENERATE)
+    def test_near_degenerate_grid_through_the_cli(self, capsys, example_file, command, text):
+        code, out, err = run(capsys, command, example_file, "--grid", text)
+        assert code == 0, err
+        vs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert vs == sorted(vs) and len(vs) == int(text.partition(",")[0].split(":")[2])
+
+
 class TestColdImports:
     # Modules accumulate within a process, so each command runs in a fresh one.
     # Every command loads these modules.
@@ -361,20 +432,26 @@ class TestColdImports:
     }
     COMMANDS = {
         "profile": ["profile", "--v", "10"],
+        "profile-grid": ["profile", "--grid", "0.5:100:64,log"],
         "critical": ["critical"],
         "bounds": ["bounds", "--grid", "0.5:100:64,log"],
+        "bounds-curve": ["bounds", "--grid", "0.5:100:64,log", "--curve", "curve.csv"],
         "verify": ["verify"],
     }
 
     @pytest.fixture(scope="class")
     def cold_runs(self, fresh_python, tmp_path_factory):
         """For a bare import and each command: numpy loaded?, torusiso modules loaded."""
-        path = tmp_path_factory.mktemp("cold") / "spec.json"
+        directory = tmp_path_factory.mktemp("cold")
+        path = directory / "spec.json"
         path.write_text(json.dumps({"radii": [SQRT_PI_RADIUS] * 2, "euclid_dim": 2}))
+        curve = directory / "curve.csv"
+        curve.write_text("# certified_lower_bound: yes\nv,area\n5,19.3\n10,32.5\n20,52.7\n")
         runs = {}
         for name, argv in {"import": None, **self.COMMANDS}.items():
             if argv is not None:
-                argv = [argv[0], str(path), *argv[1:]]
+                args = (str(directory / a) if a.endswith(".csv") else a for a in argv[1:])
+                argv = [argv[0], str(path), *args]
             source = f"""
 import contextlib, io, json, sys
 import torusiso
@@ -390,14 +467,16 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
         return runs
 
     def test_only_array_commands_load_numpy(self, cold_runs):
-        # profile --v, critical and verify never build an array, so a cold
-        # process running them must not pay for importing numpy; a grid does.
+        # Grids are built in pure Python, so only bounds --curve, whose
+        # tangent lines run over sample arrays, pays for importing numpy.
         loaded = {name: run["numpy"] for name, run in cold_runs.items()}
         assert loaded == {
             "import": False,
             "profile": False,
+            "profile-grid": False,
             "critical": False,
-            "bounds": True,
+            "bounds": False,
+            "bounds-curve": True,
             "verify": False,
         }
 
@@ -406,8 +485,10 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
         assert loaded == {
             "import": {"torusiso"},
             "profile": self.BASE,
+            "profile-grid": self.BASE,
             "critical": self.BASE | {"torusiso.criticals"},
             "bounds": self.BASE | {"torusiso.criticals", "torusiso.bounds"},
+            "bounds-curve": self.BASE | {"torusiso.criticals", "torusiso.bounds"},
             "verify": self.BASE | {"torusiso.criticals", "torusiso.oracle"},
         }
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, gt
-from typing import TYPE_CHECKING, Sequence
+from operator import attrgetter, gt, itemgetter
+from typing import Sequence
 
 from .criticals import T2Criticals, T3Criticals, full_report
 from .errors import CurveParseError, DomainError
@@ -30,19 +30,37 @@ from .mensuration import TorusProductSpec
 from .profiles import beta, circle_piecewise, envelope_piecewise
 from .roots import DEFAULT_TOLERANCE
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Relative slack within which a lower bound above the envelope is taken as
 # touching it (rounding), and clamped to it.
 _TOUCH_RTOL = 1e-9
 
-# Elements per block of the tangent kernel. Smaller blocks pay more numpy
-# calls per element, larger ones spill their temporaries out of cache: over
-# 200 rows and two 500-sample curves on an x86-64 host, band took 2.95, 2.84,
-# 3.10 and 3.75 ms at 2**13, 2**14, 2**15 and 2**16, and 4.14, 3.80, 3.65
-# and 4.74 ms in a slower phase of the same shared host.
-_BLOCK = 2**14
+# Rounding margin of the tangent scan (_tangents), in units of M, the larger
+# of the anchor area a0 and the largest admissible sample area. Let
+# u = 2**-53 and let every input lie in _SCAN_RANGE, so that all are
+# positive and each operation below is exact or rounds to a normal double
+# within a relative u.
+#   * A line's value c + (a0 - c) * (v - w) / (v0 - w) takes six roundings.
+#     Its quotient term is (a0 - c) times a factor in [0, 1], as v lies
+#     between v0 and w, and the value lies between c and a0, so the
+#     computed value is within 6u*M of the exact one: about 6 ulps.
+#   * A slope s = (c - a0) / (w - v0) takes three roundings, so it is within
+#     3u*|s|, and |v - v0| * |s| <= |c - a0| <= M: 3u*M at the scale of a
+#     value.
+#   * The exact value is a0 + (v - v0) * s. If the best and second-best
+#     computed slopes differ by g in the row's direction, every other
+#     sample's exact value lies below the best sample's by at least
+#     |v - v0| * g - 6u*M, and its computed value lies below the best
+#     sample's computed value once that exceeds the two values' errors,
+#     12u*M: that is, once |v - v0| * g > 18u*M.
+# The test's own product |v - v0| * g and the bound 20u*M are within 3u and
+# u of their exact values, which 20u rather than 18u covers.
+_SCAN_MARGIN = 20 * 2.0**-53
+
+# Magnitudes of anchors, volumes and areas within which every intermediate
+# of the scan, differences down to one ulp and slopes up to 2**565
+# included, is zero or a normal double. Outside it each row takes the exact
+# maximum.
+_SCAN_RANGE = (2.0**-256, 2.0**256)
 
 
 @dataclass(frozen=True)
@@ -55,13 +73,18 @@ class TabulatedCurve:
 
     points: tuple[tuple[float, float], ...]
     label: str = ""
+    # The sample volumes and areas as floats, built once from points.
+    volumes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    areas: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        points = tuple(self.points)
+        volumes = tuple(map(float, map(itemgetter(0), points)))
+        areas = tuple(map(float, map(itemgetter(1), points)))
         # The one check of every sample, in point order; read_curve relabels
         # the "point i" of a failure with the line it came from.
-        pts = tuple((float(v), float(a)) for v, a in self.points)
         previous = 0.0
-        for index, (v, a) in enumerate(pts):
+        for index, (v, a) in enumerate(zip(volumes, areas)):
             if not 0.0 < v < math.inf:
                 problem = f"volume must be positive and finite, got {v!r}"
             elif v <= previous:
@@ -72,9 +95,11 @@ class TabulatedCurve:
                 previous = v
                 continue
             raise DomainError(f"point {index}: {problem}")
-        if len(pts) < 2:
+        if len(points) < 2:
             raise DomainError("a tabulated curve needs at least 2 points")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(zip(volumes, areas)))
+        object.__setattr__(self, "volumes", volumes)
+        object.__setattr__(self, "areas", areas)
 
 
 @dataclass(frozen=True)
@@ -163,6 +188,12 @@ def read_curve(path) -> TabulatedCurve:
                     f"line {line_no}: expected header 'v,area', got {line!r}", line_no
                 )
             header_seen = True
+            # The usual file has nothing but data rows after its header:
+            # parse them all at once, and fall back to the loop otherwise.
+            rows = _data_rows(lines[line_no:])
+            if rows is not None:
+                points, line_nos = rows, list(range(line_no + 1, len(lines) + 1))
+                break
             continue
         parts = line.split(",")
         if len(parts) != 2:
@@ -192,6 +223,18 @@ def read_curve(path) -> TabulatedCurve:
         raise CurveParseError(f"line {line_no}: {problem}", line_no) from exc
 
 
+def _data_rows(lines: list[str]) -> list[tuple[float, float]] | None:
+    """Every line as a 'v,area' row of two floats, or None if one is not.
+
+    float() ignores the whitespace str.strip() removes, so each row has the
+    value read_curve's loop gives it.
+    """
+    try:
+        return [(float(v), float(a)) for v, a in (line.split(",") for line in lines)]
+    except ValueError:  # a blank or comment line, a field count other than 2, a non-number
+        return None
+
+
 def _thresholds(report: T2Criticals | T3Criticals) -> tuple[float, float]:
     if isinstance(report, T2Criticals):
         return report.v_star, report.v_dstar
@@ -205,15 +248,8 @@ def _chord(lo_anchor: tuple[float, float], hi_anchor: tuple[float, float], v: fl
     return y_lo + t * (y_hi - y_lo)
 
 
-def _samples(curve: TabulatedCurve) -> tuple[np.ndarray, np.ndarray]:
-    """A curve's sample volumes and areas as two arrays."""
-    import numpy as np  # only curves need arrays: band() without one runs without numpy
-
-    return np.array([w for w, _ in curve.points]), np.array([c for _, c in curve.points])
-
-
 def _tangents(
-    anchor: tuple[float, float], side: str, samples, volumes: Sequence[float]
+    anchor: tuple[float, float], side: str, curve: TabulatedCurve, volumes: Sequence[float]
 ) -> list[float | None]:
     """Best anchor line through each volume's admissible samples; None where there are none.
 
@@ -221,40 +257,74 @@ def _tangents(
     between the sample and the anchor and concavity makes each line a valid
     lower bound at v. ``side="left"`` is an anchor below the volumes, whose
     admissible samples are ``w >= v``; ``side="right"`` an anchor above them,
-    with samples ``w <= v``. The volumes must be sorted ascending and lie
-    strictly on that side of the anchor.
+    with samples ``w <= v``. The volumes must lie strictly on that side of
+    the anchor, so no line divides by zero.
 
-    Blocks of at most ``_BLOCK`` elements (a chunk of rows times the samples
-    admissible for any row in it, or one row) are evaluated at once, and each
-    row masks its inadmissible entries to -inf before the row maximum. No
-    block holds a sample at the anchor's volume, so nothing divides by zero.
-    Numpy's elementwise + - * / are correctly rounded and max is exact, so
-    each value has the bits of the same expression evaluated sample by sample.
+    Each value has the bits of the largest ``c + (a0 - c) * (v - w) / (v0 - w)``
+    over the admissible samples. That line is ``a0 + (v - v0) * s`` with
+    slope ``s = (c - a0) / (w - v0)``, so the best sample is the one of the
+    largest slope (left) or the smallest (right). The admissible samples of a
+    row are a suffix (left) or a prefix (right) of the curve, so one pass
+    from the far end records, after each sample, the best signed slope, the
+    second best and the best's index. A row takes its best sample's value
+    where the two slopes differ by more than the rounding margin
+    (_SCAN_MARGIN), and the exact maximum over its samples elsewhere.
     """
-    import numpy as np
-
     v0, a0 = anchor
-    w, c = samples
-    v = np.array(volumes, dtype=float)
-    cuts = np.searchsorted(w, v, side=side)
-    peaks = np.full(v.size, -np.inf)
-    step = max(1, _BLOCK // w.size)
-    for start in range(0, v.size, step):
-        rows = slice(start, start + step)
-        # The samples admissible for some row of the chunk: from its first
-        # row's cut on (w >= v), or up to its last row's (w <= v).
-        if side == "left":
-            lo, hi = int(cuts[start]), w.size
-        else:
-            lo, hi = 0, int(cuts[rows][-1])
-        if lo == hi:
+    ws, cs = curve.volumes, curve.areas
+    left = side == "left"
+    # Each row's admissible samples are the first k of the scan order, and
+    # ws[lo:hi] are those of any row.
+    if left:
+        counts = [len(ws) - bisect_left(ws, v) for v in volumes]
+        lo, hi = len(ws) - max(counts, default=0), len(ws)
+        scan = range(hi - 1, lo - 1, -1)
+    else:
+        counts = [bisect_right(ws, v) for v in volumes]
+        lo, hi = 0, max(counts, default=0)
+        scan = range(lo, hi)
+    if lo == hi:
+        return [None] * len(counts)
+    # Negating a quotient or a difference is exact, so a right anchor's
+    # signed slope (a0 - c) / (w - v0) and distance v0 - v are the left
+    # formulas' negations, bit for bit.
+    sign = 1.0 if left else -1.0
+    best = second = -math.inf
+    index = -1
+    tops = [(best, second, index)]  # after 0, 1, 2, ... samples of the scan
+    for i in scan:
+        slope = sign * (cs[i] - a0) / (ws[i] - v0)
+        if slope > best:
+            best, second, index = slope, best, i
+        elif slope > second:
+            second = slope
+        tops.append((best, second, index))
+
+    areas = cs[lo:hi]
+    scale = max(a0, max(areas))
+    low, high = _SCAN_RANGE
+    extremes = (v0, a0, ws[lo], ws[hi - 1], min(areas), scale, min(volumes), max(volumes))
+    bound = _SCAN_MARGIN * scale if low <= min(extremes) and max(extremes) <= high else math.inf
+    values: list[float | None] = []
+    for v, k in zip(volumes, counts):
+        if not k:
+            values.append(None)
             continue
-        ws, cs, vs = w[lo:hi], c[lo:hi], v[rows, None]
-        admissible = ws >= vs if side == "left" else ws <= vs
-        values = (a0 - cs) * (vs - ws) / (v0 - ws) + cs
-        peaks[rows] = np.where(admissible, values, -np.inf).max(axis=1)
-    found = cuts < w.size if side == "left" else cuts > 0
-    return [p if f else None for p, f in zip(peaks.tolist(), found.tolist())]
+        best, second, i = tops[k]
+        if sign * (v - v0) * (best - second) > bound:
+            w, c = ws[i], cs[i]
+            values.append(c + (a0 - c) * (v - w) / (v0 - w))
+        else:
+            first, stop = (len(ws) - k, len(ws)) if left else (0, k)
+            values.append(
+                max(
+                    [
+                        c + (a0 - c) * (v - w) / (v0 - w)
+                        for w, c in zip(ws[first:stop], cs[first:stop])
+                    ]
+                )
+            )
+    return values
 
 
 def _offsets(spec: TorusProductSpec, grid: list[float]) -> list[float]:
@@ -307,9 +377,9 @@ def band(
     # Each curve's tangent columns over the inside rows, in the fold's order.
     tangents = []
     for curve in curves:
-        samples, label = _samples(curve), curve.label or "unlabeled"
-        tangents.append((label, "tangent-left", _tangents(lo_anchor, "left", samples, inside)))
-        tangents.append((label, "tangent-right", _tangents(hi_anchor, "right", samples, inside)))
+        label = curve.label or "unlabeled"
+        tangents.append((label, "tangent-left", _tangents(lo_anchor, "left", curve, inside)))
+        tangents.append((label, "tangent-right", _tangents(hi_anchor, "right", curve, inside)))
     if spec.circle_count == 2:
         offsets = _offsets(spec, inside)
 

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from functools import cache
 from itertools import accumulate
 from operator import gt
 
@@ -245,7 +246,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves the parser as it was: the repeatable ``--curve`` action
+    copies its default list before appending to it.
+    """
     parser = argparse.ArgumentParser(
         prog="torusiso",
         description=(

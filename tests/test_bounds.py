@@ -93,7 +93,7 @@ class TestTangentBound:
         assert row.lower_source == "tangent-left"
         assert rel(row.lower, bounds_mod._chord(lo_anchor, hi_anchor, 5.0)) < 1e-12
         volumes = (5.0, 20.0, 40.0)
-        values = bounds_mod._tangents(hi_anchor, "right", bounds_mod._samples(curve), volumes)
+        values = bounds_mod._tangents(hi_anchor, "right", curve, volumes)
         for v, value in zip(volumes, values):
             assert rel(value, bounds_mod._chord(lo_anchor, hi_anchor, v)) < 1e-12
 
@@ -134,8 +134,7 @@ class TestTangentBound:
         # keeps the chord.
         lo_anchor, hi_anchor = anchors(example_spec, example_report)
         curve = TabulatedCurve(((60.0, 1.0), (70.0, 1.2)))
-        samples = bounds_mod._samples(curve)
-        assert bounds_mod._tangents(hi_anchor, "right", samples, [5.0]) == [None]
+        assert bounds_mod._tangents(hi_anchor, "right", curve, [5.0]) == [None]
         row = band_row(example_spec, example_report, 5.0, [curve])
         assert row == band_row(example_spec, example_report, 5.0)
         assert row.lower_source == "chord"

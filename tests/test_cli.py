@@ -244,6 +244,48 @@ class TestBoundsCommand:
         assert first == second
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no call sees another's arguments."""
+
+    def test_curves_do_not_carry_over(self, capsys, example_file, tmp_path, monkeypatch):
+        from torusiso import bounds
+
+        curve = tmp_path / "curve.csv"
+        curve.write_text("# certified_lower_bound: yes\nv,area\n5,19.3\n10,32.5\n20,52.7\n")
+        read = []
+
+        def counted(path):
+            read.append(path)
+            return real(path)
+
+        real = bounds.read_curve
+        monkeypatch.setattr(bounds, "read_curve", counted)
+        argv = ["bounds", example_file, "--grid", "3:50:5"]
+        outputs = []
+        for extra in ([], ["--curve", str(curve)], ["--curve", str(curve)], []):
+            before = len(read)
+            assert cli.main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+            assert read[before:] == extra[1:]
+        assert outputs[0] == outputs[3] and outputs[1] == outputs[2]
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["bounds", "--help"], ["bounds", "spec.json"], ["nope"]],
+        ids=["help", "bounds-help", "missing-grid", "unknown-command"],
+    )
+    def test_help_and_usage_errors_repeat(self, capsys, argv):
+        # Twice through main, then once through a parser built afresh.
+        outcomes = []
+        for parse in (cli.main, cli.main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exit_:
+                parse(argv)
+            outcomes.append((exit_.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0] == (0 if "--help" in argv else 2)
+
+
 class TestVerifyCommand:
     def test_example_spec_passes(self, capsys, example_file):
         code, out, _ = run(capsys, "verify", example_file)
@@ -460,8 +502,8 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
         return runs
 
     def test_only_array_commands_load_numpy(self, cold_runs):
-        # Grids are built in pure Python, so only bounds --curve, whose
-        # tangent lines run over sample arrays, pays for importing numpy.
+        # Grids are built and tangent lines scanned in pure Python, so no
+        # command imports numpy.
         loaded = {name: run["numpy"] for name, run in cold_runs.items()}
         assert loaded == {
             "import": False,
@@ -469,7 +511,7 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
             "profile-grid": False,
             "critical": False,
             "bounds": False,
-            "bounds-curve": True,
+            "bounds-curve": False,
             "verify": False,
         }
 

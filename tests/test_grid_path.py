@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import torusiso.bounds as bounds_mod
 import torusiso.cli as cli_mod
@@ -221,13 +223,12 @@ def tangent_columns(anchor, curve, volumes):
     Volumes below the anchor take the right-anchor side (samples w <= v),
     the others the left-anchor side (samples w >= v), as tangent_reference does.
     """
-    samples = bounds_mod._samples(curve)
     volumes = sorted(float(v) for v in volumes)
     below = [v for v in volumes if v < anchor[0]]
     above = volumes[len(below):]
     got = [
-        *bounds_mod._tangents(anchor, "right", samples, below),
-        *bounds_mod._tangents(anchor, "left", samples, above),
+        *bounds_mod._tangents(anchor, "right", curve, below),
+        *bounds_mod._tangents(anchor, "left", curve, above),
     ]
     return got, [tangent_reference(anchor, curve, v) for v in volumes]
 
@@ -237,7 +238,7 @@ def power_curve(ws):
 
 
 def test_tangent_bound_equals_sample_loop():
-    """The column kernel gives the bits of the per-sample loop, None rows included."""
+    """The scan gives the bits of the per-sample loop, None rows included."""
     rng = np.random.default_rng(7)
     ws = np.sort(rng.uniform(0.5, 80.0, 300))
     curve = power_curve(ws)
@@ -247,27 +248,20 @@ def test_tangent_bound_equals_sample_loop():
         got, expected = tangent_columns(anchor, curve, volumes)
         assert got == expected
         assert None in expected
-
-
-def test_tangent_kernel_curve_longer_than_a_block():
-    # Past _BLOCK samples a block holds a single row.
-    ws = np.geomspace(1.0, 100.0, bounds_mod._BLOCK + 37)
+    # A curve of 2**14 + 37 samples, longer than one block of the former
+    # array kernel.
+    ws = np.geomspace(1.0, 100.0, 2**14 + 37)
     curve = power_curve(ws)
     volumes = [0.5, 1.0, 3.3, 50.0, float(ws[5000]), 99.0, 100.0, 150.0]
     for anchor in ((0.2, 1.0), (200.0, 80.0)):
         got, expected = tangent_columns(anchor, curve, volumes)
         assert got == expected
         assert None in expected
-
-
-def test_tangent_kernel_partial_last_chunk():
+    # 300 samples under 169 rows, which left that kernel a partial last chunk.
     ws = np.geomspace(1.0, 100.0, 300)
-    rows_per_block = bounds_mod._BLOCK // ws.size
-    volumes = np.geomspace(1.5, 99.0, 3 * rows_per_block + 7)
-    assert len(volumes) % rows_per_block != 0
     curve = power_curve(ws)
     for anchor in ((0.5, 1.0), (150.0, 60.0)):
-        got, expected = tangent_columns(anchor, curve, volumes)
+        got, expected = tangent_columns(anchor, curve, np.geomspace(1.5, 99.0, 169))
         assert got == expected
 
 
@@ -281,10 +275,58 @@ def test_tangent_kernel_volumes_on_the_samples():
         assert None not in expected
 
 
+@st.composite
+def anchored_curves(draw):
+    """An anchor, a curve and volumes on both sides of the anchor.
+
+    Samples lie on one line through the anchor (their slopes tie, up to
+    rounding), share an area from a small pool, or are free. Volumes are
+    free doubles or multiples of 1/8, on which many lines evaluate exactly.
+    Anchor, volumes and areas may be scaled by 2**300 or 2**-300, outside
+    the scan's range.
+    """
+    volume = st.one_of(st.floats(0.1, 100.0), st.integers(1, 800).map(lambda k: k / 8))
+    v0, a0 = draw(volume), draw(st.floats(1.0, 50.0))
+    slope = draw(st.one_of(st.floats(-0.5, 2.0), st.sampled_from([0.0, 0.5, 1.0])))
+    pool = draw(st.lists(st.floats(0.5, 80.0), min_size=1, max_size=3))
+    points = []
+    for w in sorted(set(draw(st.lists(volume, min_size=2, max_size=60)))):
+        kind = draw(st.sampled_from(["line", "line", "pool", "free"]))
+        if kind == "line":
+            c = a0 + slope * (w - v0)
+        elif kind == "pool":
+            c = draw(st.sampled_from(pool))
+        else:
+            c = draw(st.floats(0.5, 80.0))
+        if c > 0.0:
+            points.append((w, c))
+    assume(len(points) >= 2)
+    volumes = [v for v in draw(st.lists(volume, max_size=40)) if v != v0]
+    volumes += [w for w, _ in points if w != v0]
+    v_scale, a_scale = draw(st.sampled_from([(1.0, 1.0)] * 4 + [(2.0**300, 1.0), (1.0, 2.0**-300)]))
+    return (
+        (v0 * v_scale, a0 * a_scale),
+        TabulatedCurve(tuple((w * v_scale, c * a_scale) for w, c in points)),
+        [v * v_scale for v in volumes],
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(anchored_curves())
+def test_tangent_scan_matches_sample_loop_on_ties(case):
+    # The best slope's sample is taken only where the slopes' gap exceeds the
+    # rounding margin: on tied or nearly tied slopes the rounded values of the
+    # lines decide, as in the per-sample loop.
+    anchor, curve, volumes = case
+    got, expected = tangent_columns(anchor, curve, volumes)
+    assert got == expected
+
+
 @pytest.mark.parametrize("spec", [SPECS[0], SPECS[8]], ids=spec_id)
 def test_curve_samples_at_the_thresholds(spec):
     # Samples at v_lo and v_hi carry the anchors' own areas: a line from an
-    # anchor through its own sample is 0/0, and no numpy warning may leak.
+    # anchor through its own sample is 0/0, which no row may evaluate, and
+    # no warning may leak.
     report = criticals(spec)
     v_lo, v_hi = thresholds(report)
     inner = np.geomspace(v_lo, v_hi, 12)[1:-1]

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, gt, itemgetter
+from operator import attrgetter, gt
 from typing import Sequence
 
 from .criticals import T2Criticals, T3Criticals, full_report
@@ -79,8 +79,10 @@ class TabulatedCurve:
 
     def __post_init__(self):
         points = tuple(self.points)
-        volumes = tuple(map(float, map(itemgetter(0), points)))
-        areas = tuple(map(float, map(itemgetter(1), points)))
+        # One column per entry of a point, so a point that is not a pair
+        # fails the strict zip or the unpacking with a ValueError.
+        columns = zip(*points, strict=True) if points else ((), ())
+        volumes, areas = (tuple(map(float, column)) for column in columns)
         # The one check of every sample, in point order; read_curve relabels
         # the "point i" of a failure with the line it came from.
         previous = 0.0

@@ -235,7 +235,8 @@ class TestBand:
             band(example_spec, [mid], [curve], report=example_report)
 
     def test_tangent_memory_stays_in_blocks(self, example_spec, example_report):
-        # 2,000 inside rows x 5,000 samples in one block would take ~150 MiB.
+        # 2,000 inside rows x 5,000 samples as one array would take ~150 MiB;
+        # the scan keeps one record per sample and one value per row.
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
         grid = np.geomspace(v_lo, v_hi, 2002)[1:-1].tolist()
         envelope = scp_piecewise(example_spec)

@@ -269,8 +269,9 @@ def _tangents(
     row are a suffix (left) or a prefix (right) of the curve, so one pass
     from the far end records, after each sample, the best signed slope, the
     second best and the best's index. A row takes its best sample's value
-    where the two slopes differ by more than the rounding margin
-    (_SCAN_MARGIN), and the exact maximum over its samples elsewhere.
+    where the gap between the two slopes, times ``|v - v0|``, exceeds the
+    rounding margin (_SCAN_MARGIN), and the exact maximum over its samples
+    elsewhere.
     """
     v0, a0 = anchor
     ws, cs = curve.volumes, curve.areas
@@ -318,14 +319,8 @@ def _tangents(
             values.append(c + (a0 - c) * (v - w) / (v0 - w))
         else:
             first, stop = (len(ws) - k, len(ws)) if left else (0, k)
-            values.append(
-                max(
-                    [
-                        c + (a0 - c) * (v - w) / (v0 - w)
-                        for w, c in zip(ws[first:stop], cs[first:stop])
-                    ]
-                )
-            )
+            samples = zip(ws[first:stop], cs[first:stop])
+            values.append(max([c + (a0 - c) * (v - w) / (v0 - w) for w, c in samples]))
     return values
 
 

@@ -252,13 +252,12 @@ class TestParserReuse:
 
         curve = tmp_path / "curve.csv"
         curve.write_text("# certified_lower_bound: yes\nv,area\n5,19.3\n10,32.5\n20,52.7\n")
-        read = []
+        read, real = [], bounds.read_curve
 
         def counted(path):
             read.append(path)
             return real(path)
 
-        real = bounds.read_curve
         monkeypatch.setattr(bounds, "read_curve", counted)
         argv = ["bounds", example_file, "--grid", "3:50:5"]
         outputs = []

@@ -248,8 +248,10 @@ def test_tangent_bound_equals_sample_loop():
         got, expected = tangent_columns(anchor, curve, volumes)
         assert got == expected
         assert None in expected
-    # A curve of 2**14 + 37 samples, longer than one block of the former
-    # array kernel.
+
+
+def test_tangent_kernel_curve_longer_than_a_block():
+    # 2**14 + 37 samples, longer than one block of the former array kernel.
     ws = np.geomspace(1.0, 100.0, 2**14 + 37)
     curve = power_curve(ws)
     volumes = [0.5, 1.0, 3.3, 50.0, float(ws[5000]), 99.0, 100.0, 150.0]
@@ -257,7 +259,11 @@ def test_tangent_bound_equals_sample_loop():
         got, expected = tangent_columns(anchor, curve, volumes)
         assert got == expected
         assert None in expected
-    # 300 samples under 169 rows, which left that kernel a partial last chunk.
+
+
+def test_tangent_kernel_partial_last_chunk():
+    # 300 samples under 169 rows, which left the former array kernel a
+    # partial last chunk of rows.
     ws = np.geomspace(1.0, 100.0, 300)
     curve = power_curve(ws)
     for anchor in ((0.5, 1.0), (150.0, 60.0)):

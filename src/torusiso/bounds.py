@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import cached_property
 from operator import attrgetter, gt
-from typing import Sequence
 
 from .criticals import T2Criticals, T3Criticals, full_report
 from .errors import CurveParseError, DomainError
 from .mensuration import TorusProductSpec
 from .profiles import beta, circle_piecewise, envelope_piecewise
+from .records import record
 from .roots import DEFAULT_TOLERANCE
 
 # Relative slack within which a lower bound above the envelope is taken as
@@ -63,22 +63,16 @@ _SCAN_MARGIN = 20 * 2.0**-53
 _SCAN_RANGE = (2.0**-256, 2.0**256)
 
 
-@dataclass(frozen=True)
-class TabulatedCurve:
+class TabulatedCurve(record("TabulatedCurve", "points label")):
     """A certified comparison curve ingested as (volume, area) samples.
 
     The tool never verifies that the curve really lower-bounds the true
-    profile; the file format forces the user to declare it.
+    profile; the file format forces the user to declare it. ``volumes``
+    and ``areas`` are the samples as float columns, built once from points.
     """
 
-    points: tuple[tuple[float, float], ...]
-    label: str = ""
-    # The sample volumes and areas as floats, built once from points.
-    volumes: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    areas: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        points = tuple(self.points)
+    def __new__(cls, points: tuple[tuple[float, float], ...], label: str = ""):
+        points = tuple(points)
         # One column per entry of a point, so a point that is not a pair
         # fails the strict zip or the unpacking with a ValueError.
         columns = zip(*points, strict=True) if points else ((), ())
@@ -99,46 +93,37 @@ class TabulatedCurve:
             raise DomainError(f"point {index}: {problem}")
         if len(points) < 2:
             raise DomainError("a tabulated curve needs at least 2 points")
-        object.__setattr__(self, "points", tuple(zip(volumes, areas)))
+        self = tuple.__new__(cls, (tuple(zip(volumes, areas)), label))
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "areas", areas)
+        return self
 
 
-@dataclass(frozen=True)
-class BandRow:
-    v: float
-    upper: float
-    lower: float
-    upper_regime: str
-    lower_source: str
+class BandRow(record("BandRow", "v upper lower upper_regime lower_source")):
+    """One row of a BoundBand: three floats, then two names."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundBand:
+class BoundBand(record("BoundBand", "v upper lower upper_regime lower_source")):
     """Bound columns over a volume grid; lower <= upper holds on every row.
 
     Row i is ``(v[i], upper[i], lower[i], upper_regime[i], lower_source[i])``.
     ``rows`` builds those rows as BandRow objects on first use.
     """
 
-    v: tuple[float, ...]
-    upper: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper_regime: tuple[str, ...]
-    lower_source: tuple[str, ...]
-
-    def __post_init__(self):
-        columns = (self.v, self.upper, self.lower, self.upper_regime, self.lower_source)
+    def __new__(cls, v, upper, lower, upper_regime, lower_source):
+        columns = (v, upper, lower, upper_regime, lower_source)
         if len({len(column) for column in columns}) != 1:
             raise DomainError(
                 f"band columns differ in length: {[len(column) for column in columns]}"
             )
-        if any(map(gt, self.lower, self.upper)):
-            i = list(map(gt, self.lower, self.upper)).index(True)
+        if any(map(gt, lower, upper)):
+            i = list(map(gt, lower, upper)).index(True)
             raise DomainError(
-                f"invalid band row at v={self.v[i]}: "
-                f"lower {self.lower[i]} > upper {self.upper[i]}"
+                f"invalid band row at v={v[i]}: lower {lower[i]} > upper {upper[i]}"
             )
+        return tuple.__new__(cls, columns)
 
     @cached_property
     def rows(self) -> tuple[BandRow, ...]:

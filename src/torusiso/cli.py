@@ -11,8 +11,6 @@ Each command imports the modules it runs when it runs, so a cold
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -198,6 +196,8 @@ def cmd_critical(args) -> int:
         sys.stdout.write(json.dumps(_report_payload(report), indent=2))
         sys.stdout.write("\n")
     else:
+        import csv
+        import io
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["name", "value", "residual", "equation", "regime"])

@@ -38,7 +38,6 @@ with no T3Criticals field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 from .errors import ConsistencyError, GuardError
 from .mensuration import TWO_PI, TorusProductSpec, unit_ball_volume
@@ -49,59 +48,47 @@ from .profiles import (
     euclidean_piecewise,
     slab_piecewise,
 )
+from .records import record
 from .roots import DEFAULT_TOLERANCE, solve_increasing, solve_piecewise_gap
 
 _IDENTITY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class T2Criticals:
-    """Every named constant of a two-circle threshold report."""
+class T2Criticals(
+    record("T2Criticals", "theta_star sigma_star K_star c_n v_s v0_1 v0_2 v_star a_n b_n v_dstar")
+):
+    """Every named constant of a two-circle threshold report, as floats."""
 
-    theta_star: float
-    sigma_star: float
-    K_star: float
-    c_n: float
-    v_s: float
-    v0_1: float
-    v0_2: float
-    v_star: float
-    a_n: float
-    b_n: float
-    v_dstar: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class T3Criticals:
-    """Every named constant of a three-circle threshold report."""
+class T3Criticals(record("T3Criticals", "w_star eta_star C_star u0 u_star u_dstar")):
+    """Every named constant of a three-circle threshold report, as floats."""
 
-    w_star: float
-    eta_star: float
-    C_star: float
-    u0: float
-    u_star: float
-    u_dstar: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstantRecord:
-    """Provenance of one reported constant: defining relation and residual."""
+class ConstantRecord(record("ConstantRecord", "value equation residual regime", (None,))):
+    """Provenance of one reported constant: defining relation and residual.
 
-    value: float
-    equation: str
-    residual: float
-    regime: str | None = None
+    ``value`` and ``residual`` are floats; ``regime`` names the active branch, or is None.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriticalReport:
-    """A criticals bundle plus the provenance of every constant."""
+class CriticalReport(record("CriticalReport", "spec kind criticals constants sub_reports")):
+    """A criticals bundle plus the provenance of every constant.
 
-    spec: TorusProductSpec
-    kind: str  # "two-torus" | "three-torus"
-    criticals: T2Criticals | T3Criticals
-    constants: dict[str, ConstantRecord]
-    sub_reports: dict[str, "CriticalReport"] = field(default_factory=dict)
+    ``kind`` is "two-torus" or "three-torus"; ``sub_reports`` maps keys to
+    nested reports (by default a new empty dict).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, spec, kind, criticals, constants, sub_reports=None):
+        sub_reports = {} if sub_reports is None else sub_reports
+        return tuple.__new__(cls, (spec, kind, criticals, constants, sub_reports))
 
 
 def _balance_equation(radius: float, ball: PiecewiseProfile):
@@ -130,7 +117,7 @@ def _check_invariants(checks: list[tuple[bool, str]]) -> None:
 
 def _derived(kind: type, records: dict[str, ConstantRecord]):
     """The criticals bundle ``kind`` read off the records' values."""
-    return kind(**{f.name: records[f.name].value for f in fields(kind)})
+    return kind(*[records[name].value for name in kind._fields])
 
 
 def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import DomainError, GuardError
+from .records import record
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,8 +70,7 @@ def _ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / _gamma_half(m + 2)
 
 
-@dataclass(frozen=True)
-class TorusProductSpec:
+class TorusProductSpec(record("TorusProductSpec", "radii euclid_dim")):
     """A Riemannian product of circle factors with a Euclidean factor.
 
     ``radii`` are the circle radii, stored sorted ascending (a circle of
@@ -81,11 +80,10 @@ class TorusProductSpec:
     unvalidated, so construction fails loudly instead.
     """
 
-    radii: tuple[float, ...]
-    euclid_dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
+    def __new__(cls, radii: tuple[float, ...], euclid_dim: int):
+        radii = tuple(float(r) for r in radii)
         k = len(radii)
         if k == 0:
             raise GuardError("at least 1 circle factor is required, got 0")
@@ -96,13 +94,13 @@ class TorusProductSpec:
         for r in radii:
             if not (r > 0.0) or not math.isfinite(r):
                 raise DomainError(f"circle radii must be positive finite reals, got {r!r}")
-        n = self.euclid_dim
+        n = euclid_dim
         if not isinstance(n, int) or isinstance(n, bool):
             raise DomainError(f"euclid_dim must be an integer, got {n!r}")
         lo, hi = EUCLID_DIM_RANGES[k]
         if not lo <= n <= hi:
             raise GuardError(f"a {k}-circle spec requires {lo} <= euclid_dim <= {hi}, got {n}")
-        object.__setattr__(self, "radii", tuple(sorted(radii)))
+        return tuple.__new__(cls, (tuple(sorted(radii)), n))
 
     @property
     def circle_count(self) -> int:
@@ -126,17 +124,15 @@ class TorusProductSpec:
         return measure
 
 
-@dataclass(frozen=True)
-class CandidateRegion:
+class CandidateRegion(record("CandidateRegion", "circle_indices ball_radius")):
     """Some of a spec's circle factors crossed with a ball filling the rest.
 
-    ``circle_indices`` index into the spec's sorted radii. The ball fills
-    every dimension not taken up by a chosen circle, so its dimension is
-    (circle_count - len(circle_indices)) + euclid_dim, at least euclid_dim.
+    ``circle_indices`` (ints) index into the spec's sorted radii. The ball,
+    of float radius ``ball_radius``, fills every dimension no chosen circle
+    takes: (circle_count - len(circle_indices)) + euclid_dim >= euclid_dim.
     """
 
-    circle_indices: tuple[int, ...]
-    ball_radius: float
+    __slots__ = ()
 
 
 def _ball_dim(spec: TorusProductSpec, region: CandidateRegion) -> int:

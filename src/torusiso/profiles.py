@@ -29,7 +29,6 @@ import itertools
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, GuardError
 from .mensuration import (
@@ -39,6 +38,7 @@ from .mensuration import (
     unit_ball_volume,
     unit_sphere_area,
 )
+from .records import record
 
 # Relative tolerance for the continuity check at piecewise breakpoints.
 _CONTINUITY_RTOL = 1e-9
@@ -51,27 +51,23 @@ REGIME_CYLINDER = "cylinder"
 REGIME_SLAB = "slab"
 
 
-@dataclass(frozen=True)
-class PowerSegment:
+class PowerSegment(record("PowerSegment", "coeff exponent v_lo v_hi regime")):
     """One power law coeff * v^exponent on the interval (v_lo, v_hi].
 
     The interval is closed on the right: a volume exactly on a breakpoint
     belongs to the segment that ends there (see PiecewiseProfile).
     """
 
-    coeff: float
-    exponent: float
-    v_lo: float
-    v_hi: float
-    regime: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.coeff > 0.0) or not math.isfinite(self.coeff):
-            raise DomainError(f"segment coefficient must be positive, got {self.coeff!r}")
-        if not 0.0 < self.exponent <= 1.0:
-            raise DomainError(f"segment exponent must be in (0, 1], got {self.exponent!r}")
-        if not (0.0 <= self.v_lo < self.v_hi):
-            raise DomainError(f"bad segment domain ({self.v_lo}, {self.v_hi}]")
+    def __new__(cls, coeff: float, exponent: float, v_lo: float, v_hi: float, regime: str):
+        if not (coeff > 0.0) or not math.isfinite(coeff):
+            raise DomainError(f"segment coefficient must be positive, got {coeff!r}")
+        if not 0.0 < exponent <= 1.0:
+            raise DomainError(f"segment exponent must be in (0, 1], got {exponent!r}")
+        if not (0.0 <= v_lo < v_hi):
+            raise DomainError(f"bad segment domain ({v_lo}, {v_hi}]")
+        return tuple.__new__(cls, (coeff, exponent, v_lo, v_hi, regime))
 
     def value(self, v):
         """Evaluate the power law at v."""
@@ -82,8 +78,7 @@ class PowerSegment:
         return (area / self.coeff) ** (1.0 / self.exponent)
 
 
-@dataclass(frozen=True)
-class PiecewiseProfile:
+class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
     """Ordered power segments covering (0, inf) with no gaps or overlaps.
 
     One breakpoint rule decides which power law gives the value at v:
@@ -93,7 +88,8 @@ class PiecewiseProfile:
     * a minimum envelope (``candidates`` set, see minimum_envelope) is
       evaluated through its candidates and takes the first minimal one, so
       a tie goes to the earlier curve. Its ``segments`` record where each
-      candidate wins, for solving and for listing regimes.
+      candidate wins, for solving and for listing regimes; equality and
+      hashing read the segments alone.
 
     There are three evaluators, and all follow it: ``__call__`` (the area
     at one volume), ``segment_at`` (the winning power law) and ``values``
@@ -103,13 +99,8 @@ class PiecewiseProfile:
     224.84192526231706 from the ball segment.
     """
 
-    segments: tuple[PowerSegment, ...]
-    candidates: tuple[PiecewiseProfile, ...] = field(
-        default=(), compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
+    def __new__(cls, segments: tuple[PowerSegment, ...], candidates: tuple = ()):
+        segs = tuple(segments)
         if not segs:
             raise DomainError("a piecewise profile needs at least one segment")
         if segs[0].v_lo != 0.0:
@@ -127,8 +118,15 @@ class PiecewiseProfile:
                 raise DomainError(
                     f"discontinuity at breakpoint {left.v_hi}: {a} vs {b}"
                 )
-        object.__setattr__(self, "segments", segs)
+        self = tuple.__new__(cls, (segs, candidates))
         object.__setattr__(self, "_cuts", tuple(seg.v_hi for seg in segs[:-1]))
+        return self
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.segments == other.segments
+
+    def __hash__(self):
+        return hash(self.segments)
 
     def segment_at(self, v: float) -> PowerSegment:
         """The segment whose power law gives the profile's value at v.
@@ -370,14 +368,14 @@ def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:
             and merged[-1].exponent == seg.exponent
             and merged[-1].regime == seg.regime
         ):
-            merged[-1] = replace(merged[-1], v_hi=seg.v_hi)
+            merged[-1] = merged[-1]._replace(v_hi=seg.v_hi)
         else:
             merged.append(seg)
     return PiecewiseProfile(tuple(merged), tuple(curves))
 
 
 def _retag(profile: PiecewiseProfile, regime: str) -> PiecewiseProfile:
-    return PiecewiseProfile(tuple(replace(s, regime=regime) for s in profile.segments))
+    return PiecewiseProfile(tuple(s._replace(regime=regime) for s in profile.segments))
 
 
 def scp_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:

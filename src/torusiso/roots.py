@@ -17,11 +17,11 @@ achievable residual is relative to the term magnitude, not to b alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .profiles import PiecewiseProfile, PowerSegment
+from .records import record
 
 DEFAULT_TOLERANCE = 1e-12
 # Looser tolerances break the solver contract, so requests above it are refused.
@@ -35,32 +35,24 @@ _MAX_ITER = 200
 _MAX_DOUBLINGS = 60
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(record("RootResult", "root residual iterations bracket tolerance scale")):
     """One solved root with the evidence needed to audit it.
 
     ``residual`` is lhs(root) - target; ``scale`` is the magnitude the
     residual is measured against (at least max(1, |target|), plus the size
-    of any cancelling terms). ``iterations`` counts function evaluations.
+    of any cancelling terms). ``iterations`` counts function evaluations
+    (an int), ``bracket`` is the final (lo, hi) pair; the rest are floats.
     """
 
-    root: float
-    residual: float
-    iterations: int
-    bracket: tuple[float, float]
-    tolerance: float = DEFAULT_TOLERANCE
-    scale: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo, hi = self.bracket
-        if not lo <= self.root <= hi:
-            raise ConsistencyError(
-                f"root {self.root} escaped its bracket [{lo}, {hi}]"
-            )
-        if not abs(self.residual) <= self.tolerance * self.scale:
-            raise ConsistencyError(
-                f"residual {self.residual} exceeds {self.tolerance} * {self.scale}"
-            )
+    def __new__(cls, root, residual, iterations, bracket, tolerance=DEFAULT_TOLERANCE, scale=1.0):
+        lo, hi = bracket
+        if not lo <= root <= hi:
+            raise ConsistencyError(f"root {root} escaped its bracket [{lo}, {hi}]")
+        if not abs(residual) <= tolerance * scale:
+            raise ConsistencyError(f"residual {residual} exceeds {tolerance} * {scale}")
+        return tuple.__new__(cls, (root, residual, iterations, bracket, tolerance, scale))
 
 
 def _validate_request(tolerance: float) -> None:

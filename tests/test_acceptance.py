@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are pinned here and nowhere else.
 """
 
-import dataclasses
 import math
 import random
 import time
@@ -95,7 +94,7 @@ def test_criterion_4_breakpoint_scan_agreement():
             ball, cylinder = circle_piecewise(n, r).segments
             # Each branch's whole power law, as a one-segment profile.
             laws = [
-                PiecewiseProfile((dataclasses.replace(s, v_lo=0.0, v_hi=math.inf),))
+                PiecewiseProfile((s._replace(v_lo=0.0, v_hi=math.inf),))
                 for s in (ball, cylinder)
             ]
             crossings = gap_crossings(*laws, 0.0, target * 1e-3, target * 1e3)

@@ -459,18 +459,21 @@ class TestCurveFile:
         path = tmp_path / "curve.csv"
         path.write_text(self.curve_text(rng, self.valid_rows(rng, 500))[0])
         checked = []
-        check = TabulatedCurve.__post_init__
+        check = TabulatedCurve.__new__
 
-        def counted(curve):
-            checked.append(len(curve.points))
-            check(curve)
+        def counted(cls, points, label=""):
+            checked.append(len(points))
+            return check(cls, points, label)
 
-        monkeypatch.setattr(TabulatedCurve, "__post_init__", counted)
+        monkeypatch.setattr(TabulatedCurve, "__new__", counted)
         assert len(read_curve(path).points) == 500
         assert checked == [500]
         # With the curve's check switched off a bad sample gets through:
         # read_curve holds no sample rule of its own.
-        monkeypatch.setattr(TabulatedCurve, "__post_init__", lambda curve: None)
+        def unchecked(cls, points, label=""):
+            return tuple.__new__(cls, (points, label))
+
+        monkeypatch.setattr(TabulatedCurve, "__new__", unchecked)
         path.write_text("# certified_lower_bound: yes\nv,area\n2.0,1.0\n1.0,nan\n")
         first, second = read_curve(path).points
         assert first == (2.0, 1.0) and second[0] == 1.0 and math.isnan(second[1])

@@ -300,6 +300,20 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 0
 
+    def test_underflowed_oracle_area_spec(self, capsys, tmp_path):
+        # The oracle's area underflows to 0.0 at every volume verify samples
+        # for this spec, which once ended in a ZeroDivisionError.
+        path = tmp_path / "extreme.json"
+        radii = [2.449358874805687e-34, 1.1311864152620641e275]
+        path.write_text(json.dumps({"radii": radii, "euclid_dim": 5}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code in (0, 2, 3)
+        assert "Traceback" not in out + err
+        if err.startswith("error:"):
+            assert err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert out.splitlines()[-1].startswith(("PASS ", "FAIL ", "all "))
+
     def test_corrupted_spec(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -462,12 +476,14 @@ class TestColdImports:
         "torusiso.errors",
         "torusiso.mensuration",
         "torusiso.profiles",
+        "torusiso.records",
         "torusiso.roots",
     }
     COMMANDS = {
         "profile": ["profile", "--v", "10"],
         "profile-grid": ["profile", "--grid", "0.5:100:64,log"],
         "critical": ["critical"],
+        "critical-csv": ["critical", "--format", "csv"],
         "bounds": ["bounds", "--grid", "0.5:100:64,log"],
         "bounds-curve": ["bounds", "--grid", "0.5:100:64,log", "--curve", "curve.csv"],
         "verify": ["verify"],
@@ -475,7 +491,8 @@ class TestColdImports:
 
     @pytest.fixture(scope="class")
     def cold_runs(self, fresh_python, tmp_path_factory):
-        """For a bare import and each command: numpy loaded?, torusiso modules loaded."""
+        """For a bare import and each command: numpy loaded?, torusiso modules
+        loaded, and every module loaded after interpreter start-up."""
         directory = tmp_path_factory.mktemp("cold")
         path = directory / "spec.json"
         path.write_text(json.dumps({"radii": [SQRT_PI_RADIUS] * 2, "euclid_dim": 2}))
@@ -487,7 +504,9 @@ class TestColdImports:
                 args = (str(directory / a) if a.endswith(".csv") else a for a in argv[1:])
                 argv = [argv[0], str(path), *args]
             source = f"""
-import contextlib, io, json, sys
+import sys
+started = set(sys.modules)
+import contextlib, io, json
 import torusiso
 argv = {argv!r}
 if argv:
@@ -495,7 +514,8 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 modules = sorted(m for m in sys.modules if m.partition(".")[0] == "torusiso")
-print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
+new = sorted(set(sys.modules) - started)
+print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": new}}))
 """
             runs[name] = json.loads(fresh_python(source))
         return runs
@@ -509,6 +529,7 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
             "profile": False,
             "profile-grid": False,
             "critical": False,
+            "critical-csv": False,
             "bounds": False,
             "bounds-curve": False,
             "verify": False,
@@ -521,10 +542,20 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules}}))
             "profile": self.BASE,
             "profile-grid": self.BASE,
             "critical": self.BASE | {"torusiso.criticals"},
+            "critical-csv": self.BASE | {"torusiso.criticals"},
             "bounds": self.BASE | {"torusiso.criticals", "torusiso.bounds"},
             "bounds-curve": self.BASE | {"torusiso.criticals", "torusiso.bounds"},
             "verify": self.BASE | {"torusiso.criticals", "torusiso.oracle"},
         }
+
+    def test_cold_path_skips_stdlib_it_does_not_use(self, cold_runs):
+        # Records are namedtuples and annotations stay strings, so no command
+        # imports dataclasses (which pulls in inspect) or typing; only the
+        # CSV report needs csv. Start-up modules (site may import typing)
+        # are not counted.
+        watched = {"dataclasses", "inspect", "typing", "csv"}
+        loaded = {name: watched.intersection(run["new"]) for name, run in cold_runs.items()}
+        assert loaded == {name: {"csv"} if name == "critical-csv" else set() for name in loaded}
 
     def test_package_root_exports(self, monkeypatch):
         import importlib

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -261,8 +260,8 @@ class TestReportParity:
     def test_criticals_records_and_entry_points_agree(self, spec):
         report = full_report(spec)
         for r in (report, *report.sub_reports.values()):
-            for f in dataclasses.fields(r.criticals):
-                assert getattr(r.criticals, f.name) == r.constants[f.name].value, f.name
+            for name in r.criticals._fields:
+                assert getattr(r.criticals, name) == r.constants[name].value, name
         assert full_report(spec).criticals == report.criticals
         for sub in report.sub_reports.values():
             again = full_report(sub.spec)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +33,7 @@ def law(coeff, exponent):
 
 def whole(segment):
     """A profile segment's power law extended to all of (0, inf)."""
-    return PiecewiseProfile((dataclasses.replace(segment, v_lo=0.0, v_hi=math.inf),))
+    return PiecewiseProfile((segment._replace(v_lo=0.0, v_hi=math.inf),))
 
 
 def grid_scan_crossings(upper, lower, target, lo, hi, steps=200_000):
@@ -257,6 +256,29 @@ class TestProfileAgreementWindow:
         _, segments = envelope.values(sampled)
         assert {seg.regime for seg in segments} == {seg.regime for seg in envelope.segments}
 
+    @pytest.mark.parametrize("bad", [0.0, 5e-324, math.inf])
+    def test_volumes_with_an_abnormal_oracle_area_are_skipped(self, bad, monkeypatch):
+        # Every other oracle area is replaced by one that under- or overflowed:
+        # those volumes are left out, and the rest still agree.
+        brute = oracle.candidate_min_area
+        calls = []
+
+        def every_other(spec, v):
+            calls.append(v)
+            area, region = brute(spec, v)
+            return (bad if len(calls) % 2 else area), region
+
+        monkeypatch.setattr(oracle, "candidate_min_area", every_other)
+        check = oracle._profile_agreement(TorusProductSpec((0.7, 1.9), 3))
+        assert check.ok, check.detail
+
+    def test_no_normal_oracle_area_fails_by_name(self):
+        # Here the oracle's area underflows to 0.0 at every sampled volume.
+        spec = TorusProductSpec((2.449358874805687e-34, 1.1311864152620641e275), 5)
+        check = oracle._profile_agreement(spec)
+        assert not check.ok
+        assert check.detail == "no sampled oracle area is a normal double"
+
 
 def _tampered(report, name, path=()):
     """``report`` with constant ``name`` of the sub-report at ``path`` scaled by
@@ -264,14 +286,14 @@ def _tampered(report, name, path=()):
     if path:
         key, *rest = path
         subs = {**report.sub_reports, key: _tampered(report.sub_reports[key], name, rest)}
-        return dataclasses.replace(report, sub_reports=subs)
+        return report._replace(sub_reports=subs)
     record = report.constants[name]
     wrong = record.value * (1.0 + 1e-6)
-    constants = {**report.constants, name: dataclasses.replace(record, value=wrong)}
+    constants = {**report.constants, name: record._replace(value=wrong)}
     criticals = report.criticals
-    if name in {f.name for f in dataclasses.fields(criticals)}:
-        criticals = dataclasses.replace(criticals, **{name: wrong})
-    return dataclasses.replace(report, criticals=criticals, constants=constants)
+    if name in criticals._fields:
+        criticals = criticals._replace(**{name: wrong})
+    return report._replace(criticals=criticals, constants=constants)
 
 
 def _constant_paths(report, path=()):

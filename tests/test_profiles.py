@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -49,7 +48,7 @@ def rel(a, b):
 
 def whole(segment):
     """A profile segment's power law extended to all of (0, inf)."""
-    return PiecewiseProfile((dataclasses.replace(segment, v_lo=0.0, v_hi=math.inf),))
+    return PiecewiseProfile((segment._replace(v_lo=0.0, v_hi=math.inf),))
 
 
 def ball_area_oracle(m, v):

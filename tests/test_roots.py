@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -281,4 +280,4 @@ def test_window_scan_equals_every_window_reference(n, log_radii, which, doubled_
     except (ConsistencyError, ConvergenceError, DomainError):
         return
     result = solve_piecewise_gap(circle, slab, target)
-    assert dataclasses.astuple(result) == dataclasses.astuple(expected)
+    assert tuple(result) == tuple(expected)

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+import torusiso
 from torusiso import (
     BandRow,
     BoundBand,
@@ -146,8 +147,6 @@ checked_cases = pytest.mark.parametrize(
 
 
 def test_every_record_class_is_covered():
-    import torusiso
-
     records = {
         getattr(torusiso, name)
         for name in torusiso.__all__

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Iterable
 
 from .errors import DomainError, GuardError
@@ -164,11 +165,26 @@ def region_boundary_area(spec: TorusProductSpec, region: CandidateRegion) -> flo
     """Boundary area of the region: (product of circumferences) * m * b_m * R^(m-1).
 
     Equals the derivative of region_volume with respect to the ball radius.
+    When a factor or the product leaves the normal doubles (a huge torus
+    times the underflowed power of a tiny ball, say), the factors' logarithms
+    are summed instead, so the area is 0.0 or inf only when it really lies
+    past the double range.
     """
     m = _ball_dim(spec, region)
-    return (
-        spec.torus_measure(region.circle_indices)
-        * m
-        * unit_ball_volume(m)
-        * region.ball_radius ** (m - 1)
+    factor = spec.torus_measure(region.circle_indices) * m * unit_ball_volume(m)
+    try:
+        power = region.ball_radius ** (m - 1)
+    except OverflowError:
+        power = math.inf
+    area = factor * power
+    if all(sys.float_info.min <= x < math.inf for x in (factor, power, area)):
+        return area
+    log_area = (
+        sum(math.log(TWO_PI) + math.log(spec.radii[i]) for i in region.circle_indices)
+        + math.log(m * unit_ball_volume(m))
+        + (m - 1) * math.log(region.ball_radius)
     )
+    try:
+        return math.exp(log_area)
+    except OverflowError:
+        return math.inf

@@ -25,6 +25,7 @@ which is the only evaluator: see its docstring for the breakpoint rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -45,6 +46,14 @@ _CONTINUITY_RTOL = 1e-9
 
 # Euclidean profile dimensions accepted.
 EUCLIDEAN_DIM_RANGE = (2, 9)
+
+# The cache of beta, circle_piecewise and slab_piecewise. full_report on a
+# three-circle spec builds 13 distinct betas, circle profiles and slabs, and
+# band then asks for some of them again. Keys include argument types, so
+# n = 3.0 is never served the entry for n = 3 and still meets its guard;
+# refusals raise, so they are never stored. The fixed size bounds the
+# memory, so a stream of distinct specs reuses nothing across specs.
+_profile_cache = functools.lru_cache(maxsize=32, typed=True)
 
 REGIME_BALL = "ball"
 REGIME_CYLINDER = "cylinder"
@@ -133,7 +142,13 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
 
         For a minimum envelope this is a segment of the winning candidate.
         """
-        return self._columns([_check_volume(v)])[1][0]
+        return self._segment(_check_volume(v))
+
+    def _segment(self, v: float) -> PowerSegment:
+        # segment_at at a checked volume.
+        if self.candidates:
+            return _winning_segment(self.candidates, v)
+        return self.segments[bisect_left(self._cuts, v)]
 
     def __call__(self, v: float) -> float:
         """The area at a positive finite volume v."""
@@ -191,6 +206,21 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         return self.segments[-1].solve_value(area)
 
 
+def _winning_segment(curves, v: float) -> PowerSegment:
+    """The segment of the first minimal curve at a checked volume v.
+
+    Each curve is evaluated once, and, as in ``_columns``, a later curve
+    wins only when its area is strictly smaller.
+    """
+    best = area = None
+    for curve in curves:
+        seg = curve._segment(v)
+        value = seg.coeff * v**seg.exponent
+        if best is None or value < area:
+            best, area = seg, value
+    return best
+
+
 def _check_volume(v: float) -> float:
     v = float(v)
     if not (v > 0.0) or not math.isfinite(v):
@@ -232,6 +262,7 @@ def euclidean_piecewise(m: int) -> PiecewiseProfile:
     return PiecewiseProfile((seg,))
 
 
+@_profile_cache
 def beta(n: int, r: float) -> float:
     """Critical volume in the circle-cross-R^n product where cylinders take over.
 
@@ -276,6 +307,7 @@ def beta(n: int, r: float) -> float:
 # Piecewise decompositions.
 
 
+@_profile_cache
 def circle_piecewise(n: int, r: float) -> PiecewiseProfile:
     """Profile of the circle-cross-R^n product: ball branch up to beta(n, r),
     cylinder branch beyond it."""
@@ -289,20 +321,26 @@ def circle_piecewise(n: int, r: float) -> PiecewiseProfile:
     return PiecewiseProfile((ball, cylinder))
 
 
+@_profile_cache
 def slab_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
-    """Area of (full torus) x B^n: one power law with exponent (n-1)/n."""
+    """Area of (full torus) x B^n: one power law with exponent (n-1)/n.
+
+    Radii whose product of circumferences drives the coefficient past the
+    double range are refused by name.
+    """
     if spec.circle_count < 2:
         raise GuardError(
             f"slab_piecewise needs 2 or 3 circle factors, got {spec.circle_count}"
         )
     n = spec.euclid_dim
-    seg = PowerSegment(
-        tube_area_coefficient(spec.torus_measure(), n),
-        (n - 1.0) / n,
-        0.0,
-        math.inf,
-        REGIME_SLAB,
-    )
+    measure = spec.torus_measure()
+    coeff = tube_area_coefficient(measure, n)
+    if not 0.0 < coeff < math.inf:
+        raise DomainError(
+            f"the slab area coefficient for radii {spec.radii!r}, n = {n} is not a "
+            f"positive finite double (torus measure {measure!r}, coefficient {coeff!r})"
+        )
+    seg = PowerSegment(coeff, (n - 1.0) / n, 0.0, math.inf, REGIME_SLAB)
     return PiecewiseProfile((seg,))
 
 
@@ -328,18 +366,23 @@ def _probe_point(lo: float, hi: float) -> float:
     return math.sqrt(lo) * math.sqrt(hi)  # lo * hi can leave the double range
 
 
-def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:
+def minimum_envelope(
+    curves: list[PiecewiseProfile], spec: TorusProductSpec | None = None
+) -> PiecewiseProfile:
     """Pointwise minimum of piecewise power-law profiles, as a new profile.
 
     Breakpoints are the curves' own breakpoints plus the closed-form
     crossings of overlapping segment pairs; the winner on each interval is
     decided at an interior probe point. The result keeps ``curves`` as its
     candidates, in the given order, and is evaluated through them (see
-    PiecewiseProfile).
+    PiecewiseProfile). A last breakpoint past half the largest double
+    leaves no volume to probe beyond it, and is refused by name; ``spec``,
+    when given, names the radii it came from.
     """
-    points: set[float] = set()
+    points: dict[float, str] = {}  # each breakpoint and what it is
     for curve in curves:
-        points.update(curve.breakpoints())
+        for left, right in itertools.pairwise(curve.segments):
+            points.setdefault(left.v_hi, f"{left.regime}/{right.regime} breakpoint")
     for ca, cb in itertools.combinations(curves, 2):
         for sa in ca.segments:
             for sb in cb.segments:
@@ -349,7 +392,7 @@ def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:
                     continue
                 x = _segment_crossing(sa, sb)
                 if x is not None and lo < x < hi:
-                    points.add(x)
+                    points.setdefault(x, f"{sa.regime}/{sb.regime} crossing")
     ordered = []
     for p in sorted(points):
         if not ordered or p - ordered[-1] > 1e-12 * p:
@@ -358,8 +401,13 @@ def minimum_envelope(curves: list[PiecewiseProfile]) -> PiecewiseProfile:
     segments = []
     for lo, hi in itertools.pairwise(edges):
         probe = _probe_point(lo, hi)
-        winner = min(curves, key=lambda c: c(probe))
-        src = winner.segment_at(probe)
+        if probe == math.inf:
+            where = "" if spec is None else f" for radii {spec.radii!r}, n = {spec.euclid_dim}"
+            raise DomainError(
+                f"the envelope's {points[lo]} v = {lo!r}{where} is past half the largest "
+                "double, so no volume beyond it can be probed"
+            )
+        src = _winning_segment(curves, _check_volume(probe))
         segments.append(PowerSegment(src.coeff, src.exponent, lo, hi, src.regime))
     merged: list[PowerSegment] = []
     for seg in segments:
@@ -389,7 +437,8 @@ def scp_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
     if spec.circle_count != 2:
         raise GuardError(f"scp_piecewise needs exactly 2 circle factors, got {spec.circle_count}")
     n = spec.euclid_dim
-    return minimum_envelope([circle_piecewise(n + 1, spec.radii[0]), slab_piecewise(spec)])
+    curves = [circle_piecewise(n + 1, spec.radii[0]), slab_piecewise(spec)]
+    return minimum_envelope(curves, spec)
 
 
 def envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
@@ -412,6 +461,7 @@ def envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
             circle_piecewise(n + 2, r1),
             _retag(slab_piecewise(two_up), "slab2"),
             slab_piecewise(spec),
-        ]
+        ],
+        spec,
     )
 

@@ -17,6 +17,7 @@ achievable residual is relative to the term magnitude, not to b alone.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
@@ -33,6 +34,37 @@ MIN_TOLERANCE = 1e-15
 # Function evaluations one solve may spend, bracketing included.
 _MAX_ITER = 200
 _MAX_DOUBLINGS = 60
+
+# Rounding margin of the window skip (_root_left_of), relative to
+# s = a + b + target + 1 with a = c1 * lo**p1 and b = c2 * lo**p2 computed
+# as phi computes them. Let u = 2**-53, let libm's pow be within one ulp,
+# and let A(x), B(x) be the exact terms c1 x^p1, c2 x^p2.
+#   * phi(x) = c1 * x**p1 - c2 * x**p2 is within 5u(A + B) of A - B, and
+#     the solver's scale max(1, target, c2 * x**p2) is at most
+#     1 + target + (1 + 3u)B. A returned root x has
+#     |phi(x) - target| <= tol * scale, so A - B - target is at most
+#     6u(A + B) + tol'(1 + target + B) there, with tol' = tol(1 + 5u).
+#   * For x = t * lo with t >= 1, A(x) = A t^p1 and B(x) = B t^p2, and
+#     t^p1 >= t^p2 >= 1 as p1 > p2 > 0. So if
+#     H = (1 - 6u)A - (1 + 6u + tol')B - (1 + tol') target - tol' > 0 at
+#     lo, it stays above zero at every x >= lo: no root at or past lo can
+#     be returned, and phi(x) > target there.
+#   * The test (a - b) - target > (tol + 16u) * s holds only if H > 0: the
+#     computed difference is within 5u(A + B + target) of the exact one,
+#     A + B is within 4u of a + b, and 6u + 5u + 4u plus the roundings of
+#     s and of the product, all second order in u or tol, stay below 16u
+#     for tol <= MAX_TOLERANCE.
+_SKIP_MARGIN = 16 * 2.0**-53
+_QUARTER_MAX = sys.float_info.max / 4
+# A skipped solve must be one that would not have raised. Its doubling is
+# checked directly. Its bisection then starts at most _MAX_DOUBLINGS
+# evaluations in, on a bracket at most 2**60 times as wide as its lower end
+# when the stationary point is at least 2**-60. With a tolerance of at least
+# 64u, at most 60 + 47 halvings meet the width bound, the residual bound
+# holds a few halvings later (at one ulp the residual is within 33u of the
+# scale), and the whole solve stays within _MAX_ITER evaluations.
+_SKIP_MIN_STATIONARY = 2.0**-60
+_SKIP_MIN_TOLERANCE = 64 * 2.0**-53
 
 
 class RootResult(record("RootResult", "root residual iterations bracket tolerance scale")):
@@ -79,15 +111,16 @@ def _bisect(
     scale-aware bound; keeps halving down to one ulp when the bound needs
     more than the bracket criterion alone.
     """
-    while iterations < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # bracket exhausted at machine resolution
+    # Each midpoint is computed once: the root tested after a halving is
+    # the next halving's midpoint. The loop also ends once no double lies
+    # strictly inside the bracket.
+    root = 0.5 * (lo + hi)
+    while iterations < _MAX_ITER and lo < root < hi:
         iterations += 1
-        if f(mid) <= target:
-            lo = mid
+        if f(root) <= target:
+            lo = root
         else:
-            hi = mid
+            hi = root
         root = 0.5 * (lo + hi)
         size = abs(root)
         if hi - lo <= tolerance * (1e-300 if size < 1e-300 else size):
@@ -96,7 +129,6 @@ def _bisect(
             scale = max(1.0, abs(target), scale_at(root))
             if abs(residual) <= tolerance * scale:
                 return RootResult(root, residual, iterations, (lo, hi), tolerance, scale)
-    root = 0.5 * (lo + hi)
     residual = f(root) - target
     scale = max(1.0, abs(target), scale_at(root))
     if abs(residual) <= tolerance * scale and lo <= root <= hi:
@@ -214,10 +246,43 @@ def _window_root(
         # The terminal crossing cannot sit on a pair whose gap is
         # eventually decreasing; those pairs never host it here.
         return None
-    result = solve_power_gap(
-        sa.coeff, sa.exponent, sb.coeff, sb.exponent, target, tolerance=tolerance
-    )
+    gap = (sa.coeff, sa.exponent, sb.coeff, sb.exponent, target)
+    if lo > 0.0 and _root_left_of(*gap, tolerance, lo):
+        return None
+    result = solve_power_gap(*gap, tolerance=tolerance)
     return result if lo <= result.root < hi else None
+
+
+def _root_left_of(
+    c1: float, p1: float, c2: float, p2: float, target: float, tolerance: float, lo: float
+) -> bool:
+    """True only if solve_power_gap on this gap returns a root below lo.
+
+    Then solving a window that starts at lo is wasted. The gap exceeds the
+    target at lo by the rounding margin (see _SKIP_MARGIN), so every root
+    the bisection can return lies below lo. And the solve cannot raise: its
+    doubling from max(1, 2 x_min) reaches lo within _MAX_DOUBLINGS steps
+    without overflow, the gap there already exceeds the target, and its
+    bisection converges (see _SKIP_MIN_STATIONARY). A False answer only
+    means the window is solved as before.
+    """
+    if tolerance < _SKIP_MIN_TOLERANCE:
+        return False
+    a = c1 * lo**p1
+    b = c2 * lo**p2
+    size = a + b + target + 1.0
+    # Up to twice lo the terms stay finite, so phi never turns into NaN.
+    if not (a - b - target > (tolerance + _SKIP_MARGIN) * size and size <= _QUARTER_MAX):
+        return False
+    x_min = power_gap_stationary_point(c1, p1, c2, p2)
+    if not _SKIP_MIN_STATIONARY <= x_min < lo:
+        return False
+    # The doubling tests start * 2**i for i < _MAX_DOUBLINGS; the first of
+    # those at or past lo is start * 2**j.
+    m_start, e_start = math.frexp(max(1.0, 2.0 * x_min))
+    m_lo, e_lo = math.frexp(lo)
+    j = max(0, e_lo - e_start + (m_start < m_lo))
+    return j < _MAX_DOUBLINGS and e_start + j <= sys.float_info.max_exp
 
 
 def solve_piecewise_gap(

@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from torusiso import cli
+from torusiso.mensuration import EUCLID_DIM_RANGES
 
 from golden import regen
 from refvalues import SQRT_PI_RADIUS
@@ -653,6 +655,77 @@ print(code, "numpy" in sys.modules)
         assert "Traceback" not in result.stderr
         for text in named:
             assert text in result.stderr
+
+
+@pytest.mark.parametrize(
+    "radii, n, named",
+    [
+        ((5.2e31, 1.7e158, 3.2e263), 2, ("slab area coefficient", "(5.2e+31, 1.7e+158, 3.2e+263)")),
+        ((6.96e50, 5.79e219), 4, ("ball/cylinder breakpoint", "(6.96e+50, 5.79e+219)")),
+    ],
+)
+def test_envelope_refusal_names_radii_and_constant(capsys, tmp_path, radii, n, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"radii": list(radii), "euclid_dim": n}))
+    code, out, err = run(capsys, "profile", str(path), "--v", "1")
+    assert (code, out) == (2, "")
+    for text in named:
+        assert text in err
+
+
+def test_a_n_solve_out_of_doublings_exits_three(capsys, tmp_path):
+    # A spec of the golden report fixture: the right-hand window of a_n is
+    # solved, and its doubling runs out, although the root lies left of it.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"radii": [0.05173511256826572, 413.81304840881614],
+                                "euclid_dim": 4}))
+    code, out, err = run(capsys, "critical", str(path))
+    assert (code, out, err) == (3, "", "error: no upper bracket found while doubling\n")
+
+
+# Every supported (circle count, n) pair, and the radius spans of the fuzz test.
+_FUZZ_PAIRS = [
+    (k, n) for k, (lo, hi) in sorted(EUCLID_DIM_RANGES.items()) for n in range(lo, hi + 1)
+]
+_FUZZ_SPANS = (3, 30, 300)
+_FUZZ_DRAWS = 10  # per pair and span
+
+
+def test_seeded_fuzz_exits_with_a_code_and_one_error_line(capsys, tmp_path):
+    # Log-uniform radii over 1e+-3, 1e+-30 and 1e+-300 for every supported
+    # (k, n), each through every command: whatever the spec, main returns
+    # an exit code, writes exactly one error line when it is nonzero, and
+    # lets nothing escape.
+    rng = random.Random(17)
+    path = tmp_path / "spec.json"
+    codes = Counter()
+    for span in _FUZZ_SPANS:
+        for k, n in _FUZZ_PAIRS:
+            for _ in range(_FUZZ_DRAWS):
+                radii = [10.0 ** rng.uniform(-span, span) for _ in range(k)]
+                v = 10.0 ** rng.uniform(-span, span)
+                path.write_text(json.dumps({"radii": radii, "euclid_dim": n}))
+                for argv in (
+                    ["profile", str(path), "--v", repr(v)],
+                    ["bounds", str(path), "--grid", f"{v / 4!r}:{v!r}:4"],
+                    ["critical", str(path)],
+                    ["verify", str(path)],
+                ):
+                    code, _, err = run(capsys, *argv)
+                    assert code in (0, 1, 2, 3), (argv[0], radii, n)
+                    if code:
+                        assert err.startswith("error: ") and err.count("\n") == 1, (
+                            argv[0], radii, n, err
+                        )
+                    codes[argv[0], code] += 1
+    assert sum(codes.values()) == 4 * len(_FUZZ_SPANS) * len(_FUZZ_PAIRS) * _FUZZ_DRAWS
+    # Every command both succeeds and refuses somewhere in the draws.
+    assert {command for command, code in codes if code == 0} == {
+        "profile", "bounds", "critical", "verify"
+    }
+    assert {command for command, code in codes if code} == {
+        "profile", "bounds", "critical", "verify"
+    }
 
 
 class TestExitCodeMapping:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from torusiso import (
+    ConvergenceError,
     DomainError,
     GuardError,
     TorusProductSpec,
@@ -275,6 +276,16 @@ class TestReportParity:
             n = spec.euclid_dim
             assert report.sub_reports["n"].spec == TorusProductSpec((r1, r2), n)
             assert report.sub_reports["n_plus_1"].spec == TorusProductSpec((r1, r2), n + 1)
+
+
+def test_golden_spec_whose_a_n_solve_runs_out_of_doublings():
+    # A fixture spec: a_n's root lies left of the cylinder/slab window, but
+    # solving that window runs out of doublings first, and the refusal
+    # stands. Skipping the window instead would fail later, and differently:
+    # "expected v0_1 < a_n".
+    spec = TorusProductSpec((0.05173511256826572, 413.81304840881614), 4)
+    with pytest.raises(ConvergenceError, match="^no upper bracket found while doubling$"):
+        full_report(spec)
 
 
 def test_reports_match_golden_fixture():

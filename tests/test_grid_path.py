@@ -432,6 +432,14 @@ def test_every_evaluator_follows_one_breakpoint_rule(spec):
         assert value == envelope_profile(spec, v)
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_candidate_segment_lookup_follows_the_breakpoint_rule(spec):
+    # Profiles that are not envelopes look their segment up directly.
+    for candidate in envelope_piecewise(spec).candidates:
+        for v in rule_volumes(candidate):
+            assert candidate.segment_at(v) == candidate.values([v])[1][0]
+
+
 def test_values_rejects_bad_volumes():
     profile = envelope_piecewise(TorusProductSpec((1.0, 1.0), 2))
     for bad in (0.0, -1.0, math.inf, math.nan):

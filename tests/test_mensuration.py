@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 
 import pytest
 
@@ -97,6 +99,27 @@ def test_boundary_area_is_volume_derivative():
         down = region_volume(spec, CandidateRegion(indices, radius - h))
         finite_diff = (up - down) / (2 * h)
         assert rel(finite_diff, region_boundary_area(spec, region)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "radii, n, indices, radius",
+    [
+        # R^5 underflows to 0.0, the huge circle brings the area back to ~1e-149.
+        ((2.449358874805687e-34, 1.1311864152620641e275), 5, (1,), 6.507766536172047e-86),
+        # R^6 overflows, the tiny circle brings the area back to ~1e161.
+        ((1e-200,), 7, (0,), 1e60),
+    ],
+)
+def test_boundary_area_whose_factors_leave_the_double_range(radii, n, indices, radius):
+    spec = TorusProductSpec(radii, n)
+    m = spec.circle_count - len(indices) + n
+    factor = spec.torus_measure(indices) * m * unit_ball_volume(m)
+    with decimal.localcontext() as context:
+        context.prec = 50
+        exact = float(decimal.Decimal(factor) * decimal.Decimal(radius) ** (m - 1))
+    area = region_boundary_area(spec, CandidateRegion(indices, radius))
+    assert sys.float_info.min < area < math.inf
+    assert rel(area, exact) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, math.pi])

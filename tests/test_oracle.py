@@ -71,6 +71,17 @@ class TestCandidateMinArea:
         area, _ = candidate_min_area(spec, v)
         assert rel(area, min(ball, cylinder)) < 1e-12
 
+    def test_ball_wins_where_torus_candidates_once_underflowed(self):
+        # R^(m-1) of the candidates over the 1.1e275 circle underflows to 0.0
+        # although their areas are normal doubles (near 1e-138 and 1e-149),
+        # so a 0.0 once won the minimum over the ball's 7.85e-201.
+        spec = TorusProductSpec((2.449358874805687e-34, 1.1311864152620641e275), 5)
+        v = 2.79e-235
+        area, winner = candidate_min_area(spec, v)
+        assert winner.circle_indices == ()
+        assert rel(area, envelope_piecewise(spec)(v)) < 1e-12
+        assert 7.8e-201 < area < 7.9e-201
+
     def test_volume_validation(self, example_spec):
         with pytest.raises(DomainError):
             candidate_min_area(example_spec, 0.0)
@@ -272,12 +283,21 @@ class TestProfileAgreementWindow:
         check = oracle._profile_agreement(TorusProductSpec((0.7, 1.9), 3))
         assert check.ok, check.detail
 
-    def test_no_normal_oracle_area_fails_by_name(self):
-        # Here the oracle's area underflows to 0.0 at every sampled volume.
-        spec = TorusProductSpec((2.449358874805687e-34, 1.1311864152620641e275), 5)
-        check = oracle._profile_agreement(spec)
+    def test_no_normal_oracle_area_fails_by_name(self, monkeypatch):
+        # An oracle whose area underflows to 0.0 at every sampled volume.
+        brute = oracle.candidate_min_area
+        monkeypatch.setattr(oracle, "candidate_min_area", lambda s, v: (0.0, brute(s, v)[1]))
+        check = oracle._profile_agreement(TorusProductSpec((0.7, 1.9), 3))
         assert not check.ok
         assert check.detail == "no sampled oracle area is a normal double"
+
+    def test_tiny_ball_against_a_huge_torus_is_compared(self):
+        # The candidates over the huge circle once underflowed to 0.0 at
+        # every sampled volume; their areas are now normal doubles, and the
+        # tiny ball wins as the envelope says.
+        spec = TorusProductSpec((2.449358874805687e-34, 1.1311864152620641e275), 5)
+        check = oracle._profile_agreement(spec)
+        assert check.ok, check.detail
 
 
 def _tampered(report, name, path=()):

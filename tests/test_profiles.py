@@ -141,6 +141,59 @@ class TestBeta:
             beta(2, 0.0)
 
 
+class TestProfileCaches:
+    def test_float_dimension_is_refused_after_the_int_is_cached(self):
+        # 3.0 == 3 and they hash alike: the caches must still tell them apart.
+        circle_piecewise(3, 1.0)
+        beta(3, 1.0)
+        with pytest.raises(GuardError):
+            circle_piecewise(3.0, 1.0)
+        with pytest.raises(GuardError):
+            beta(3.0, 1.0)
+
+    def test_repeated_calls_share_one_profile(self):
+        spec = TorusProductSpec((0.7, 1.9), 3)
+        assert circle_piecewise(4, 0.7) is circle_piecewise(4, 0.7)
+        assert slab_piecewise(spec) is slab_piecewise(TorusProductSpec((1.9, 0.7), 3))
+
+    def test_refusals_are_not_stored(self):
+        spec = TorusProductSpec((5.2e31, 1.7e158, 3.2e263), 2)
+        stored = slab_piecewise.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DomainError, match="slab area coefficient"):
+                slab_piecewise(spec)
+        assert slab_piecewise.cache_info().currsize == stored
+
+
+class TestEnvelopeRefusals:
+    # A derived constant that leaves the double range is refused with the
+    # radii and the constant it is.
+    def test_slab_coefficient_overflow(self):
+        spec = TorusProductSpec((5.2e31, 1.7e158, 3.2e263), 2)
+        with pytest.raises(DomainError) as refusal:
+            envelope_piecewise(spec)
+        assert str(refusal.value) == (
+            "the slab area coefficient for radii (5.2e+31, 1.7e+158, 3.2e+263), n = 2 is "
+            "not a positive finite double (torus measure inf, coefficient inf)"
+        )
+
+    def test_breakpoint_past_half_the_largest_double(self):
+        spec = TorusProductSpec((6.96e50, 5.79e219), 4)
+        with pytest.raises(DomainError) as refusal:
+            envelope_piecewise(spec)
+        assert str(refusal.value) == (
+            f"the envelope's ball/cylinder breakpoint v = {beta(5, 6.96e50)!r} for radii "
+            "(6.96e+50, 5.79e+219), n = 4 is past half the largest double, so no volume "
+            "beyond it can be probed"
+        )
+
+    def test_crossing_past_half_the_largest_double(self):
+        radii = (2.692288181761831e46, 2.1758675160978405e47, 2.1729705376913883e70)
+        spec = TorusProductSpec(radii, 2)
+        with pytest.raises(DomainError, match=r"slab2/slab crossing v = 9\.13\d*e\+307 for radii"):
+            envelope_piecewise(spec)
+
+
 class TestAlphaAndContinuity:
     @pytest.mark.parametrize("r", [0.1, SQRT_PI_RADIUS, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])

@@ -20,6 +20,8 @@ from torusiso import (
     solve_piecewise_gap,
     solve_power_gap,
 )
+from torusiso import roots
+from torusiso.errors import TorusIsoError
 
 from refvalues import (
     BETA_2_1,
@@ -240,6 +242,35 @@ class TestWindowScan:
         assert rel(result.root, 16.0) < 1e-12
         assert result == solve_piecewise_gap_every_window(upper, SQRT, 0.0)
 
+    def test_window_left_of_its_root_is_not_solved(self, monkeypatch):
+        # At 256, where the right window starts, the right law's gap is
+        # already 16 above the target: its root lies left of the window, so
+        # only the left window's gap reaches solve_power_gap.
+        upper = power_profile((0.5, 0.75, 256.0), (32.0 / 256.0**0.6, 0.6, math.inf))
+        solved = []
+
+        def recorded(*args, **kwargs):
+            solved.append(args)
+            return solve_power_gap(*args, **kwargs)
+
+        monkeypatch.setattr(roots, "solve_power_gap", recorded)
+        result = solve_piecewise_gap(upper, SQRT, 0.0)
+        assert solved == [(0.5, 0.75, 1.0, 0.5, 0.0)]
+        assert result == solve_piecewise_gap_every_window(upper, SQRT, 0.0)
+
+    def test_window_whose_solve_runs_out_of_doublings_is_solved(self):
+        # The right window starts at 2^100 and the gap there exceeds the
+        # target, so its root lies left of it. But solving it doubles from 1
+        # and runs out of doublings first: the window is not skipped, and
+        # its refusal stands, as in the every-window reference.
+        lo = 2.0**100
+        upper = power_profile((lo**-0.25, 1.0, lo), (1.0, 0.75, math.inf))
+        target = lo**0.75 / 2.0
+        assert upper(lo) - SQRT(lo) > 1.9 * target
+        for solve in (solve_piecewise_gap, solve_piecewise_gap_every_window):
+            with pytest.raises(ConvergenceError, match="^no upper bracket found while doubling$"):
+                solve(upper, SQRT, target)
+
     def test_zero_gap_in_a_left_window_raises(self):
         # Identical laws up to 1, a terminal root at 2^32 further right: the
         # zero gap is refused although the scan would stop before reaching it.
@@ -281,3 +312,38 @@ def test_window_scan_equals_every_window_reference(n, log_radii, which, doubled_
         return
     result = solve_piecewise_gap(circle, slab, target)
     assert tuple(result) == tuple(expected)
+
+
+def _outcome(solve, *args):
+    """The solver's six result fields, or the class and message of its refusal."""
+    try:
+        return tuple(solve(*args))
+    except TorusIsoError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_WIDE_LOG_RADIUS = st.floats(min_value=math.log(1e-30), max_value=math.log(1e30))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    log_radii=st.tuples(_WIDE_LOG_RADIUS, _WIDE_LOG_RADIUS),
+    which=st.integers(min_value=0, max_value=1),
+    doubled_beta=st.booleans(),
+)
+def test_window_scan_keeps_every_result_and_refusal(n, log_radii, which, doubled_beta):
+    # As above over radii 1e+-30, where many right-hand windows are skipped
+    # and many solves run out of doublings: the scan returns the reference's
+    # six fields, or raises its error class with its message.
+    spec = TorusProductSpec(tuple(math.exp(x) for x in log_radii), n)
+    r = spec.radii[which]
+    try:
+        circle = circle_piecewise(n + 1, r)
+        slab = slab_piecewise(spec)
+        target = 2.0 * beta(n, r) if doubled_beta else 0.0
+    except DomainError:  # beta or the slab left the double range
+        return
+    assert _outcome(solve_piecewise_gap, circle, slab, target) == _outcome(
+        solve_piecewise_gap_every_window, circle, slab, target
+    )

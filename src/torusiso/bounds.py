@@ -362,7 +362,8 @@ def band(
         label = curve.label or "unlabeled"
         tangents.append((label, "tangent-left", _tangents(lo_anchor, "left", curve, inside)))
         tangents.append((label, "tangent-right", _tangents(hi_anchor, "right", curve, inside)))
-    if spec.circle_count == 2:
+    two_circles = spec.circle_count == 2
+    if two_circles:
         offsets = _offsets(spec, inside)
 
     lowers, sources = [], []
@@ -388,7 +389,7 @@ def band(
                 value = top  # envelope touch, within rounding
             if value > lower:
                 lower, source = value, tag
-        if spec.circle_count == 2:
+        if two_circles:
             offset = offsets[j]
             if lower < offset <= top:
                 lower, source = offset, "cylinder-offset"

@@ -29,7 +29,8 @@ import functools
 import itertools
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import gt
 
 from .errors import DomainError, GuardError
 from .mensuration import (
@@ -43,6 +44,43 @@ from .records import record
 
 # Relative tolerance for the continuity check at piecewise breakpoints.
 _CONTINUITY_RTOL = 1e-9
+
+# Relative margin around every cut of a minimum envelope (its own cuts and
+# its candidates' breakpoints) within which values() evaluates a row through
+# all the candidates; every other row is evaluated through the candidate
+# that wins its interval (PiecewiseProfile._pieces). Let u = 2**-53, and let
+# any two of the candidates' laws be the same law or differ in exponent by
+# at least d = _EXPONENT_GAP = 2**-7 (_pieces evaluates other envelopes
+# through all the candidates; the package's families have exponents
+# (m-1)/m, m <= 10, which lie at least 1/90 apart).
+#   * A computed area coeff * v**p that is a normal double is within 2u of
+#     its exact value (pow within an ulp, one product), so two computed
+#     areas compare as the exact ones do once these differ by more than 8u
+#     relative: about 4 units of roundoff per compared area.
+#   * At relative distance t from their crossing x, two laws d apart in
+#     exponent differ by a relative (1 + t)**d - 1, about d*t, so their
+#     order is decided beyond t = 8u/d = 2**10 u, about 1.2e-13.
+#   * The closed-form crossing x = (b/a) ** (1/(p - q)) takes one rounding
+#     in the ratio, two in 1/(p - q) and one in the pow, so log x is off by
+#     at most 2u*|log x| + u/d + 2u. Whatever the coefficient ratio, a
+#     normal double x has |log x| < 710, so x is within (1420 + 128 + 2) u,
+#     about 1.8e-13, relative of the exact crossing.
+#   * minimum_envelope drops a point within 1e-12 relative above the last
+#     point it kept, so a winner can change up to 1e-12 past a kept point;
+#     a row that change reaches lies within 2e-12 of a cut or of a
+#     candidate breakpoint.
+# Together that is under 2.4e-12, so 1e-9 is safe about 400 times over, and
+# almost no grid row falls so close to a cut. Volumes outside the normal
+# doubles, where a crossing can lose its relative accuracy or overflow, and
+# rows whose winning area is not a normal double, take all the candidates
+# too.
+_CUT_MARGIN = 1e-9
+_EXPONENT_GAP = 2.0**-7
+
+# The winning areas of a row block that compare within the roundoff above:
+# twice the smallest normal double up to half the largest, so that every
+# area of an ascending block lies in the normal range.
+_AREA_RANGE = (2.0 * sys.float_info.min, 0.5 * sys.float_info.max)
 
 # Euclidean profile dimensions accepted.
 EUCLIDEAN_DIM_RANGE = (2, 9)
@@ -105,7 +143,9 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
     (an ``(areas, segments)`` pair of columns over a volume grid;
     ``segment.regime`` names the winning family). They give the same bits:
     for radii (1, 1), n = 2 at v = beta(3, 1) each gives area
-    224.84192526231706 from the ball segment.
+    224.84192526231706 from the ball segment. ``values`` evaluates an
+    envelope interval through the candidate that wins it, and only the
+    rows within _CUT_MARGIN of a cut through all the candidates.
     """
 
     def __new__(cls, segments: tuple[PowerSegment, ...], candidates: tuple = ()):
@@ -170,28 +210,80 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         can differ from it in the last bit, which would change printed
         digits.
         """
-        return self._columns([_check_volume(v) for v in volumes])
+        volumes = [_check_volume(v) for v in volumes]
+        if not any(map(gt, volumes, volumes[1:])):
+            return self._columns(volumes)
+        # _columns takes ascending volumes: evaluate them sorted, and put
+        # the rows back in the given order.
+        order = sorted(range(len(volumes)), key=volumes.__getitem__)
+        rows = sorted(zip(order, *self._columns([volumes[i] for i in order])))
+        return [area for _, area, _ in rows], [seg for _, _, seg in rows]
 
     def _columns(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-        # values() without the volume checks, for callers that checked the
-        # grid already.
-        if self.candidates:
-            first, *rest = self.candidates
-            areas, segs = first._columns(volumes)
-            for candidate in rest:
-                # The breakpoint rule: a later candidate wins a row only
-                # when its area is strictly smaller.
-                c_areas, c_segs = candidate._columns(volumes)
-                segs = [t if b < a else s for a, b, s, t in zip(areas, c_areas, segs, c_segs)]
-                areas = [b if b < a else a for a, b in zip(areas, c_areas)]
+        # values() on ascending checked volumes, for callers that checked
+        # the grid already. Each segment, and each envelope piece, takes one
+        # slice of the grid.
+        areas: list[float] = []
+        segs: list[PowerSegment] = []
+        start = 0
+        if not self.candidates:
+            for seg, cut in zip(self.segments, (*self._cuts, math.inf)):
+                stop = bisect_right(volumes, cut, start)  # v == cut takes the left segment
+                coeff, exponent = seg.coeff, seg.exponent
+                areas += [coeff * v**exponent for v in volumes[start:stop]]
+                segs += [seg] * (stop - start)
+                start = stop
             return areas, segs
-        if len(self.segments) == 1:
-            seg = self.segments[0]
-            coeff, exponent = seg.coeff, seg.exponent
-            return [coeff * v**exponent for v in volumes], [seg] * len(volumes)
-        cuts, segments = self._cuts, self.segments
-        segs = [segments[bisect_left(cuts, v)] for v in volumes]
-        return [s.coeff * v**s.exponent for v, s in zip(volumes, segs)], segs
+        for lo, hi, winner in self._pieces:
+            first = bisect_right(volumes, lo, start)
+            stop = bisect_left(volumes, hi, first)
+            near_areas, near_segs = _first_minimal(self.candidates, volumes[start:first])
+            won_areas, won_segs = winner._columns(volumes[first:stop])
+            if won_areas and not (
+                _AREA_RANGE[0] <= won_areas[0] and won_areas[-1] <= _AREA_RANGE[1]
+            ):
+                won_areas, won_segs = _first_minimal(self.candidates, volumes[first:stop])
+            areas += near_areas + won_areas
+            segs += near_segs + won_segs
+            start = stop
+        near_areas, near_segs = _first_minimal(self.candidates, volumes[start:])
+        return areas + near_areas, segs + near_segs
+
+    @functools.cached_property
+    def _pieces(self) -> list[tuple[float, float, PiecewiseProfile]]:
+        """An envelope's ``(lo, hi, candidate)`` stretches of volume whose rows
+        the candidate wins, farther than _CUT_MARGIN from every cut.
+
+        The points cut are the envelope's cuts, its candidates' breakpoints
+        and the ends of the normal doubles; a stretch's candidate is the
+        first whose law there is the envelope's. An envelope has none when
+        its candidates' laws share an exponent between two coefficients,
+        come within _EXPONENT_GAP of each other's exponent, or when its
+        candidates are envelopes themselves.
+        """
+        candidates = self.candidates
+        laws = {(s.coeff, s.exponent) for c in candidates for s in c.segments}
+        exponents = sorted({p for _, p in laws})
+        if (
+            len(exponents) < len(laws)
+            or any(q - p < _EXPONENT_GAP for p, q in itertools.pairwise(exponents))
+            or any(c.candidates for c in candidates)
+        ):
+            return []
+        low, high = sys.float_info.min, sys.float_info.max
+        points = {low, high}
+        for profile in (self, *candidates):
+            points.update(p for p in profile._cuts if low < p < high)
+        pieces = []
+        for a, b in itertools.pairwise(sorted(points)):
+            lo, hi = a * (1.0 + _CUT_MARGIN), b * (1.0 - _CUT_MARGIN)
+            law = self.segments[bisect_left(self._cuts, hi)][:2]
+            for winner in candidates:
+                if winner.segments[bisect_left(winner._cuts, hi)][:2] == law:
+                    if lo < hi:
+                        pieces.append((lo, hi, winner))
+                    break
+        return pieces
 
     def breakpoints(self) -> tuple[float, ...]:
         return self._cuts
@@ -209,8 +301,8 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
 def _winning_segment(curves, v: float) -> PowerSegment:
     """The segment of the first minimal curve at a checked volume v.
 
-    Each curve is evaluated once, and, as in ``_columns``, a later curve
-    wins only when its area is strictly smaller.
+    Each curve is evaluated once, and a later curve wins only when its area
+    is strictly smaller.
     """
     best = area = None
     for curve in curves:
@@ -219,6 +311,12 @@ def _winning_segment(curves, v: float) -> PowerSegment:
         if best is None or value < area:
             best, area = seg, value
     return best
+
+
+def _first_minimal(curves, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
+    """values() columns of the first minimal curve, row by row."""
+    segs = [_winning_segment(curves, v) for v in volumes]
+    return [s.coeff * v**s.exponent for v, s in zip(volumes, segs)], segs
 
 
 def _check_volume(v: float) -> float:

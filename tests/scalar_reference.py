@@ -7,6 +7,11 @@ follow the rule the library documents: a volume on beta takes the ball
 branch, and an envelope takes the first minimal candidate (Python's ``min``).
 Each profile function returns an ``(area, regime)`` pair.
 
+For a whole PiecewiseProfile, first_minimal_segment is the all-candidates
+rule written out: every candidate's own segment at v, the first minimal one
+kept. The CLI tables have per-row writers here, one format(x, ".17g") per
+float, that the block writer must match byte for byte.
+
 The threshold solver has its reference here too: the gap solved in every
 segment window, whose largest admissible root solve_piecewise_gap must
 return bit for bit.
@@ -57,6 +62,39 @@ def envelope_profile(spec: TorusProductSpec, v: float) -> tuple[float, str]:
             (slab_area(spec, v), "slab"),
         ]
     return min(candidates, key=lambda p: p[0])
+
+
+def first_minimal_segment(profile, v: float):
+    """The PowerSegment that gives the profile's value at v, from all its candidates.
+
+    Each candidate (the profile itself if it has none) looks up its own
+    segment, a volume on a breakpoint taking the left one; a later
+    candidate wins only with a strictly smaller area.
+    """
+    best = area = None
+    for candidate in profile.candidates or (profile,):
+        seg = next(s for s in candidate.segments if v <= s.v_hi)
+        value = seg.coeff * v**seg.exponent
+        if best is None or value < area:
+            best, area = seg, value
+    return best
+
+
+def profile_table(grid, areas, segments) -> str:
+    """The profile CSV, one row at a time."""
+    lines = ["v,area,regime\n"]
+    for v, area, seg in zip(grid, areas, segments):
+        lines.append(f"{format(v, '.17g')},{format(area, '.17g')},{seg.regime}\n")
+    return "".join(lines)
+
+
+def bounds_table(result) -> str:
+    """The bounds CSV of a BoundBand, one row at a time."""
+    lines = ["v,upper,lower,upper_regime,lower_source\n"]
+    for v, upper, lower, regime, source in zip(*result):
+        numbers = ",".join(format(x, ".17g") for x in (v, upper, lower))
+        lines.append(f"{numbers},{regime},{source}\n")
+    return "".join(lines)
 
 
 def solve_piecewise_gap_every_window(upper, lower, target, *, tolerance=DEFAULT_TOLERANCE):

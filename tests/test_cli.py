@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from torusiso import cli
+from torusiso import TorusProductSpec, cli
 from torusiso.mensuration import EUCLID_DIM_RANGES
 
 from golden import regen
 from refvalues import SQRT_PI_RADIUS
+from scalar_reference import bounds_table, profile_table
 
 
 @pytest.fixture
@@ -246,6 +247,64 @@ class TestBoundsCommand:
         assert first == second
 
 
+class TestBlockWriter:
+    """The tables are written one block of rows per format call; each must
+    equal, byte for byte, the per-row writers of scalar_reference."""
+
+    SPECS = [TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((0.6, 1.1, 2.3), 2)]
+
+    @staticmethod
+    def grids(v_lo, v_hi):
+        mid = (v_lo * v_hi) ** 0.5
+        return {
+            "all below": f"{v_lo / 100!r}:{v_lo / 2!r}:7",
+            "all above": f"{v_hi * 2!r}:{v_hi * 100!r}:7",
+            "only inside": f"{v_lo * 1.01!r}:{v_hi * 0.99!r}:9",
+            "single exact": f"{v_lo!r}:{v_lo!r}:1",
+            "single inside": f"{mid!r}:{mid!r}:1",
+            "exact head only": f"{v_lo / 10!r}:{mid!r}:11",
+            "exact tail only": f"{mid!r}:{v_hi * 10!r}:11",
+            "both ends": f"{v_lo / 10!r}:{v_hi * 10!r}:23,lin",
+        }
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"k{s.circle_count}")
+    def test_bounds_blocks_match_the_row_writer(self, capsys, tmp_path, spec):
+        from torusiso import band, full_report
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"radii": list(spec.radii), "euclid_dim": spec.euclid_dim}))
+        report = full_report(spec).criticals
+        v_lo, v_hi = (report.v_star, report.v_dstar) if spec.circle_count == 2 else (
+            report.u_star, report.u_dstar
+        )
+        for name, text in self.grids(v_lo, v_hi).items():
+            code, out, _ = run(capsys, "bounds", str(path), "--grid", text)
+            result = band(spec, cli.parse_grid(text), report=report)
+            assert code == 0
+            assert out == bounds_table(result), name
+            exact = result.lower_source.count("exact")
+            inside = len(result.v) - exact
+            if name.startswith("all") or name == "single exact":
+                assert inside == 0, name
+            elif name.startswith(("only", "single")):
+                assert exact == 0, name
+            else:
+                assert exact and inside, name
+        assert result.lower_source[0] == result.lower_source[-1] == "exact"
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"k{s.circle_count}")
+    @pytest.mark.parametrize("text", ["0.01:1e6:40,lin", "0.01:1e6:40", "3.5:3.5:1"])
+    def test_profile_blocks_match_the_row_writer(self, capsys, tmp_path, spec, text):
+        from torusiso import envelope_piecewise
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"radii": list(spec.radii), "euclid_dim": spec.euclid_dim}))
+        code, out, _ = run(capsys, "profile", str(path), "--grid", text)
+        grid = cli.parse_grid(text)
+        assert code == 0
+        assert out == profile_table(grid, *envelope_piecewise(spec).values(grid))
+
+
 class TestParserReuse:
     """main builds its parser once per process; no call sees another's arguments."""
 
@@ -315,6 +374,20 @@ class TestVerifyCommand:
             assert err.count("\n") == 1 and err.endswith("\n")
         else:
             assert out.splitlines()[-1].startswith(("PASS ", "FAIL ", "all "))
+
+    def test_failed_check_is_one_error_line(self, capsys, example_file, monkeypatch):
+        from torusiso import oracle
+
+        checks = [
+            oracle.CheckResult("constant:v_star", True, "margin 3e-14"),
+            oracle.CheckResult("profile:agreement", False, "max relative gap 2e-3"),
+            oracle.CheckResult("constant:v_dstar", False, "later failure"),
+        ]
+        monkeypatch.setattr(oracle, "verify_spec", lambda spec: checks)
+        code, out, err = run(capsys, "verify", example_file)
+        assert code == 3
+        assert out == "PASS constant:v_star\nFAIL profile:agreement\nFAIL constant:v_dstar\n"
+        assert err == "error: verification failed at profile:agreement: max relative gap 2e-3\n"
 
     def test_corrupted_spec(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

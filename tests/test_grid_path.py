@@ -10,6 +10,7 @@ where the tie-breaks decide the regime tag.
 
 import json
 import math
+import random
 import re
 import warnings
 
@@ -20,8 +21,11 @@ from hypothesis import strategies as st
 
 import torusiso.bounds as bounds_mod
 import torusiso.cli as cli_mod
+import torusiso.profiles as profiles_mod
 from torusiso import (
     DomainError,
+    PiecewiseProfile,
+    PowerSegment,
     T2Criticals,
     TabulatedCurve,
     TorusProductSpec,
@@ -29,10 +33,11 @@ from torusiso import (
     beta,
     envelope_piecewise,
     full_report,
+    minimum_envelope,
 )
 
 from refvalues import SQRT_PI_RADIUS
-from scalar_reference import circle_profile, envelope_profile
+from scalar_reference import circle_profile, envelope_profile, first_minimal_segment
 
 SPECS = [
     *(TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), n) for n in (2, 3, 4, 5)),
@@ -394,8 +399,9 @@ def test_curves_above_the_envelope_refused_in_row_order():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cylinder_offset_bound_equals_closed_form(n):
     spec = TorusProductSpec((0.7, 1.9), n)
+    # _offsets takes an ascending grid, as band hands it the inside rows.
     volumes = [float(v) for v in np.geomspace(1e-2, 1e5, 300)]
-    volumes += [beta(n + 1, r) for r in spec.radii]
+    volumes = sorted(volumes + [beta(n + 1, r) for r in spec.radii])
     assert bounds_mod._offsets(spec, volumes) == [offset_reference(spec, v) for v in volumes]
 
 
@@ -423,13 +429,110 @@ def rule_volumes(profile):
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_every_evaluator_follows_one_breakpoint_rule(spec):
+    # Whole segments are compared: a re-cut envelope segment carries the
+    # winner's law and regime but not its interval.
     profile = envelope_piecewise(spec)
     for v in rule_volumes(profile):
-        (value,) = regime_rows(profile.values([v]))
-        segment = profile.segment_at(v)
-        assert (segment.value(v), segment.regime) == value
-        assert float(profile(v)) == value[0]
-        assert value == envelope_profile(spec, v)
+        (area,), (segment,) = profile.values([v])
+        assert segment == profile.segment_at(v)
+        assert area == segment.value(v) == float(profile(v))
+        assert (area, segment.regime) == envelope_profile(spec, v)
+
+
+RULE_SPECS = [
+    TorusProductSpec((1.3,), 3),
+    TorusProductSpec((1e-30,), 4),
+    TorusProductSpec((1e30,), 2),
+    TorusProductSpec((0.7, 1.9), 3),
+    TorusProductSpec((1e-30, 3e-30), 2),
+    TorusProductSpec((1e30, 1e30), 5),
+    TorusProductSpec((0.6, 1.1, 2.3), 2),
+    TorusProductSpec((1e-30, 2e-30, 5e-30), 3),
+    TorusProductSpec((1e30, 1e30, 1e30), 4),
+]
+
+
+def near_cut_volumes(profile, seed):
+    """Every cut of the envelope and of its candidates, 1-3 ulps either side,
+    the cuts moved by the evaluation margin, and seeded log-uniform volumes."""
+    cuts = set(profile.breakpoints())
+    for candidate in profile.candidates:
+        cuts.update(candidate.breakpoints())
+    volumes = set()
+    for p in cuts:
+        below = above = p
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            volumes.update((below, above))
+        volumes.add(p)
+        for moved in (p * (1.0 - profiles_mod._CUT_MARGIN), p * (1.0 + profiles_mod._CUT_MARGIN)):
+            volumes.update((math.nextafter(moved, 0.0), moved, math.nextafter(moved, math.inf)))
+    rng = random.Random(seed)
+    lo, hi = math.log(min(cuts) / 1e6), math.log(max(cuts) * 1e6)
+    volumes.update(math.exp(rng.uniform(lo, hi)) for _ in range(300))
+    return sorted(volumes)
+
+
+@pytest.mark.parametrize("spec", RULE_SPECS, ids=spec_id)
+def test_grid_rows_are_the_segments_of_the_single_volume_rule(spec):
+    # values() evaluates an envelope interval through its winner and rows
+    # near a cut through every candidate; row by row it must give the
+    # PowerSegment of segment_at (the candidate's own, not the envelope's
+    # re-cut copy), the area of __call__, and the segment of the
+    # all-candidates reference. Returning the envelope's segments fails it.
+    profile = envelope_piecewise(spec)
+    volumes = near_cut_volumes(profile, seed=len(spec.radii) * 10 + spec.euclid_dim)
+    areas, segments = profile.values(volumes)
+    for v, area, segment in zip(volumes, areas, segments):
+        assert segment == profile.segment_at(v) == first_minimal_segment(profile, v), v
+        assert area == profile(v) == segment.value(v), v
+    # An unsorted grid gives the same rows in its own order.
+    order = list(range(len(volumes)))
+    random.Random(5).shuffle(order)
+    expected = ([areas[i] for i in order], [segments[i] for i in order])
+    assert profile.values([volumes[i] for i in order]) == expected
+
+
+def one_law(coeff, exponent, regime):
+    return PiecewiseProfile((PowerSegment(coeff, exponent, 0.0, math.inf, regime),))
+
+
+def assert_rows_follow_the_rule(profile, volumes):
+    areas, segments = profile.values(volumes)
+    for v, area, segment in zip(volumes, areas, segments):
+        assert segment == profile.segment_at(v) == first_minimal_segment(profile, v), v
+        assert area == profile(v), v
+
+
+@pytest.mark.parametrize(
+    "laws",
+    [
+        # One exponent, coefficients an ulp apart: the areas tie on some rows.
+        [(1.0 + 2.0**-52, 0.5, "a"), (1.0, 0.5, "b")],
+        # Exponents 2**-40 apart, crossing at exp(1/32): their areas compare
+        # within rounding up to about 1e-3 relative from the crossing.
+        [(1.0, 0.5, "a"), (1.0 + 2.0**-45, 0.5 - 2.0**-40, "b")],
+    ],
+    ids=["shared-exponent", "near-exponents"],
+)
+def test_envelopes_of_close_laws_take_every_candidate(laws):
+    # Such laws can compare within rounding far from any cut, so every row
+    # goes through all the candidates.
+    profile = minimum_envelope([one_law(*law) for law in laws])
+    assert profile._pieces == []
+    volumes = [*np.geomspace(1e-100, 1e100, 401), *np.geomspace(1.02, 1.04, 2001)]
+    assert_rows_follow_the_rule(profile, sorted(map(float, volumes)))
+
+
+def test_blocks_whose_areas_leave_the_normal_doubles_take_every_candidate():
+    # Both areas overflow past about 1e24, where the first candidate wins
+    # the tie; below it the second is smaller. The piece's winner alone
+    # would give the rows of one candidate throughout.
+    profile = minimum_envelope([one_law(1e300, 0.5, "a"), one_law(1e290, 0.75, "b")])
+    volumes = [float(v) for v in np.geomspace(1e-300, 1e300, 601)]
+    assert_rows_follow_the_rule(profile, volumes)
+    regimes = {segment.regime for segment in profile.values(volumes)[1]}
+    assert regimes == {"a", "b"}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)

@@ -205,6 +205,16 @@ class TestSolvePiecewiseGap:
         with pytest.raises(DomainError):
             solve_piecewise_gap(slab, circle, 1.0)
 
+    def test_stationary_point_past_the_double_range_is_refused(self):
+        # (c2 p2 / (c1 p1)) ** (1 / (p1 - p2)) overflows for this circle/slab
+        # pair, which once escaped as a bare OverflowError.
+        r = 7.107879596899953e-56
+        circle = circle_piecewise(3, r)
+        slab = slab_piecewise(TorusProductSpec((r, 2.8687792386193826e208), 2))
+        pattern = r"stationary point of .* c1 = .*, p1 = .*, c2 = .*, p2 = .* past the largest double"
+        with pytest.raises(DomainError, match=pattern):
+            solve_piecewise_gap(circle, slab, 0.0)
+
 
 def power_profile(*laws):
     """PiecewiseProfile from (coeff, exponent, v_hi) laws, each starting where the last ended."""

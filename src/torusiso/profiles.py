@@ -45,14 +45,14 @@ from .records import record
 # Relative tolerance for the continuity check at piecewise breakpoints.
 _CONTINUITY_RTOL = 1e-9
 
-# Relative margin around every cut of a minimum envelope (its own cuts and
-# its candidates' breakpoints) within which values() evaluates a row through
-# all the candidates; every other row is evaluated through the candidate
-# that wins its interval (PiecewiseProfile._pieces). Let u = 2**-53, and let
-# any two of the candidates' laws be the same law or differ in exponent by
-# at least d = _EXPONENT_GAP = 2**-7 (_pieces evaluates other envelopes
-# through all the candidates; the package's families have exponents
-# (m-1)/m, m <= 10, which lie at least 1/90 apart).
+# Relative margin around every point minimum_envelope keeps (the envelope's
+# cuts, its candidates' breakpoints and the crossings it found) within which
+# values() evaluates a row through all the candidates; every other row is
+# evaluated through the candidate segment that wins its interval. Let
+# u = 2**-53, and let any two overlapping segments of two candidates differ
+# in exponent by at least d = _EXPONENT_GAP = 2**-7 (other envelopes
+# evaluate every row through all the candidates; the package's families
+# have exponents (m-1)/m, m <= 10, which lie at least 1/90 apart).
 #   * A computed area coeff * v**p that is a normal double is within 2u of
 #     its exact value (pow within an ulp, one product), so two computed
 #     areas compare as the exact ones do once these differ by more than 8u
@@ -66,14 +66,15 @@ _CONTINUITY_RTOL = 1e-9
 #     normal double x has |log x| < 710, so x is within (1420 + 128 + 2) u,
 #     about 1.8e-13, relative of the exact crossing.
 #   * minimum_envelope drops a point within 1e-12 relative above the last
-#     point it kept, so a winner can change up to 1e-12 past a kept point;
-#     a row that change reaches lies within 2e-12 of a cut or of a
-#     candidate breakpoint.
-# Together that is under 2.4e-12, so 1e-9 is safe about 400 times over, and
-# almost no grid row falls so close to a cut. Volumes outside the normal
-# doubles, where a crossing can lose its relative accuracy or overflow, and
-# rows whose winning area is not a normal double, take all the candidates
-# too.
+#     point it kept, so a winner can change, or a candidate's segment end,
+#     up to 1e-12 past a kept point.
+# Together that is under 1.4e-12, so 1e-9 is safe about 700 times over, and
+# almost no grid row falls so close to a cut. The same bounds put the probe
+# of an interval wide enough to hold such rows, which lies beyond the
+# margins, on the exact winner of those rows.
+# Volumes outside the normal doubles, where a crossing can lose its
+# relative accuracy or overflow, and rows whose winning area is not a
+# normal double, take all the candidates too.
 _CUT_MARGIN = 1e-9
 _EXPONENT_GAP = 2.0**-7
 
@@ -148,7 +149,10 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
     rows within _CUT_MARGIN of a cut through all the candidates.
     """
 
-    def __new__(cls, segments: tuple[PowerSegment, ...], candidates: tuple = ()):
+    _pieces: tuple = ()  # none: each row of an envelope compares its candidates
+
+    def __new__(cls, segments: tuple[PowerSegment, ...], candidates: tuple = (), pieces=()):
+        # pieces: minimum_envelope's (lo, hi, segment) triples, see _columns.
         segs = tuple(segments)
         if not segs:
             raise DomainError("a piecewise profile needs at least one segment")
@@ -169,6 +173,8 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
                 )
         self = tuple.__new__(cls, (segs, candidates))
         object.__setattr__(self, "_cuts", tuple(seg.v_hi for seg in segs[:-1]))
+        if pieces:
+            object.__setattr__(self, "_pieces", tuple(pieces))
         return self
 
     def __eq__(self, other):
@@ -220,70 +226,44 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         return [area for _, area, _ in rows], [seg for _, _, seg in rows]
 
     def _columns(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-        # values() on ascending checked volumes, for callers that checked
-        # the grid already. Each segment, and each envelope piece, takes one
-        # slice of the grid.
+        # values() on ascending checked volumes, for callers that checked the
+        # grid already. A piece (lo, hi, segment) gives the segment's law to
+        # the rows lo < v <= hi, one slice of the grid. A plain profile's
+        # pieces are its segments; an envelope's come from minimum_envelope,
+        # and the rows between them compare every candidate.
+        pieces = self._pieces if self.candidates else [
+            (seg.v_lo, seg.v_hi, seg) for seg in self.segments
+        ]
         areas: list[float] = []
         segs: list[PowerSegment] = []
         start = 0
-        if not self.candidates:
-            for seg, cut in zip(self.segments, (*self._cuts, math.inf)):
-                stop = bisect_right(volumes, cut, start)  # v == cut takes the left segment
-                coeff, exponent = seg.coeff, seg.exponent
-                areas += [coeff * v**exponent for v in volumes[start:stop]]
-                segs += [seg] * (stop - start)
-                start = stop
-            return areas, segs
-        for lo, hi, winner in self._pieces:
+        for lo, hi, seg in pieces:
             first = bisect_right(volumes, lo, start)
-            stop = bisect_left(volumes, hi, first)
-            near_areas, near_segs = _first_minimal(self.candidates, volumes[start:first])
-            won_areas, won_segs = winner._columns(volumes[first:stop])
-            if won_areas and not (
-                _AREA_RANGE[0] <= won_areas[0] and won_areas[-1] <= _AREA_RANGE[1]
-            ):
-                won_areas, won_segs = _first_minimal(self.candidates, volumes[first:stop])
-            areas += near_areas + won_areas
-            segs += near_segs + won_segs
-            start = stop
-        near_areas, near_segs = _first_minimal(self.candidates, volumes[start:])
-        return areas + near_areas, segs + near_segs
+            stop = bisect_right(volumes, hi, first)
+            if first == stop:
+                continue
+            coeff, exponent = seg.coeff, seg.exponent
+            won = [coeff * v**exponent for v in volumes[first:stop]]
+            # An ascending block's areas are all normal doubles, or its rows
+            # are left to the candidates.
+            if _AREA_RANGE[0] <= won[0] and won[-1] <= _AREA_RANGE[1]:
+                if start < first:
+                    near_areas, near_segs = self._compared(volumes[start:first])
+                    areas += near_areas
+                    segs += near_segs
+                areas += won
+                segs += [seg] * (stop - first)
+                start = stop
+        if start < len(volumes):
+            near_areas, near_segs = self._compared(volumes[start:])
+            areas += near_areas
+            segs += near_segs
+        return areas, segs
 
-    @functools.cached_property
-    def _pieces(self) -> list[tuple[float, float, PiecewiseProfile]]:
-        """An envelope's ``(lo, hi, candidate)`` stretches of volume whose rows
-        the candidate wins, farther than _CUT_MARGIN from every cut.
-
-        The points cut are the envelope's cuts, its candidates' breakpoints
-        and the ends of the normal doubles; a stretch's candidate is the
-        first whose law there is the envelope's. An envelope has none when
-        its candidates' laws share an exponent between two coefficients,
-        come within _EXPONENT_GAP of each other's exponent, or when its
-        candidates are envelopes themselves.
-        """
-        candidates = self.candidates
-        laws = {(s.coeff, s.exponent) for c in candidates for s in c.segments}
-        exponents = sorted({p for _, p in laws})
-        if (
-            len(exponents) < len(laws)
-            or any(q - p < _EXPONENT_GAP for p, q in itertools.pairwise(exponents))
-            or any(c.candidates for c in candidates)
-        ):
-            return []
-        low, high = sys.float_info.min, sys.float_info.max
-        points = {low, high}
-        for profile in (self, *candidates):
-            points.update(p for p in profile._cuts if low < p < high)
-        pieces = []
-        for a, b in itertools.pairwise(sorted(points)):
-            lo, hi = a * (1.0 + _CUT_MARGIN), b * (1.0 - _CUT_MARGIN)
-            law = self.segments[bisect_left(self._cuts, hi)][:2]
-            for winner in candidates:
-                if winner.segments[bisect_left(winner._cuts, hi)][:2] == law:
-                    if lo < hi:
-                        pieces.append((lo, hi, winner))
-                    break
-        return pieces
+    def _compared(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
+        # _columns row by row: the segment of the first minimal candidate.
+        segs = [_winning_segment(self.candidates or (self,), v) for v in volumes]
+        return [s.coeff * v**s.exponent for v, s in zip(volumes, segs)], segs
 
     def breakpoints(self) -> tuple[float, ...]:
         return self._cuts
@@ -311,12 +291,6 @@ def _winning_segment(curves, v: float) -> PowerSegment:
         if best is None or value < area:
             best, area = seg, value
     return best
-
-
-def _first_minimal(curves, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-    """values() columns of the first minimal curve, row by row."""
-    segs = [_winning_segment(curves, v) for v in volumes]
-    return [s.coeff * v**s.exponent for v, s in zip(volumes, segs)], segs
 
 
 def _check_volume(v: float) -> float:
@@ -473,12 +447,20 @@ def minimum_envelope(
     crossings of overlapping segment pairs; the winner on each interval is
     decided at an interior probe point. The result keeps ``curves`` as its
     candidates, in the given order, and is evaluated through them (see
-    PiecewiseProfile). A last breakpoint past half the largest double
+    PiecewiseProfile); each interval's winning segment alone gives the grid
+    rows farther than _CUT_MARGIN from its ends, unless two overlapping
+    segments of two curves lie within _EXPONENT_GAP in exponent or a curve
+    is itself an envelope. A last breakpoint past half the largest double
     leaves no volume to probe beyond it, and is refused by name; ``spec``,
     when given, names the radii it came from.
     """
     points: dict[float, str] = {}  # each breakpoint and what it is
+    # Whether the winner of an interval gives its rows (see _CUT_MARGIN):
+    # no curve is an envelope, and no two overlapping segments of two
+    # curves lie within _EXPONENT_GAP in exponent.
+    separated = True
     for curve in curves:
+        separated = separated and not curve.candidates
         for left, right in itertools.pairwise(curve.segments):
             points.setdefault(left.v_hi, f"{left.regime}/{right.regime} breakpoint")
     for ca, cb in itertools.combinations(curves, 2):
@@ -488,6 +470,7 @@ def minimum_envelope(
                 hi = min(sa.v_hi, sb.v_hi)
                 if hi <= lo:
                     continue
+                separated = separated and abs(sa.exponent - sb.exponent) >= _EXPONENT_GAP
                 x = _segment_crossing(sa, sb)
                 if x is not None and lo < x < hi:
                     points.setdefault(x, f"{sa.regime}/{sb.regime} crossing")
@@ -496,7 +479,9 @@ def minimum_envelope(
         if not ordered or p - ordered[-1] > 1e-12 * p:
             ordered.append(p)
     edges = [0.0, *ordered, math.inf]
-    segments = []
+    low, high = sys.float_info.min, sys.float_info.max
+    grow, shrink = 1.0 + _CUT_MARGIN, 1.0 - _CUT_MARGIN
+    segments, pieces = [], []
     for lo, hi in itertools.pairwise(edges):
         probe = _probe_point(lo, hi)
         if probe == math.inf:
@@ -507,6 +492,12 @@ def minimum_envelope(
             )
         src = _winning_segment(curves, _check_volume(probe))
         segments.append(PowerSegment(src.coeff, src.exponent, lo, hi, src.regime))
+        # The interval's normal volumes farther than _CUT_MARGIN from its
+        # ends take src's law.
+        a = (lo if lo > low else low) * grow
+        b = (hi if hi < high else high) * shrink
+        if separated and a < b:
+            pieces.append((a, b, src))
     merged: list[PowerSegment] = []
     for seg in segments:
         if merged and (
@@ -517,7 +508,7 @@ def minimum_envelope(
             merged[-1] = merged[-1]._replace(v_hi=seg.v_hi)
         else:
             merged.append(seg)
-    return PiecewiseProfile(tuple(merged), tuple(curves))
+    return PiecewiseProfile(tuple(merged), tuple(curves), pieces)
 
 
 def _retag(profile: PiecewiseProfile, regime: str) -> PiecewiseProfile:

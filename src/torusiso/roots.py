@@ -184,18 +184,15 @@ def solve_increasing(
 def power_gap_stationary_point(c1: float, p1: float, c2: float, p2: float) -> float:
     """Analytic minimizer of c1 x^p1 - c2 x^p2 for p1 > p2 > 0.
 
-    A minimizer past the largest double is refused by name.
+    A minimizer whose power overflows is refused by name.
     """
     try:
-        x = ((c2 * p2) / (c1 * p1)) ** (1.0 / (p1 - p2))
+        return ((c2 * p2) / (c1 * p1)) ** (1.0 / (p1 - p2))
     except OverflowError:
-        x = math.inf
-    if x == math.inf:
         raise DomainError(
             f"the stationary point of c1 x^p1 - c2 x^p2 with c1 = {c1!r}, p1 = {p1!r}, "
             f"c2 = {c2!r}, p2 = {p2!r} is past the largest double"
-        )
-    return x
+        ) from None
 
 
 def solve_power_gap(

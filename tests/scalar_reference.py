@@ -68,12 +68,16 @@ def first_minimal_segment(profile, v: float):
     """The PowerSegment that gives the profile's value at v, from all its candidates.
 
     Each candidate (the profile itself if it has none) looks up its own
-    segment, a volume on a breakpoint taking the left one; a later
-    candidate wins only with a strictly smaller area.
+    segment, a volume on a breakpoint taking the left one, and a candidate
+    that is an envelope looks through its own candidates; a later candidate
+    wins only with a strictly smaller area.
     """
     best = area = None
     for candidate in profile.candidates or (profile,):
-        seg = next(s for s in candidate.segments if v <= s.v_hi)
+        if candidate.candidates:
+            seg = first_minimal_segment(candidate, v)
+        else:
+            seg = next(s for s in candidate.segments if v <= s.v_hi)
         value = seg.coeff * v**seg.exponent
         if best is None or value < area:
             best, area = seg, value

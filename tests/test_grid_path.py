@@ -481,6 +481,7 @@ def test_grid_rows_are_the_segments_of_the_single_volume_rule(spec):
     # re-cut copy), the area of __call__, and the segment of the
     # all-candidates reference. Returning the envelope's segments fails it.
     profile = envelope_piecewise(spec)
+    assert profile._pieces or spec.circle_count == 1  # the winners' rows are exercised
     volumes = near_cut_volumes(profile, seed=len(spec.radii) * 10 + spec.euclid_dim)
     areas, segments = profile.values(volumes)
     for v, area, segment in zip(volumes, areas, segments):
@@ -519,9 +520,16 @@ def test_envelopes_of_close_laws_take_every_candidate(laws):
     # Such laws can compare within rounding far from any cut, so every row
     # goes through all the candidates.
     profile = minimum_envelope([one_law(*law) for law in laws])
-    assert profile._pieces == []
+    assert profile._pieces == ()
     volumes = [*np.geomspace(1e-100, 1e100, 401), *np.geomspace(1.02, 1.04, 2001)]
     assert_rows_follow_the_rule(profile, sorted(map(float, volumes)))
+
+
+def test_envelopes_of_envelopes_take_every_candidate():
+    inner = envelope_piecewise(TorusProductSpec((0.7, 1.9), 3))
+    profile = minimum_envelope([inner, one_law(30.0, 0.5, "flat")])
+    assert profile._pieces == ()
+    assert_rows_follow_the_rule(profile, [float(v) for v in np.geomspace(1e-6, 1e9, 301)])
 
 
 def test_blocks_whose_areas_leave_the_normal_doubles_take_every_candidate():

@@ -312,8 +312,9 @@ def _tangents(
 def _offsets(spec: TorusProductSpec, grid: list[float]) -> list[float]:
     """Circle-product profiles shifted down by twice their breakpoint volumes.
 
-    Max over both circle factors, clamped at zero, at every (checked) grid
-    volume.
+    Max over both circle factors, clamped at zero, at every volume of a
+    checked ascending grid (as band's inside rows are); PiecewiseProfile's
+    _columns gives wrong rows on an unsorted one.
     """
     n = spec.euclid_dim
     best = [0.0] * len(grid)

@@ -30,7 +30,6 @@ import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from operator import gt
 
 from .errors import DomainError, GuardError
 from .mensuration import (
@@ -69,12 +68,17 @@ _CONTINUITY_RTOL = 1e-9
 #     point it kept, so a winner can change, or a candidate's segment end,
 #     up to 1e-12 past a kept point.
 # Together that is under 1.4e-12, so 1e-9 is safe about 700 times over, and
-# almost no grid row falls so close to a cut. The same bounds put the probe
+# almost no grid row falls so close to a cut. The same bounds make the probe
 # of an interval wide enough to hold such rows, which lies beyond the
-# margins, on the exact winner of those rows.
-# Volumes outside the normal doubles, where a crossing can lose its
-# relative accuracy or overflow, and rows whose winning area is not a
-# normal double, take all the candidates too.
+# margins, pick the exact winner of those rows, provided the probe is a
+# normal volume and its winning area lies in _AREA_RANGE: every other area
+# there is at least as large, so normal or infinite, and compares as the
+# exact one does. An interval whose probe is not keeps no piece; an area
+# that overflows or underflows at the probe can hand the tie to the wrong
+# candidate. Volumes outside the normal doubles, where a crossing can lose
+# its relative accuracy or overflow, and rows whose winning area is not a
+# normal double, take all the candidates too. (For a normal volume v,
+# v**p lies between v and 1, so it is a normal double as well.)
 _CUT_MARGIN = 1e-9
 _EXPONENT_GAP = 2.0**-7
 
@@ -149,10 +153,9 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
     rows within _CUT_MARGIN of a cut through all the candidates.
     """
 
-    _pieces: tuple = ()  # none: each row of an envelope compares its candidates
+    _pieces: tuple = ()  # minimum_envelope's; none: each row compares the candidates
 
-    def __new__(cls, segments: tuple[PowerSegment, ...], candidates: tuple = (), pieces=()):
-        # pieces: minimum_envelope's (lo, hi, segment) triples, see _columns.
+    def __new__(cls, segments: tuple[PowerSegment, ...], candidates: tuple = ()):
         segs = tuple(segments)
         if not segs:
             raise DomainError("a piecewise profile needs at least one segment")
@@ -173,8 +176,6 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
                 )
         self = tuple.__new__(cls, (segs, candidates))
         object.__setattr__(self, "_cuts", tuple(seg.v_hi for seg in segs[:-1]))
-        if pieces:
-            object.__setattr__(self, "_pieces", tuple(pieces))
         return self
 
     def __eq__(self, other):
@@ -217,7 +218,7 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         digits.
         """
         volumes = [_check_volume(v) for v in volumes]
-        if not any(map(gt, volumes, volumes[1:])):
+        if volumes == sorted(volumes):
             return self._columns(volumes)
         # _columns takes ascending volumes: evaluate them sorted, and put
         # the rows back in the given order.
@@ -226,11 +227,13 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         return [area for _, area, _ in rows], [seg for _, _, seg in rows]
 
     def _columns(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-        # values() on ascending checked volumes, for callers that checked the
-        # grid already. A piece (lo, hi, segment) gives the segment's law to
-        # the rows lo < v <= hi, one slice of the grid. A plain profile's
-        # pieces are its segments; an envelope's come from minimum_envelope,
-        # and the rows between them compare every candidate.
+        # values() on checked volumes in ascending order. The pieces are
+        # found by bisection, so an unsorted list gives wrong rows without an
+        # error: values() sorts its volumes, and parse_grid and band order
+        # and check their grids. A piece (lo, hi, segment) gives the
+        # segment's law to the rows lo < v <= hi, one slice of the grid. A
+        # plain profile's pieces are its segments; an envelope's come from
+        # minimum_envelope, and the rows between them compare every candidate.
         pieces = self._pieces if self.candidates else [
             (seg.v_lo, seg.v_hi, seg) for seg in self.segments
         ]
@@ -244,16 +247,17 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
                 continue
             coeff, exponent = seg.coeff, seg.exponent
             won = [coeff * v**exponent for v in volumes[first:stop]]
-            # An ascending block's areas are all normal doubles, or its rows
-            # are left to the candidates.
-            if _AREA_RANGE[0] <= won[0] and won[-1] <= _AREA_RANGE[1]:
-                if start < first:
-                    near_areas, near_segs = self._compared(volumes[start:first])
-                    areas += near_areas
-                    segs += near_segs
-                areas += won
-                segs += [seg] * (stop - first)
-                start = stop
+            # An envelope's ascending block whose areas are not all normal
+            # doubles is left to the candidates.
+            if self.candidates and not (_AREA_RANGE[0] <= won[0] and won[-1] <= _AREA_RANGE[1]):
+                continue
+            if start < first:
+                near_areas, near_segs = self._compared(volumes[start:first])
+                areas += near_areas
+                segs += near_segs
+            areas += won
+            segs += [seg] * (stop - first)
+            start = stop
         if start < len(volumes):
             near_areas, near_segs = self._compared(volumes[start:])
             areas += near_areas
@@ -261,9 +265,16 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         return areas, segs
 
     def _compared(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-        # _columns row by row: the segment of the first minimal candidate.
-        segs = [_winning_segment(self.candidates or (self,), v) for v in volumes]
-        return [s.coeff * v**s.exponent for v, s in zip(volumes, segs)], segs
+        # An envelope's _columns through all its candidates, one column per
+        # candidate: a later candidate wins a row only when its area is
+        # strictly smaller.
+        first, *rest = self.candidates
+        areas, segs = first._columns(volumes)
+        for candidate in rest:
+            c_areas, c_segs = candidate._columns(volumes)
+            segs = [t if b < a else s for a, b, s, t in zip(areas, c_areas, segs, c_segs)]
+            areas = [b if b < a else a for a, b in zip(areas, c_areas)]
+        return areas, segs
 
     def breakpoints(self) -> tuple[float, ...]:
         return self._cuts
@@ -493,10 +504,12 @@ def minimum_envelope(
         src = _winning_segment(curves, _check_volume(probe))
         segments.append(PowerSegment(src.coeff, src.exponent, lo, hi, src.regime))
         # The interval's normal volumes farther than _CUT_MARGIN from its
-        # ends take src's law.
+        # ends take src's law, if the probe is a normal volume whose winning
+        # area lies in _AREA_RANGE (see _CUT_MARGIN).
         a = (lo if lo > low else low) * grow
         b = (hi if hi < high else high) * shrink
-        if separated and a < b:
+        won = src.coeff * probe**src.exponent
+        if separated and a < b and probe >= low and _AREA_RANGE[0] <= won <= _AREA_RANGE[1]:
             pieces.append((a, b, src))
     merged: list[PowerSegment] = []
     for seg in segments:
@@ -508,7 +521,10 @@ def minimum_envelope(
             merged[-1] = merged[-1]._replace(v_hi=seg.v_hi)
         else:
             merged.append(seg)
-    return PiecewiseProfile(tuple(merged), tuple(curves), pieces)
+    result = PiecewiseProfile(tuple(merged), tuple(curves))
+    if pieces:  # (lo, hi, segment) triples, see _columns
+        object.__setattr__(result, "_pieces", tuple(pieces))
+    return result
 
 
 def _retag(profile: PiecewiseProfile, regime: str) -> PiecewiseProfile:

@@ -541,6 +541,26 @@ def test_blocks_whose_areas_leave_the_normal_doubles_take_every_candidate():
     assert_rows_follow_the_rule(profile, volumes)
     regimes = {segment.regime for segment in profile.values(volumes)[1]}
     assert regimes == {"a", "b"}
+    # The laws cross at 1e40. The probe of (0, 1e40) is 5e39, where both
+    # areas overflow and the tie goes to "a", so that interval may keep no
+    # piece: its rows below the overflow range, where "b" is smaller, would
+    # take "a"'s law.
+    for volumes in ([1.0, 10.0], [1e-300, 1e-10, 1.0, 10.0, 1e6, 1e12, 1e15]):
+        assert_rows_follow_the_rule(profile, volumes)
+        assert {segment.regime for segment in profile.values(volumes)[1]} == {"b"}
+
+
+def test_intervals_whose_probe_areas_underflow_take_every_candidate():
+    # Coefficients of 50 and 51 smallest subnormals, exponents 2**-7 apart:
+    # the laws cross near v = 12.6, and "b" is smaller beyond. At the probe
+    # 25.2 of that interval both areas are about 60 smallest subnormals,
+    # 0.5% apart, and round to the same double, so the tie goes to "a". The
+    # rows from 1e290 up have normal areas, and must still take "b".
+    tiny = 2.0**-1074
+    profile = minimum_envelope([one_law(50 * tiny, 0.05 + 2.0**-7, "a"), one_law(51 * tiny, 0.05, "b")])
+    volumes = [10.0**e for e in range(290, 309)]
+    assert_rows_follow_the_rule(profile, volumes)
+    assert {segment.regime for segment in profile.values(volumes)[1]} == {"b"}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)

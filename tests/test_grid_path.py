@@ -532,35 +532,34 @@ def test_envelopes_of_envelopes_take_every_candidate():
     assert_rows_follow_the_rule(profile, [float(v) for v in np.geomspace(1e-6, 1e9, 301)])
 
 
-def test_blocks_whose_areas_leave_the_normal_doubles_take_every_candidate():
-    # Both areas overflow past about 1e24, where the first candidate wins
-    # the tie; below it the second is smaller. The piece's winner alone
-    # would give the rows of one candidate throughout.
-    profile = minimum_envelope([one_law(1e300, 0.5, "a"), one_law(1e290, 0.75, "b")])
-    volumes = [float(v) for v in np.geomspace(1e-300, 1e300, 601)]
-    assert_rows_follow_the_rule(profile, volumes)
-    regimes = {segment.regime for segment in profile.values(volumes)[1]}
-    assert regimes == {"a", "b"}
-    # The laws cross at 1e40. The probe of (0, 1e40) is 5e39, where both
-    # areas overflow and the tie goes to "a", so that interval may keep no
-    # piece: its rows below the overflow range, where "b" is smaller, would
-    # take "a"'s law.
-    for volumes in ([1.0, 10.0], [1e-300, 1e-10, 1.0, 10.0, 1e6, 1e12, 1e15]):
-        assert_rows_follow_the_rule(profile, volumes)
-        assert {segment.regime for segment in profile.values(volumes)[1]} == {"b"}
+OVERFLOWING = [(1e300, 0.5, "a"), (1e290, 0.75, "b")]
+UNDERFLOWING = [(50 * 2.0**-1074, 0.05 + 2.0**-7, "a"), (51 * 2.0**-1074, 0.05, "b")]
 
 
-def test_intervals_whose_probe_areas_underflow_take_every_candidate():
-    # Coefficients of 50 and 51 smallest subnormals, exponents 2**-7 apart:
-    # the laws cross near v = 12.6, and "b" is smaller beyond. At the probe
-    # 25.2 of that interval both areas are about 60 smallest subnormals,
-    # 0.5% apart, and round to the same double, so the tie goes to "a". The
-    # rows from 1e290 up have normal areas, and must still take "b".
-    tiny = 2.0**-1074
-    profile = minimum_envelope([one_law(50 * tiny, 0.05 + 2.0**-7, "a"), one_law(51 * tiny, 0.05, "b")])
-    volumes = [10.0**e for e in range(290, 309)]
+@pytest.mark.parametrize(
+    "laws, volumes, regimes",
+    [
+        # Both areas overflow past about 1e24, where the first candidate
+        # wins the tie; below it the second is smaller. The piece's winner
+        # alone would give the rows of one candidate throughout.
+        (OVERFLOWING, [float(v) for v in np.geomspace(1e-300, 1e300, 601)], {"a", "b"}),
+        # The laws cross at 1e40. The probe of (0, 1e40) is 5e39, where both
+        # areas overflow and the tie goes to "a", so that interval may keep
+        # no piece: its rows below the overflow range would take "a"'s law.
+        (OVERFLOWING, [1.0, 10.0], {"b"}),
+        (OVERFLOWING, [1e-300, 1e-10, 1.0, 10.0, 1e6, 1e12, 1e15], {"b"}),
+        # Coefficients of 50 and 51 smallest subnormals cross near 12.6, "b"
+        # smaller beyond. At the probe 25.2 both areas are about 60 smallest
+        # subnormals, 0.5% apart, and round to the same double, so the tie
+        # goes to "a"; the rows from 1e290 up have normal areas.
+        (UNDERFLOWING, [10.0**e for e in range(290, 309)], {"b"}),
+    ],
+    ids=["overflowing-areas", "overflowing-probe", "below-the-overflow", "underflowing-probe"],
+)
+def test_blocks_whose_areas_leave_the_normal_doubles_take_every_candidate(laws, volumes, regimes):
+    profile = minimum_envelope([one_law(*law) for law in laws])
     assert_rows_follow_the_rule(profile, volumes)
-    assert {segment.regime for segment in profile.values(volumes)[1]} == {"b"}
+    assert {segment.regime for segment in profile.values(volumes)[1]} == regimes
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)

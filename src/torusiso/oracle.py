@@ -104,7 +104,7 @@ def gap_crossings(
             x = (s2.coeff * s2.exponent / (s1.coeff * s1.exponent)) ** (
                 1.0 / (s1.exponent - s2.exponent)
             )
-        except OverflowError:  # beyond every double
+        except (OverflowError, ZeroDivisionError):  # beyond every double
             continue
         if a < x < b:
             cuts.add(x)

@@ -430,14 +430,15 @@ def slab_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
 def _segment_crossing(a: PowerSegment, b: PowerSegment) -> float | None:
     """Unique positive crossing of two distinct power laws, or None.
 
-    None also when the crossing overflows: it then lies beyond every double
-    volume, so it cannot split a segment.
+    None also when the crossing overflows, or when the coefficient ratio
+    underflows to 0.0 under a negative power: the crossing then lies beyond
+    every double volume, so it cannot split a segment.
     """
     if a.exponent == b.exponent:
         return None
     try:
         return (b.coeff / a.coeff) ** (1.0 / (a.exponent - b.exponent))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return None
 
 

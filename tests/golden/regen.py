@@ -23,19 +23,18 @@ included, or the class and message of the error it raised.
 
 The float bits of these files depend on more than the source: the
 interpreter and libc's math functions, whose ``log10`` and ``pow`` lay out
-the log grids. Grids are built without numpy, so the CPU features numpy
-dispatches to do not reach the transcripts: with AVX-512 masked
-(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) every
-transcript still matches, while masking glibc's own FMA/AVX2 variants
+the log grids. Every grid here, the curve files' sample volumes included,
+is built by ``cli.parse_grid`` through ``tests/grids.py``, in pure Python,
+so no byte depends on numpy: with numpy's AVX-512 paths masked
+(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) or numpy not
+importable at all, a rewrite leaves every file as it is. Masking glibc's own
+FMA/AVX2 variants
 (``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX512DQ,-FMA4``)
-changes 2 of them on an x86-64 host. Only the curve files still sample
-the envelope at ``np.geomspace`` volumes, so rewriting them on another host
-may change their bits; the tests read them as stored inputs.
-``environment.json`` records the numeric environment of the host that wrote
-the files, numpy's CPU features included, and a transcript mismatch prints
-it beside the current host's, so a difference of host is told apart from a
-change of code. It is a record, not a check: a different environment alone
-fails nothing.
+changes 2 transcripts on an x86-64 host. ``environment.json`` records the
+numeric environment of the host that wrote the files, and a transcript
+mismatch prints it beside the current host's, so a difference of host is
+told apart from a change of code. It is a record, not a check: a different
+environment alone fails nothing.
 
 ``tests/test_cli.py`` and ``tests/test_criticals.py`` require the current
 output to equal these files byte for byte. Rewrite them only when an output
@@ -56,8 +55,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from torusiso import (
     TorusIsoError,
     TorusProductSpec,
@@ -69,6 +66,10 @@ from torusiso import (
 from torusiso.mensuration import EUCLID_DIM_RANGES
 
 HERE = Path(__file__).resolve().parent
+# Run as a script, this file sees only its own directory on sys.path; the
+# grid helper it shares with the tests is one level up.
+sys.path.insert(0, str(HERE.parent))
+from grids import log_grid  # noqa: E402
 REGEN_COMMAND = "PYTHONPATH=src python tests/golden/regen.py"
 
 _SQRT_PI_RADIUS = 1.0 / math.sqrt(math.pi)
@@ -119,7 +120,7 @@ def curve_texts(spec: TorusProductSpec) -> list[str]:
     v_lo, v_hi = _thresholds(spec)
     texts = []
     for scale, count in ((0.97, 9), (0.5, 25)):
-        ws = [float(w) for w in np.geomspace(v_lo / 2.0, v_hi * 2.0, count)]
+        ws = log_grid(v_lo / 2.0, v_hi * 2.0, count)
         areas, _ = envelope_piecewise(spec).values(ws)
         lines = [f"# label: envelope x {scale}", "# certified_lower_bound: yes", "v,area"]
         lines += [f"{w!r},{scale * area!r}" for w, area in zip(ws, areas)]
@@ -206,18 +207,11 @@ def reports_text() -> str:
 
 
 def numeric_environment() -> dict:
-    """Python, libc, machine, numpy and numpy's enabled CPU features here."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
+    """Python, libc and machine here."""
     return {
         "python": platform.python_version(),
         "libc": list(platform.libc_ver()),
         "machine": platform.machine(),
-        "numpy": np.__version__,
-        # Space-separated, as NPY_DISABLE_CPU_FEATURES takes them.
-        "numpy_cpu_features": " ".join(name for name, on in __cpu_features__.items() if on),
     }
 
 

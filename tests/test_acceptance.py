@@ -8,8 +8,6 @@ import math
 import random
 import time
 
-import numpy as np
-
 from torusiso import (
     PiecewiseProfile,
     TorusProductSpec,
@@ -25,6 +23,7 @@ from torusiso import (
 )
 from torusiso.oracle import bisect_verify, gap_crossings, report_residuals
 
+from grids import log_grid
 from refvalues import SQRT_PI_RADIUS
 
 
@@ -81,8 +80,8 @@ def test_criterion_2_sphere_cylinder_constant():
 def test_criterion_3_slab_closed_form():
     spec = example_spec()
     ok = True
-    for v in np.geomspace(1e-3, 1e6, 100):
-        ok = ok and rel(slab_piecewise(spec)(float(v)), 4 * math.pi * math.sqrt(v)) <= 1e-12
+    for v in log_grid(1e-3, 1e6, 100):
+        ok = ok and rel(slab_piecewise(spec)(v), 4 * math.pi * math.sqrt(v)) <= 1e-12
     report_line(3, "slab profile closed form", ok)
 
 
@@ -133,9 +132,9 @@ def test_criterion_5_solver_oracle_equivalence():
 def test_criterion_6_profile_oracle_equality():
     ok = True
     for spec in random_two_circle_specs(10, seed=404):
-        for v in np.geomspace(1e-3, 1e6, 200):
-            closed = scp_piecewise(spec)(float(v))
-            brute, _ = candidate_min_area(spec, float(v))
+        for v in log_grid(1e-3, 1e6, 200):
+            closed = scp_piecewise(spec)(v)
+            brute, _ = candidate_min_area(spec, v)
             ok = ok and rel(closed, brute) <= 1e-9
     report_line(6, "envelope equals brute-force oracle", ok)
 
@@ -145,7 +144,7 @@ def test_criterion_7_band_validity():
     specs = [example_spec(), *random_two_circle_specs(5, seed=505)]
     for spec in specs:
         crit = full_report(spec).criticals
-        grid = np.geomspace(crit.v_star / 10.0, crit.v_dstar * 10.0, 120)
+        grid = log_grid(crit.v_star / 10.0, crit.v_dstar * 10.0, 120)
         result = band(spec, grid, report=crit)
         for row in result.rows:
             ok = ok and row.lower <= row.upper

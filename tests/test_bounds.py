@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from torusiso import (
 )
 from torusiso import bounds as bounds_mod
 
+from grids import log_grid
 from refvalues import (
     K_EXAMPLE,
     SLAB_AT_VDSTAR_EXAMPLE,
@@ -99,8 +99,8 @@ class TestTangentBound:
 
     def test_matches_direct_discrete_maximum(self, example_spec, example_report):
         _, anchor = anchors(example_spec, example_report)
-        ws = np.geomspace(1.0, 50.0, 17)
-        points = tuple((float(w), 0.93 * scp_piecewise(example_spec)(float(w))) for w in ws)
+        ws = log_grid(1.0, 50.0, 17)
+        points = tuple((w, 0.93 * scp_piecewise(example_spec)(w)) for w in ws)
         curve = TabulatedCurve(points)
         v = 30.0
         expected = max(
@@ -171,7 +171,7 @@ class TestCylinderOffsetBound:
 
 class TestBand:
     def test_example_torus_structure(self, example_spec, example_report):
-        grid = np.geomspace(0.1, 200.0, 80)
+        grid = log_grid(0.1, 200.0, 80)
         result = band(example_spec, grid)
         for row in result.rows:
             assert row.lower <= row.upper
@@ -184,16 +184,16 @@ class TestBand:
                 assert row.lower_source in {"chord", "cylinder-offset"}
 
     def test_offset_source_appears(self, example_spec):
-        grid = np.geomspace(25.0, 50.0, 12)
+        grid = log_grid(25.0, 50.0, 12)
         result = band(example_spec, grid)
         assert any(row.lower_source == "cylinder-offset" for row in result.rows)
 
     def test_curve_never_hurts(self, example_spec, example_report):
-        grid = np.geomspace(0.5, 100.0, 40)
+        grid = log_grid(0.5, 100.0, 40)
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
-        ws = np.geomspace(v_lo, v_hi, 9)
+        ws = log_grid(v_lo, v_hi, 9)
         curve = TabulatedCurve(
-            tuple((float(w), 0.98 * scp_piecewise(example_spec)(float(w))) for w in ws)
+            tuple((w, 0.98 * scp_piecewise(example_spec)(w)) for w in ws)
         )
         bare = band(example_spec, grid)
         with_curve = band(example_spec, grid, [curve])
@@ -209,7 +209,7 @@ class TestBand:
         assert row.lower_source == "exact"
 
     def test_three_torus_band(self, unit_spec3):
-        grid = np.geomspace(1.0, 1e5, 30)
+        grid = log_grid(1.0, 1e5, 30)
         result = band(unit_spec3, grid)
         for row in result.rows:
             assert row.lower <= row.upper
@@ -238,12 +238,12 @@ class TestBand:
         # 2,000 inside rows x 5,000 samples as one array would take ~150 MiB;
         # the scan keeps one record per sample and one value per row.
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
-        grid = np.geomspace(v_lo, v_hi, 2002)[1:-1].tolist()
+        grid = log_grid(v_lo, v_hi, 2002)[1:-1]
         envelope = scp_piecewise(example_spec)
         curve = TabulatedCurve(
             tuple(
-                (float(w), 0.5 * envelope(float(w)))
-                for w in np.geomspace(v_lo / 2.0, v_hi * 2.0, 5000)
+                (w, 0.5 * envelope(w))
+                for w in log_grid(v_lo / 2.0, v_hi * 2.0, 5000)
             )
         )
         tracemalloc.start()
@@ -266,10 +266,10 @@ class TestBand:
 def test_band_validity_property(r1, r2, n, scale):
     spec = TorusProductSpec((r1, r2), n)
     crit = full_report(spec).criticals
-    grid = np.geomspace(crit.v_star / 5.0, crit.v_dstar * 5.0, 35)
-    ws = np.geomspace(crit.v_star / 2.0, crit.v_dstar * 2.0, 11)
+    grid = log_grid(crit.v_star / 5.0, crit.v_dstar * 5.0, 35)
+    ws = log_grid(crit.v_star / 2.0, crit.v_dstar * 2.0, 11)
     curve = TabulatedCurve(
-        tuple((float(w), scale * scp_piecewise(spec)(float(w))) for w in ws)
+        tuple((w, scale * scp_piecewise(spec)(w)) for w in ws)
     )
     result = band(spec, grid, [curve], report=crit)
     for row in result.rows:
@@ -295,7 +295,7 @@ class TestBoundBand:
             BoundBand((1.0, 2.0), (5.0, 5.0), (4.0,), ("ball",) * 2, ("chord",) * 2)
 
     def test_rows_are_the_zipped_columns(self, example_spec, example_report):
-        result = band(example_spec, np.geomspace(0.1, 200.0, 40), report=example_report)
+        result = band(example_spec, log_grid(0.1, 200.0, 40), report=example_report)
         columns = (result.v, result.upper, result.lower, result.upper_regime, result.lower_source)
         assert all(isinstance(column, tuple) for column in columns)
         assert isinstance(result.rows, tuple)

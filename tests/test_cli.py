@@ -490,15 +490,13 @@ class TestGridBuilder:
             yield lo, hi, rng.randint(2, 400)
 
     def test_linear_grid_has_the_bits_of_linspace(self):
-        import numpy as np
-
+        np = pytest.importorskip("numpy")
         for lo, hi, count in self.seeded_cases():
             expected = np.linspace(lo, hi, count).tolist()
             assert cli.parse_grid(f"{lo!r}:{hi!r}:{count},lin") == expected, (lo, hi, count)
 
     def test_log_grid_pins_its_ends_and_tracks_geomspace(self):
-        import numpy as np
-
+        np = pytest.importorskip("numpy")
         for lo, hi, count in self.seeded_cases():
             grid = cli.parse_grid(f"{lo!r}:{hi!r}:{count},log")
             assert grid[0] == lo and grid[-1] == hi
@@ -823,6 +821,26 @@ def test_output_matches_golden_transcript(spec):
         f"CLI output differs from {path.name}; if the change is intended, "
         f"rewrite the golden files with `{regen.REGEN_COMMAND}`\n{regen.environment_note()}"
     )
+
+
+def test_curve_files_are_rewritten_without_numpy(fresh_python):
+    # The curves sample the envelope on cli.parse_grid volumes, so a process
+    # that cannot import numpy rewrites every stored curve file byte for byte.
+    source = f"""
+import json, sys
+sys.modules["numpy"] = None
+sys.path.insert(0, {str(regen.HERE.parent)!r})
+from golden import regen
+files, stale = 0, []
+for spec in regen.CASES:
+    for i, text in enumerate(regen.curve_texts(spec), start=1):
+        path = regen.HERE / f"{{regen.case_name(spec)}}.curve{{i}}.csv"
+        files += 1
+        if text.encode("utf-8") != path.read_bytes():
+            stale.append(path.name)
+print(json.dumps({{"files": files, "stale": stale}}))
+"""
+    assert json.loads(fresh_python(source)) == {"files": 2 * len(regen.CASES), "stale": []}
 
 
 def test_golden_mismatch_names_both_environments(monkeypatch):

@@ -14,7 +14,6 @@ import random
 import re
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -36,6 +35,7 @@ from torusiso import (
     minimum_envelope,
 )
 
+from grids import log_grid
 from refvalues import SQRT_PI_RADIUS
 from scalar_reference import circle_profile, envelope_profile, first_minimal_segment
 
@@ -75,7 +75,7 @@ def special_volumes(spec, report):
 def grid_for(spec, report):
     """Log grid across both thresholds plus each special volume and its neighbours."""
     v_lo, v_hi = thresholds(report)
-    volumes = {float(v) for v in np.geomspace(v_lo / 30.0, v_hi * 30.0, 120)}
+    volumes = set(log_grid(v_lo / 30.0, v_hi * 30.0, 120))
     for p in special_volumes(spec, report):
         volumes.update((p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)))
         volumes.update((p * (1 - 1e-12), p * (1 + 1e-12)))
@@ -87,10 +87,10 @@ def curves_for(spec, report):
     v_lo, v_hi = thresholds(report)
     out = []
     for scale, count in ((0.97, 9), (0.5, 25)):
-        ws = np.geomspace(v_lo / 2.0, v_hi * 2.0, count)
+        ws = log_grid(v_lo / 2.0, v_hi * 2.0, count)
         out.append(
             TabulatedCurve(
-                tuple((float(w), scale * envelope_profile(spec, float(w))[0]) for w in ws),
+                tuple((w, scale * envelope_profile(spec, w)[0]) for w in ws),
                 f"envelope x {scale}",
             )
         )
@@ -228,7 +228,7 @@ def tangent_columns(anchor, curve, volumes):
     Volumes below the anchor take the right-anchor side (samples w <= v),
     the others the left-anchor side (samples w >= v), as tangent_reference does.
     """
-    volumes = sorted(float(v) for v in volumes)
+    volumes = sorted(volumes)
     below = [v for v in volumes if v < anchor[0]]
     above = volumes[len(below):]
     got = [
@@ -239,17 +239,17 @@ def tangent_columns(anchor, curve, volumes):
 
 
 def power_curve(ws):
-    return TabulatedCurve(tuple((float(w), float(3.0 * w**0.6)) for w in ws))
+    return TabulatedCurve(tuple((w, 3.0 * w**0.6) for w in ws))
 
 
 def test_tangent_bound_equals_sample_loop():
     """The scan gives the bits of the per-sample loop, None rows included."""
-    rng = np.random.default_rng(7)
-    ws = np.sort(rng.uniform(0.5, 80.0, 300))
+    rng = random.Random(7)
+    ws = sorted(rng.uniform(0.5, 80.0) for _ in range(300))
     curve = power_curve(ws)
     for anchor in ((2.0, 4.1), (60.0, 36.0)):
         # 0.5 and 80.0 lie past every sample, so one side admits none there.
-        volumes = [0.5, 80.0, *rng.uniform(0.6, 79.0, 200), *ws[::10]]
+        volumes = [0.5, 80.0, *(rng.uniform(0.6, 79.0) for _ in range(200)), *ws[::10]]
         got, expected = tangent_columns(anchor, curve, volumes)
         assert got == expected
         assert None in expected
@@ -257,9 +257,9 @@ def test_tangent_bound_equals_sample_loop():
 
 def test_tangent_kernel_curve_longer_than_a_block():
     # 2**14 + 37 samples, longer than one block of the former array kernel.
-    ws = np.geomspace(1.0, 100.0, 2**14 + 37)
+    ws = log_grid(1.0, 100.0, 2**14 + 37)
     curve = power_curve(ws)
-    volumes = [0.5, 1.0, 3.3, 50.0, float(ws[5000]), 99.0, 100.0, 150.0]
+    volumes = [0.5, 1.0, 3.3, 50.0, ws[5000], 99.0, 100.0, 150.0]
     for anchor in ((0.2, 1.0), (200.0, 80.0)):
         got, expected = tangent_columns(anchor, curve, volumes)
         assert got == expected
@@ -269,16 +269,16 @@ def test_tangent_kernel_curve_longer_than_a_block():
 def test_tangent_kernel_partial_last_chunk():
     # 300 samples under 169 rows, which left the former array kernel a
     # partial last chunk of rows.
-    ws = np.geomspace(1.0, 100.0, 300)
+    ws = log_grid(1.0, 100.0, 300)
     curve = power_curve(ws)
     for anchor in ((0.5, 1.0), (150.0, 60.0)):
-        got, expected = tangent_columns(anchor, curve, np.geomspace(1.5, 99.0, 169))
+        got, expected = tangent_columns(anchor, curve, log_grid(1.5, 99.0, 169))
         assert got == expected
 
 
 def test_tangent_kernel_volumes_on_the_samples():
     # w == v is admissible from either side; the line through it gives its area.
-    ws = np.geomspace(1.0, 100.0, 300)
+    ws = log_grid(1.0, 100.0, 300)
     curve = power_curve(ws)
     for anchor in ((0.5, 1.0), (150.0, 60.0)):
         got, expected = tangent_columns(anchor, curve, ws)
@@ -340,9 +340,9 @@ def test_curve_samples_at_the_thresholds(spec):
     # no warning may leak.
     report = criticals(spec)
     v_lo, v_hi = thresholds(report)
-    inner = np.geomspace(v_lo, v_hi, 12)[1:-1]
+    inner = log_grid(v_lo, v_hi, 12)[1:-1]
     points = [(v_lo, envelope_profile(spec, v_lo)[0])]
-    points += [(float(w), 0.9 * envelope_profile(spec, float(w))[0]) for w in inner]
+    points += [(w, 0.9 * envelope_profile(spec, w)[0]) for w in inner]
     points.append((v_hi, envelope_profile(spec, v_hi)[0]))
     curves = [TabulatedCurve(tuple(points), "through the anchors")]
     grid = grid_for(spec, report)
@@ -376,7 +376,7 @@ def test_curves_above_the_envelope_refused_in_row_order():
     spec = SPECS[0]
     report = criticals(spec)
     v_lo, v_hi = thresholds(report)
-    grid = np.geomspace(v_lo, v_hi, 42)[1:-1].tolist()
+    grid = log_grid(v_lo, v_hi, 42)[1:-1]
 
     def bumped(label, row):
         # A 0.9x envelope curve with one sample 1% above the envelope.
@@ -400,7 +400,7 @@ def test_curves_above_the_envelope_refused_in_row_order():
 def test_cylinder_offset_bound_equals_closed_form(n):
     spec = TorusProductSpec((0.7, 1.9), n)
     # _offsets takes an ascending grid, as band hands it the inside rows.
-    volumes = [float(v) for v in np.geomspace(1e-2, 1e5, 300)]
+    volumes = log_grid(1e-2, 1e5, 300)
     volumes = sorted(volumes + [beta(n + 1, r) for r in spec.radii])
     assert bounds_mod._offsets(spec, volumes) == [offset_reference(spec, v) for v in volumes]
 
@@ -521,15 +521,15 @@ def test_envelopes_of_close_laws_take_every_candidate(laws):
     # goes through all the candidates.
     profile = minimum_envelope([one_law(*law) for law in laws])
     assert profile._pieces == ()
-    volumes = [*np.geomspace(1e-100, 1e100, 401), *np.geomspace(1.02, 1.04, 2001)]
-    assert_rows_follow_the_rule(profile, sorted(map(float, volumes)))
+    volumes = [*log_grid(1e-100, 1e100, 401), *log_grid(1.02, 1.04, 2001)]
+    assert_rows_follow_the_rule(profile, sorted(volumes))
 
 
 def test_envelopes_of_envelopes_take_every_candidate():
     inner = envelope_piecewise(TorusProductSpec((0.7, 1.9), 3))
     profile = minimum_envelope([inner, one_law(30.0, 0.5, "flat")])
     assert profile._pieces == ()
-    assert_rows_follow_the_rule(profile, [float(v) for v in np.geomspace(1e-6, 1e9, 301)])
+    assert_rows_follow_the_rule(profile, log_grid(1e-6, 1e9, 301))
 
 
 OVERFLOWING = [(1e300, 0.5, "a"), (1e290, 0.75, "b")]
@@ -542,7 +542,7 @@ UNDERFLOWING = [(50 * 2.0**-1074, 0.05 + 2.0**-7, "a"), (51 * 2.0**-1074, 0.05, 
         # Both areas overflow past about 1e24, where the first candidate
         # wins the tie; below it the second is smaller. The piece's winner
         # alone would give the rows of one candidate throughout.
-        (OVERFLOWING, [float(v) for v in np.geomspace(1e-300, 1e300, 601)], {"a", "b"}),
+        (OVERFLOWING, log_grid(1e-300, 1e300, 601), {"a", "b"}),
         # The laws cross at 1e40. The probe of (0, 1e40) is 5e39, where both
         # areas overflow and the tie goes to "a", so that interval may keep
         # no piece: its rows below the overflow range would take "a"'s law.
@@ -560,6 +560,16 @@ def test_blocks_whose_areas_leave_the_normal_doubles_take_every_candidate(laws, 
     profile = minimum_envelope([one_law(*law) for law in laws])
     assert_rows_follow_the_rule(profile, volumes)
     assert {segment.regime for segment in profile.values(volumes)[1]} == regimes
+
+
+def test_crossing_whose_coefficient_ratio_underflows_leaves_one_segment():
+    # The laws cross at 1e2400, past every double, but their coefficient
+    # ratio underflows to 0.0 under the power -4, which raised
+    # ZeroDivisionError. "b" is the smaller law on every double, in either order.
+    a, b = one_law(1e300, 0.5, "a"), one_law(1e-300, 0.75, "b")
+    for curves in ([a, b], [b, a]):
+        profile = minimum_envelope(curves)
+        assert [segment.regime for segment in profile.segments] == ["b"]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
@@ -602,7 +612,7 @@ def test_envelope_builds_do_not_grow_with_the_grid(spec, envelope_builds, tmp_pa
     v_lo, v_hi = thresholds(report)
     for size in (10, 1000):
         envelope_builds.clear()
-        band(spec, np.geomspace(v_lo / 10.0, v_hi * 10.0, size), report=report)
+        band(spec, log_grid(v_lo / 10.0, v_hi * 10.0, size), report=report)
         assert envelope_builds == [spec]
 
     path = write_spec(tmp_path, spec)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from torusiso import (
@@ -19,6 +18,7 @@ from torusiso import (
 from torusiso import oracle
 from torusiso.oracle import bisect_verify, gap_crossings
 
+from grids import log_grid
 from refvalues import BETA_2_SQ, EUCLID4_AT_1, SQRT_PI_RADIUS, THETA_EXAMPLE, VDSTAR_EXAMPLE
 
 
@@ -39,9 +39,10 @@ def whole(segment):
 def grid_scan_crossings(upper, lower, target, lo, hi, steps=200_000):
     """The log-grid sign-change scan ``verify`` used before: a crossing per
     sign flip between neighbouring grid points, as the bracketing pair."""
-    xs = np.geomspace(lo, hi, steps)
-    signs = np.sign([upper(x) - lower(x) - target for x in xs])
-    return [(xs[i], xs[i + 1]) for i in np.nonzero(signs[:-1] != signs[1:])[0]]
+    xs = log_grid(lo, hi, steps)
+    gaps = [upper(x) - lower(x) - target for x in xs]
+    signs = [(gap > 0) - (gap < 0) for gap in gaps]
+    return [(xs[i], xs[i + 1]) for i in range(steps - 1) if signs[i] != signs[i + 1]]
 
 
 class TestCandidateMinArea:
@@ -169,6 +170,12 @@ class TestCrossingScan:
             )
         )
         assert gap_crossings(upper, law(1.0, 0.5), 4.0, 1.0, 100.0) == [(4.0, 4.0)]
+
+    def test_stationary_ratio_that_underflows_is_no_cut(self):
+        # The stationary point's coefficient ratio underflows to 0.0 under the
+        # power -4, which raised ZeroDivisionError: the point lies past every
+        # double, so the window keeps no cut, and the gap never reaches zero.
+        assert gap_crossings(law(1e300, 0.5), law(1e-300, 0.75), 0.0, 1.0, 10.0) == []
 
 
 class TestScanCheck:
@@ -344,7 +351,7 @@ class TestOracleAgreement:
             radii = sorted(rng.uniform(0.5, 2.5) for _ in range(2))
             n = rng.randint(2, 5)
             spec = TorusProductSpec(tuple(radii), n)
-            for v in np.geomspace(1e-3, 1e6, 60):
-                closed = scp_piecewise(spec)(float(v))
-                brute, _ = candidate_min_area(spec, float(v))
+            for v in log_grid(1e-3, 1e6, 60):
+                closed = scp_piecewise(spec)(v)
+                brute, _ = candidate_min_area(spec, v)
                 assert rel(closed, brute) < 1e-9

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 
-import numpy as np
 import pytest
 
 from torusiso import (
@@ -29,6 +28,7 @@ from torusiso.mensuration import (
 )
 from torusiso.oracle import gap_crossings
 
+from grids import log_grid
 from refvalues import (
     BETA_2_1,
     BETA_2_SQ,
@@ -229,8 +229,8 @@ class TestCircleProfile:
     @pytest.mark.parametrize("n", [2, 3])
     def test_monotone_in_radius(self, n):
         radii = [0.3, 0.7, 1.0, 1.9, 4.0]
-        for v in np.geomspace(1e-2, 1e4, 25):
-            areas = [circle_piecewise(n, r)(float(v)) for r in radii]
+        for v in log_grid(1e-2, 1e4, 25):
+            areas = [circle_piecewise(n, r)(v) for r in radii]
             for a, b in itertools.pairwise(areas):
                 assert a <= b * (1 + 1e-12)
         # Below every breakpoint the value is radius-independent.
@@ -241,8 +241,8 @@ class TestCircleProfile:
 
 class TestSlabProfiles:
     def test_example_torus_closed_form(self, example_spec):
-        for v in np.geomspace(1e-3, 1e6, 20):
-            (area,), (seg,) = slab_piecewise(example_spec).values([float(v)])
+        for v in log_grid(1e-3, 1e6, 20):
+            (area,), (seg,) = slab_piecewise(example_spec).values([v])
             assert seg.regime == "slab"
             assert rel(area, 4 * math.pi * math.sqrt(v)) < 1e-12
 
@@ -256,12 +256,12 @@ class TestSlabProfiles:
         assert rel(area, (2 * math.pi) ** 3 * 2 * math.pi) < 1e-12
 
     def test_slab3_against_mensuration(self, unit_spec3):
-        for v in np.geomspace(0.5, 1e5, 12):
+        for v in log_grid(0.5, 1e5, 12):
             radius = (v / (unit_spec3.torus_measure() * unit_ball_volume(2))) ** 0.5
             region = CandidateRegion((0, 1, 2), radius)
             assert rel(region_volume(unit_spec3, region), v) < 1e-12
             oracle = region_boundary_area(unit_spec3, region)
-            assert rel(slab_piecewise(unit_spec3)(float(v)), oracle) < 1e-12
+            assert rel(slab_piecewise(unit_spec3)(v), oracle) < 1e-12
 
     def test_slab3_power_law_shape(self, unit_spec3):
         (segment,) = slab_piecewise(unit_spec3).segments
@@ -292,9 +292,9 @@ class TestScpProfile:
         assert rel(area, 4 * math.pi) < 1e-4
 
     def test_matches_brute_force_on_grid(self, example_spec):
-        for v in np.geomspace(1e-3, 1e6, 60):
-            closed = scp_piecewise(example_spec)(float(v))
-            brute, winner = candidate_min_area(example_spec, float(v))
+        for v in log_grid(1e-3, 1e6, 60):
+            closed = scp_piecewise(example_spec)(v)
+            brute, winner = candidate_min_area(example_spec, v)
             assert rel(closed, brute) < 1e-9
 
     def test_guards(self, example_spec):
@@ -341,7 +341,7 @@ class TestPiecewise:
             circle_piecewise(4, 2.0),
             envelope_piecewise(TorusProductSpec((1.0, 1.0, 1.0), 2)),
         ):
-            areas, _ = profile.values(np.geomspace(1e-4, 1e8, 400))
+            areas, _ = profile.values(log_grid(1e-4, 1e8, 400))
             assert all(a < b for a, b in itertools.pairwise(areas))
 
     def test_segment_validation(self):
@@ -374,17 +374,17 @@ class TestPiecewise:
 
     def test_solve_value_round_trip(self, example_spec):
         profile = scp_piecewise(example_spec)
-        for v in np.geomspace(1e-3, 1e5, 30):
-            area = profile(float(v))
-            assert rel(profile.solve_value(area), float(v)) < 1e-12
+        for v in log_grid(1e-3, 1e5, 30):
+            area = profile(v)
+            assert rel(profile.solve_value(area), v) < 1e-12
 
 
 class TestEnvelope:
     def test_k1_is_circle_profile(self):
         spec = TorusProductSpec((1.3,), 3)
-        for v in np.geomspace(0.1, 1e4, 12):
-            left = envelope_piecewise(spec).values([float(v)])
-            right = circle_piecewise(3, 1.3).values([float(v)])
+        for v in log_grid(0.1, 1e4, 12):
+            left = envelope_piecewise(spec).values([v])
+            right = circle_piecewise(3, 1.3).values([v])
             assert left == right
 
     def test_minimum_envelope_is_pointwise_min(self):
@@ -393,7 +393,7 @@ class TestEnvelope:
         from torusiso import minimum_envelope
 
         rng = random.Random(31)
-        grid = np.geomspace(1e-4, 1e7, 300)
+        grid = log_grid(1e-4, 1e7, 300)
         for _ in range(6):
             n = rng.randint(2, 5)
             radii = sorted(rng.uniform(0.3, 3.0) for _ in range(2))
@@ -408,9 +408,9 @@ class TestEnvelope:
             envelope_piecewise(TorusProductSpec((), 3))
 
     def test_k3_against_brute_force(self, unit_spec3):
-        for v in np.geomspace(1e-2, 1e6, 40):
-            closed = envelope_piecewise(unit_spec3)(float(v))
-            brute, _ = candidate_min_area(unit_spec3, float(v))
+        for v in log_grid(1e-2, 1e6, 40):
+            closed = envelope_piecewise(unit_spec3)(v)
+            brute, _ = candidate_min_area(unit_spec3, v)
             assert rel(closed, brute) < 1e-9
 
     def test_k3_segment_tags(self, unit_spec3):
@@ -421,6 +421,7 @@ class TestEnvelope:
 def test_numpy_imported_after_torusiso_keeps_scalar_dispatch(fresh_python):
     # numpy scalars are volumes like any other: np.float64 and np.int64 give
     # the bits of the equal Python float, whether or not numpy came first.
+    pytest.importorskip("numpy")
     spec = TorusProductSpec((0.7, 1.9), 3)
     profile = envelope_piecewise(spec)
     volumes = [1e-3, 0.5, beta(3, 0.7), beta(4, 0.7), 55.0, 1e4]

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,12 +41,14 @@ def rel(a, b):
 
 def grid_scan_bracket(f, lo, hi, step):
     """Additive-step scan oracle: bracket of the first sign change of f."""
-    xs = np.arange(lo, hi, step)
-    values = f(xs)
-    signs = np.sign(values)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    assert flips.size >= 1, "oracle scan found no sign change"
-    return float(xs[flips[0]]), float(xs[flips[0] + 1])
+    x, value = lo, f(lo)
+    for i in range(1, math.ceil((hi - lo) / step)):
+        x_next = lo + i * step
+        value_next = f(x_next)
+        if value * value_next < 0:
+            return x, x_next
+        x, value = x_next, value_next
+    raise AssertionError("oracle scan found no sign change")
 
 
 class TestSolveIncreasing:

@@ -22,7 +22,6 @@ _EXPORTS = {
     "T3Criticals": "criticals",
     "full_report": "criticals",
     "ConsistencyError": "errors",
-    "ConvergenceError": "errors",
     "CurveParseError": "errors",
     "DomainError": "errors",
     "GuardError": "errors",
@@ -45,7 +44,7 @@ _EXPORTS = {
     "scp_piecewise": "profiles",
     "slab_piecewise": "profiles",
     "RootResult": "roots",
-    "solve_increasing": "roots",
+    "solve_balance": "roots",
     "solve_piecewise_gap": "roots",
     "solve_power_gap": "roots",
 }

@@ -28,7 +28,6 @@ from .errors import CurveParseError, DomainError
 from .mensuration import TorusProductSpec
 from .profiles import beta, circle_piecewise, envelope_piecewise
 from .records import record
-from .roots import DEFAULT_TOLERANCE
 
 # Relative slack within which a lower bound above the envelope is taken as
 # touching it (rounding), and clamped to it.
@@ -331,7 +330,6 @@ def band(
     curves: Sequence[TabulatedCurve] | None = None,
     *,
     report: T2Criticals | T3Criticals | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> BoundBand:
     """Bound band over a sorted positive volume grid.
 
@@ -347,7 +345,7 @@ def band(
     if any(map(gt, grid, grid[1:])):
         raise DomainError("grid volumes must be sorted ascending")
     if report is None:
-        report = full_report(spec, tolerance=tolerance).criticals
+        report = full_report(spec).criticals
     v_lo, v_hi = _thresholds(report)
     envelope = envelope_piecewise(spec)
     lo_anchor = (v_lo, envelope(v_lo))

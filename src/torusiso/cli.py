@@ -20,7 +20,6 @@ from operator import gt
 
 from .errors import (
     ConsistencyError,
-    ConvergenceError,
     CurveParseError,
     DomainError,
     GuardError,
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .mensuration import TorusProductSpec
 from .profiles import envelope_piecewise
-from .roots import DEFAULT_TOLERANCE, MAX_TOLERANCE, MIN_TOLERANCE
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -59,8 +57,12 @@ def _spec_float(value: int | float, field: str) -> float:
         ) from None
 
 
-def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
-    """Read a manifold spec JSON file; returns the spec and the solver tolerance."""
+def load_spec_file(path: str) -> TorusProductSpec:
+    """Read a manifold spec JSON file into its spec.
+
+    An optional numeric ``tolerance`` field is checked and ignored: the
+    solvers return ulp-exact roots, so no tolerance changes the output.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -79,17 +81,11 @@ def load_spec_file(path: str) -> tuple[TorusProductSpec, float]:
     euclid_dim = data.get("euclid_dim")
     if isinstance(euclid_dim, bool) or not isinstance(euclid_dim, int):
         raise SpecFileError("spec field 'euclid_dim' must be an integer")
-    tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
+    tolerance = data.get("tolerance", 0.0)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
         raise SpecFileError("spec field 'tolerance' must be a number")
-    # Tighter than MIN_TOLERANCE the solvers cannot converge; looser than
-    # MAX_TOLERANCE breaks their contract, so such values are capped.
-    if not MIN_TOLERANCE <= _spec_float(tolerance, "tolerance") < 1.0:
-        raise SpecFileError(
-            f"spec field 'tolerance' must be in [{MIN_TOLERANCE}, 1), got {tolerance}"
-        )
-    spec = TorusProductSpec(tuple(_spec_float(r, "radii") for r in radii), euclid_dim)
-    return spec, min(float(tolerance), MAX_TOLERANCE)
+    _spec_float(tolerance, "tolerance")
+    return TorusProductSpec(tuple(_spec_float(r, "radii") for r in radii), euclid_dim)
 
 
 def parse_grid(text: str) -> list[float]:
@@ -156,7 +152,7 @@ def _rows(template: str, *columns) -> str:
 
 
 def cmd_profile(args) -> int:
-    spec, _ = load_spec_file(args.spec)
+    spec = load_spec_file(args.spec)
     if args.v is not None:
         grid, evaluate = [args.v], envelope_piecewise(spec).values
     else:
@@ -210,8 +206,7 @@ def _report_csv(report, prefix: str = "") -> list[list[str]]:
 def cmd_critical(args) -> int:
     from .criticals import full_report
 
-    spec, tolerance = load_spec_file(args.spec)
-    report = full_report(spec, tolerance=tolerance)
+    report = full_report(load_spec_file(args.spec))
     if args.format == "json":
         sys.stdout.write(json.dumps(_report_payload(report), indent=2))
         sys.stdout.write("\n")
@@ -229,10 +224,10 @@ def cmd_critical(args) -> int:
 def cmd_bounds(args) -> int:
     from . import bounds
 
-    spec, tolerance = load_spec_file(args.spec)
+    spec = load_spec_file(args.spec)
     grid = parse_grid(args.grid)
     curves = [bounds.read_curve(path) for path in args.curve]
-    v, upper, lower, regimes, sources = bounds.band(spec, grid, curves, tolerance=tolerance)
+    v, upper, lower, regimes, sources = bounds.band(spec, grid, curves)
     # band puts exact rows only at the two ends, so the table is three
     # blocks: the exact head, the inside rows and the exact tail.
     first = _exact_run(sources)
@@ -267,8 +262,7 @@ def _exact_rows(v, upper, regimes) -> str:
 def cmd_verify(args) -> int:
     from . import oracle
 
-    spec, _ = load_spec_file(args.spec)
-    checks = oracle.verify_spec(spec)
+    checks = oracle.verify_spec(load_spec_file(args.spec))
     first_failure = None
     for check in checks:
         status = "PASS" if check.ok else "FAIL"
@@ -339,7 +333,7 @@ def main(argv=None) -> int:
     except (GuardError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_GUARD
-    except (ConvergenceError, ConsistencyError) as exc:
+    except ConsistencyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SOLVER
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConsistencyError, GuardError
+from .errors import ConsistencyError, DomainError, GuardError
 from .mensuration import TWO_PI, TorusProductSpec, unit_ball_volume
 from .profiles import (
     PiecewiseProfile,
@@ -49,7 +49,7 @@ from .profiles import (
     slab_piecewise,
 )
 from .records import record
-from .roots import DEFAULT_TOLERANCE, solve_increasing, solve_piecewise_gap
+from .roots import solve_balance, solve_piecewise_gap
 
 _IDENTITY_RTOL = 1e-9
 
@@ -91,22 +91,22 @@ class CriticalReport(record("CriticalReport", "spec kind criticals constants sub
         return tuple.__new__(cls, (spec, kind, criticals, constants, sub_reports))
 
 
-def _balance_equation(radius: float, ball: PiecewiseProfile):
-    """x -> pi * radius * ball(x) + x, for the one-segment ball law of some R^m.
+def _balance_root(radius: float, ball: PiecewiseProfile, target: float):
+    """Root of pi * radius * ball(x) + x = target, for the one-segment ball law of some R^m.
 
-    The segment's power law is read once and evaluated directly: for the
-    positive finite x the solver passes, ``coeff * x**exponent`` is
-    ball(x) bit for bit, and ``scale * (...) + x`` repeats the float
-    operations of ``math.pi * radius * ball(x) + x`` in their order.
+    For the positive finite x the solver passes, ``coeff * x**exponent`` is
+    ball(x) bit for bit.
     """
     (segment,) = ball.segments
-    coeff, exponent = segment.coeff, segment.exponent
-    scale = math.pi * radius
+    return solve_balance(math.pi * radius, segment.coeff, segment.exponent, target)
 
-    def f(x: float) -> float:
-        return scale * (coeff * x**exponent) + x
 
-    return f
+def _pi_r_power(r: float, m: int) -> float:
+    """(pi r)^m, a factor of the embedding volumes; refused by name past the largest double."""
+    try:
+        return (math.pi * r) ** m
+    except OverflowError:
+        raise DomainError(f"(pi * {r!r})^{m} is past the largest double") from None
 
 
 def _check_invariants(checks: list[tuple[bool, str]]) -> None:
@@ -120,7 +120,7 @@ def _derived(kind: type, records: dict[str, ConstantRecord]):
     return kind(*[records[name].value for name in kind._fields])
 
 
-def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
+def _t2_report(spec: TorusProductSpec) -> CriticalReport:
     r1, r2 = spec.radii
     n = spec.euclid_dim
     beta_1 = beta(n, r1)
@@ -129,8 +129,8 @@ def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     # The shorter circumference is balanced against the larger factor's
     # breakpoint volume, and vice versa; for equal radii both coincide.
     ball = euclidean_piecewise(n + 1)
-    theta = solve_increasing(_balance_equation(r1, ball), beta_2, tolerance=tolerance)
-    sigma = solve_increasing(_balance_equation(r2, ball), beta_1, tolerance=tolerance)
+    theta = _balance_root(r1, ball, beta_2)
+    sigma = _balance_root(r2, ball, beta_1)
 
     k_from_theta = TWO_PI * r1 * ball(theta.root)
     k_from_sigma = TWO_PI * r2 * ball(sigma.root)
@@ -142,8 +142,8 @@ def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
         )
 
     v_s = min(
-        TWO_PI * r1 * unit_ball_volume(n + 1) * (math.pi * r2) ** (n + 1),
-        unit_ball_volume(n + 2) * (math.pi * r1) ** (n + 2),
+        TWO_PI * r1 * unit_ball_volume(n + 1) * _pi_r_power(r2, n + 1),
+        unit_ball_volume(n + 2) * _pi_r_power(r1, n + 2),
     )
 
     circle_1 = circle_piecewise(n + 1, r1)
@@ -154,10 +154,10 @@ def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     c_residual = circle_1(c_n) - k_star
     c_regime = circle_1.segment_at(c_n).regime
 
-    v0_1 = solve_piecewise_gap(circle_1, slab, 0.0, tolerance=tolerance)
-    v0_2 = solve_piecewise_gap(circle_2, slab, 0.0, tolerance=tolerance)
-    a_n = solve_piecewise_gap(circle_1, slab, 2.0 * beta_1, tolerance=tolerance)
-    b_n = solve_piecewise_gap(circle_2, slab, 2.0 * beta_2, tolerance=tolerance)
+    v0_1 = solve_piecewise_gap(circle_1, slab, 0.0)
+    v0_2 = solve_piecewise_gap(circle_2, slab, 0.0)
+    a_n = solve_piecewise_gap(circle_1, slab, 2.0 * beta_1)
+    b_n = solve_piecewise_gap(circle_2, slab, 2.0 * beta_2)
 
     v_dstar = max(a_n.root, b_n.root)
     records = {
@@ -222,15 +222,15 @@ def _t2_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     return CriticalReport(spec, "two-torus", c, records)
 
 
-def _t3_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
+def _t3_report(spec: TorusProductSpec) -> CriticalReport:
     r1, r2, r3 = spec.radii
     n = spec.euclid_dim
-    sub_n = _t2_report(TorusProductSpec((r1, r2), n), tolerance)
-    sub_up = _t2_report(TorusProductSpec((r1, r2), n + 1), tolerance)
+    sub_n = _t2_report(TorusProductSpec((r1, r2), n))
+    sub_up = _t2_report(TorusProductSpec((r1, r2), n + 1))
 
     w_star = min(sub_n.criticals.v_star, beta(n + 1, r1))
     ball = euclidean_piecewise(n + 2)
-    eta = solve_increasing(_balance_equation(r3, ball), w_star, tolerance=tolerance)
+    eta = _balance_root(r3, ball, w_star)
     c_star = 2.0 * (w_star - eta.root)
     c_alt = TWO_PI * r3 * ball(eta.root)
     if abs(c_star - c_alt) > _IDENTITY_RTOL * c_star:
@@ -243,13 +243,12 @@ def _t3_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
 
     # Largest volume at which the one-circle minimizers embed: the ball
     # factor must fit within half the second circumference, radius pi * r2.
-    realizable = TWO_PI * r1 * unit_ball_volume(n + 2) * (math.pi * r2) ** (n + 2)
+    realizable = TWO_PI * r1 * unit_ball_volume(n + 2) * _pi_r_power(r2, n + 2)
 
     slab_gap = solve_piecewise_gap(
         slab_piecewise(TorusProductSpec((r1, r2), n + 1)),
         slab_piecewise(spec),
         2.0 * sub_n.criticals.v_dstar,
-        tolerance=tolerance,
     )
 
     records = {
@@ -290,9 +289,7 @@ def _t3_report(spec: TorusProductSpec, tolerance: float) -> CriticalReport:
     )
 
 
-def full_report(
-    spec: TorusProductSpec, *, tolerance: float = DEFAULT_TOLERANCE
-) -> CriticalReport:
+def full_report(spec: TorusProductSpec) -> CriticalReport:
     """Aggregate report for a two- or three-circle spec, with provenance.
 
     Each constant carries its defining relation, the solver or identity
@@ -300,9 +297,9 @@ def full_report(
     is meaningful.
     """
     if spec.circle_count == 2:
-        return _t2_report(spec, tolerance)
+        return _t2_report(spec)
     if spec.circle_count == 3:
-        return _t3_report(spec, tolerance)
+        return _t3_report(spec)
     raise GuardError(
         f"critical reports are defined for 2 or 3 circle factors, got {spec.circle_count}"
     )

@@ -13,14 +13,6 @@ class DomainError(TorusIsoError, ValueError):
     """Mathematically invalid input: wrong sign, inconsistent dimensions."""
 
 
-class ConvergenceError(TorusIsoError, RuntimeError):
-    """A solver exhausted its bracketing or iteration budget."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class ConsistencyError(TorusIsoError, RuntimeError):
     """A structural assumption the pipeline relies on failed to hold."""
 

@@ -28,7 +28,6 @@ from .mensuration import (
     unit_ball_volume,
 )
 from .records import record
-from .roots import DEFAULT_TOLERANCE
 
 # verify_spec's fixed effort: profile-vs-oracle volumes, and the relative
 # tolerance for every reported constant and crossing.
@@ -283,14 +282,14 @@ def _scan_check(
 def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
     """Full oracle suite for one spec: profiles, constants and crossings.
 
-    Uses fixed internal tolerances regardless of what a spec file asked
-    for; the point is to check the reported numbers, not to re-derive them.
+    Uses fixed internal tolerances; the point is to check the reported
+    numbers, not to re-derive them.
     """
     checks = [_profile_agreement(spec)]
     if spec.circle_count == 1:
         return checks
 
-    report = full_report(spec, tolerance=DEFAULT_TOLERANCE)
+    report = full_report(spec)
     checks.extend(verify_report(report))
 
     n = spec.euclid_dim

@@ -23,17 +23,19 @@ included, or the class and message of the error it raised.
 
 The float bits of these files depend on more than the source: the
 interpreter and libc's math functions, whose ``log10`` and ``pow`` lay out
-the log grids. Every grid here, the curve files' sample volumes included,
+the log grids, and whose ``pow`` gives the residuals every threshold is
+solved to the last ulp of. Every grid here, the curve files' sample volumes included,
 is built by ``cli.parse_grid`` through ``tests/grids.py``, in pure Python,
 so no byte depends on numpy: with numpy's AVX-512 paths masked
 (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) or numpy not
 importable at all, a rewrite leaves every file as it is. Masking glibc's own
 FMA/AVX2 variants
 (``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX512DQ,-FMA4``)
-changes 2 transcripts on an x86-64 host. ``environment.json`` records the
-numeric environment of the host that wrote the files, and a transcript
-mismatch prints it beside the current host's, so a difference of host is
-told apart from a change of code. It is a record, not a check: a different
+changes 2 transcripts, 1 curve file and 29 of the 400 reports in
+``reports.json`` on an x86-64 host. ``environment.json`` records the numeric environment of the
+host that wrote the files, and a transcript or report mismatch prints it
+beside the current host's, so a difference of host is told apart from a
+change of code. It is a record, not a check: a different
 environment alone fails nothing.
 
 ``tests/test_cli.py`` and ``tests/test_criticals.py`` require the current

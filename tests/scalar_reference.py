@@ -27,7 +27,6 @@ from torusiso import (
 )
 from torusiso.mensuration import TWO_PI
 from torusiso.profiles import tube_area_coefficient
-from torusiso.roots import DEFAULT_TOLERANCE
 
 
 def circle_profile(n: int, r: float, v: float) -> tuple[float, str]:
@@ -101,7 +100,7 @@ def bounds_table(result) -> str:
     return "".join(lines)
 
 
-def solve_piecewise_gap_every_window(upper, lower, target, *, tolerance=DEFAULT_TOLERANCE):
+def solve_piecewise_gap_every_window(upper, lower, target):
     """solve_piecewise_gap's reference: solve every window, keep the largest admissible root.
 
     Each overlapping segment pair's gap is solved in closed form or by
@@ -127,15 +126,13 @@ def solve_piecewise_gap_every_window(upper, lower, target, *, tolerance=DEFAULT_
                     continue
                 root = (target / (sa.coeff - sb.coeff)) ** (1.0 / sa.exponent)
                 if lo <= root < hi:
-                    residual = (sa.value(root) - sb.value(root)) - target
-                    scale = max(1.0, max(abs(target), sb.value(root)))
-                    admissible.append(RootResult(root, residual, 0, (root, root), tolerance, scale))
+                    lead = sa.value(root)
+                    residual = (lead - sb.value(root)) - target
+                    admissible.append(RootResult(root, residual, 0, (root, root), max(abs(target), lead)))
                 continue
             if sa.exponent < sb.exponent:
                 continue
-            result = solve_power_gap(
-                sa.coeff, sa.exponent, sb.coeff, sb.exponent, target, tolerance=tolerance
-            )
+            result = solve_power_gap(sa.coeff, sa.exponent, sb.coeff, sb.exponent, target)
             if lo <= result.root < hi:
                 admissible.append(result)
     if not admissible:

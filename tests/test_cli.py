@@ -417,23 +417,24 @@ class TestSpecFileLoading:
         code, _, _ = run(capsys, "profile", str(path), "--v", "1")
         assert code == 2
 
-    def test_tolerance_capped(self, tmp_path):
-        path = tmp_path / "tol.json"
-        path.write_text(
-            json.dumps({"radii": [1.0, 1.0], "euclid_dim": 2, "tolerance": 1e-3})
-        )
-        _, tolerance = cli.load_spec_file(str(path))
-        assert tolerance == 1e-6
+    @pytest.mark.parametrize("tolerance", [1e-20, 1e-16, 1e-15, 0.0, -1e-12, 1e-6, 0.001])
+    def test_tolerance_field_changes_nothing(self, capsys, tmp_path, tolerance):
+        # The roots are ulp-exact, so a spec file's tolerance is parsed and
+        # ignored: critical prints the bytes it prints without the field.
+        outputs = []
+        for extra in ({}, {"tolerance": tolerance}):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"radii": [0.7, 1.9, 2.3], "euclid_dim": 3, **extra}))
+            assert cli.load_spec_file(str(path)) == TorusProductSpec((0.7, 1.9, 2.3), 3)
+            outputs.append(run(capsys, "critical", str(path)))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
-    @pytest.mark.parametrize("tolerance", [1e-20, 1e-16, 0.0, -1e-12])
-    def test_unreachable_tolerance_is_parse_error(self, capsys, tmp_path, tolerance):
-        path = tmp_path / "tight.json"
-        path.write_text(
-            json.dumps({"radii": [0.7, 1.9, 2.3], "euclid_dim": 3, "tolerance": tolerance})
-        )
+    def test_tolerance_field_must_be_a_number(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"radii": [1.0, 1.0], "euclid_dim": 2, "tolerance": "tight"}))
         code, out, err = run(capsys, "critical", str(path))
-        assert code == 1
-        assert out == ""
+        assert (code, out) == (1, "")
         assert "'tolerance'" in err
 
     def test_tightest_tolerance_converges(self, capsys, tmp_path):
@@ -542,7 +543,7 @@ class TestGridBuilder:
 
 class TestColdImports:
     # Modules accumulate within a process, so each command runs in a fresh one.
-    # Every command loads these modules.
+    # Every command loads BASE; every command that needs the thresholds, SOLVE.
     BASE = {
         "torusiso",
         "torusiso.cli",
@@ -550,8 +551,8 @@ class TestColdImports:
         "torusiso.mensuration",
         "torusiso.profiles",
         "torusiso.records",
-        "torusiso.roots",
     }
+    SOLVE = {"torusiso.criticals", "torusiso.roots"}
     COMMANDS = {
         "profile": ["profile", "--v", "10"],
         "profile-grid": ["profile", "--grid", "0.5:100:64,log"],
@@ -614,11 +615,11 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": n
             "import": {"torusiso"},
             "profile": self.BASE,
             "profile-grid": self.BASE,
-            "critical": self.BASE | {"torusiso.criticals"},
-            "critical-csv": self.BASE | {"torusiso.criticals"},
-            "bounds": self.BASE | {"torusiso.criticals", "torusiso.bounds"},
-            "bounds-curve": self.BASE | {"torusiso.criticals", "torusiso.bounds"},
-            "verify": self.BASE | {"torusiso.criticals", "torusiso.oracle"},
+            "critical": self.BASE | self.SOLVE,
+            "critical-csv": self.BASE | self.SOLVE,
+            "bounds": self.BASE | self.SOLVE | {"torusiso.bounds"},
+            "bounds-curve": self.BASE | self.SOLVE | {"torusiso.bounds"},
+            "verify": self.BASE | self.SOLVE | {"torusiso.oracle"},
         }
 
     def test_cold_path_skips_stdlib_it_does_not_use(self, cold_runs):
@@ -638,14 +639,14 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": n
 
         assert sorted(torusiso.__all__) == [
             "BandRow", "BoundBand", "CheckResult", "ConsistencyError",
-            "ConstantRecord", "ConvergenceError", "CriticalReport",
+            "ConstantRecord", "CriticalReport",
             "CurveParseError", "DomainError", "GuardError", "PiecewiseProfile",
             "PowerSegment", "RootResult", "SpecFileError",
             "T2Criticals", "T3Criticals", "TabulatedCurve", "TorusIsoError",
             "TorusProductSpec", "band", "beta", "candidate_min_area",
             "circle_piecewise", "envelope_piecewise", "euclidean_piecewise",
             "full_report", "minimum_envelope", "read_curve", "scp_piecewise",
-            "slab_piecewise", "solve_increasing", "solve_piecewise_gap",
+            "slab_piecewise", "solve_balance", "solve_piecewise_gap",
             "solve_power_gap", "unit_ball_volume",
             "unit_sphere_area", "verify_report", "verify_spec",
         ]
@@ -744,14 +745,14 @@ def test_envelope_refusal_names_radii_and_constant(capsys, tmp_path, radii, n, n
         assert text in err
 
 
-def test_a_n_solve_out_of_doublings_exits_three(capsys, tmp_path):
-    # A spec of the golden report fixture: the right-hand window of a_n is
-    # solved, and its doubling runs out, although the root lies left of it.
+def test_a_n_meeting_v0_1_exits_three(capsys, tmp_path):
+    # The computed a_n and v0_1 of this spec meet (their true difference
+    # is a few ulps): the refusal is one error line and exit code 3.
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"radii": [0.05173511256826572, 413.81304840881614],
-                                "euclid_dim": 4}))
+    path.write_text(json.dumps({"radii": [0.005789682520628809, 53.87644709258186],
+                                "euclid_dim": 5}))
     code, out, err = run(capsys, "critical", str(path))
-    assert (code, out, err) == (3, "", "error: no upper bracket found while doubling\n")
+    assert (code, out, err) == (3, "", "error: expected v0_1 < a_n\n")
 
 
 # Every supported (circle count, n) pair, and the radius spans of the fuzz test.
@@ -802,10 +803,10 @@ def test_seeded_fuzz_exits_with_a_code_and_one_error_line(capsys, tmp_path):
 class TestExitCodeMapping:
     def test_solver_failures_map_to_three(self, capsys, example_file, monkeypatch):
         from torusiso import criticals
-        from torusiso.errors import ConvergenceError
+        from torusiso.errors import ConsistencyError
 
         def boom(*args, **kwargs):
-            raise ConvergenceError("stuck", bracket=(1.0, 2.0))
+            raise ConsistencyError("stuck")
 
         monkeypatch.setattr(criticals, "full_report", boom)
         code, _, err = run(capsys, "critical", example_file)

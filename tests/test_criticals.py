@@ -1,13 +1,15 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from torusiso import (
-    ConvergenceError,
+    ConsistencyError,
     DomainError,
     GuardError,
+    TorusIsoError,
     TorusProductSpec,
     beta,
     circle_piecewise,
@@ -18,6 +20,7 @@ from torusiso import (
     solve_power_gap,
     unit_ball_volume,
 )
+from torusiso.mensuration import EUCLID_DIM_RANGES
 from torusiso.oracle import bisect_verify, gap_crossings
 
 from golden import regen
@@ -197,15 +200,6 @@ class TestFullReport:
         with pytest.raises(GuardError):
             full_report(TorusProductSpec((1.0,), 2))
 
-    @pytest.mark.parametrize("radii, n", [((0.7, 1.9), 3), ((0.7, 1.9, 2.3), 3)])
-    def test_unreachable_tolerance_is_refused_up_front(self, radii, n):
-        # Below 1e-15 bisection cannot converge: the request is a DomainError
-        # naming the accepted range, not a ConvergenceError after 200 steps.
-        spec = TorusProductSpec(radii, n)
-        with pytest.raises(DomainError, match=r"tolerance must be in \[1e-15, 1e-06\]"):
-            full_report(spec, tolerance=1e-16)
-        assert full_report(spec, tolerance=1e-15).constants
-
     def test_two_torus_provenance(self, example_spec):
         report = full_report(example_spec)
         assert report.kind == "two-torus"
@@ -278,13 +272,14 @@ class TestReportParity:
             assert report.sub_reports["n_plus_1"].spec == TorusProductSpec((r1, r2), n + 1)
 
 
-def test_golden_spec_whose_a_n_solve_runs_out_of_doublings():
-    # A fixture spec: a_n's root lies left of the cylinder/slab window, but
-    # solving that window runs out of doublings first, and the refusal
-    # stands. Skipping the window instead would fail later, and differently:
-    # "expected v0_1 < a_n".
-    spec = TorusProductSpec((0.05173511256826572, 413.81304840881614), 4)
-    with pytest.raises(ConvergenceError, match="^no upper bracket found while doubling$"):
+def test_a_n_meeting_v0_1_in_double_precision_is_refused():
+    # The fixture spec whose a_n solve once ran out of doublings now gets a
+    # report. On the second spec the true a_n and v0_1 agree to a few ulps,
+    # the computed a_n does not pass v0_1, and the invariant refuses it.
+    crit = full_report(TorusProductSpec((0.05173511256826572, 413.81304840881614), 4)).criticals
+    assert crit.v0_1 < crit.a_n
+    spec = TorusProductSpec((0.005789682520628809, 53.87644709258186), 5)
+    with pytest.raises(ConsistencyError, match="^expected v0_1 < a_n$"):
         full_report(spec)
 
 
@@ -296,5 +291,111 @@ def test_reports_match_golden_fixture():
     assert len(expected) == len(specs) == regen.REPORT_COUNT
     for spec, entry in zip(specs, expected):
         assert regen.report_fingerprint(spec) == entry, (
-            f"full_report({spec}) changed; rewrite the fixture with `{regen.REGEN_COMMAND}`"
+            f"full_report({spec}) changed; if the change is intended, rewrite the fixture "
+            f"with `{regen.REGEN_COMMAND}`\n{regen.environment_note()}"
         )
+
+
+def _draw_spec(rng: random.Random, k: int, lo: float, hi: float) -> TorusProductSpec:
+    """k radii log-uniform in [lo, hi], n uniform over the supported range."""
+    radii = tuple(math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(k))
+    return TorusProductSpec(radii, rng.randint(*EUCLID_DIM_RANGES[k]))
+
+
+def _log_uniform_specs(seed: int, k: int, count: int, lo: float, hi: float):
+    rng = random.Random(seed)
+    return [_draw_spec(rng, k, lo, hi) for _ in range(count)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_probe_refuses_only_coinciding_thresholds(k):
+    # 2,000 seeded specs over radii 1e+-3. Doubling brackets and a
+    # tolerance stop once refused 384 (k=2) and 336 (k=3) of them, with
+    # "no upper bracket", infimum and K_star messages; the only refusal
+    # left is a_n meeting v0_1 in double precision.
+    refusals = Counter()
+    for spec in _log_uniform_specs(0, k, 2000, 1e-3, 1e3):
+        try:
+            full_report(spec)
+        except TorusIsoError as exc:
+            refusals[type(exc).__name__, str(exc)] += 1
+    assert set(refusals) <= {("ConsistencyError", "expected v0_1 < a_n")}
+    assert sum(refusals.values()) < 40
+
+
+# Constants that are areas, or volumes of a (k+n-1)-dimensional factor.
+_CODIMENSION_ONE = {"theta_star", "sigma_star", "K_star", "w_star", "eta_star", "C_star"}
+
+
+def _assert_scaled(report, scaled, lam):
+    dim = report.spec.circle_count + report.spec.euclid_dim
+    for name, record in report.constants.items():
+        power = dim - 1 if name in _CODIMENSION_ONE else dim
+        assert rel(scaled.constants[name].value, lam**power * record.value) < 1e-9, name
+    for key, sub in report.sub_reports.items():
+        _assert_scaled(sub, scaled.sub_reports[key], lam)
+
+
+def test_reports_are_homothety_covariant():
+    # Scaling every radius by lam scales each volume by lam^(k+n) and each
+    # area by lam^(k+n-1); a scaled spec is refused only if the unscaled
+    # one is. Doubling from 1 once refused 23 of these scaled specs.
+    rng = random.Random(7)
+    for i in range(400):
+        spec = _draw_spec(rng, 2 + i % 2, 0.1, 10.0)
+        lam = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        try:
+            report = full_report(spec)
+        except TorusIsoError:
+            continue
+        scaled = full_report(TorusProductSpec(tuple(lam * r for r in spec.radii), spec.euclid_dim))
+        _assert_scaled(report, scaled, lam)
+
+
+def test_roots_match_fifty_digit_roots():
+    # a_n and theta_star against 50-digit roots of the same double
+    # coefficients and targets; bisection to a relative width once left
+    # errors up to 4.5e-13 (a_n) and 4.8e-13 (theta_star).
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+
+    def mp_root(f, x):
+        lo, hi = mpf(x) * (1 - mpf(10) ** -9), mpf(x) * (1 + mpf(10) ** -9)
+        return mpmath.findroot(f, (lo, hi), solver="anderson")
+
+    with mpmath.workdps(50):
+        for spec in _log_uniform_specs(3, 2, 300, 0.1, 10.0):
+            r1, r2 = spec.radii
+            n = spec.euclid_dim
+            crit = full_report(spec).criticals
+            (ball,) = euclidean_piecewise(n + 1).segments
+            s, c, p, t = (mpf(x) for x in (math.pi * r1, ball.coeff, ball.exponent, beta(n, r2)))
+            theta = mp_root(lambda x: s * (c * x**p) + x - t, crit.theta_star)
+            assert abs(crit.theta_star - theta) <= 1e-14 * theta, spec
+            (slab,) = slab_piecewise(spec).segments
+            circle = circle_piecewise(n + 1, r1).segment_at(crit.a_n)
+            c1, p1, c2, p2, t = (
+                mpf(x)
+                for x in (circle.coeff, circle.exponent, slab.coeff, slab.exponent, 2.0 * beta(n, r1))
+            )
+            a_n = mp_root(lambda x: c1 * x**p1 - c2 * x**p2 - t, crit.a_n)
+            assert abs(crit.a_n - a_n) <= 1e-14 * a_n, spec
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-30, 1e30), (1e-300, 1e300)])
+def test_extreme_radii_end_in_a_report_or_a_named_refusal(lo, hi):
+    # 3,000 seeded specs per span: nothing but a TorusIsoError escapes.
+    for k in (2, 3):
+        for spec in _log_uniform_specs(1, k, 1500, lo, hi):
+            try:
+                full_report(spec)
+            except TorusIsoError:
+                pass
+
+
+def test_balance_bracket_past_the_largest_double():
+    # (2T / (s c)) ** (1/p) overflows for this spec's theta_star bracket,
+    # which must not escape as a bare OverflowError.
+    spec = TorusProductSpec((2.409878158451198e-34, 4.3877787823233855e54), 3)
+    with pytest.raises(ConsistencyError, match="the two K_star computations disagree"):
+        full_report(spec)

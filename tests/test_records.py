@@ -67,7 +67,7 @@ CASES = {
         lambda profile: (profile.breakpoints(), profile(9.0)),
     ),
     RootResult: (
-        {"root": 1.0, "residual": 0.0, "iterations": 3, "bracket": (0.5, 2.0)},
+        {"root": 1.0, "residual": 0.0, "iterations": 3, "bracket": (0.5, 2.0), "scale": 1.0},
         {"root": 1.5},
         {"root": 3.0},
         (ConsistencyError, "root 3.0 escaped its bracket [0.5, 2.0]"),

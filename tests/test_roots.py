@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from torusiso import (
     ConsistencyError,
-    ConvergenceError,
     DomainError,
     PiecewiseProfile,
     PowerSegment,
@@ -15,7 +14,7 @@ from torusiso import (
     beta,
     circle_piecewise,
     slab_piecewise,
-    solve_increasing,
+    solve_balance,
     solve_piecewise_gap,
     solve_power_gap,
 )
@@ -52,15 +51,17 @@ def grid_scan_bracket(f, lo, hi, step):
 
 
 class TestSolveIncreasing:
+    # solve_balance: s * (c * x^p) + x = target, increasing from 0.
     def test_identity(self):
-        result = solve_increasing(lambda x: x, 7.0)
+        # A negligible power term leaves x = target.
+        result = solve_balance(1e-300, 1.0, 0.5, 7.0)
         assert rel(result.root, 7.0) < 1e-12
 
     def test_balance_equation_example_torus(self):
         coeff = math.sqrt(math.pi) * (36 * math.pi) ** (1 / 3)
         f = lambda t: coeff * t ** (2 / 3) + t
         lo, hi = grid_scan_bracket(lambda t: f(t) - BETA_2_SQ, 1e-6, 2.0, 1e-6)
-        result = solve_increasing(f, BETA_2_SQ)
+        result = solve_balance(1.0, coeff, 2 / 3, BETA_2_SQ)
         assert lo <= result.root <= hi
         assert rel(result.root, THETA_EXAMPLE) < 1e-11
         assert abs(result.root - 0.628) < 1e-3
@@ -69,27 +70,16 @@ class TestSolveIncreasing:
         coeff = math.pi * (36 * math.pi) ** (1 / 3)
         f = lambda t: coeff * t ** (2 / 3) + t
         lo, hi = grid_scan_bracket(lambda t: f(t) - BETA_2_1, 1e-6, 10.0, 1e-5)
-        result = solve_increasing(f, BETA_2_1)
+        result = solve_balance(1.0, coeff, 2 / 3, BETA_2_1)
         assert lo <= result.root <= hi
         assert rel(result.root, THETA_UNIT) < 1e-11
         assert abs(result.root - 3.49) < 5e-3
 
     def test_target_below_infimum(self):
-        with pytest.raises(DomainError):
-            solve_increasing(lambda x: x + 1.0, 0.5)
-
-    def test_unreachable_target(self):
-        with pytest.raises(ConvergenceError):
-            solve_increasing(lambda x: min(x, 10.0), 20.0)
-
-    def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            solve_increasing(lambda x: x, 1.0, tolerance=1e-2)
-        with pytest.raises(DomainError, match=r"\[1e-15, 1e-06\]"):
-            solve_increasing(lambda x: x, 1.0, tolerance=1e-16)
-        with pytest.raises(DomainError, match=r"\[1e-15, 1e-06\]"):
-            solve_power_gap(1.0, 2 / 3, 1.0, 0.5, 0.0, tolerance=1e-16)
-        assert solve_increasing(lambda x: x, 1.0, tolerance=1e-15).tolerance == 1e-15
+        # The left side's infimum is 0, so no target at or below it has a root.
+        for target in (0.0, -1.0):
+            with pytest.raises(DomainError, match="target must be a positive finite real"):
+                solve_balance(1.0, 1.0, 0.5, target)
 
 
 class TestSolvePowerGap:
@@ -127,8 +117,8 @@ class TestSolvePowerGap:
         assert a.iterations == b.iterations
 
     def test_residual_contract(self):
-        result = solve_power_gap(2.7, 3 / 4, 1.9, 2 / 3, 14.5, tolerance=1e-9)
-        assert abs(result.residual) <= 1e-9 * result.scale
+        result = solve_power_gap(2.7, 3 / 4, 1.9, 2 / 3, 14.5)
+        assert abs(result.residual) <= roots.RESIDUAL_RTOL * result.scale
         assert result.bracket[0] <= result.root <= result.bracket[1]
 
 
@@ -158,9 +148,9 @@ def test_power_gap_unimodal_structure(n, c1, crossing, b):
 class TestRootResult:
     def test_contract_enforced(self):
         with pytest.raises(ConsistencyError):
-            RootResult(5.0, 0.0, 1, (1.0, 2.0))
+            RootResult(5.0, 0.0, 1, (1.0, 2.0), 1.0)
         with pytest.raises(ConsistencyError):
-            RootResult(1.5, 1.0, 1, (1.0, 2.0), 1e-12, 1.0)
+            RootResult(1.5, 1.0, 1, (1.0, 2.0), 1.0)
 
 
 class TestSolvePiecewiseGap:
@@ -260,27 +250,37 @@ class TestWindowScan:
         upper = power_profile((0.5, 0.75, 256.0), (32.0 / 256.0**0.6, 0.6, math.inf))
         solved = []
 
-        def recorded(*args, **kwargs):
+        def recorded(*args):
             solved.append(args)
-            return solve_power_gap(*args, **kwargs)
+            return solve_power_gap(*args)
 
         monkeypatch.setattr(roots, "solve_power_gap", recorded)
         result = solve_piecewise_gap(upper, SQRT, 0.0)
         assert solved == [(0.5, 0.75, 1.0, 0.5, 0.0)]
         assert result == solve_piecewise_gap_every_window(upper, SQRT, 0.0)
 
-    def test_window_whose_solve_runs_out_of_doublings_is_solved(self):
+    def test_window_far_from_one_is_skipped_like_its_solve(self, monkeypatch):
         # The right window starts at 2^100 and the gap there exceeds the
-        # target, so its root lies left of it. But solving it doubles from 1
-        # and runs out of doublings first: the window is not skipped, and
-        # its refusal stands, as in the every-window reference.
+        # target, so its root lies left of it. Solving it once doubled from 1
+        # and ran out of doublings; its closed-form bracket solves it, so
+        # the window is skipped, and the scan returns the left window's root
+        # as the every-window reference does.
         lo = 2.0**100
         upper = power_profile((lo**-0.25, 1.0, lo), (1.0, 0.75, math.inf))
         target = lo**0.75 / 2.0
         assert upper(lo) - SQRT(lo) > 1.9 * target
-        for solve in (solve_piecewise_gap, solve_piecewise_gap_every_window):
-            with pytest.raises(ConvergenceError, match="^no upper bracket found while doubling$"):
-                solve(upper, SQRT, target)
+        assert solve_power_gap(1.0, 0.75, 1.0, 0.5, target).root < lo
+        solved = []
+
+        def recorded(*args):
+            solved.append(args)
+            return solve_power_gap(*args)
+
+        monkeypatch.setattr(roots, "solve_power_gap", recorded)
+        result = solve_piecewise_gap(upper, SQRT, target)
+        assert solved == [(lo**-0.25, 1.0, 1.0, 0.5, target)]
+        assert result.root < lo
+        assert result == solve_piecewise_gap_every_window(upper, SQRT, target)
 
     def test_zero_gap_in_a_left_window_raises(self):
         # Identical laws up to 1, a terminal root at 2^32 further right: the
@@ -319,7 +319,7 @@ def test_window_scan_equals_every_window_reference(n, log_radii, which, doubled_
     target = 2.0 * beta(n, r) if doubled_beta else 0.0
     try:
         expected = solve_piecewise_gap_every_window(circle, slab, target)
-    except (ConsistencyError, ConvergenceError, DomainError):
+    except (ConsistencyError, DomainError):
         return
     result = solve_piecewise_gap(circle, slab, target)
     assert tuple(result) == tuple(expected)
@@ -358,3 +358,100 @@ def test_window_scan_keeps_every_result_and_refusal(n, log_radii, which, doubled
     assert _outcome(solve_piecewise_gap, circle, slab, target) == _outcome(
         solve_piecewise_gap_every_window, circle, slab, target
     )
+
+
+def _gap_residual(c1, p1, c2, p2, target):
+    return lambda x: (c1 * x**p1 - c2 * x**p2) - target
+
+
+def _balance_residual(scale, coeff, p, target):
+    return lambda x: (scale * (coeff * x**p) + x) - target
+
+
+def assert_ulp_exact(result, residual):
+    """The bracket is two adjacent doubles with a computed sign change, the root its better end."""
+    lo, hi = result.bracket
+    assert math.nextafter(lo, math.inf) == hi
+    r_lo, r_hi = residual(lo), residual(hi)
+    assert r_lo < 0.0 <= r_hi
+    assert result.root == (lo if -r_lo < r_hi else hi)
+    assert result.residual == residual(result.root)
+    assert result.iterations <= roots.MAX_EVALUATIONS
+
+
+_LOG_COEFF = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3))
+_LOG_TARGET = st.floats(min_value=math.log(1e-6), max_value=math.log(1e6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    log_c=st.tuples(_LOG_COEFF, _LOG_COEFF),
+    p1=st.floats(min_value=0.2, max_value=1.0),
+    gap=st.floats(min_value=0.05, max_value=0.15),
+    log_target=st.one_of(st.none(), _LOG_TARGET),
+)
+def test_power_gap_root_is_ulp_exact(log_c, p1, gap, log_target):
+    # Exponent gaps of at least 0.05 keep every root of these coefficients
+    # within 1e+-200.
+    c1, c2 = (math.exp(x) for x in log_c)
+    p2 = p1 - gap
+    target = 0.0 if log_target is None else math.exp(log_target)
+    result = solve_power_gap(c1, p1, c2, p2, target)
+    assert_ulp_exact(result, _gap_residual(c1, p1, c2, p2, target))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    log_c=st.tuples(_LOG_COEFF, _LOG_COEFF),
+    p=st.floats(min_value=0.5, max_value=1.0),
+    log_target=_LOG_TARGET,
+)
+def test_balance_root_is_ulp_exact(log_c, p, log_target):
+    scale, coeff = (math.exp(x) for x in log_c)
+    target = math.exp(log_target)
+    result = solve_balance(scale, coeff, p, target)
+    assert_ulp_exact(result, _balance_residual(scale, coeff, p, target))
+
+
+class TestUlpLoop:
+    def test_tiny_root_is_measured_against_its_own_terms(self):
+        # The root is 1e-120. A residual scale floored at 1.0 once accepted
+        # 6.22e-61 here, after 200 evaluations.
+        args = (1.0, 0.8, 1e-120**0.05, 0.75, 0.0)
+        result = solve_power_gap(*args)
+        assert rel(result.root, 1e-120) < 1e-12
+        assert result.iterations < 30
+        assert result.scale < 1e-90
+        assert_ulp_exact(result, _gap_residual(*args))
+
+    def test_newton_stall_runs_the_midpoint_safeguard(self, monkeypatch):
+        # With p1 - p2 = 1e-4 the gap is flat near its root at 1, where its
+        # computed residual is rounding noise for about 1e4 doubles: Newton
+        # and secant steps stall there, and bit-pattern midpoints finish.
+        midpoints = []
+
+        def counted(bits):
+            midpoints.append(bits)
+            return pack(bits)
+
+        pack = roots._pack_int64
+        monkeypatch.setattr(roots, "_pack_int64", counted)
+        args = (1.0, 0.75, 1.0, 0.7499, 0.0)
+        result = solve_power_gap(*args)
+        assert len(midpoints) >= 5
+        assert result.iterations <= roots.MAX_EVALUATIONS
+        assert rel(result.root, 1.0) < 1e-11
+        assert_ulp_exact(result, _gap_residual(*args))
+
+    def test_bracket_end_outside_the_normal_doubles_is_refused(self):
+        # The root, near 1e-1200, lies far below the smallest normal double.
+        with pytest.raises(DomainError, match="the bracket .* leaves the normal doubles"):
+            solve_balance(1e300, 1e300, 0.75, 1e-300)
+
+    def test_zero_of_the_gap_below_the_doubles_leaves_the_upper_end(self):
+        # (c2/c1)^(1/(p1 - p2)) underflows to 0 here, but the root, where
+        # c1 x^p1 alone about meets the target, is a normal double.
+        args = (8.738523995264478, 6 / 7, 1.0212585495799893e-19, 0.8, 3.219999511144148e-36)
+        result = solve_power_gap(*args)
+        assert rel(result.root, (args[4] / args[0]) ** (7 / 6)) < 1e-9
+        assert_ulp_exact(result, _gap_residual(*args))

@@ -143,15 +143,13 @@ def _narrow(sign: Callable[[float], int], a: float, b: float) -> tuple[float, fl
 def bisect_verify(residual: Callable[[float], float], root: float, tolerance: float) -> bool:
     """True when a claimed root checks out against its defining residual.
 
-    Passes when the residual at the root is already within tolerance, or
-    when it changes sign across the bracket widened by 10x the tolerance.
+    Passes on an exact zero at the root, or on a sign change across
+    root * (1 -+ 10 tolerance): a relative test, so it holds at any scale.
     """
-    r0 = residual(root)
-    if abs(r0) <= tolerance:
-        return True
     r_lo = residual(root * (1.0 - 10.0 * tolerance))
     r_hi = residual(root * (1.0 + 10.0 * tolerance))
-    return r_lo * r_hi <= 0.0
+    # Signs, not their product, which underflows to 0.0 at tiny scales.
+    return residual(root) == 0.0 or min(r_lo, r_hi) <= 0.0 <= max(r_lo, r_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -746,13 +746,19 @@ def test_envelope_refusal_names_radii_and_constant(capsys, tmp_path, radii, n, n
 
 
 def test_a_n_meeting_v0_1_exits_three(capsys, tmp_path):
-    # The computed a_n and v0_1 of this spec meet (their true difference
-    # is a few ulps): the refusal is one error line and exit code 3.
+    # The computed a_n of this spec lies 12 ulps below its v0_1 (their true
+    # difference is a few ulps): the refusal is one error line that gives
+    # both values, n and r2/r1, and exit code 3.
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"radii": [0.005789682520628809, 53.87644709258186],
+    path.write_text(json.dumps({"radii": [0.004511543985897641, 9.225445621467033],
                                 "euclid_dim": 5}))
     code, out, err = run(capsys, "critical", str(path))
-    assert (code, out, err) == (3, "", "error: expected v0_1 < a_n\n")
+    assert (code, out, err) == (
+        3,
+        "",
+        "error: expected v0_1 <= a_n: a_n = 26143878.35939773 is 12 ulps below "
+        "v0_1 = 26143878.359397776 (n = 5, r2/r1 = 2044.85)\n",
+    )
 
 
 # Every supported (circle count, n) pair, and the radius spans of the fuzz test.

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from torusiso import (
     slab_piecewise,
     solve_power_gap,
     unit_ball_volume,
+    verify_spec,
 )
 from torusiso.mensuration import EUCLID_DIM_RANGES
 from torusiso.oracle import bisect_verify, gap_crossings
@@ -274,13 +276,20 @@ class TestReportParity:
 
 def test_a_n_meeting_v0_1_in_double_precision_is_refused():
     # The fixture spec whose a_n solve once ran out of doublings now gets a
-    # report. On the second spec the true a_n and v0_1 agree to a few ulps,
-    # the computed a_n does not pass v0_1, and the invariant refuses it.
+    # report. Thresholds that meet in double precision are reported: the
+    # second spec's computed a_n equals its v0_1. Only a computed a_n below
+    # v0_1 is refused, by a message that gives both values, n and r2/r1.
     crit = full_report(TorusProductSpec((0.05173511256826572, 413.81304840881614), 4)).criticals
     assert crit.v0_1 < crit.a_n
-    spec = TorusProductSpec((0.005789682520628809, 53.87644709258186), 5)
-    with pytest.raises(ConsistencyError, match="^expected v0_1 < a_n$"):
+    crit = full_report(TorusProductSpec((0.005789682520628809, 53.87644709258186), 5)).criticals
+    assert crit.a_n == crit.v0_1
+    spec = TorusProductSpec((0.004511543985897641, 9.225445621467033), 5)
+    with pytest.raises(ConsistencyError) as refusal:
         full_report(spec)
+    assert str(refusal.value) == (
+        "expected v0_1 <= a_n: a_n = 26143878.35939773 is 12 ulps below "
+        "v0_1 = 26143878.359397776 (n = 5, r2/r1 = 2044.85)"
+    )
 
 
 def test_reports_match_golden_fixture():
@@ -307,20 +316,36 @@ def _log_uniform_specs(seed: int, k: int, count: int, lo: float, hi: float):
     return [_draw_spec(rng, k, lo, hi) for _ in range(count)]
 
 
+# The one refusal left to a spec whose envelope lies in the doubles: a
+# computed threshold a few ulps below the one it must not pass.
+_ORDERING_REFUSAL = re.compile(
+    r"expected \w+ <= [\w(), ]+: .+ = \S+ is \d+ ulps below \w+ = \S+ "
+    r"\(n = \d, r2/r1 = \S+\)"
+)
+# A DomainError that names a value past the double range.
+_PAST_THE_DOUBLES = re.compile(
+    "past the largest double|is not a normal positive double|leaves the normal doubles"
+    "|is not a positive finite double"
+)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_probe_refuses_only_coinciding_thresholds(k):
     # 2,000 seeded specs over radii 1e+-3. Doubling brackets and a
     # tolerance stop once refused 384 (k=2) and 336 (k=3) of them, with
-    # "no upper bracket", infimum and K_star messages; the only refusal
-    # left is a_n meeting v0_1 in double precision.
+    # "no upper bracket", infimum and K_star messages, and strict orderings
+    # 12 and 7; the only refusal left is a computed a_n below v0_1.
     refusals = Counter()
     for spec in _log_uniform_specs(0, k, 2000, 1e-3, 1e3):
         try:
             full_report(spec)
         except TorusIsoError as exc:
             refusals[type(exc).__name__, str(exc)] += 1
-    assert set(refusals) <= {("ConsistencyError", "expected v0_1 < a_n")}
-    assert sum(refusals.values()) < 40
+    for kind, message in refusals:
+        assert kind == "ConsistencyError", message
+        assert message.startswith("expected v0_1 <= a_n: a_n = "), message
+        assert _ORDERING_REFUSAL.fullmatch(message), message
+    assert sum(refusals.values()) <= 10
 
 
 # Constants that are areas, or volumes of a (k+n-1)-dimensional factor.
@@ -382,20 +407,72 @@ def test_roots_match_fifty_digit_roots():
             assert abs(crit.a_n - a_n) <= 1e-14 * a_n, spec
 
 
+@pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (1e-30, 1e30)])
+def test_k_star_matches_fifty_digit_value(lo, hi):
+    # K_star against its 50-digit value from the same double coefficients
+    # and targets: theta_star and sigma_star solved by 200 halvings of a
+    # 1e-9 relative bracket (findroot's anderson solver does not converge
+    # at 1e+-30), then K_star = max(2 pi r ball(root)) with the exact 2 pi.
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+
+    def mp_root(f, x):
+        a, b = mpf(x) * (1 - mpf(10) ** -9), mpf(x) * (1 + mpf(10) ** -9)
+        negative_at_a = f(a) < 0
+        assert negative_at_a != (f(b) < 0)
+        for _ in range(200):
+            mid = (a + b) / 2
+            a, b = (mid, b) if (f(mid) < 0) == negative_at_a else (a, mid)
+        return a
+
+    with mpmath.workdps(50):
+        for spec in _log_uniform_specs(5, 2, 100, lo, hi):
+            n = spec.euclid_dim
+            crit = full_report(spec).criticals
+            (ball,) = euclidean_piecewise(n + 1).segments
+            c, p = mpf(ball.coeff), mpf(ball.exponent)
+            areas = []
+            for r, other, root in (
+                (*spec.radii, crit.theta_star),
+                (*spec.radii[::-1], crit.sigma_star),
+            ):
+                s, t = mpf(math.pi * r), mpf(beta(n, other))
+                x = mp_root(lambda x: s * (c * x**p) + x - t, root)
+                areas.append(2 * mpmath.pi * r * c * x**p)
+            assert abs(crit.K_star - max(areas)) <= 4 * math.ulp(crit.K_star), spec
+
+
+# Reports of test_extreme_radii_end_in_a_report_or_a_named_refusal: 2,998 and
+# 73 of 3,000 on an x86-64 host. At 1e+-300 the rest have a breakpoint volume
+# beta(n, r) or another value of the construction past the doubles.
+_FEWEST_EXTREME_REPORTS = {1e30: 2995, 1e300: 60}
+
+
 @pytest.mark.parametrize("lo, hi", [(1e-30, 1e30), (1e-300, 1e300)])
 def test_extreme_radii_end_in_a_report_or_a_named_refusal(lo, hi):
-    # 3,000 seeded specs per span: nothing but a TorusIsoError escapes.
+    # 3,000 seeded specs per span: nothing but a TorusIsoError escapes. A
+    # refusal is the ordering refusal or a DomainError naming a value past
+    # the double range (2,095 specs at 1e+-30 were once refused, nearly all
+    # because a K_star re-check cancelled), and every 10th report passes the
+    # oracle suite.
+    reports = []
     for k in (2, 3):
         for spec in _log_uniform_specs(1, k, 1500, lo, hi):
             try:
-                full_report(spec)
-            except TorusIsoError:
-                pass
+                reports.append(full_report(spec))
+            except ConsistencyError as exc:
+                assert _ORDERING_REFUSAL.fullmatch(str(exc)), (spec, str(exc))
+            except DomainError as exc:
+                assert _PAST_THE_DOUBLES.search(str(exc)), (spec, str(exc))
+    for report in reports[::10]:
+        assert all(check.ok for check in verify_spec(report.spec)), report.spec
+    assert len(reports) >= _FEWEST_EXTREME_REPORTS[hi]
 
 
 def test_balance_bracket_past_the_largest_double():
     # (2T / (s c)) ** (1/p) overflows for this spec's theta_star bracket,
-    # which must not escape as a bare OverflowError.
+    # which must not escape as a bare OverflowError; the spec's report
+    # (once refused by a K_star re-check) passes the oracle suite.
     spec = TorusProductSpec((2.409878158451198e-34, 4.3877787823233855e54), 3)
-    with pytest.raises(ConsistencyError, match="the two K_star computations disagree"):
-        full_report(spec)
+    assert full_report(spec).spec == spec
+    assert all(check.ok for check in verify_spec(spec))

@@ -217,6 +217,31 @@ class TestBisectVerify:
         residual = lambda t: coeff * t ** (2 / 3) + t - BETA_2_SQ
         assert not bisect_verify(residual, THETA_EXAMPLE * 1.01, 1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_the_check_is_relative(self, scale):
+        # A wrong root fails at every scale: no residual is small enough to
+        # pass by itself, and two tiny residuals of one sign, whose product
+        # underflows to 0.0, are no sign change.
+        residual = lambda x: x - scale
+        assert bisect_verify(residual, scale, 1e-9)
+        assert bisect_verify(residual, scale * (1 + 1e-9), 1e-9)
+        assert not bisect_verify(residual, scale * 1.5, 1e-9)
+        assert not bisect_verify(lambda x: 1e-300 * (x - 1.0), 2.0, 1e-9)
+
+    @pytest.mark.parametrize("radii", [(1e-30, 3e-30), (0.7, 1.9)])
+    def test_constants_moved_off_by_half_fail_at_every_scale(self, radii):
+        # Every constant of the report moved to 1.5 times its value fails
+        # its check. At radii (1e-30, 3e-30) all 11 once passed: their
+        # residuals were below an absolute 1e-9.
+        report = full_report(TorusProductSpec(radii, 3))
+        constants = {
+            name: record._replace(value=1.5 * record.value)
+            for name, record in report.constants.items()
+        }
+        checks = verify_report(report._replace(constants=constants))
+        assert len(checks) == 11
+        assert not any(check.ok for check in checks)
+
 
 class TestVerification:
     def test_example_report_passes(self, example_spec):

@@ -18,8 +18,6 @@ _EXPORTS = {
     "read_curve": "bounds",
     "ConstantRecord": "criticals",
     "CriticalReport": "criticals",
-    "T2Criticals": "criticals",
-    "T3Criticals": "criticals",
     "full_report": "criticals",
     "ConsistencyError": "errors",
     "CurveParseError": "errors",

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from operator import attrgetter, gt
 
-from .criticals import T2Criticals, T3Criticals, full_report
+from .criticals import CriticalReport, full_report
 from .errors import CurveParseError, DomainError
 from .mensuration import TorusProductSpec
 from .profiles import beta, circle_piecewise, envelope_piecewise
@@ -221,8 +221,8 @@ def _data_rows(lines: list[str]) -> list[tuple[float, float]] | None:
         return None
 
 
-def _thresholds(report: T2Criticals | T3Criticals) -> tuple[float, float]:
-    if isinstance(report, T2Criticals):
+def _thresholds(report: CriticalReport) -> tuple[float, float]:
+    if report.kind == "two-torus":
         return report.v_star, report.v_dstar
     return report.u_star, report.u_dstar
 
@@ -329,7 +329,7 @@ def band(
     grid: Sequence[float],
     curves: Sequence[TabulatedCurve] | None = None,
     *,
-    report: T2Criticals | T3Criticals | None = None,
+    report: CriticalReport | None = None,
 ) -> BoundBand:
     """Bound band over a sorted positive volume grid.
 
@@ -345,7 +345,7 @@ def band(
     if any(map(gt, grid, grid[1:])):
         raise DomainError("grid volumes must be sorted ascending")
     if report is None:
-        report = full_report(spec).criticals
+        report = full_report(spec)
     v_lo, v_hi = _thresholds(report)
     envelope = envelope_piecewise(spec)
     lo_anchor = (v_lo, envelope(v_lo))

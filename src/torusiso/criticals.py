@@ -29,10 +29,10 @@ bootstrapping from the two-circle reports at n and n+1; its thresholds are
 
 Each pipeline builds one CriticalReport as it solves: a ConstantRecord per
 constant (value, defining relation, residual, active branch), with the two
-two-circle reports nested as sub-reports of a three-circle one. The
-T2Criticals/T3Criticals bundle is then read off the records' values.
-``u_slab_crossing``, the slab crossing that enters ``u_dstar``, is a record
-with no T3Criticals field.
+two-circle reports nested as sub-reports of a three-circle one. The records
+are the only store of the values; ``report.v_star`` reads
+``report.constants["v_star"].value``, and so on for every constant,
+``u_slab_crossing`` (the slab crossing that enters ``u_dstar``) included.
 """
 
 from __future__ import annotations
@@ -53,20 +53,6 @@ from .records import record
 from .roots import solve_balance, solve_piecewise_gap
 
 
-class T2Criticals(
-    record("T2Criticals", "theta_star sigma_star K_star c_n v_s v0_1 v0_2 v_star a_n b_n v_dstar")
-):
-    """Every named constant of a two-circle threshold report, as floats."""
-
-    __slots__ = ()
-
-
-class T3Criticals(record("T3Criticals", "w_star eta_star C_star u0 u_star u_dstar")):
-    """Every named constant of a three-circle threshold report, as floats."""
-
-    __slots__ = ()
-
-
 class ConstantRecord(record("ConstantRecord", "value equation residual regime", (None,))):
     """Provenance of one reported constant: defining relation and residual.
 
@@ -76,18 +62,36 @@ class ConstantRecord(record("ConstantRecord", "value equation residual regime", 
     __slots__ = ()
 
 
-class CriticalReport(record("CriticalReport", "spec kind criticals constants sub_reports")):
-    """A criticals bundle plus the provenance of every constant.
+class CriticalReport(record("CriticalReport", "spec kind constants sub_reports")):
+    """Every constant of a threshold report, with its provenance.
 
-    ``kind`` is "two-torus" or "three-torus"; ``sub_reports`` maps keys to
-    nested reports (by default a new empty dict).
+    ``kind`` is "two-torus" or "three-torus"; ``constants`` maps names to
+    ConstantRecords, and ``report.name`` is ``report.constants[name].value``;
+    ``sub_reports`` maps keys to nested reports (by default a new empty dict).
     """
 
     __slots__ = ()
 
-    def __new__(cls, spec, kind, criticals, constants, sub_reports=None):
+    def __new__(cls, spec, kind, constants, sub_reports=None):
         sub_reports = {} if sub_reports is None else sub_reports
-        return tuple.__new__(cls, (spec, kind, criticals, constants, sub_reports))
+        return tuple.__new__(cls, (spec, kind, constants, sub_reports))
+
+    def __getattr__(self, name):
+        try:
+            return self.constants[name].value
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            ) from None
+
+    @property
+    def criticals(self):
+        """The report itself, for readers of the deleted criticals bundle.
+
+        Its only reader outside the tests is perfbench/workloads.py; ROADMAP
+        item 6 deletes it.
+        """
+        return self
 
 
 def _balance_root(radius: float, ball: PiecewiseProfile, target: float):
@@ -125,11 +129,6 @@ def _check_invariants(checks: list[tuple[bool, str]]) -> None:
             raise ConsistencyError(message)
 
 
-def _derived(kind: type, records: dict[str, ConstantRecord]):
-    """The criticals bundle ``kind`` read off the records' values."""
-    return kind(*[records[name].value for name in kind._fields])
-
-
 def _t2_report(spec: TorusProductSpec) -> CriticalReport:
     r1, r2 = spec.radii
     n = spec.euclid_dim
@@ -162,6 +161,7 @@ def _t2_report(spec: TorusProductSpec) -> CriticalReport:
     a_n = solve_piecewise_gap(circle_1, slab, 2.0 * beta_1)
     b_n = solve_piecewise_gap(circle_2, slab, 2.0 * beta_2)
 
+    v_star = min(v_s, c_n, v0_1.root)
     v_dstar = max(a_n.root, b_n.root)
     records = {
         "theta_star": ConstantRecord(
@@ -193,7 +193,7 @@ def _t2_report(spec: TorusProductSpec) -> CriticalReport:
             v0_2.residual,
             circle_2.segment_at(v0_2.root).regime,
         ),
-        "v_star": ConstantRecord(min(v_s, c_n, v0_1.root), "min(v_s, c_n, v0_1)", 0.0),
+        "v_star": ConstantRecord(v_star, "min(v_s, c_n, v0_1)", 0.0),
         "a_n": ConstantRecord(
             a_n.root,
             "circle_area(n+1, r1, x) - slab_area(x) = 2*beta(n, r1)",
@@ -210,30 +210,36 @@ def _t2_report(spec: TorusProductSpec) -> CriticalReport:
             v_dstar, "max(a_n, b_n)", 0.0, circle_1.segment_at(v_dstar).regime
         ),
     }
-    c = _derived(T2Criticals, records)
     _check_invariants(
         [
-            (c.K_star > 0.0, "K_star must be positive"),
-            (c.theta_star > 0.0, "theta_star must be positive"),
-            _ordered(spec, "theta_star", c.theta_star, "beta(n, r2)", beta_2),
-            (c.sigma_star > 0.0, "sigma_star must be positive"),
-            _ordered(spec, "sigma_star", c.sigma_star, "beta(n, r1)", beta_1),
-            (c.v_star <= c.v0_1 < c.v_dstar, "expected v_star <= v0_1 < v_dstar"),
-            _ordered(spec, "v0_1", c.v0_1, "a_n", c.a_n),
-            _ordered(spec, "v0_2", c.v0_2, "b_n", c.b_n),
-            (c.v_star < c.v_dstar, "expected v_star < v_dstar"),
+            (k_star > 0.0, "K_star must be positive"),
+            (theta.root > 0.0, "theta_star must be positive"),
+            _ordered(spec, "theta_star", theta.root, "beta(n, r2)", beta_2),
+            (sigma.root > 0.0, "sigma_star must be positive"),
+            _ordered(spec, "sigma_star", sigma.root, "beta(n, r1)", beta_1),
+            (v_star <= v0_1.root < v_dstar, "expected v_star <= v0_1 < v_dstar"),
+            _ordered(spec, "v0_1", v0_1.root, "a_n", a_n.root),
+            _ordered(spec, "v0_2", v0_2.root, "b_n", b_n.root),
+            (v_star < v_dstar, "expected v_star < v_dstar"),
         ]
     )
-    return CriticalReport(spec, "two-torus", c, records)
+    return CriticalReport(spec, "two-torus", records)
 
 
 def _t3_report(spec: TorusProductSpec) -> CriticalReport:
     r1, r2, r3 = spec.radii
     n = spec.euclid_dim
-    sub_n = _t2_report(TorusProductSpec((r1, r2), n))
-    sub_up = _t2_report(TorusProductSpec((r1, r2), n + 1))
+    subs = {}
+    for key, m in (("n", n), ("n_plus_1", n + 1)):
+        try:
+            subs[key] = _t2_report(TorusProductSpec((r1, r2), m))
+        except ConsistencyError as exc:
+            raise ConsistencyError(
+                f"{exc}; in sub-report {key} of radii {spec.radii!r}, n = {n}"
+            ) from None
+    sub_n, sub_up = subs["n"], subs["n_plus_1"]
 
-    w_star = min(sub_n.criticals.v_star, beta(n + 1, r1))
+    w_star = min(sub_n.v_star, beta(n + 1, r1))
     eta = _balance_root(r3, euclidean_piecewise(n + 2), w_star)
     c_star = 2.0 * (w_star - eta.root)
 
@@ -249,9 +255,11 @@ def _t3_report(spec: TorusProductSpec) -> CriticalReport:
     slab_gap = solve_piecewise_gap(
         slab_piecewise(TorusProductSpec((r1, r2), n + 1)),
         slab_piecewise(spec),
-        2.0 * sub_n.criticals.v_dstar,
+        2.0 * sub_n.v_dstar,
     )
 
+    u_star = min(u0, sub_up.v_star, realizable)
+    u_dstar = max(sub_up.v_dstar, slab_gap.root)
     records = {
         "w_star": ConstantRecord(w_star, "min(v_star(r1, r2; n), beta(n+1, r1))", 0.0),
         "eta_star": ConstantRecord(
@@ -260,7 +268,7 @@ def _t3_report(spec: TorusProductSpec) -> CriticalReport:
         "C_star": ConstantRecord(c_star, "2*(w_star - eta_star)", 0.0),
         "u0": ConstantRecord(u0, "circle_area(n+2, r1, x) = C_star", u0_residual, u0_regime),
         "u_star": ConstantRecord(
-            min(u0, sub_up.criticals.v_star, realizable),
+            u_star,
             "min(u0, v_star(r1, r2; n+1), 2*pi*r1 * volume(ball(n+2, pi*r2)))",
             0.0,
         ),
@@ -270,24 +278,17 @@ def _t3_report(spec: TorusProductSpec) -> CriticalReport:
             "= 2*v_dstar(r1, r2; n)",
             slab_gap.residual,
         ),
-        "u_dstar": ConstantRecord(
-            max(sub_up.criticals.v_dstar, slab_gap.root),
-            "max(v_dstar(r1, r2; n+1), u_slab_crossing)",
-            0.0,
-        ),
+        "u_dstar": ConstantRecord(u_dstar, "max(v_dstar(r1, r2; n+1), u_slab_crossing)", 0.0),
     }
-    c = _derived(T3Criticals, records)
     _check_invariants(
         [
-            (c.w_star <= sub_n.criticals.v_star, "expected w_star <= v_star"),
-            (c.C_star > 0.0, "C_star must be positive"),
-            (c.u_star <= c.u0, "expected u_star <= u0"),
-            (c.u_star <= c.u_dstar, "expected u_star <= u_dstar"),
+            (w_star <= sub_n.v_star, "expected w_star <= v_star"),
+            (c_star > 0.0, "C_star must be positive"),
+            (u_star <= u0, "expected u_star <= u0"),
+            (u_star <= u_dstar, "expected u_star <= u_dstar"),
         ]
     )
-    return CriticalReport(
-        spec, "three-torus", c, records, {"n": sub_n, "n_plus_1": sub_up}
-    )
+    return CriticalReport(spec, "three-torus", records, subs)
 
 
 def full_report(spec: TorusProductSpec) -> CriticalReport:

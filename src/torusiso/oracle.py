@@ -18,7 +18,7 @@ import sys
 from collections.abc import Callable
 
 from . import profiles
-from .criticals import CriticalReport, T2Criticals, full_report
+from .criticals import CriticalReport, full_report
 from .errors import DomainError
 from .mensuration import (
     TWO_PI,
@@ -156,10 +156,9 @@ def bisect_verify(residual: Callable[[float], float], root: float, tolerance: fl
 # Residual systems for the critical reports.
 
 
-def t2_residuals(
-    spec: TorusProductSpec, crit: T2Criticals
-) -> dict[str, Callable[[float], float]]:
-    """Defining-equation residuals for every two-circle constant."""
+def t2_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
+    """Defining-equation residuals for every constant of a two-circle report."""
+    spec = report.spec
     r1, r2 = spec.radii
     n = spec.euclid_dim
     b1 = profiles.beta(n, r1)
@@ -174,21 +173,21 @@ def t2_residuals(
         unit_ball_volume(n + 2) * (math.pi * r1) ** (n + 2),
     )
     k_value = max(
-        TWO_PI * r1 * ball(crit.theta_star),
-        TWO_PI * r2 * ball(crit.sigma_star),
+        TWO_PI * r1 * ball(report.theta_star),
+        TWO_PI * r2 * ball(report.sigma_star),
     )
     return {
         "theta_star": lambda x: math.pi * r1 * ball(x) + x - b2,
         "sigma_star": lambda x: math.pi * r2 * ball(x) + x - b1,
         "K_star": lambda x: x - k_value,
-        "c_n": lambda x: circ1(x) - crit.K_star,
+        "c_n": lambda x: circ1(x) - report.K_star,
         "v_s": lambda x: x - v_s_value,
         "v0_1": lambda x: circ1(x) - slab(x),
         "v0_2": lambda x: circ2(x) - slab(x),
-        "v_star": lambda x: x - min(crit.v_s, crit.c_n, crit.v0_1),
+        "v_star": lambda x: x - min(report.v_s, report.c_n, report.v0_1),
         "a_n": lambda x: circ1(x) - slab(x) - 2.0 * b1,
         "b_n": lambda x: circ2(x) - slab(x) - 2.0 * b2,
-        "v_dstar": lambda x: x - max(crit.a_n, crit.b_n),
+        "v_dstar": lambda x: x - max(report.a_n, report.b_n),
     }
 
 
@@ -198,10 +197,10 @@ def t3_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
     The max and min relations read their terms from the sub-reports and
     sibling records, never from the constant they define.
     """
-    spec, crit = report.spec, report.criticals
-    sub_n = report.sub_reports["n"].criticals
-    sub_up = report.sub_reports["n_plus_1"].criticals
-    crossing = report.constants["u_slab_crossing"].value
+    spec = report.spec
+    sub_n = report.sub_reports["n"]
+    sub_up = report.sub_reports["n_plus_1"]
+    crossing = report.u_slab_crossing
     r1, r2, r3 = spec.radii
     n = spec.euclid_dim
     circ1 = profiles.circle_piecewise(n + 2, r1)
@@ -214,10 +213,10 @@ def t3_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
     realizable = TWO_PI * r1 * unit_ball_volume(n + 2) * (math.pi * r2) ** (n + 2)
     return {
         "w_star": lambda x: x - w_value,
-        "eta_star": lambda x: math.pi * r3 * ball(x) + x - crit.w_star,
-        "C_star": lambda x: x - 2.0 * (crit.w_star - crit.eta_star),
-        "u0": lambda x: circ1(x) - crit.C_star,
-        "u_star": lambda x: x - min(crit.u0, sub_up.v_star, realizable),
+        "eta_star": lambda x: math.pi * r3 * ball(x) + x - report.w_star,
+        "C_star": lambda x: x - 2.0 * (report.w_star - report.eta_star),
+        "u0": lambda x: circ1(x) - report.C_star,
+        "u_star": lambda x: x - min(report.u0, sub_up.v_star, realizable),
         "u_slab_crossing": lambda x: slab_up(x) - slab3(x) - 2.0 * sub_n.v_dstar,
         "u_dstar": lambda x: x - max(sub_up.v_dstar, crossing),
     }
@@ -225,7 +224,7 @@ def t3_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
 
 def report_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
     if report.kind == "two-torus":
-        return t2_residuals(report.spec, report.criticals)
+        return t2_residuals(report)
     return t3_residuals(report)
 
 
@@ -292,7 +291,6 @@ def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
 
     n = spec.euclid_dim
     if spec.circle_count == 2:
-        crit = report.criticals
         for label, r in (("r1", spec.radii[0]), ("r2", spec.radii[1])):
             # The whole ball and cylinder laws, each as a one-segment profile.
             ball, cyl = (
@@ -303,13 +301,13 @@ def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
         circ1 = profiles.circle_piecewise(n + 1, spec.radii[0])
         slab = profiles.slab_piecewise(spec)
         two_beta = 2.0 * profiles.beta(n, spec.radii[0])
-        checks.append(_scan_check("v0_1", circ1, slab, 0.0, crit.v0_1, 1e2))
-        checks.append(_scan_check("a_n", circ1, slab, two_beta, crit.a_n, 1e2))
+        checks.append(_scan_check("v0_1", circ1, slab, 0.0, report.v0_1, 1e2))
+        checks.append(_scan_check("a_n", circ1, slab, two_beta, report.a_n, 1e2))
     else:
         r1, r2, _ = spec.radii
         slab_up = profiles.slab_piecewise(TorusProductSpec((r1, r2), n + 1))
         slab3 = profiles.slab_piecewise(spec)
-        target = 2.0 * report.sub_reports["n"].criticals.v_dstar
-        root = report.constants["u_slab_crossing"].value
+        target = 2.0 * report.sub_reports["n"].v_dstar
+        root = report.u_slab_crossing
         checks.append(_scan_check("u_slab_crossing", slab_up, slab3, target, root, 1e2))
     return checks

@@ -97,7 +97,7 @@ def case_name(spec: TorusProductSpec) -> str:
 
 
 def _thresholds(spec: TorusProductSpec) -> tuple[float, float]:
-    report = full_report(spec).criticals
+    report = full_report(spec)
     if spec.circle_count == 2:
         return report.v_star, report.v_dstar
     return report.u_star, report.u_dstar

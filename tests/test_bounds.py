@@ -38,7 +38,7 @@ def rel(a, b):
 
 @pytest.fixture
 def example_report(example_spec):
-    return full_report(example_spec).criticals
+    return full_report(example_spec)
 
 
 def band_row(spec, report, v, curves=None):
@@ -265,7 +265,7 @@ class TestBand:
 )
 def test_band_validity_property(r1, r2, n, scale):
     spec = TorusProductSpec((r1, r2), n)
-    crit = full_report(spec).criticals
+    crit = full_report(spec)
     grid = log_grid(crit.v_star / 5.0, crit.v_dstar * 5.0, 35)
     ws = log_grid(crit.v_star / 2.0, crit.v_dstar * 2.0, 11)
     curve = TabulatedCurve(
@@ -315,7 +315,7 @@ CHORD_TOUCH_SPECS = [
 
 @pytest.mark.parametrize("spec", CHORD_TOUCH_SPECS, ids=["k2-n5", "k3-n4"])
 def test_chord_touching_the_envelope_is_clamped(spec):
-    report = full_report(spec).criticals
+    report = full_report(spec)
     lo, hi = bounds_mod._thresholds(report)
     grid = set()
     for threshold, inward in ((lo, math.inf), (hi, 0.0)):

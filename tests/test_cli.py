@@ -273,7 +273,7 @@ class TestBlockWriter:
 
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"radii": list(spec.radii), "euclid_dim": spec.euclid_dim}))
-        report = full_report(spec).criticals
+        report = full_report(spec)
         v_lo, v_hi = (report.v_star, report.v_dstar) if spec.circle_count == 2 else (
             report.u_star, report.u_dstar
         )
@@ -642,7 +642,7 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": n
             "ConstantRecord", "CriticalReport",
             "CurveParseError", "DomainError", "GuardError", "PiecewiseProfile",
             "PowerSegment", "RootResult", "SpecFileError",
-            "T2Criticals", "T3Criticals", "TabulatedCurve", "TorusIsoError",
+            "TabulatedCurve", "TorusIsoError",
             "TorusProductSpec", "band", "beta", "candidate_min_area",
             "circle_piecewise", "envelope_piecewise", "euclidean_piecewise",
             "full_report", "minimum_envelope", "read_curve", "scp_piecewise",

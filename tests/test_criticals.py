@@ -56,14 +56,14 @@ def rel(a, b):
 
 class TestExampleTorus:
     def test_headline_thresholds(self, example_spec):
-        crit = full_report(example_spec).criticals
+        crit = full_report(example_spec)
         assert abs(crit.v_star - 2.70) < 0.05
         assert abs(crit.v_dstar - 55.84) < 0.10
         assert rel(crit.v_star, CN_EXAMPLE) < 1e-11
         assert rel(crit.v_dstar, VDSTAR_EXAMPLE) < 1e-11
 
     def test_small_volume_constants(self, example_spec):
-        small = full_report(example_spec).criticals
+        small = full_report(example_spec)
         assert rel(small.theta_star, THETA_EXAMPLE) < 1e-11
         assert rel(small.sigma_star, THETA_EXAMPLE) < 1e-11
         assert rel(small.K_star, K_EXAMPLE) < 1e-11
@@ -73,41 +73,41 @@ class TestExampleTorus:
 
     def test_k_star_equals_ball_area_at_c(self, example_spec):
         # c sits on the ball branch, so the 4-ball area law reproduces K.
-        small = full_report(example_spec).criticals
+        small = full_report(example_spec)
         assert rel(euclidean_piecewise(4)(small.c_n), small.K_star) < 1e-11
         assert small.c_n < BETA_3_SQ
 
     def test_balance_identity(self, example_spec):
-        small = full_report(example_spec).criticals
+        small = full_report(example_spec)
         lhs = 2 * (BETA_2_SQ - small.theta_star)
         rhs = 2 * math.pi * SQRT_PI_RADIUS * euclidean_piecewise(3)(small.theta_star)
         assert rel(lhs, rhs) < 1e-9
 
     def test_symmetry_of_equal_radii(self, example_spec):
-        large = full_report(example_spec).criticals
+        large = full_report(example_spec)
         assert large.a_n == large.b_n
         assert large.v_dstar == large.a_n
 
     def test_branch_at_v_dstar(self, example_spec):
         report = full_report(example_spec)
         assert report.constants["v_dstar"].regime == "cylinder"
-        assert report.criticals.v_dstar > beta(3, SQRT_PI_RADIUS)
+        assert report.v_dstar > beta(3, SQRT_PI_RADIUS)
 
 
 class TestUnitTorus:
     def test_k_star_value(self, unit_spec):
-        crit = full_report(unit_spec).criticals
+        crit = full_report(unit_spec)
         assert rel(crit.K_star, K_UNIT) < 1e-11
         assert abs(crit.K_star - 70.1) < 0.5
 
     def test_thresholds(self, unit_spec):
-        crit = full_report(unit_spec).criticals
+        crit = full_report(unit_spec)
         assert rel(crit.v_star, VSTAR_UNIT) < 1e-11
         assert rel(crit.v_dstar, VDSTAR_UNIT) < 1e-11
         assert rel(crit.v0_1, V0_UNIT) < 1e-11
 
     def test_v_dstar_against_scan_oracle(self, unit_spec):
-        crit = full_report(unit_spec).criticals
+        crit = full_report(unit_spec)
         circle = circle_piecewise(3, 1.0)
         slab = slab_piecewise(unit_spec)
         target = 2 * beta(2, 1.0)
@@ -142,7 +142,7 @@ class TestOrderingInvariants:
         for _ in range(8):
             radii = sorted(rng.uniform(0.5, 2.5) for _ in range(2))
             n = rng.randint(2, 5)
-            crit = full_report(TorusProductSpec(tuple(radii), n)).criticals
+            crit = full_report(TorusProductSpec(tuple(radii), n))
             assert crit.v0_1 < crit.a_n
             assert crit.v0_2 < crit.b_n
             assert crit.v_star <= crit.v0_1 < crit.v_dstar
@@ -151,14 +151,14 @@ class TestOrderingInvariants:
             assert 0 < crit.sigma_star < beta(n, radii[0])
 
     def test_radius_swap_invariance(self):
-        a = full_report(TorusProductSpec((0.7, 1.8), 3)).criticals
-        b = full_report(TorusProductSpec((1.8, 0.7), 3)).criticals
+        a = full_report(TorusProductSpec((0.7, 1.8), 3))
+        b = full_report(TorusProductSpec((1.8, 0.7), 3))
         assert a == b
 
 
 class TestThreeTorus:
     def test_unit_cubic_torus(self, unit_spec3):
-        crit = full_report(unit_spec3).criticals
+        crit = full_report(unit_spec3)
         assert rel(crit.w_star, W_STAR_UNIT3) < 1e-11
         assert rel(crit.eta_star, ETA_UNIT3) < 1e-11
         assert rel(crit.C_star, C_STAR_UNIT3) < 1e-11
@@ -167,8 +167,8 @@ class TestThreeTorus:
         assert rel(crit.u_dstar, U_SLAB_UNIT3) < 1e-11
 
     def test_invariants(self, unit_spec3):
-        crit = full_report(unit_spec3).criticals
-        sub = full_report(TorusProductSpec((1.0, 1.0), 2)).criticals
+        crit = full_report(unit_spec3)
+        sub = full_report(TorusProductSpec((1.0, 1.0), 2))
         assert crit.w_star <= sub.v_star
         assert crit.C_star > 0
         assert crit.u_star <= crit.u0
@@ -179,14 +179,14 @@ class TestThreeTorus:
 
     def test_eta_decreases_with_third_radius(self):
         etas = [
-            full_report(TorusProductSpec((1.0, 1.0, r3), 2)).criticals.eta_star
+            full_report(TorusProductSpec((1.0, 1.0, r3), 2)).eta_star
             for r3 in (1.0, 2.0, 4.0)
         ]
         assert etas[0] > etas[1] > etas[2]
 
     def test_uses_dim_up_subreport(self, unit_spec3):
         report = full_report(unit_spec3)
-        up = report.sub_reports["n_plus_1"].criticals
+        up = report.sub_reports["n_plus_1"]
         assert rel(up.v_star, VSTAR_UNIT_N3) < 1e-11
         assert rel(up.v_dstar, VDSTAR_UNIT_N3) < 1e-11
 
@@ -216,8 +216,8 @@ class TestFullReport:
 
     def test_values_match_example(self, example_spec):
         report = full_report(example_spec)
-        assert abs(report.criticals.v_star - 2.70) < 0.05
-        assert abs(report.criticals.v_dstar - 55.84) < 0.10
+        assert abs(report.v_star - 2.70) < 0.05
+        assert abs(report.v_dstar - 55.84) < 0.10
 
     def test_constants_pass_bisect_verify(self, example_spec):
         from torusiso.oracle import report_residuals
@@ -237,9 +237,9 @@ class TestFullReport:
         # scp at v_star equals the circle branch there, tying the report to
         # the profile surface.
         report = full_report(example_spec)
-        (area,), (seg,) = scp_piecewise(example_spec).values([report.criticals.v_star])
+        (area,), (seg,) = scp_piecewise(example_spec).values([report.v_star])
         assert seg.regime == "ball"
-        assert rel(area, report.criticals.K_star) < 1e-11
+        assert rel(area, report.K_star) < 1e-11
 
 
 def _seeded_specs(seed: int, count: int):
@@ -251,22 +251,17 @@ def _seeded_specs(seed: int, count: int):
 
 
 class TestReportParity:
-    # The criticals bundles are read off the records, a rebuilt report gives
-    # the same criticals, and a sub-report is the report of its sub-spec.
+    # Each value is read off its record, a rebuilt report is equal, and a
+    # sub-report is the report of its sub-spec.
     @pytest.mark.parametrize("spec", list(_seeded_specs(11, 6)))
     def test_criticals_records_and_entry_points_agree(self, spec):
         report = full_report(spec)
         for r in (report, *report.sub_reports.values()):
-            for name in r.criticals._fields:
-                assert getattr(r.criticals, name) == r.constants[name].value, name
-        assert full_report(spec).criticals == report.criticals
+            for name, record in r.constants.items():
+                assert getattr(r, name) == record.value, name
+        assert full_report(spec) == report
         for sub in report.sub_reports.values():
-            again = full_report(sub.spec)
-            assert (sub.kind, sub.criticals, sub.constants) == (
-                again.kind,
-                again.criticals,
-                again.constants,
-            )
+            assert sub == full_report(sub.spec)
         if report.sub_reports:
             r1, r2, _ = spec.radii
             n = spec.euclid_dim
@@ -279,9 +274,9 @@ def test_a_n_meeting_v0_1_in_double_precision_is_refused():
     # report. Thresholds that meet in double precision are reported: the
     # second spec's computed a_n equals its v0_1. Only a computed a_n below
     # v0_1 is refused, by a message that gives both values, n and r2/r1.
-    crit = full_report(TorusProductSpec((0.05173511256826572, 413.81304840881614), 4)).criticals
+    crit = full_report(TorusProductSpec((0.05173511256826572, 413.81304840881614), 4))
     assert crit.v0_1 < crit.a_n
-    crit = full_report(TorusProductSpec((0.005789682520628809, 53.87644709258186), 5)).criticals
+    crit = full_report(TorusProductSpec((0.005789682520628809, 53.87644709258186), 5))
     assert crit.a_n == crit.v0_1
     spec = TorusProductSpec((0.004511543985897641, 9.225445621467033), 5)
     with pytest.raises(ConsistencyError) as refusal:
@@ -290,6 +285,24 @@ def test_a_n_meeting_v0_1_in_double_precision_is_refused():
         "expected v0_1 <= a_n: a_n = 26143878.35939773 is 12 ulps below "
         "v0_1 = 26143878.359397776 (n = 5, r2/r1 = 2044.85)"
     )
+
+
+def test_three_circle_refusal_names_its_sub_report_and_spec():
+    # The n_plus_1 sub-report (n = 5) of this n = 4 spec has a computed a_n
+    # 7 ulps below its v0_1. The refusal keeps the sub-report's message and
+    # appends the sub-report key, the three radii and the spec's own n.
+    radii = (0.001228498388285208, 45.15908759053932, 141.8574330961932)
+    with pytest.raises(ConsistencyError) as refusal:
+        full_report(TorusProductSpec(radii, 4))
+    assert str(refusal.value) == (
+        "expected v0_1 <= a_n: a_n = 97941385158.51955 is 7 ulps below "
+        "v0_1 = 97941385158.51965 (n = 5, r2/r1 = 36759.6); in sub-report n_plus_1 of "
+        "radii (0.001228498388285208, 45.15908759053932, 141.8574330961932), n = 4"
+    )
+    assert _ORDERING_REFUSAL[3].fullmatch(str(refusal.value))
+    with pytest.raises(ConsistencyError) as sub_refusal:
+        full_report(TorusProductSpec(radii[:2], 5))
+    assert str(refusal.value).startswith(f"{sub_refusal.value}; ")
 
 
 def test_reports_match_golden_fixture():
@@ -317,11 +330,19 @@ def _log_uniform_specs(seed: int, k: int, count: int, lo: float, hi: float):
 
 
 # The one refusal left to a spec whose envelope lies in the doubles: a
-# computed threshold a few ulps below the one it must not pass.
-_ORDERING_REFUSAL = re.compile(
+# computed threshold a few ulps below the one it must not pass. A k = 3
+# refusal comes from a two-circle sub-report, so it must also name that
+# sub-report and the three-circle spec; a k = 2 refusal must not.
+_ORDERING = (
     r"expected \w+ <= [\w(), ]+: .+ = \S+ is \d+ ulps below \w+ = \S+ "
     r"\(n = \d, r2/r1 = \S+\)"
 )
+_ORDERING_REFUSAL = {
+    2: re.compile(_ORDERING),
+    3: re.compile(
+        _ORDERING + r"; in sub-report (n|n_plus_1) of radii \(\S+, \S+, \S+\), n = \d"
+    ),
+}
 # A DomainError that names a value past the double range.
 _PAST_THE_DOUBLES = re.compile(
     "past the largest double|is not a normal positive double|leaves the normal doubles"
@@ -344,7 +365,7 @@ def test_probe_refuses_only_coinciding_thresholds(k):
     for kind, message in refusals:
         assert kind == "ConsistencyError", message
         assert message.startswith("expected v0_1 <= a_n: a_n = "), message
-        assert _ORDERING_REFUSAL.fullmatch(message), message
+        assert _ORDERING_REFUSAL[k].fullmatch(message), message
     assert sum(refusals.values()) <= 10
 
 
@@ -392,7 +413,7 @@ def test_roots_match_fifty_digit_roots():
         for spec in _log_uniform_specs(3, 2, 300, 0.1, 10.0):
             r1, r2 = spec.radii
             n = spec.euclid_dim
-            crit = full_report(spec).criticals
+            crit = full_report(spec)
             (ball,) = euclidean_piecewise(n + 1).segments
             s, c, p, t = (mpf(x) for x in (math.pi * r1, ball.coeff, ball.exponent, beta(n, r2)))
             theta = mp_root(lambda x: s * (c * x**p) + x - t, crit.theta_star)
@@ -428,7 +449,7 @@ def test_k_star_matches_fifty_digit_value(lo, hi):
     with mpmath.workdps(50):
         for spec in _log_uniform_specs(5, 2, 100, lo, hi):
             n = spec.euclid_dim
-            crit = full_report(spec).criticals
+            crit = full_report(spec)
             (ball,) = euclidean_piecewise(n + 1).segments
             c, p = mpf(ball.coeff), mpf(ball.exponent)
             areas = []
@@ -461,7 +482,7 @@ def test_extreme_radii_end_in_a_report_or_a_named_refusal(lo, hi):
             try:
                 reports.append(full_report(spec))
             except ConsistencyError as exc:
-                assert _ORDERING_REFUSAL.fullmatch(str(exc)), (spec, str(exc))
+                assert _ORDERING_REFUSAL[k].fullmatch(str(exc)), (spec, str(exc))
             except DomainError as exc:
                 assert _PAST_THE_DOUBLES.search(str(exc)), (spec, str(exc))
     for report in reports[::10]:

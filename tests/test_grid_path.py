@@ -25,7 +25,6 @@ from torusiso import (
     DomainError,
     PiecewiseProfile,
     PowerSegment,
-    T2Criticals,
     TabulatedCurve,
     TorusProductSpec,
     band,
@@ -51,12 +50,8 @@ def spec_id(spec):
     return f"k{spec.circle_count}-n{spec.euclid_dim}-r{spec.radii[0]:.3g}"
 
 
-def criticals(spec):
-    return full_report(spec).criticals
-
-
 def thresholds(report):
-    if isinstance(report, T2Criticals):
+    if report.kind == "two-torus":
         return report.v_star, report.v_dstar
     return report.u_star, report.u_dstar
 
@@ -171,7 +166,7 @@ def regime_rows(columns):
 @pytest.mark.parametrize("with_curves", [False, True], ids=["bare", "two-curves"])
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_band_rows_equal_scalar_reference(spec, with_curves):
-    report = criticals(spec)
+    report = full_report(spec)
     grid = grid_for(spec, report)
     curves = curves_for(spec, report) if with_curves else []
     expected = reference_rows(spec, grid, curves, report)
@@ -182,7 +177,7 @@ def test_band_rows_equal_scalar_reference(spec, with_curves):
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_profile_values_equal_scalar_envelope(spec):
-    grid = grid_for(spec, criticals(spec))
+    grid = grid_for(spec, full_report(spec))
     rows = regime_rows(envelope_piecewise(spec).values(grid))
     assert rows == [envelope_profile(spec, v) for v in grid]
 
@@ -204,7 +199,7 @@ def cli_grids(spec, report):
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_cli_grid_csv_equals_scalar_reference(spec, tmp_path, capsys):
     path = write_spec(tmp_path, spec)
-    report = criticals(spec)
+    report = full_report(spec)
     for grid_text in cli_grids(spec, report):
         grid = cli_mod.parse_grid(grid_text)
 
@@ -338,7 +333,7 @@ def test_curve_samples_at_the_thresholds(spec):
     # Samples at v_lo and v_hi carry the anchors' own areas: a line from an
     # anchor through its own sample is 0/0, which no row may evaluate, and
     # no warning may leak.
-    report = criticals(spec)
+    report = full_report(spec)
     v_lo, v_hi = thresholds(report)
     inner = log_grid(v_lo, v_hi, 12)[1:-1]
     points = [(v_lo, envelope_profile(spec, v_lo)[0])]
@@ -374,7 +369,7 @@ def first_offence(spec, grid, curves, report):
 
 def test_curves_above_the_envelope_refused_in_row_order():
     spec = SPECS[0]
-    report = criticals(spec)
+    report = full_report(spec)
     v_lo, v_hi = thresholds(report)
     grid = log_grid(v_lo, v_hi, 42)[1:-1]
 
@@ -608,7 +603,7 @@ def envelope_builds(monkeypatch):
     ids=spec_id,
 )
 def test_envelope_builds_do_not_grow_with_the_grid(spec, envelope_builds, tmp_path, capsys):
-    report = criticals(spec)
+    report = full_report(spec)
     v_lo, v_hi = thresholds(report)
     for size in (10, 1000):
         envelope_builds.clear()

@@ -5,7 +5,9 @@ fields (with equal hashes), and checks its fields on construction and on
 every changed copy, with the same error class and message either way.
 """
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -22,10 +24,9 @@ from torusiso import (
     PiecewiseProfile,
     PowerSegment,
     RootResult,
-    T2Criticals,
-    T3Criticals,
     TabulatedCurve,
     TorusProductSpec,
+    full_report,
 )
 from torusiso.mensuration import CandidateRegion
 
@@ -35,9 +36,6 @@ TWO_SEGMENTS = (
     PowerSegment(2.0, 0.5, 0.0, 4.0, "ball"),
     PowerSegment(2.0**1.5, 0.25, 4.0, math.inf, "cylinder"),
 )
-T2_NAMES = "theta_star sigma_star K_star c_n v_s v0_1 v0_2 v_star a_n b_n v_dstar".split()
-T2_FIELDS = dict(zip(T2_NAMES, map(float, range(1, 12))))
-T2 = T2Criticals(**T2_FIELDS)
 
 # class -> (fields, a valid change, an invalid change or None, the error it
 # raises, values derived from the fields that a changed copy must rebuild)
@@ -73,14 +71,6 @@ CASES = {
         (ConsistencyError, "root 3.0 escaped its bracket [0.5, 2.0]"),
         None,
     ),
-    T2Criticals: (T2_FIELDS, {"v_dstar": 12.0}, None, None, None),
-    T3Criticals: (
-        {"w_star": 1.0, "eta_star": 2.0, "C_star": 3.0, "u0": 4.0, "u_star": 5.0, "u_dstar": 6.0},
-        {"u_dstar": 7.0},
-        None,
-        None,
-        None,
-    ),
     ConstantRecord: (
         {"value": 1.0, "equation": "x = 1", "residual": 0.0}, {"regime": "ball"}, None, None, None
     ),
@@ -88,7 +78,6 @@ CASES = {
         {
             "spec": TorusProductSpec((1.0, 2.0), 3),
             "kind": "two-torus",
-            "criticals": T2,
             "constants": {"v_star": ConstantRecord(8.0, "min(v_s, c_n, v0_1)", 0.0)},
         },
         {"kind": "three-torus"},
@@ -217,3 +206,21 @@ def test_reports_built_without_sub_reports_do_not_share_a_dict():
     fields = CASES[CriticalReport][0]
     a, b = CriticalReport(**fields), CriticalReport(**fields)
     assert a.sub_reports == {} and a.sub_reports is not b.sub_reports
+
+
+@pytest.mark.parametrize(
+    "spec", [TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((1.0, 1.0, 1.0), 2)], ids=["k2", "k3"]
+)
+def test_report_values_read_off_their_records(spec):
+    report = full_report(spec)
+    for r in (report, *report.sub_reports.values()):
+        assert r.constants
+        for name, record in r.constants.items():
+            assert getattr(r, name) is record.value, name
+    for name in ("v_dstar_typo", "value", "_fields_", "__deepcopy__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(report, name)
+    assert not hasattr(report, "u_star" if report.kind == "two-torus" else "v_star")
+    for again in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert again == report and type(again) is CriticalReport
+    assert report.criticals is report

@@ -44,6 +44,7 @@ from .errors import ConsistencyError, DomainError, GuardError
 from .mensuration import TWO_PI, TorusProductSpec, unit_ball_volume
 from .profiles import (
     PiecewiseProfile,
+    _profile_cache,
     beta,
     circle_piecewise,
     euclidean_piecewise,
@@ -297,7 +298,22 @@ def full_report(spec: TorusProductSpec) -> CriticalReport:
     Each constant carries its defining relation, the solver residual at the
     reported value (0.0 for a constant evaluated from its formula), and the
     active profile branch where one is meaningful.
+
+    The report is solved once per spec (see profiles._profile_cache). Each
+    call returns new ``constants`` and ``sub_reports`` dicts over the shared,
+    immutable ConstantRecords, so a caller's edits never reach the next one.
     """
+    return _fresh(_report(spec))
+
+
+def _fresh(report: CriticalReport) -> CriticalReport:
+    # The report over new dicts, its sub-reports' included.
+    subs = {key: _fresh(sub) for key, sub in report.sub_reports.items()}
+    return CriticalReport(report.spec, report.kind, dict(report.constants), subs)
+
+
+@_profile_cache
+def _report(spec: TorusProductSpec) -> CriticalReport:
     if spec.circle_count == 2:
         return _t2_report(spec)
     if spec.circle_count == 3:

@@ -90,13 +90,23 @@ _AREA_RANGE = (2.0 * sys.float_info.min, 0.5 * sys.float_info.max)
 # Euclidean profile dimensions accepted.
 EUCLIDEAN_DIM_RANGE = (2, 9)
 
-# The cache of beta, circle_piecewise and slab_piecewise. full_report on a
-# three-circle spec builds 13 distinct betas, circle profiles and slabs, and
-# band then asks for some of them again. Keys include argument types, so
-# n = 3.0 is never served the entry for n = 3 and still meets its guard;
-# refusals raise, so they are never stored. The fixed size bounds the
-# memory, so a stream of distinct specs reuses nothing across specs.
-_profile_cache = functools.lru_cache(maxsize=32, typed=True)
+# The cache of beta, circle_piecewise, slab_piecewise and the per-spec
+# builders behind envelope_piecewise, criticals.full_report and the oracle's
+# candidate table. full_report on a three-circle spec builds 13 distinct
+# betas, circle profiles and slabs, and band then asks for some of them
+# again; a repeated band, bounds or profile call on one spec skips its solves
+# and its envelope build. Keys include argument types, so n = 3.0 is never
+# served the entry for n = 3 and still meets its guard; refusals raise, so
+# they are never stored. Each builder keeps at most 32 entries, which bounds
+# the memory, so a stream of distinct specs reuses nothing across specs.
+# Every cached builder is listed in _cached_builders.
+_cached_builders = []
+
+
+def _profile_cache(builder):
+    cached = functools.lru_cache(maxsize=32, typed=True)(builder)
+    _cached_builders.append(cached)
+    return cached
 
 REGIME_BALL = "ball"
 REGIME_CYLINDER = "cylinder"
@@ -337,8 +347,15 @@ def tube_area_coefficient(circle_measure: float, m: int) -> float:
 
 
 def euclidean_piecewise(m: int) -> PiecewiseProfile:
-    """Profile of R^m: the round-ball law, one segment with exponent (m-1)/m."""
-    _check_range(m, EUCLIDEAN_DIM_RANGE, "the Euclidean profile")
+    """Profile of R^m: the round-ball law, one segment with exponent (m-1)/m.
+
+    Built once per dimension; only a checked int reaches the table.
+    """
+    return _euclidean_piecewise(_check_range(m, EUCLIDEAN_DIM_RANGE, "the Euclidean profile"))
+
+
+@functools.cache
+def _euclidean_piecewise(m: int) -> PiecewiseProfile:
     seg = PowerSegment(
         tube_area_coefficient(1.0, m), (m - 1.0) / m, 0.0, math.inf, REGIME_BALL
     )
@@ -552,8 +569,15 @@ def envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
 
     k = 1 is the known circle-product profile; k = 2 the scp envelope;
     k = 3 the minimum over one-circle cylinders, two-circle slabs one
-    dimension up (tagged "slab2") and the full three-circle slab.
+    dimension up (tagged "slab2") and the full three-circle slab. Built once
+    per spec (see _profile_cache); the profile is immutable, so every caller
+    shares it.
     """
+    return _envelope_piecewise(spec)
+
+
+@_profile_cache
+def _envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
     k = spec.circle_count
     n = spec.euclid_dim
     if k == 1:

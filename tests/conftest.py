@@ -26,11 +26,22 @@ if "numpy" in sys.modules and sys.modules["numpy"] is None:
     del sys.modules["numpy"]
     sys.meta_path.insert(0, _NumpyBlocker)
 
-from torusiso import TorusProductSpec
+from torusiso import TorusProductSpec, profiles
 
 from refvalues import SQRT_PI_RADIUS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def _empty_spec_caches():
+    """Each test starts with every per-spec cache empty.
+
+    No test then reads a report or profile another test cached, and a test
+    that patches a solver under full_report sees its patch.
+    """
+    for cached in profiles._cached_builders:
+        cached.cache_clear()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import random
@@ -13,7 +14,9 @@ from torusiso import (
     TorusIsoError,
     TorusProductSpec,
     beta,
+    candidate_min_area,
     circle_piecewise,
+    envelope_piecewise,
     euclidean_piecewise,
     full_report,
     scp_piecewise,
@@ -22,6 +25,7 @@ from torusiso import (
     unit_ball_volume,
     verify_spec,
 )
+from torusiso import criticals, oracle, profiles
 from torusiso.mensuration import EUCLID_DIM_RANGES
 from torusiso.oracle import bisect_verify, gap_crossings
 
@@ -269,6 +273,93 @@ class TestReportParity:
             assert report.sub_reports["n_plus_1"].spec == TorusProductSpec((r1, r2), n + 1)
 
 
+def _clear_spec_caches():
+    for cached in profiles._cached_builders:
+        cached.cache_clear()
+
+
+# The two-circle spec whose computed a_n lies 12 ulps below its v0_1.
+_ORDERING_REFUSED = TorusProductSpec((0.004511543985897641, 9.225445621467033), 5)
+
+
+class TestReportCache:
+    # full_report solves each spec once: every call gets its own dicts over
+    # the shared records, and a refusal is raised again, never stored.
+    @pytest.mark.parametrize("spec", [*_seeded_specs(23, 4), _ORDERING_REFUSED])
+    def test_repeated_report_has_the_bits_of_a_fresh_solve(self, spec):
+        first, again = regen.report_fingerprint(spec), regen.report_fingerprint(spec)
+        _clear_spec_caches()
+        assert first == again == regen.report_fingerprint(spec)
+
+    @pytest.mark.parametrize(
+        "spec", [TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((0.6, 1.1, 2.3), 2)]
+    )
+    def test_edits_to_a_returned_report_never_reach_the_next(self, spec):
+        whole = regen.report_fingerprint(spec)
+        edited = full_report(spec)
+        reports = [edited, *edited.sub_reports.values()]
+        for r in reports:
+            for name, record in r.constants.items():
+                r.constants[name] = record._replace(value=2.0 * record.value)
+            r.sub_reports["n"] = edited
+        assert regen.report_fingerprint(spec) == whole
+        for r in reports:
+            r.constants.clear()
+            r.sub_reports.clear()
+        assert regen.report_fingerprint(spec) == whole
+        _clear_spec_caches()
+        assert regen.report_fingerprint(spec) == whole
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _ORDERING_REFUSED,
+            TorusProductSpec((5.2e31, 1.7e158, 3.2e263), 2),  # beta past the doubles
+            TorusProductSpec((1.0,), 2),  # one circle: no report
+        ],
+    )
+    def test_refusal_is_raised_again_and_never_stored(self, spec):
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(TorusIsoError) as refusal:
+                full_report(spec)
+            refusals.append((type(refusal.value), str(refusal.value)))
+        assert refusals[0] == refusals[1]
+        assert criticals._report.cache_info().currsize == 0
+
+    def test_each_cache_keeps_the_last_32_specs(self):
+        specs = list(_seeded_specs(31, 33))
+        assert len(set(specs)) == 33
+        for spec in specs:
+            full_report(spec)
+            envelope_piecewise(spec)
+            candidate_min_area(spec, 1.0)
+        caches = {cached.__name__: cached.cache_info() for cached in profiles._cached_builders}
+        assert set(caches) == {
+            "beta",
+            "circle_piecewise",
+            "slab_piecewise",
+            "_envelope_piecewise",
+            "_report",
+            "_candidate_table",
+        }
+        for name, info in caches.items():
+            assert info.maxsize == info.currsize == 32, name
+        # The oldest spec was evicted; the newest is served from the cache.
+        hits = criticals._report.cache_info().hits
+        full_report(specs[-1])
+        assert criticals._report.cache_info().hits == hits + 1
+        full_report(specs[0])
+        assert criticals._report.cache_info().hits == hits + 1
+
+    def test_cached_entry_points_stay_plain_functions(self):
+        # Tracers that wrap a module's functions skip lru_cache wrappers.
+        assert inspect.isfunction(criticals.full_report)
+        assert inspect.isfunction(profiles.envelope_piecewise)
+        assert inspect.isfunction(profiles.euclidean_piecewise)
+        assert inspect.isfunction(oracle.candidate_min_area)
+
+
 def test_a_n_meeting_v0_1_in_double_precision_is_refused():
     # The fixture spec whose a_n solve once ran out of doublings now gets a
     # report. Thresholds that meet in double precision are reported: the
@@ -278,9 +369,8 @@ def test_a_n_meeting_v0_1_in_double_precision_is_refused():
     assert crit.v0_1 < crit.a_n
     crit = full_report(TorusProductSpec((0.005789682520628809, 53.87644709258186), 5))
     assert crit.a_n == crit.v0_1
-    spec = TorusProductSpec((0.004511543985897641, 9.225445621467033), 5)
     with pytest.raises(ConsistencyError) as refusal:
-        full_report(spec)
+        full_report(_ORDERING_REFUSED)
     assert str(refusal.value) == (
         "expected v0_1 <= a_n: a_n = 26143878.35939773 is 12 ulps below "
         "v0_1 = 26143878.359397776 (n = 5, r2/r1 = 2044.85)"

@@ -20,6 +20,7 @@ from torusiso import (
     unit_ball_volume,
     unit_sphere_area,
 )
+from torusiso import profiles
 from torusiso.mensuration import (
     TWO_PI,
     CandidateRegion,
@@ -163,6 +164,43 @@ class TestProfileCaches:
             with pytest.raises(DomainError, match="slab area coefficient"):
                 slab_piecewise(spec)
         assert slab_piecewise.cache_info().currsize == stored
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(DomainError) as refusal:
+                envelope_piecewise(spec)
+            refusals.append(str(refusal.value))
+        assert refusals[0] == refusals[1]
+        assert profiles._envelope_piecewise.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TorusProductSpec((0.7,), 5),
+            TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 2),
+            TorusProductSpec((0.7, 1.9), 3),
+            TorusProductSpec((0.6, 1.1, 2.3), 2),
+            TorusProductSpec((1e-70, 1e-70), 2),
+        ],
+    )
+    def test_repeated_envelope_has_the_bits_of_a_fresh_build(self, spec):
+        # repr round-trips every float, and the envelope's pieces decide which
+        # rows values() gives from one segment.
+        def bits(profile):
+            return repr(profile), repr(profile._pieces)
+
+        first = envelope_piecewise(spec)
+        assert envelope_piecewise(spec) is first
+        for cached in profiles._cached_builders:
+            cached.cache_clear()
+        fresh = envelope_piecewise(spec)
+        assert fresh is not first and bits(fresh) == bits(first)
+
+    def test_euclidean_law_built_once_per_dimension(self):
+        for m in range(2, 10):
+            assert euclidean_piecewise(m) is euclidean_piecewise(m)
+        for bad in (3.0, True, 10):
+            with pytest.raises(GuardError):
+                euclidean_piecewise(bad)
 
 
 class TestEnvelopeRefusals:

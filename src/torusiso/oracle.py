@@ -77,10 +77,9 @@ def candidate_min_area(
 
 @profiles._profile_cache
 def _candidate_table(spec: TorusProductSpec) -> tuple:
-    # Per circle subset, candidate_min_area's factors of a volume's ball
-    # radius v ** (1/m) / (measure * b_m) ** (1/m) and of its boundary area
-    # (measure * m * b_m) * radius ** (m - 1), as region_boundary_area
-    # forms them: (indices, 1/m, (measure * b_m) ** (1/m), m - 1, measure * m * b_m).
+    # Per circle subset, the factors of candidate_min_area's ball radius
+    # v ** (1/m) / (measure * b_m) ** (1/m) and of region_boundary_area's
+    # (measure * m * b_m) * radius ** (m - 1), each formed as they form it.
     table = []
     for size in range(spec.circle_count + 1):
         for indices in itertools.combinations(range(spec.circle_count), size):

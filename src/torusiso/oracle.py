@@ -48,46 +48,25 @@ def candidate_min_area(
 
     Enumerates the 2^k subsets of circle factors, solves the ball radius
     from region volume = v, and measures each boundary through mensuration
-    only. A tie goes to the earlier subset.
+    only.
     """
     v = float(v)
     if not (v > 0.0) or not math.isfinite(v):
         raise DomainError(f"volume must be positive, got {v!r}")
-    low = sys.float_info.min
-    best = None
-    for indices, inv_m, root, exponent, factor in _candidate_table(spec):
-        # Root each factor apart: the quotient leaves the double range
-        # for tiny or huge tori long before the radius does.
-        radius = v**inv_m / root
-        try:
-            power = radius**exponent
-        except OverflowError:
-            power = math.inf
-        area = factor * power
-        # region_boundary_area's product, bit for bit, where all three are
-        # normal doubles; it takes every other case, and refuses a radius
-        # that is 0.0 or inf.
-        if not (low <= factor < math.inf and low <= power < math.inf and low <= area < math.inf):
-            area = region_boundary_area(spec, CandidateRegion(indices, radius))
-        if best is None or area < best[0]:
-            best = (area, indices, radius)
-    area, indices, radius = best
-    return area, CandidateRegion(indices, radius)
-
-
-@profiles._profile_cache
-def _candidate_table(spec: TorusProductSpec) -> tuple:
-    # Per circle subset, the factors of candidate_min_area's ball radius
-    # v ** (1/m) / (measure * b_m) ** (1/m) and of region_boundary_area's
-    # (measure * m * b_m) * radius ** (m - 1), each formed as they form it.
-    table = []
+    best: tuple[float, CandidateRegion] | None = None
     for size in range(spec.circle_count + 1):
         for indices in itertools.combinations(range(spec.circle_count), size):
             m = spec.circle_count - size + spec.euclid_dim
             measure = spec.torus_measure(indices)
-            b_m = unit_ball_volume(m)
-            table.append((indices, 1.0 / m, (measure * b_m) ** (1.0 / m), m - 1, measure * m * b_m))
-    return tuple(table)
+            # Root each factor apart: the quotient leaves the double range
+            # for tiny or huge tori long before the radius does.
+            radius = v ** (1.0 / m) / (measure * unit_ball_volume(m)) ** (1.0 / m)
+            region = CandidateRegion(indices, radius)
+            area = region_boundary_area(spec, region)
+            if best is None or area < best[0]:
+                best = (area, region)
+    assert best is not None
+    return best
 
 
 def gap_crossings(

@@ -91,15 +91,15 @@ _AREA_RANGE = (2.0 * sys.float_info.min, 0.5 * sys.float_info.max)
 EUCLIDEAN_DIM_RANGE = (2, 9)
 
 # The cache of beta, circle_piecewise, slab_piecewise and the per-spec
-# builders behind envelope_piecewise, criticals.full_report and the oracle's
-# candidate table. full_report on a three-circle spec builds 13 distinct
-# betas, circle profiles and slabs, and band then asks for some of them
-# again; a repeated band, bounds or profile call on one spec skips its solves
-# and its envelope build. Keys include argument types, so n = 3.0 is never
-# served the entry for n = 3 and still meets its guard; refusals raise, so
-# they are never stored. Each builder keeps at most 32 entries, which bounds
-# the memory, so a stream of distinct specs reuses nothing across specs.
-# Every cached builder is listed in _cached_builders.
+# builders behind envelope_piecewise and criticals.full_report. full_report
+# on a three-circle spec builds 13 distinct betas, circle profiles and slabs,
+# and band then asks for some of them again; a repeated band, bounds or
+# profile call on one spec skips its solves and its envelope build. Keys
+# include argument types, so n = 3.0 is never served the entry for n = 3 and
+# still meets its guard; refusals raise, so they are never stored. Each
+# builder keeps at most 32 entries, which bounds the memory, so a stream of
+# distinct specs reuses nothing across specs. Every cached builder is listed
+# in _cached_builders.
 _cached_builders = []
 
 
@@ -107,6 +107,7 @@ def _profile_cache(builder):
     cached = functools.lru_cache(maxsize=32, typed=True)(builder)
     _cached_builders.append(cached)
     return cached
+
 
 REGIME_BALL = "ball"
 REGIME_CYLINDER = "cylinder"

@@ -34,14 +34,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
-def _empty_spec_caches():
-    """Each test starts with every per-spec cache empty.
+def clear_spec_caches():
+    """Each test starts with every per-spec cache empty; returns the clearing step.
 
     No test then reads a report or profile another test cached, and a test
-    that patches a solver under full_report sees its patch.
+    that patches a solver under full_report sees its patch. A test that needs
+    the caches emptied again takes this fixture and calls it.
     """
-    for cached in profiles._cached_builders:
-        cached.cache_clear()
+
+    def clear():
+        for cached in profiles._cached_builders:
+            cached.cache_clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture

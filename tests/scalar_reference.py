@@ -12,16 +12,10 @@ rule written out: every candidate's own segment at v, the first minimal one
 kept. The CLI tables have per-row writers here, one format(x, ".17g") per
 float, that the block writer must match byte for byte.
 
-The oracle's candidate minimum has its reference here: every circle subset
-measured through region_boundary_area, one volume at a time, whose
-(area, region) candidate_min_area must return bit for bit.
-
 The threshold solver has its reference here too: the gap solved in every
 segment window, whose largest admissible root solve_piecewise_gap must
 return bit for bit.
 """
-
-import itertools
 
 from torusiso import (
     ConsistencyError,
@@ -31,12 +25,7 @@ from torusiso import (
     beta,
     solve_power_gap,
 )
-from torusiso.mensuration import (
-    TWO_PI,
-    CandidateRegion,
-    region_boundary_area,
-    unit_ball_volume,
-)
+from torusiso.mensuration import TWO_PI
 from torusiso.profiles import tube_area_coefficient
 
 
@@ -91,21 +80,6 @@ def first_minimal_segment(profile, v: float):
         value = seg.coeff * v**seg.exponent
         if best is None or value < area:
             best, area = seg, value
-    return best
-
-
-def candidate_min_area_loop(spec: TorusProductSpec, v: float):
-    """The smallest (area, region) over every circle subset, the first minimal one kept."""
-    best = None
-    for size in range(spec.circle_count + 1):
-        for indices in itertools.combinations(range(spec.circle_count), size):
-            m = spec.circle_count - size + spec.euclid_dim
-            measure = spec.torus_measure(indices)
-            radius = v ** (1.0 / m) / (measure * unit_ball_volume(m)) ** (1.0 / m)
-            region = CandidateRegion(indices, radius)
-            area = region_boundary_area(spec, region)
-            if best is None or area < best[0]:
-                best = (area, region)
     return best
 
 

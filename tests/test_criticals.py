@@ -14,7 +14,6 @@ from torusiso import (
     TorusIsoError,
     TorusProductSpec,
     beta,
-    candidate_min_area,
     circle_piecewise,
     envelope_piecewise,
     euclidean_piecewise,
@@ -25,7 +24,7 @@ from torusiso import (
     unit_ball_volume,
     verify_spec,
 )
-from torusiso import criticals, oracle, profiles
+from torusiso import criticals, profiles
 from torusiso.mensuration import EUCLID_DIM_RANGES
 from torusiso.oracle import bisect_verify, gap_crossings
 
@@ -273,11 +272,6 @@ class TestReportParity:
             assert report.sub_reports["n_plus_1"].spec == TorusProductSpec((r1, r2), n + 1)
 
 
-def _clear_spec_caches():
-    for cached in profiles._cached_builders:
-        cached.cache_clear()
-
-
 # The two-circle spec whose computed a_n lies 12 ulps below its v0_1.
 _ORDERING_REFUSED = TorusProductSpec((0.004511543985897641, 9.225445621467033), 5)
 
@@ -286,15 +280,15 @@ class TestReportCache:
     # full_report solves each spec once: every call gets its own dicts over
     # the shared records, and a refusal is raised again, never stored.
     @pytest.mark.parametrize("spec", [*_seeded_specs(23, 4), _ORDERING_REFUSED])
-    def test_repeated_report_has_the_bits_of_a_fresh_solve(self, spec):
+    def test_repeated_report_has_the_bits_of_a_fresh_solve(self, spec, clear_spec_caches):
         first, again = regen.report_fingerprint(spec), regen.report_fingerprint(spec)
-        _clear_spec_caches()
+        clear_spec_caches()
         assert first == again == regen.report_fingerprint(spec)
 
     @pytest.mark.parametrize(
         "spec", [TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((0.6, 1.1, 2.3), 2)]
     )
-    def test_edits_to_a_returned_report_never_reach_the_next(self, spec):
+    def test_edits_to_a_returned_report_never_reach_the_next(self, spec, clear_spec_caches):
         whole = regen.report_fingerprint(spec)
         edited = full_report(spec)
         reports = [edited, *edited.sub_reports.values()]
@@ -307,7 +301,7 @@ class TestReportCache:
             r.constants.clear()
             r.sub_reports.clear()
         assert regen.report_fingerprint(spec) == whole
-        _clear_spec_caches()
+        clear_spec_caches()
         assert regen.report_fingerprint(spec) == whole
 
     @pytest.mark.parametrize(
@@ -333,7 +327,6 @@ class TestReportCache:
         for spec in specs:
             full_report(spec)
             envelope_piecewise(spec)
-            candidate_min_area(spec, 1.0)
         caches = {cached.__name__: cached.cache_info() for cached in profiles._cached_builders}
         assert set(caches) == {
             "beta",
@@ -341,7 +334,6 @@ class TestReportCache:
             "slab_piecewise",
             "_envelope_piecewise",
             "_report",
-            "_candidate_table",
         }
         for name, info in caches.items():
             assert info.maxsize == info.currsize == 32, name
@@ -357,7 +349,6 @@ class TestReportCache:
         assert inspect.isfunction(criticals.full_report)
         assert inspect.isfunction(profiles.envelope_piecewise)
         assert inspect.isfunction(profiles.euclidean_piecewise)
-        assert inspect.isfunction(oracle.candidate_min_area)
 
 
 def test_a_n_meeting_v0_1_in_double_precision_is_refused():

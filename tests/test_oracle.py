@@ -19,7 +19,6 @@ from torusiso import oracle
 from torusiso.oracle import bisect_verify, gap_crossings
 
 from grids import log_grid
-from scalar_reference import candidate_min_area_loop
 from refvalues import BETA_2_SQ, EUCLID4_AT_1, SQRT_PI_RADIUS, THETA_EXAMPLE, VDSTAR_EXAMPLE
 
 
@@ -98,42 +97,6 @@ class TestCandidateMinArea:
             v = 10.0**e
             area, _ = candidate_min_area(spec, v)
             assert rel(area, envelope(v)) < 1e-12, v
-
-
-    @pytest.mark.parametrize(
-        "radii, n, refusals",
-        [
-            ((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 2, set()),
-            ((0.7, 1.9), 3, set()),
-            ((0.6, 1.1, 2.3), 2, set()),
-            ((1.0,), 4, set()),
-            ((1e-70, 1e-70), 2, set()),
-            ((2.449358874805687e-34, 1.1311864152620641e275), 5, set()),
-            # The slab's ball radius overflows near v = 1e300.
-            ((1e-160, 1e-160), 2, {"ball radius must be positive, got inf"}),
-            # A two-circle measure overflows, so that candidate's radius is 0.0.
-            ((1e-150, 1e150, 1e200), 2, {"ball radius must be positive, got 0.0"}),
-        ],
-    )
-    def test_candidate_table_gives_the_bits_of_the_subset_loop(self, radii, n, refusals):
-        # The per-spec table and the loop over region_boundary_area give the
-        # same (area, region) at every volume, or the same refusal.
-        def outcome(function, spec, v):
-            try:
-                area, region = function(spec, v)
-            except DomainError as refusal:
-                return str(refusal)
-            return area.hex(), region.circle_indices, region.ball_radius.hex()
-
-        spec = TorusProductSpec(radii, n)
-        refused = set()
-        for e in range(-300, 301, 3):
-            for v in (10.0**e, 3.7 * 10.0 ** (e - 1)):
-                expected = outcome(candidate_min_area_loop, spec, v)
-                assert outcome(candidate_min_area, spec, v) == expected, v
-                if isinstance(expected, str):
-                    refused.add(expected)
-        assert refused == refusals
 
 
 class TestCrossingScan:

@@ -182,7 +182,7 @@ class TestProfileCaches:
             TorusProductSpec((1e-70, 1e-70), 2),
         ],
     )
-    def test_repeated_envelope_has_the_bits_of_a_fresh_build(self, spec):
+    def test_repeated_envelope_has_the_bits_of_a_fresh_build(self, spec, clear_spec_caches):
         # repr round-trips every float, and the envelope's pieces decide which
         # rows values() gives from one segment.
         def bits(profile):
@@ -190,8 +190,7 @@ class TestProfileCaches:
 
         first = envelope_piecewise(spec)
         assert envelope_piecewise(spec) is first
-        for cached in profiles._cached_builders:
-            cached.cache_clear()
+        clear_spec_caches()
         fresh = envelope_piecewise(spec)
         assert fresh is not first and bits(fresh) == bits(first)
 

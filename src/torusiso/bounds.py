@@ -17,6 +17,7 @@ does not exceed the upper envelope.
 
 from __future__ import annotations
 
+import io
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -26,7 +27,7 @@ from operator import attrgetter, gt
 from .criticals import CriticalReport, full_report
 from .errors import CurveParseError, DomainError
 from .mensuration import TorusProductSpec
-from .profiles import beta, circle_piecewise, envelope_piecewise
+from .profiles import _profile_cache, beta, circle_piecewise, envelope_piecewise
 from .records import record
 
 # Relative slack within which a lower bound above the envelope is taken as
@@ -136,21 +137,38 @@ def read_curve(path) -> TabulatedCurve:
 
     Expected layout: comment lines ``# label: <text>`` and
     ``# certified_lower_bound: yes``, then the header ``v,area``, then the
-    strictly-increasing data rows. The reader checks only this syntax; the
-    samples are checked once, by TabulatedCurve, after the whole file is
-    read, so a syntax or declaration fault anywhere wins over a bad sample.
+    strictly-increasing data rows. The file is read on every call, so a
+    missing, unreadable or edited file is seen at once; its text is parsed
+    once per content (see _parse_curve).
+    """
+    try:
+        # utf-8-sig drops the byte order mark that spreadsheet exports put first.
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CurveParseError(f"cannot read curve file {str(path)!r}: {exc}") from exc
+    return _parse_curve(text)
+
+
+@_profile_cache
+def _parse_curve(text: str) -> TabulatedCurve:
+    """The curve a decoded file's text holds, built once per text.
+
+    The reader checks only the syntax; the samples are checked once, by
+    TabulatedCurve, after the whole text is read, so a syntax or declaration
+    fault anywhere wins over a bad sample. The key is the exact text, so any
+    edit is parsed again; refusals raise and are never stored, and a hit
+    returns the shared curve, which is immutable.
     """
     label = ""
     certified = False
     header_seen = False
     points: list[tuple[float, float]] = []
     line_nos: list[int] = []  # the line each point was read from
-    try:
-        # utf-8-sig drops the byte order mark that spreadsheet exports put first.
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CurveParseError(f"cannot read curve file {str(path)!r}: {exc}") from exc
+    # The lines handle.readlines() gives: split at "\n" only, where
+    # str.splitlines() would also split at form feeds and other separators
+    # and shift the line numbers of later faults.
+    lines = io.StringIO(text).readlines()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:

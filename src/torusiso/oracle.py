@@ -60,7 +60,13 @@ def candidate_min_area(
             measure = spec.torus_measure(indices)
             # Root each factor apart: the quotient leaves the double range
             # for tiny or huge tori long before the radius does.
-            radius = v ** (1.0 / m) / (measure * unit_ball_volume(m)) ** (1.0 / m)
+            scale = (measure * unit_ball_volume(m)) ** (1.0 / m)
+            if scale == 0.0:
+                raise DomainError(
+                    f"circle subset {indices}: its measure times the unit "
+                    f"{m}-ball volume underflows to 0.0 (measure {measure!r}, m = {m})"
+                )
+            radius = v ** (1.0 / m) / scale
             region = CandidateRegion(indices, radius)
             area = region_boundary_area(spec, region)
             if best is None or area < best[0]:

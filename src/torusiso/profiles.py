@@ -90,16 +90,18 @@ _AREA_RANGE = (2.0 * sys.float_info.min, 0.5 * sys.float_info.max)
 # Euclidean profile dimensions accepted.
 EUCLIDEAN_DIM_RANGE = (2, 9)
 
-# The cache of beta, circle_piecewise, slab_piecewise and the per-spec
-# builders behind envelope_piecewise and criticals.full_report. full_report
+# The cache of beta, circle_piecewise, slab_piecewise, the per-spec
+# builders behind envelope_piecewise and criticals.full_report, and
+# bounds._parse_curve, which builds a curve once per file text. full_report
 # on a three-circle spec builds 13 distinct betas, circle profiles and slabs,
 # and band then asks for some of them again; a repeated band, bounds or
-# profile call on one spec skips its solves and its envelope build. Keys
-# include argument types, so n = 3.0 is never served the entry for n = 3 and
-# still meets its guard; refusals raise, so they are never stored. Each
-# builder keeps at most 32 entries, which bounds the memory, so a stream of
-# distinct specs reuses nothing across specs. Every cached builder is listed
-# in _cached_builders.
+# profile call on one spec skips its solves and its envelope build, and a
+# curve file read again with the same content skips its parse. Keys include
+# argument types, so n = 3.0 is never served the entry for n = 3 and still
+# meets its guard; refusals raise, so they are never stored. Each builder
+# keeps at most 32 entries, which bounds the memory, so a stream of distinct
+# specs reuses nothing across specs. Every cached builder is listed in
+# _cached_builders.
 _cached_builders = []
 
 

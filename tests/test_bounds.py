@@ -454,10 +454,9 @@ class TestCurveFile:
         assert err.value.line_no == 6
         assert str(err.value) == "line 6: could not parse numbers from '6.0,seven'"
 
-    def test_samples_checked_once_and_only_by_the_curve(self, tmp_path, monkeypatch):
-        rng = random.Random(7)
-        path = tmp_path / "curve.csv"
-        path.write_text(self.curve_text(rng, self.valid_rows(rng, 500))[0])
+    @staticmethod
+    def count_checks(monkeypatch):
+        """The point count of every TabulatedCurve built from now on."""
         checked = []
         check = TabulatedCurve.__new__
 
@@ -466,6 +465,13 @@ class TestCurveFile:
             return check(cls, points, label)
 
         monkeypatch.setattr(TabulatedCurve, "__new__", counted)
+        return checked
+
+    def test_samples_checked_once_and_only_by_the_curve(self, tmp_path, monkeypatch):
+        rng = random.Random(7)
+        path = tmp_path / "curve.csv"
+        path.write_text(self.curve_text(rng, self.valid_rows(rng, 500))[0])
+        checked = self.count_checks(monkeypatch)
         assert len(read_curve(path).points) == 500
         assert checked == [500]
         # With the curve's check switched off a bad sample gets through:
@@ -477,6 +483,55 @@ class TestCurveFile:
         path.write_text("# certified_lower_bound: yes\nv,area\n2.0,1.0\n1.0,nan\n")
         first, second = read_curve(path).points
         assert first == (2.0, 1.0) and second[0] == 1.0 and math.isnan(second[1])
+
+    def test_rewritten_file_gives_the_new_curve(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(self.GOOD)
+        assert read_curve(path).points[1] == (2.5, 3.5)
+        path.write_text(self.GOOD.replace("2.5,3.5", "2.5,3.25"))
+        assert read_curve(path).points[1] == (2.5, 3.25)
+
+    def test_same_bytes_in_two_files_are_parsed_once(self, tmp_path, monkeypatch):
+        rng = random.Random(11)
+        text = self.curve_text(rng, self.valid_rows(rng, 200))[0]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(text)
+        second.write_text(text)
+        checked = self.count_checks(monkeypatch)
+        assert read_curve(first) == read_curve(second)
+        assert checked == [200]
+
+    def test_refused_file_is_refused_again_and_never_stored(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("# certified_lower_bound: yes\nv,area\n1.0,2.0\n1.0,3.0\n")
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(CurveParseError) as err:
+                read_curve(path)
+            refusals.append((str(err.value), err.value.line_no))
+        assert refusals == [("line 4: volumes must be strictly increasing", 4)] * 2
+        assert bounds_mod._parse_curve.cache_info().currsize == 0
+
+    def test_deleted_file_is_not_served_from_the_cache(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(self.GOOD)
+        read_curve(path)
+        path.unlink()
+        with pytest.raises(CurveParseError, match="cannot read curve file"):
+            read_curve(path)
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028", "\x0b", "\x1c", "\x85"])
+    def test_line_numbers_count_newlines_only(self, tmp_path, separator):
+        # str.splitlines() would also split the comment, and name line 6.
+        path = tmp_path / "curve.csv"
+        path.write_text(
+            f"# certified_lower_bound: yes\n# a{separator}note\nv,area\n1.0,2.0\n1.0,3.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CurveParseError) as err:
+            read_curve(path)
+        assert str(err.value) == "line 5: volumes must be strictly increasing"
+        assert err.value.line_no == 5
 
     def test_curve_validation(self):
         with pytest.raises(DomainError):

@@ -24,7 +24,7 @@ from torusiso import (
     unit_ball_volume,
     verify_spec,
 )
-from torusiso import criticals, profiles
+from torusiso import bounds, criticals, profiles
 from torusiso.mensuration import EUCLID_DIM_RANGES
 from torusiso.oracle import bisect_verify, gap_crossings
 
@@ -327,6 +327,13 @@ class TestReportCache:
         for spec in specs:
             full_report(spec)
             envelope_piecewise(spec)
+        # 33 distinct curve texts for the curve builder, which is keyed on them.
+        texts = [
+            f"# certified_lower_bound: yes\nv,area\n1.0,{i + 1}.0\n2.0,{i + 2}.0\n"
+            for i in range(33)
+        ]
+        for text in texts:
+            bounds._parse_curve(text)
         caches = {cached.__name__: cached.cache_info() for cached in profiles._cached_builders}
         assert set(caches) == {
             "beta",
@@ -334,15 +341,20 @@ class TestReportCache:
             "slab_piecewise",
             "_envelope_piecewise",
             "_report",
+            "_parse_curve",
         }
         for name, info in caches.items():
             assert info.maxsize == info.currsize == 32, name
-        # The oldest spec was evicted; the newest is served from the cache.
-        hits = criticals._report.cache_info().hits
-        full_report(specs[-1])
-        assert criticals._report.cache_info().hits == hits + 1
-        full_report(specs[0])
-        assert criticals._report.cache_info().hits == hits + 1
+        # The oldest spec and text were evicted; the newest are served from the cache.
+        for cached, call, keys in (
+            (criticals._report, full_report, specs),
+            (bounds._parse_curve, bounds._parse_curve, texts),
+        ):
+            hits = cached.cache_info().hits
+            call(keys[-1])
+            assert cached.cache_info().hits == hits + 1
+            call(keys[0])
+            assert cached.cache_info().hits == hits + 1
 
     def test_cached_entry_points_stay_plain_functions(self):
         # Tracers that wrap a module's functions skip lru_cache wrappers.

@@ -87,6 +87,19 @@ class TestCandidateMinArea:
         with pytest.raises(DomainError):
             candidate_min_area(example_spec, 0.0)
 
+    def test_subset_measure_that_underflows_is_refused(self):
+        # The measure of both circles, 4 pi^2 1e-400, underflows to 0.0, which
+        # once ended in a bare ZeroDivisionError.
+        with pytest.raises(DomainError) as refusal:
+            candidate_min_area(TorusProductSpec((1e-200, 1e-200), 2), 1.0)
+        assert str(refusal.value) == (
+            "circle subset (0, 1): its measure times the unit 2-ball volume "
+            "underflows to 0.0 (measure 0.0, m = 2)"
+        )
+        # One circle of that size still has a measure, and an answer.
+        area, region = candidate_min_area(TorusProductSpec((1e-200, 1.0), 2), 1.0)
+        assert region.circle_indices == (0, 1) and 0.0 < area < math.inf
+
     @pytest.mark.parametrize("radii", [(1e-70, 1e-70), (1e40, 1e40)])
     def test_extreme_tori_over_the_double_range(self, radii):
         # The ball radius stays a normal double even where the volume over

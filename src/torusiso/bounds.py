@@ -96,7 +96,19 @@ class TabulatedCurve(record("TabulatedCurve", "points label")):
         self = tuple.__new__(cls, (tuple(zip(volumes, areas)), label))
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "areas", areas)
+        # The curve is immutable, so its hash, a walk over every sample,
+        # is taken once; _slope_table's cache hashes it on every lookup.
+        object.__setattr__(self, "_hash", tuple.__hash__(self))
         return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Copies and unpickled curves are built through __new__, so the hash
+        # is the current process's: a stored one would follow the string
+        # hashing of the process that pickled the label.
+        return type(self), tuple(self)
 
 
 class BandRow(record("BandRow", "v upper lower upper_regime lower_source")):
@@ -268,12 +280,11 @@ def _tangents(
     over the admissible samples. That line is ``a0 + (v - v0) * s`` with
     slope ``s = (c - a0) / (w - v0)``, so the best sample is the one of the
     largest slope (left) or the smallest (right). The admissible samples of a
-    row are a suffix (left) or a prefix (right) of the curve, so one pass
-    from the far end records, after each sample, the best signed slope, the
-    second best and the best's index. A row takes its best sample's value
-    where the gap between the two slopes, times ``|v - v0|``, exceeds the
-    rounding margin (_SCAN_MARGIN), and the exact maximum over its samples
-    elsewhere.
+    row are the first k of _slope_table's scan, whose entry k holds the best
+    signed slope, the second best and the best's index. A row takes its best
+    sample's value where the gap between the two slopes, times ``|v - v0|``,
+    exceeds the rounding margin (_SCAN_MARGIN) at the scale of the rows'
+    own samples, and the exact maximum over its samples elsewhere.
     """
     v0, a0 = anchor
     ws, cs = curve.volumes, curve.areas
@@ -283,27 +294,16 @@ def _tangents(
     if left:
         counts = [len(ws) - bisect_left(ws, v) for v in volumes]
         lo, hi = len(ws) - max(counts, default=0), len(ws)
-        scan = range(hi - 1, lo - 1, -1)
     else:
         counts = [bisect_right(ws, v) for v in volumes]
         lo, hi = 0, max(counts, default=0)
-        scan = range(lo, hi)
     if lo == hi:
         return [None] * len(counts)
+    tops = _slope_table(v0, a0, left, curve)
     # Negating a quotient or a difference is exact, so a right anchor's
     # signed slope (a0 - c) / (w - v0) and distance v0 - v are the left
     # formulas' negations, bit for bit.
     sign = 1.0 if left else -1.0
-    best = second = -math.inf
-    index = -1
-    tops = [(best, second, index)]  # after 0, 1, 2, ... samples of the scan
-    for i in scan:
-        slope = sign * (cs[i] - a0) / (ws[i] - v0)
-        if slope > best:
-            best, second, index = slope, best, i
-        elif slope > second:
-            second = slope
-        tops.append((best, second, index))
 
     areas = cs[lo:hi]
     scale = max(a0, max(areas))
@@ -324,6 +324,38 @@ def _tangents(
             samples = zip(ws[first:stop], cs[first:stop])
             values.append(max([c + (a0 - c) * (v - w) / (v0 - w) for w, c in samples]))
     return values
+
+
+@_profile_cache
+def _slope_table(
+    v0: float, a0: float, left: bool, curve: TabulatedCurve
+) -> tuple[tuple[float, float, int], ...]:
+    """The tangent scan of a curve from the anchor (v0, a0), built once per anchor and curve.
+
+    The scan covers every sample strictly beyond the anchor on its far side:
+    down from the last sample (left) or up from the first (right). Entry k
+    is ``(best, second, index)`` after its first k samples: the best signed
+    slope, the second best and the best's index, with ``(-inf, -inf, -1)``
+    before any. Entry k depends on those k samples alone, never on how far
+    the scan runs, so one table serves the rows of any grid.
+    """
+    ws, cs = curve.volumes, curve.areas
+    if left:
+        scan = range(len(ws) - 1, bisect_right(ws, v0) - 1, -1)
+    else:
+        scan = range(bisect_left(ws, v0))
+    sign = 1.0 if left else -1.0  # _tangents' signed slopes: the best is the largest
+    best = second = -math.inf
+    index = -1
+    tops = [(best, second, index)]
+    for i in scan:
+        slope = sign * (cs[i] - a0) / (ws[i] - v0)
+        if slope > best:
+            best, second, index = slope, best, i
+        elif slope > second:
+            second = slope
+        tops.append((best, second, index))
+    return tuple(tops)
 
 
 def _offsets(spec: TorusProductSpec, grid: list[float]) -> list[float]:

@@ -13,8 +13,11 @@ both have closed-form brackets. One loop (_ulp_root) solves them: Newton
 and secant steps in log x, safeguarded by bisecting the bit patterns of the
 bracket. It ends on two adjacent doubles whose computed residuals change
 sign and returns the one with the smaller |residual|, so a root depends on
-its equation alone, not on a tolerance, a budget or the path to the
-bracket.
+no tolerance or budget. It does depend on the bracket and on the fixed
+step rule: near a root the computed residual can change sign more than
+once within a few doubles, and the steps decide which change the loop
+lands on. Any change to a bracket or to the step rule can move roots by
+ulps and so change output bytes.
 
 Residuals are checked against the equation's own terms: the larger of |b|
 and the leading power term at the root. For a gap equation the two power

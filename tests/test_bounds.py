@@ -1,4 +1,7 @@
+import copy
 import math
+import os
+import pickle
 import random
 import tracemalloc
 
@@ -17,6 +20,7 @@ from torusiso import (
     beta,
     candidate_min_area,
     circle_piecewise,
+    envelope_piecewise,
     full_report,
     read_curve,
     scp_piecewise,
@@ -139,6 +143,89 @@ class TestTangentBound:
         assert row == band_row(example_spec, example_report, 5.0)
         assert row.lower_source == "chord"
         assert row.lower == bounds_mod._chord(lo_anchor, hi_anchor, 5.0)
+
+
+class TestSlopeTable:
+    """The tangent scans cached per anchor and curve (bounds._slope_table)."""
+
+    @staticmethod
+    def band_and_tangents(spec, report, curve, grid):
+        """The band, and both anchors' _tangents over its inside rows as band scans them."""
+        envelope = envelope_piecewise(spec)
+        v_lo, v_hi = report.v_star, report.v_dstar
+        inside = [v for v in grid if v_lo < v < v_hi]
+        return (
+            band(spec, grid, [curve], report=report),
+            bounds_mod._tangents((v_lo, envelope(v_lo)), "left", curve, inside),
+            bounds_mod._tangents((v_hi, envelope(v_hi)), "right", curve, inside),
+        )
+
+    def cold(self, clear_spec_caches, spec, curve, grid):
+        """band_and_tangents from empty caches."""
+        clear_spec_caches()
+        return self.band_and_tangents(spec, full_report(spec), curve, grid)
+
+    def test_a_second_grid_has_the_bits_of_a_cold_band(self, example_spec, clear_spec_caches):
+        report = full_report(example_spec)
+        v_lo, v_hi = report.v_star, report.v_dstar
+        envelope = envelope_piecewise(example_spec)
+        ws = log_grid(v_lo * 1.5, v_hi / 1.5, 60)
+        curve = TabulatedCurve(tuple((w, 0.98 * envelope(w)) for w in ws))
+        # The narrow grid comes first, so the wide one needs entries that
+        # no row of the first asked for. The wide grid has rows on samples
+        # and rows past the samples on either side, which get None.
+        narrow = log_grid(ws[20], ws[40], 25)
+        wide = sorted({*log_grid(v_lo / 2.0, v_hi * 2.0, 80), *ws[::7]})
+        assert set(ws) & set(wide)
+        grids = (narrow, wide)
+        warm = [self.band_and_tangents(example_spec, report, curve, grid) for grid in grids]
+        info = bounds_mod._slope_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+        wide_band, left, right = warm[1]
+        assert left[-1] is None and right[0] is None
+        assert left[0] is not None and right[-1] is not None
+        assert {"tangent-left", "tangent-right"} <= set(wide_band.lower_source)
+        for grid, hot in zip(grids, warm):
+            assert repr(hot) == repr(self.cold(clear_spec_caches, example_spec, curve, grid))
+
+    def test_one_curve_under_two_specs_gets_a_table_per_anchor(self, clear_spec_caches):
+        specs = (TorusProductSpec((1.0, 1.3), 2), TorusProductSpec((1.2, 1.3), 2))
+        reports = [full_report(spec) for spec in specs]
+        lo = min(report.v_star for report in reports)
+        hi = max(report.v_dstar for report in reports)
+        envelopes = [envelope_piecewise(spec) for spec in specs]
+        curve = TabulatedCurve(
+            tuple((w, 0.5 * min(e(w) for e in envelopes)) for w in log_grid(lo, hi, 90))
+        )
+        grid = log_grid(lo, hi, 70)
+        warm = [
+            self.band_and_tangents(spec, report, curve, grid)
+            for spec, report in zip(specs, reports)
+        ]
+        assert bounds_mod._slope_table.cache_info().currsize == 4
+        for spec, hot in zip(specs, warm):
+            assert repr(hot) == repr(self.cold(clear_spec_caches, spec, curve, grid))
+
+    def test_curve_hash_is_the_field_tuples(self, fresh_python, monkeypatch):
+        points = tuple((1.0 + i, 2.0 + i / 3.0) for i in range(50))
+        curve = TabulatedCurve(points, "label")
+        assert hash(curve) == tuple.__hash__(curve)
+        assert hash(TabulatedCurve(list(points), "label")) == hash(curve)
+        for twin in (copy.copy(curve), copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+            assert twin == curve
+            assert hash(twin) == tuple.__hash__(twin) == hash(curve)
+        # A curve pickled where strings hash otherwise hashes as this process's.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        payload = fresh_python(
+            "import pickle, sys\n"
+            "from torusiso import TabulatedCurve\n"
+            f"curve = TabulatedCurve({points!r}, 'label')\n"
+            "sys.stdout.write(pickle.dumps(curve).hex())\n"
+        )
+        loaded = pickle.loads(bytes.fromhex(payload))
+        assert loaded == curve
+        assert hash(loaded) == tuple.__hash__(loaded) == hash(curve)
 
 
 class TestCylinderOffsetBound:

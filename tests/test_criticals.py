@@ -334,6 +334,11 @@ class TestReportCache:
         ]
         for text in texts:
             bounds._parse_curve(text)
+        # 33 distinct anchors for the slope tables, which are keyed on them.
+        curve = bounds.TabulatedCurve(((1.0, 1.0), (2.0, 2.0)))
+        anchors = [(0.5 - i / 100.0, 1.0, True, curve) for i in range(33)]
+        for anchor in anchors:
+            bounds._slope_table(*anchor)
         caches = {cached.__name__: cached.cache_info() for cached in profiles._cached_builders}
         assert set(caches) == {
             "beta",
@@ -342,13 +347,16 @@ class TestReportCache:
             "_envelope_piecewise",
             "_report",
             "_parse_curve",
+            "_slope_table",
         }
         for name, info in caches.items():
             assert info.maxsize == info.currsize == 32, name
-        # The oldest spec and text were evicted; the newest are served from the cache.
+        # The oldest spec, text and anchor were evicted; the newest are served
+        # from the cache.
         for cached, call, keys in (
             (criticals._report, full_report, specs),
             (bounds._parse_curve, bounds._parse_curve, texts),
+            (bounds._slope_table, lambda anchor: bounds._slope_table(*anchor), anchors),
         ):
             hits = cached.cache_info().hits
             call(keys[-1])

@@ -39,7 +39,6 @@ _EXPORTS = {
     "envelope_piecewise": "profiles",
     "euclidean_piecewise": "profiles",
     "minimum_envelope": "profiles",
-    "scp_piecewise": "profiles",
     "slab_piecewise": "profiles",
     "RootResult": "roots",
     "solve_balance": "roots",

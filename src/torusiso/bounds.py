@@ -177,11 +177,10 @@ def _parse_curve(text: str) -> TabulatedCurve:
     header_seen = False
     points: list[tuple[float, float]] = []
     line_nos: list[int] = []  # the line each point was read from
-    # The lines handle.readlines() gives: split at "\n" only, where
+    # The lines a file handle gives: split at "\n" only, where
     # str.splitlines() would also split at form feeds and other separators
     # and shift the line numbers of later faults.
-    lines = io.StringIO(text).readlines()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -204,12 +203,6 @@ def _parse_curve(text: str) -> TabulatedCurve:
                     f"line {line_no}: expected header 'v,area', got {line!r}", line_no
                 )
             header_seen = True
-            # The usual file has nothing but data rows after its header:
-            # parse them all at once, and fall back to the loop otherwise.
-            rows = _data_rows(lines[line_no:])
-            if rows is not None:
-                points, line_nos = rows, list(range(line_no + 1, len(lines) + 1))
-                break
             continue
         parts = line.split(",")
         if len(parts) != 2:
@@ -237,18 +230,6 @@ def _parse_curve(text: str) -> TabulatedCurve:
             raise CurveParseError(str(exc), None) from exc
         line_no = line_nos[int(where.removeprefix("point "))]
         raise CurveParseError(f"line {line_no}: {problem}", line_no) from exc
-
-
-def _data_rows(lines: list[str]) -> list[tuple[float, float]] | None:
-    """Every line as a 'v,area' row of two floats, or None if one is not.
-
-    float() ignores the whitespace str.strip() removes, so each row has the
-    value read_curve's loop gives it.
-    """
-    try:
-        return [(float(v), float(a)) for v, a in (line.split(",") for line in lines)]
-    except ValueError:  # a blank or comment line, a field count other than 2, a non-number
-        return None
 
 
 def _thresholds(report: CriticalReport) -> tuple[float, float]:
@@ -386,6 +367,8 @@ def band(
     Upper is the candidate envelope (exact outside the open threshold
     interval). Lower is the best of chord, tangent-to-curve and offset
     sources inside the interval, and equals the upper value outside it.
+    ``report``, when given, must be the spec's own: another spec's
+    thresholds would give invalid lower bounds.
     """
     curves = tuple(curves or ())
     grid = [float(v) for v in grid]
@@ -396,6 +379,8 @@ def band(
         raise DomainError("grid volumes must be sorted ascending")
     if report is None:
         report = full_report(spec)
+    elif report.spec != spec:
+        raise DomainError(f"band for {spec} was given the report of {report.spec}")
     v_lo, v_hi = _thresholds(report)
     envelope = envelope_piecewise(spec)
     lo_anchor = (v_lo, envelope(v_lo))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import struct
+from types import MappingProxyType
 
 from .errors import ConsistencyError, DomainError, GuardError
 from .mensuration import TWO_PI, TorusProductSpec, unit_ball_volume
@@ -68,14 +69,24 @@ class CriticalReport(record("CriticalReport", "spec kind constants sub_reports")
 
     ``kind`` is "two-torus" or "three-torus"; ``constants`` maps names to
     ConstantRecords, and ``report.name`` is ``report.constants[name].value``;
-    ``sub_reports`` maps keys to nested reports (by default a new empty dict).
+    ``sub_reports`` maps keys to nested reports (by default none). Both are
+    read-only views of copies of the given mappings, so a report can be
+    shared: a caller's later edits of its own dicts never reach it, and an
+    edit through the report raises TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, spec, kind, constants, sub_reports=None):
-        sub_reports = {} if sub_reports is None else sub_reports
+        constants = MappingProxyType(dict(constants))
+        sub_reports = MappingProxyType(dict(sub_reports or {}))
         return tuple.__new__(cls, (spec, kind, constants, sub_reports))
+
+    def __reduce__(self):
+        # A read-only view cannot be pickled: copies and unpickled reports
+        # are built through __new__ from plain dicts.
+        spec, kind, constants, sub_reports = self
+        return type(self), (spec, kind, dict(constants), dict(sub_reports))
 
     def __getattr__(self, name):
         try:
@@ -299,17 +310,11 @@ def full_report(spec: TorusProductSpec) -> CriticalReport:
     reported value (0.0 for a constant evaluated from its formula), and the
     active profile branch where one is meaningful.
 
-    The report is solved once per spec (see profiles._profile_cache). Each
-    call returns new ``constants`` and ``sub_reports`` dicts over the shared,
-    immutable ConstantRecords, so a caller's edits never reach the next one.
+    The report is solved once per spec (see profiles._profile_cache), and
+    every call returns that one report: it is read-only, sub-reports
+    included, so no caller's edit can reach another.
     """
-    return _fresh(_report(spec))
-
-
-def _fresh(report: CriticalReport) -> CriticalReport:
-    # The report over new dicts, its sub-reports' included.
-    subs = {key: _fresh(sub) for key, sub in report.sub_reports.items()}
-    return CriticalReport(report.spec, report.kind, dict(report.constants), subs)
+    return _report(spec)
 
 
 @_profile_cache

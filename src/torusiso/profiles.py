@@ -554,29 +554,18 @@ def _retag(profile: PiecewiseProfile, regime: str) -> PiecewiseProfile:
     return PiecewiseProfile(tuple(s._replace(regime=regime) for s in profile.segments))
 
 
-def scp_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
-    """Spheres-cylinders-planes envelope for a two-circle product.
-
-    The minimum of the smallest-circle product profile and the slab
-    profile, ties going to the circle-product branch. This is the
-    conjectured isoperimetric profile and a proven upper bound everywhere;
-    the criticals pipeline certifies where it is exact.
-    """
-    if spec.circle_count != 2:
-        raise GuardError(f"scp_piecewise needs exactly 2 circle factors, got {spec.circle_count}")
-    n = spec.euclid_dim
-    curves = [circle_piecewise(n + 1, spec.radii[0]), slab_piecewise(spec)]
-    return minimum_envelope(curves, spec)
-
-
 def envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
     """Candidate-family envelope for one, two or three circle factors.
 
-    k = 1 is the known circle-product profile; k = 2 the scp envelope;
-    k = 3 the minimum over one-circle cylinders, two-circle slabs one
-    dimension up (tagged "slab2") and the full three-circle slab. Built once
-    per spec (see _profile_cache); the profile is immutable, so every caller
-    shares it.
+    k = 1 is the known circle-product profile. k = 2 is the
+    spheres-cylinders-planes envelope: the minimum of the smallest-circle
+    product profile and the slab profile, ties going to the circle-product
+    branch. k = 3 is the minimum over one-circle cylinders, two-circle slabs
+    one dimension up (tagged "slab2") and the full three-circle slab. For
+    k >= 2 the envelope is the conjectured isoperimetric profile and a proven
+    upper bound everywhere; the criticals pipeline certifies where it is
+    exact. Built once per spec (see _profile_cache); the profile is
+    immutable, so every caller shares it.
     """
     return _envelope_piecewise(spec)
 
@@ -588,7 +577,8 @@ def _envelope_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
     if k == 1:
         return circle_piecewise(n, spec.radii[0])
     if k == 2:
-        return scp_piecewise(spec)
+        circle = circle_piecewise(n + 1, spec.radii[0])
+        return minimum_envelope([circle, slab_piecewise(spec)], spec)
     r1, r2, _ = spec.radii
     two_up = TorusProductSpec((r1, r2), n + 1)
     return minimum_envelope(

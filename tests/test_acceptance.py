@@ -15,8 +15,8 @@ from torusiso import (
     beta,
     candidate_min_area,
     circle_piecewise,
+    envelope_piecewise,
     full_report,
-    scp_piecewise,
     slab_piecewise,
     solve_power_gap,
     verify_report,
@@ -133,7 +133,7 @@ def test_criterion_6_profile_oracle_equality():
     ok = True
     for spec in random_two_circle_specs(10, seed=404):
         for v in log_grid(1e-3, 1e6, 200):
-            closed = scp_piecewise(spec)(v)
+            closed = envelope_piecewise(spec)(v)
             brute, _ = candidate_min_area(spec, v)
             ok = ok and rel(closed, brute) <= 1e-9
     report_line(6, "envelope equals brute-force oracle", ok)
@@ -149,7 +149,7 @@ def test_criterion_7_band_validity():
         for row in result.rows:
             ok = ok and row.lower <= row.upper
             if row.v <= crit.v_star or row.v >= crit.v_dstar:
-                exact = scp_piecewise(spec)(row.v)
+                exact = envelope_piecewise(spec)(row.v)
                 ok = ok and rel(row.lower, exact) <= 1e-12
                 ok = ok and rel(row.upper, exact) <= 1e-12
     report_line(7, "band validity and exactness regions", ok)

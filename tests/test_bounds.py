@@ -23,7 +23,6 @@ from torusiso import (
     envelope_piecewise,
     full_report,
     read_curve,
-    scp_piecewise,
     slab_piecewise,
 )
 from torusiso import bounds as bounds_mod
@@ -53,7 +52,7 @@ def band_row(spec, report, v, curves=None):
 
 def anchors(spec, report):
     """The exactly-known (volume, area) points at both thresholds."""
-    envelope = scp_piecewise(spec)
+    envelope = envelope_piecewise(spec)
     return tuple((v, envelope(v)) for v in (report.v_star, report.v_dstar))
 
 
@@ -104,7 +103,7 @@ class TestTangentBound:
     def test_matches_direct_discrete_maximum(self, example_spec, example_report):
         _, anchor = anchors(example_spec, example_report)
         ws = log_grid(1.0, 50.0, 17)
-        points = tuple((w, 0.93 * scp_piecewise(example_spec)(w)) for w in ws)
+        points = tuple((w, 0.93 * envelope_piecewise(example_spec)(w)) for w in ws)
         curve = TabulatedCurve(points)
         v = 30.0
         expected = max(
@@ -121,9 +120,9 @@ class TestTangentBound:
         mid = math.sqrt(v_lo * v_hi)
         curve = TabulatedCurve(
             (
-                (v_lo, scp_piecewise(example_spec)(v_lo)),
-                (mid, 0.999 * scp_piecewise(example_spec)(mid)),
-                (v_hi, scp_piecewise(example_spec)(v_hi)),
+                (v_lo, envelope_piecewise(example_spec)(v_lo)),
+                (mid, 0.999 * envelope_piecewise(example_spec)(mid)),
+                (v_hi, envelope_piecewise(example_spec)(v_hi)),
             )
         )
         bare = band_row(example_spec, example_report, mid)
@@ -244,7 +243,7 @@ class TestCylinderOffsetBound:
         brute, _ = candidate_min_area(example_spec, 30.0)
         assert row.lower_source == "cylinder-offset"
         assert 0.0 < row.lower < row.upper
-        assert row.upper == scp_piecewise(example_spec)(30.0)
+        assert row.upper == envelope_piecewise(example_spec)(30.0)
         assert rel(row.upper, brute) < 1e-9
 
     def test_closed_form(self, example_spec, example_report):
@@ -262,7 +261,7 @@ class TestBand:
         result = band(example_spec, grid)
         for row in result.rows:
             assert row.lower <= row.upper
-            exact = scp_piecewise(example_spec)(row.v)
+            exact = envelope_piecewise(example_spec)(row.v)
             assert rel(row.upper, exact) < 1e-12
             if row.v <= example_report.v_star or row.v >= example_report.v_dstar:
                 assert row.lower_source == "exact"
@@ -280,7 +279,7 @@ class TestBand:
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
         ws = log_grid(v_lo, v_hi, 9)
         curve = TabulatedCurve(
-            tuple((w, 0.98 * scp_piecewise(example_spec)(w)) for w in ws)
+            tuple((w, 0.98 * envelope_piecewise(example_spec)(w)) for w in ws)
         )
         bare = band(example_spec, grid)
         with_curve = band(example_spec, grid, [curve])
@@ -290,7 +289,7 @@ class TestBand:
     def test_single_point_grid(self, example_spec):
         result = band(example_spec, [1.0])
         (row,) = result.rows
-        exact = scp_piecewise(example_spec)(1.0)
+        exact = envelope_piecewise(example_spec)(1.0)
         assert row.lower == row.upper
         assert rel(row.lower, exact) < 1e-12
         assert row.lower_source == "exact"
@@ -308,14 +307,32 @@ class TestBand:
         with pytest.raises(DomainError):
             band(example_spec, [-1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "spec, other, grid",
+        [
+            (TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((0.7, 1.9), 4), [400.0, 1.5e4]),
+            (TorusProductSpec((0.6, 1.1, 2.3), 2), TorusProductSpec((0.7, 1.9), 3), [100.0, 1.5e4]),
+        ],
+        ids=["k2", "k3"],
+    )
+    def test_report_of_another_spec_is_refused(self, spec, other, grid):
+        # Another spec's thresholds once went unchecked and labelled rows
+        # exact: for the k3 spec both rows, with lower bounds 262.70 and
+        # 8424.7 where its own report gives chords at 79.92 and 7700.7.
+        with pytest.raises(DomainError) as refusal:
+            band(spec, grid, report=full_report(other))
+        assert str(spec) in str(refusal.value) and str(other) in str(refusal.value)
+        assert band(spec, grid, report=full_report(spec)) == band(spec, grid)
+
     def test_impossible_curve_rejected(self, example_spec, example_report):
         # A "certified" curve above the envelope is provably not a lower
         # bound; the band refuses to emit rows built from it.
         mid = math.sqrt(example_report.v_star * example_report.v_dstar)
+        envelope = envelope_piecewise(example_spec)
         curve = TabulatedCurve(
             (
-                (example_report.v_star, 2.0 * scp_piecewise(example_spec)(example_report.v_star)),
-                (mid, 2.0 * scp_piecewise(example_spec)(mid)),
+                (example_report.v_star, 2.0 * envelope(example_report.v_star)),
+                (mid, 2.0 * envelope(mid)),
             )
         )
         with pytest.raises(DomainError, match="cannot be a valid lower bound"):
@@ -326,7 +343,7 @@ class TestBand:
         # the scan keeps one record per sample and one value per row.
         v_lo, v_hi = example_report.v_star, example_report.v_dstar
         grid = log_grid(v_lo, v_hi, 2002)[1:-1]
-        envelope = scp_piecewise(example_spec)
+        envelope = envelope_piecewise(example_spec)
         curve = TabulatedCurve(
             tuple(
                 (w, 0.5 * envelope(w))
@@ -356,7 +373,7 @@ def test_band_validity_property(r1, r2, n, scale):
     grid = log_grid(crit.v_star / 5.0, crit.v_dstar * 5.0, 35)
     ws = log_grid(crit.v_star / 2.0, crit.v_dstar * 2.0, 11)
     curve = TabulatedCurve(
-        tuple((w, scale * scp_piecewise(spec)(w)) for w in ws)
+        tuple((w, scale * envelope_piecewise(spec)(w)) for w in ws)
     )
     result = band(spec, grid, [curve], report=crit)
     for row in result.rows:

@@ -157,12 +157,12 @@ class TestBoundsCommand:
                 assert source == "exact"
 
     def test_with_curve(self, capsys, example_file, tmp_path):
-        from torusiso import TorusProductSpec, scp_piecewise
+        from torusiso import TorusProductSpec, envelope_piecewise
 
         spec = TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), 2)
         curve = tmp_path / "curve.csv"
         rows = "\n".join(
-            f"{v},{0.9 * scp_piecewise(spec)(v)}" for v in (3.0, 10.0, 30.0, 50.0)
+            f"{v},{0.9 * envelope_piecewise(spec)(v)}" for v in (3.0, 10.0, 30.0, 50.0)
         )
         curve.write_text("# certified_lower_bound: yes\nv,area\n" + rows + "\n")
         base_code, base_out, _ = run(capsys, "bounds", example_file, "--grid", "3:50:10,log")
@@ -648,7 +648,7 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": n
             "TabulatedCurve", "TorusIsoError",
             "TorusProductSpec", "band", "beta", "candidate_min_area",
             "circle_piecewise", "envelope_piecewise", "euclidean_piecewise",
-            "full_report", "minimum_envelope", "read_curve", "scp_piecewise",
+            "full_report", "minimum_envelope", "read_curve",
             "slab_piecewise", "solve_balance", "solve_piecewise_gap",
             "solve_power_gap", "unit_ball_volume",
             "unit_sphere_area", "verify_report", "verify_spec",

@@ -18,7 +18,6 @@ from torusiso import (
     envelope_piecewise,
     euclidean_piecewise,
     full_report,
-    scp_piecewise,
     slab_piecewise,
     solve_power_gap,
     unit_ball_volume,
@@ -237,10 +236,10 @@ class TestFullReport:
         assert "u_slab_crossing" in report.constants
 
     def test_solver_consistency_guard(self, example_spec):
-        # scp at v_star equals the circle branch there, tying the report to
-        # the profile surface.
+        # The envelope at v_star equals the circle branch there, tying the
+        # report to the profile surface.
         report = full_report(example_spec)
-        (area,), (seg,) = scp_piecewise(example_spec).values([report.v_star])
+        (area,), (seg,) = envelope_piecewise(example_spec).values([report.v_star])
         assert seg.regime == "ball"
         assert rel(area, report.K_star) < 1e-11
 
@@ -277,8 +276,8 @@ _ORDERING_REFUSED = TorusProductSpec((0.004511543985897641, 9.225445621467033), 
 
 
 class TestReportCache:
-    # full_report solves each spec once: every call gets its own dicts over
-    # the shared records, and a refusal is raised again, never stored.
+    # full_report solves each spec once: every call gets the one read-only
+    # report, and a refusal is raised again, never stored.
     @pytest.mark.parametrize("spec", [*_seeded_specs(23, 4), _ORDERING_REFUSED])
     def test_repeated_report_has_the_bits_of_a_fresh_solve(self, spec, clear_spec_caches):
         first, again = regen.report_fingerprint(spec), regen.report_fingerprint(spec)
@@ -291,15 +290,22 @@ class TestReportCache:
     def test_edits_to_a_returned_report_never_reach_the_next(self, spec, clear_spec_caches):
         whole = regen.report_fingerprint(spec)
         edited = full_report(spec)
+        assert full_report(spec) is edited
         reports = [edited, *edited.sub_reports.values()]
         for r in reports:
             for name, record in r.constants.items():
-                r.constants[name] = record._replace(value=2.0 * record.value)
-            r.sub_reports["n"] = edited
+                with pytest.raises(TypeError):
+                    r.constants[name] = record._replace(value=2.0 * record.value)
+                with pytest.raises(TypeError):
+                    del r.constants[name]
+            with pytest.raises(TypeError):
+                r.sub_reports["n"] = edited
         assert regen.report_fingerprint(spec) == whole
         for r in reports:
-            r.constants.clear()
-            r.sub_reports.clear()
+            with pytest.raises(AttributeError):
+                r.constants.clear()
+            with pytest.raises(AttributeError):
+                r.sub_reports.clear()
         assert regen.report_fingerprint(spec) == whole
         clear_spec_caches()
         assert regen.report_fingerprint(spec) == whole

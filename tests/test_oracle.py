@@ -11,7 +11,6 @@ from torusiso import (
     candidate_min_area,
     envelope_piecewise,
     full_report,
-    scp_piecewise,
     verify_report,
     verify_spec,
 )
@@ -125,7 +124,7 @@ class TestCrossingScan:
         assert rel(b, target) < 1e-12
 
     def test_equal_curves_report_failure(self):
-        profile = scp_piecewise(TorusProductSpec((0.7, 1.9), 3))
+        profile = envelope_piecewise(TorusProductSpec((0.7, 1.9), 3))
         assert gap_crossings(profile, profile, 0.0, 1.0, 1e4) == []
         assert gap_crossings(law(2.0, 0.5), law(2.0, 0.5), 0.0, 1e-3, 1e3) == []
 
@@ -387,6 +386,6 @@ class TestOracleAgreement:
             n = rng.randint(2, 5)
             spec = TorusProductSpec(tuple(radii), n)
             for v in log_grid(1e-3, 1e6, 60):
-                closed = scp_piecewise(spec)(v)
+                closed = envelope_piecewise(spec)(v)
                 brute, _ = candidate_min_area(spec, v)
                 assert rel(closed, brute) < 1e-9

@@ -15,7 +15,6 @@ from torusiso import (
     circle_piecewise,
     envelope_piecewise,
     euclidean_piecewise,
-    scp_piecewise,
     slab_piecewise,
     unit_ball_volume,
     unit_sphere_area,
@@ -313,32 +312,30 @@ class TestSlabProfiles:
 
 class TestScpProfile:
     def test_small_volume_ball(self, example_spec):
-        (area,), (seg,) = scp_piecewise(example_spec).values([1.0])
+        (area,), (seg,) = envelope_piecewise(example_spec).values([1.0])
         assert seg.regime == "ball"
         assert rel(area, EUCLID4_AT_1) < 1e-12
 
     def test_large_volume_slab(self, example_spec):
-        (area,), (seg,) = scp_piecewise(example_spec).values([1e6])
+        (area,), (seg,) = envelope_piecewise(example_spec).values([1e6])
         assert seg.regime == "slab"
         assert rel(area, 4 * math.pi * 1e3) < 1e-12
 
     def test_value_near_first_threshold(self, example_spec):
-        (area,), (seg,) = scp_piecewise(example_spec).values([CN_EXAMPLE])
+        (area,), (seg,) = envelope_piecewise(example_spec).values([CN_EXAMPLE])
         assert seg.regime == "ball"
         assert rel(area, K_EXAMPLE) < 1e-12
         assert rel(area, 4 * math.pi) < 1e-4
 
     def test_matches_brute_force_on_grid(self, example_spec):
         for v in log_grid(1e-3, 1e6, 60):
-            closed = scp_piecewise(example_spec)(v)
+            closed = envelope_piecewise(example_spec)(v)
             brute, winner = candidate_min_area(example_spec, v)
             assert rel(closed, brute) < 1e-9
 
     def test_guards(self, example_spec):
         with pytest.raises(GuardError):
-            scp_piecewise(TorusProductSpec((1.0, 1.0), 1))
-        with pytest.raises(GuardError):
-            scp_piecewise(TorusProductSpec((1.0,), 2))
+            envelope_piecewise(TorusProductSpec((1.0, 1.0), 1))
 
 
 class TestPiecewise:
@@ -354,7 +351,7 @@ class TestPiecewise:
         assert profile.segments[0].exponent == pytest.approx(0.5)
 
     def test_scp_decomposition_example_torus(self, example_spec):
-        profile = scp_piecewise(example_spec)
+        profile = envelope_piecewise(example_spec)
         assert [s.regime for s in profile.segments] == ["ball", "cylinder", "slab"]
         b1, b2 = profile.breakpoints()
         assert rel(b1, BETA_3_SQ) < 1e-12
@@ -374,7 +371,7 @@ class TestPiecewise:
 
     def test_strictly_increasing(self, example_spec):
         for profile in (
-            scp_piecewise(example_spec),
+            envelope_piecewise(example_spec),
             circle_piecewise(4, 2.0),
             envelope_piecewise(TorusProductSpec((1.0, 1.0, 1.0), 2)),
         ):
@@ -410,7 +407,7 @@ class TestPiecewise:
         assert PiecewiseProfile((good,))(4.0) == pytest.approx(2.0)
 
     def test_solve_value_round_trip(self, example_spec):
-        profile = scp_piecewise(example_spec)
+        profile = envelope_piecewise(example_spec)
         for v in log_grid(1e-3, 1e5, 30):
             area = profile(v)
             assert rel(profile.solve_value(area), v) < 1e-12

@@ -8,6 +8,7 @@ every changed copy, with the same error class and message either way.
 import copy
 import math
 import pickle
+from types import MappingProxyType
 
 import pytest
 
@@ -208,6 +209,31 @@ def test_reports_built_without_sub_reports_do_not_share_a_dict():
     assert a.sub_reports == {} and a.sub_reports is not b.sub_reports
 
 
+def test_reports_do_not_alias_the_dicts_they_are_built_from():
+    fields = CASES[CriticalReport][0]
+    sub = CriticalReport(**fields)
+    constants, subs = dict(fields["constants"]), {"n": sub}
+    built = CriticalReport(fields["spec"], "three-torus", constants, subs)
+    replaced = sub._replace(constants=constants, sub_reports=subs)
+    constants.clear()
+    subs.clear()
+    for report in (built, replaced):
+        assert report.constants == fields["constants"] and report.sub_reports == {"n": sub}
+        with pytest.raises(TypeError):
+            report.constants["v_star"] = None
+        with pytest.raises(TypeError):
+            report.sub_reports["n"] = None
+
+
+def _read_only(report):
+    """Whether ``report`` and its sub-reports hold only read-only mappings."""
+    return (
+        isinstance(report.constants, MappingProxyType)
+        and isinstance(report.sub_reports, MappingProxyType)
+        and all(map(_read_only, report.sub_reports.values()))
+    )
+
+
 @pytest.mark.parametrize(
     "spec", [TorusProductSpec((0.7, 1.9), 3), TorusProductSpec((1.0, 1.0, 1.0), 2)], ids=["k2", "k3"]
 )
@@ -221,6 +247,8 @@ def test_report_values_read_off_their_records(spec):
         with pytest.raises(AttributeError, match=name):
             getattr(report, name)
     assert not hasattr(report, "u_star" if report.kind == "two-torus" else "v_star")
+    assert _read_only(report)
     for again in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert again == report and type(again) is CriticalReport
+        assert _read_only(again)
     assert report.criticals is report

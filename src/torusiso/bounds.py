@@ -58,8 +58,8 @@ _SCAN_MARGIN = 20 * 2.0**-53
 
 # Magnitudes of anchors, volumes and areas within which every intermediate
 # of the scan, differences down to one ulp and slopes up to 2**565
-# included, is zero or a normal double. Outside it each row takes the exact
-# maximum.
+# included, is zero or a normal double. A row whose volume, anchor or
+# admissible samples leave it takes the exact maximum.
 _SCAN_RANGE = (2.0**-256, 2.0**256)
 
 
@@ -262,42 +262,35 @@ def _tangents(
     slope ``s = (c - a0) / (w - v0)``, so the best sample is the one of the
     largest slope (left) or the smallest (right). The admissible samples of a
     row are the first k of _slope_table's scan, whose entry k holds the best
-    signed slope, the second best and the best's index. A row takes its best
-    sample's value where the gap between the two slopes, times ``|v - v0|``,
-    exceeds the rounding margin (_SCAN_MARGIN) at the scale of the rows'
-    own samples, and the exact maximum over its samples elsewhere.
+    signed slope, the second best, the best's index and the rounding bound
+    of those k samples. A row whose volume lies in _SCAN_RANGE takes its
+    best sample's value where the gap between the two slopes, times
+    ``|v - v0|``, exceeds its entry's bound, and the exact maximum over its
+    samples elsewhere; no row depends on which other rows share the call.
     """
     v0, a0 = anchor
     ws, cs = curve.volumes, curve.areas
     left = side == "left"
-    # Each row's admissible samples are the first k of the scan order, and
-    # ws[lo:hi] are those of any row.
+    # Each row's admissible samples are the first k of the scan order.
     if left:
         counts = [len(ws) - bisect_left(ws, v) for v in volumes]
-        lo, hi = len(ws) - max(counts, default=0), len(ws)
     else:
         counts = [bisect_right(ws, v) for v in volumes]
-        lo, hi = 0, max(counts, default=0)
-    if lo == hi:
+    if not any(counts):
         return [None] * len(counts)
     tops = _slope_table(v0, a0, left, curve)
     # Negating a quotient or a difference is exact, so a right anchor's
     # signed slope (a0 - c) / (w - v0) and distance v0 - v are the left
     # formulas' negations, bit for bit.
     sign = 1.0 if left else -1.0
-
-    areas = cs[lo:hi]
-    scale = max(a0, max(areas))
     low, high = _SCAN_RANGE
-    extremes = (v0, a0, ws[lo], ws[hi - 1], min(areas), scale, min(volumes), max(volumes))
-    bound = _SCAN_MARGIN * scale if low <= min(extremes) and max(extremes) <= high else math.inf
     values: list[float | None] = []
     for v, k in zip(volumes, counts):
         if not k:
             values.append(None)
             continue
-        best, second, i = tops[k]
-        if sign * (v - v0) * (best - second) > bound:
+        best, second, i, bound = tops[k]
+        if low <= v <= high and sign * (v - v0) * (best - second) > bound:
             w, c = ws[i], cs[i]
             values.append(c + (a0 - c) * (v - w) / (v0 - w))
         else:
@@ -310,15 +303,18 @@ def _tangents(
 @_profile_cache
 def _slope_table(
     v0: float, a0: float, left: bool, curve: TabulatedCurve
-) -> tuple[tuple[float, float, int], ...]:
+) -> tuple[tuple[float, float, int, float], ...]:
     """The tangent scan of a curve from the anchor (v0, a0), built once per anchor and curve.
 
     The scan covers every sample strictly beyond the anchor on its far side:
     down from the last sample (left) or up from the first (right). Entry k
-    is ``(best, second, index)`` after its first k samples: the best signed
-    slope, the second best and the best's index, with ``(-inf, -inf, -1)``
-    before any. Entry k depends on those k samples alone, never on how far
-    the scan runs, so one table serves the rows of any grid.
+    is ``(best, second, index, bound)`` after its first k samples: the best
+    signed slope, the second best and the best's index (``-inf, -inf, -1``
+    before any), and the rounding margin of a row that admits those k
+    samples, ``_SCAN_MARGIN * max(a0, their areas)``, or inf once the anchor
+    or one of them leaves _SCAN_RANGE. Entry k depends on those k samples
+    alone, never on how far the scan runs, so one table serves the rows of
+    any grid.
     """
     ws, cs = curve.volumes, curve.areas
     if left:
@@ -326,16 +322,26 @@ def _slope_table(
     else:
         scan = range(bisect_left(ws, v0))
     sign = 1.0 if left else -1.0  # _tangents' signed slopes: the best is the largest
+    low, high = _SCAN_RANGE
     best = second = -math.inf
     index = -1
-    tops = [(best, second, index)]
+    # The largest area so far, by comparisons: a max() per sample costs more
+    # than the scan itself. Once inf, it stays inf.
+    scale = a0 if low <= v0 <= high and low <= a0 <= high else math.inf
+    bound = _SCAN_MARGIN * scale
+    tops = [(best, second, index, bound)]
     for i in scan:
-        slope = sign * (cs[i] - a0) / (ws[i] - v0)
+        w, c = ws[i], cs[i]
+        slope = sign * (c - a0) / (w - v0)
         if slope > best:
             best, second, index = slope, best, i
         elif slope > second:
             second = slope
-        tops.append((best, second, index))
+        if not (low <= w <= high and low <= c <= high):
+            scale = bound = math.inf
+        elif c > scale:
+            scale, bound = c, _SCAN_MARGIN * c
+        tops.append((best, second, index, bound))
     return tuple(tops)
 
 

@@ -90,9 +90,8 @@ def load_spec_file(path: str) -> TorusProductSpec:
 
 def parse_grid(text: str) -> list[float]:
     """Parse 'lo:hi:count[,log|lin]' into a sorted volume grid."""
-    body, _, mode = text.partition(",")
-    mode = mode or "log"
-    if mode not in ("log", "lin"):
+    body, comma, mode = text.partition(",")
+    if comma and mode not in ("log", "lin"):
         raise SpecFileError(f"grid mode must be 'log' or 'lin', got {mode!r}")
     parts = body.split(":")
     if len(parts) != 3:

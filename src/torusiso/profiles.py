@@ -46,12 +46,13 @@ _CONTINUITY_RTOL = 1e-9
 
 # Relative margin around every point minimum_envelope keeps (the envelope's
 # cuts, its candidates' breakpoints and the crossings it found) within which
-# values() evaluates a row through all the candidates; every other row is
-# evaluated through the candidate segment that wins its interval. Let
-# u = 2**-53, and let any two overlapping segments of two candidates differ
-# in exponent by at least d = _EXPONENT_GAP = 2**-7 (other envelopes
-# evaluate every row through all the candidates; the package's families
-# have exponents (m-1)/m, m <= 10, which lie at least 1/90 apart).
+# values() evaluates a row on its own through segment_at's rule, which
+# compares all the candidates; every other row takes the law of the
+# candidate segment that wins its interval. Let u = 2**-53, and let any two
+# overlapping segments of two candidates differ in exponent by at least
+# d = _EXPONENT_GAP = 2**-7 (other envelopes evaluate every row on its own;
+# the package's families have exponents (m-1)/m, m <= 10, which lie at
+# least 1/90 apart).
 #   * A computed area coeff * v**p that is a normal double is within 2u of
 #     its exact value (pow within an ulp, one product), so two computed
 #     areas compare as the exact ones do once these differ by more than 8u
@@ -158,17 +159,20 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
       candidate wins, for solving and for listing regimes; equality and
       hashing read the segments alone.
 
-    There are three evaluators, and all follow it: ``__call__`` (the area
-    at one volume), ``segment_at`` (the winning power law) and ``values``
-    (an ``(areas, segments)`` pair of columns over a volume grid;
-    ``segment.regime`` names the winning family). They give the same bits:
-    for radii (1, 1), n = 2 at v = beta(3, 1) each gives area
-    224.84192526231706 from the ball segment. ``values`` evaluates an
-    envelope interval through the candidate that wins it, and only the
-    rows within _CUT_MARGIN of a cut through all the candidates.
+    ``segment_at`` applies it and gives the winning power law; ``__call__``
+    is that law's area at one volume, and ``values`` gives each row of a
+    volume grid the same pair as ``(areas, segments)`` columns
+    (``segment.regime`` names the winning family). For radii (1, 1), n = 2
+    at v = beta(3, 1) each gives area 224.84192526231706 from the ball
+    segment. ``values`` evaluates an envelope interval through the
+    candidate that wins it, and only the rows within _CUT_MARGIN of a cut
+    one at a time through ``segment_at``'s rule.
     """
 
-    _pieces: tuple = ()  # minimum_envelope's; none: each row compares the candidates
+    # (lo, hi, segment) triples, see _columns: a plain profile's segments,
+    # set in __new__, or minimum_envelope's; an envelope with none sends
+    # every row through _segment.
+    _pieces: tuple = ()
 
     def __new__(cls, segments: tuple[PowerSegment, ...], candidates: tuple = ()):
         segs = tuple(segments)
@@ -191,6 +195,8 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
                 )
         self = tuple.__new__(cls, (segs, candidates))
         object.__setattr__(self, "_cuts", tuple(seg.v_hi for seg in segs[:-1]))
+        if not candidates:
+            object.__setattr__(self, "_pieces", tuple((s.v_lo, s.v_hi, s) for s in segs))
         return self
 
     def __eq__(self, other):
@@ -213,15 +219,9 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         return self.segments[bisect_left(self._cuts, v)]
 
     def __call__(self, v: float) -> float:
-        """The area at a positive finite volume v."""
-        return self._area(_check_volume(v))
-
-    def _area(self, v: float) -> float:
-        # The area at a checked volume; ties between candidates give
-        # equal areas, so the plain minimum follows the breakpoint rule.
-        if self.candidates:
-            return min([c._area(v) for c in self.candidates])
-        seg = self.segments[bisect_left(self._cuts, v)]
+        """The area at a positive finite volume v: the law of segment_at(v)."""
+        v = _check_volume(v)
+        seg = self._segment(v)
         return seg.coeff * v**seg.exponent
 
     def values(self, volumes) -> tuple[list[float], list[PowerSegment]]:
@@ -230,32 +230,25 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         Row i has the bits of ``__call__`` and ``segment_at`` at
         ``volumes[i]``. Areas use Python float pow: a vectorised array pow
         can differ from it in the last bit, which would change printed
-        digits.
+        digits. Unsorted volumes are evaluated one row at a time.
         """
         volumes = [_check_volume(v) for v in volumes]
         if volumes == sorted(volumes):
             return self._columns(volumes)
-        # _columns takes ascending volumes: evaluate them sorted, and put
-        # the rows back in the given order.
-        order = sorted(range(len(volumes)), key=volumes.__getitem__)
-        rows = sorted(zip(order, *self._columns([volumes[i] for i in order])))
-        return [area for _, area, _ in rows], [seg for _, _, seg in rows]
+        return self._compared(volumes)
 
     def _columns(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
         # values() on checked volumes in ascending order. The pieces are
         # found by bisection, so an unsorted list gives wrong rows without an
-        # error: values() sorts its volumes, and parse_grid and band order
-        # and check their grids. A piece (lo, hi, segment) gives the
+        # error: values() sends those to _compared, and parse_grid and band
+        # order and check their grids. A piece (lo, hi, segment) gives the
         # segment's law to the rows lo < v <= hi, one slice of the grid. A
         # plain profile's pieces are its segments; an envelope's come from
-        # minimum_envelope, and the rows between them compare every candidate.
-        pieces = self._pieces if self.candidates else [
-            (seg.v_lo, seg.v_hi, seg) for seg in self.segments
-        ]
+        # minimum_envelope, and the rows between them go through _compared.
         areas: list[float] = []
         segs: list[PowerSegment] = []
         start = 0
-        for lo, hi, seg in pieces:
+        for lo, hi, seg in self._pieces:
             first = bisect_right(volumes, lo, start)
             stop = bisect_right(volumes, hi, first)
             if first == stop:
@@ -280,16 +273,10 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         return areas, segs
 
     def _compared(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-        # An envelope's _columns through all its candidates, one column per
-        # candidate: a later candidate wins a row only when its area is
-        # strictly smaller.
-        first, *rest = self.candidates
-        areas, segs = first._columns(volumes)
-        for candidate in rest:
-            c_areas, c_segs = candidate._columns(volumes)
-            segs = [t if b < a else s for a, b, s, t in zip(areas, c_areas, segs, c_segs)]
-            areas = [b if b < a else a for a, b in zip(areas, c_areas)]
-        return areas, segs
+        # values() on checked volumes in any order, one row at a time
+        # through _segment: _winning_segment alone compares candidates.
+        segs = [self._segment(v) for v in volumes]
+        return [seg.coeff * v**seg.exponent for v, seg in zip(volumes, segs)], segs
 
     def breakpoints(self) -> tuple[float, ...]:
         return self._cuts

@@ -1,3 +1,4 @@
+import bisect
 import copy
 import math
 import os
@@ -204,6 +205,55 @@ class TestSlopeTable:
         assert bounds_mod._slope_table.cache_info().currsize == 4
         for spec, hot in zip(specs, warm):
             assert repr(hot) == repr(self.cold(clear_spec_caches, spec, curve, grid))
+
+    @staticmethod
+    def sample_loop(anchor, curve, v):
+        """The largest line from the anchor through v's admissible samples, or None."""
+        v0, a0 = anchor
+        side = [(w, c) for w, c in curve.points if (w <= v if v < v0 else w >= v)]
+        return max([c + (a0 - c) * (v - w) / (v0 - w) for w, c in side], default=None)
+
+    def test_entry_bounds_are_those_of_their_own_samples(self, clear_spec_caches):
+        # Entry k's bound is the margin at the scale of the anchor and the
+        # scan's first k areas, and inf from the first sample out of range on.
+        margin, (low, high) = bounds_mod._SCAN_MARGIN, bounds_mod._SCAN_RANGE
+        ws = [1.0 + i for i in range(12)]
+        cs = [3.0 * w**0.6 for w in ws]
+        cs[8] = 2.0**300
+        curve = TabulatedCurve(tuple(zip(ws, cs)))
+        for v0, a0, left in ((0.5, 1.0, True), (20.0, 40.0, False), (20.0, 2.0**-300, False)):
+            scan = range(11, -1, -1) if left else range(12)
+            tops = bounds_mod._slope_table(v0, a0, left, curve)
+            assert len(tops) == 13
+            for k, (*_, bound) in enumerate(tops):
+                areas = [cs[i] for i in scan[:k]]
+                if all(low <= a <= high for a in [a0, *areas]):
+                    assert bound == margin * max([a0, *areas]), (v0, k)
+                else:
+                    assert bound == math.inf, (v0, k)
+            # The out-of-range sample is the 9th of the upward scan and the
+            # 4th of the downward one; a tiny anchor leaves no finite entry.
+            finite = sum(math.isfinite(bound) for *_, bound in tops)
+            assert finite == {1.0: 4, 40.0: 9, 2.0**-300: 0}[a0]
+
+    def test_rows_short_of_a_huge_sample_keep_a_finite_bound(self, clear_spec_caches):
+        # The right anchor's scan runs up from the first sample, so only the
+        # rows at or past the last sample, of area 2**300, admit it.
+        ws = log_grid(1.0, 100.0, 200)
+        curve = TabulatedCurve(tuple((w, 3.0 * w**0.6) for w in ws[:-1]) + ((ws[-1], 2.0**300),))
+        right, left = (150.0, 60.0), (0.5, 1.0)
+        tops = bounds_mod._slope_table(*right, False, curve)
+        narrow = log_grid(5.0, 50.0, 40)
+        wide = sorted({*log_grid(0.6, 140.0, 120), *ws[::9], ws[-1]})
+        for grid in (narrow, wide):
+            got = bounds_mod._tangents(right, "right", curve, grid)
+            assert got == [self.sample_loop(right, curve, v) for v in grid]
+            got = bounds_mod._tangents(left, "left", curve, grid)
+            assert got == [self.sample_loop(left, curve, v) for v in grid]
+            for v in grid:
+                k = bisect.bisect_right(ws, v)
+                assert math.isfinite(tops[k][3]) == (k < len(ws)), v
+        assert max(wide) > ws[-1] > max(narrow)
 
     def test_curve_hash_is_the_field_tuples(self, fresh_python, monkeypatch):
         points = tuple((1.0 + i, 2.0 + i / 3.0) for i in range(50))

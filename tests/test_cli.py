@@ -475,6 +475,8 @@ class TestSpecFileLoading:
         with pytest.raises(cli.SpecFileError):
             cli.parse_grid("1:10:5,weird")
         with pytest.raises(cli.SpecFileError):
+            cli.parse_grid("1:10:5,")
+        with pytest.raises(cli.SpecFileError):
             cli.parse_grid("-1:10:5,log")
         assert cli.parse_grid("2:2:1") == [2.0]
 

@@ -482,8 +482,10 @@ def test_grid_rows_are_the_segments_of_the_single_volume_rule(spec):
     for v, area, segment in zip(volumes, areas, segments):
         assert segment == profile.segment_at(v) == first_minimal_segment(profile, v), v
         assert area == profile(v) == segment.value(v), v
-    # An unsorted grid gives the same rows in its own order.
+    # An unsorted grid, every 7th volume repeated, gives the same rows in
+    # its own order.
     order = list(range(len(volumes)))
+    order += order[::7]
     random.Random(5).shuffle(order)
     expected = ([areas[i] for i in order], [segments[i] for i in order])
     assert profile.values([volumes[i] for i in order]) == expected

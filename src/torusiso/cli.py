@@ -1,22 +1,27 @@
 """Command line surface: manifold spec JSON in, CSV/JSON tables out.
 
 Exit codes are part of the interface: 0 success, 1 parse failure (spec
-file, curve file or grid syntax), 2 guard/domain violation, 3 solver or
-verification failure.
+file, curve file or grid syntax), 2 guard/domain violation or usage error,
+3 solver or verification failure.
 
 Each command imports the modules it runs when it runs, so a cold
 ``critical`` or ``profile`` does not load the bound or oracle modules.
+Command lines are read by ``parse_args`` from the ``_COMMANDS`` table, not
+by argparse, so a cold command loads no argparse, gettext or locale; it
+reads every command line the argparse parser it replaced accepted as that
+parser did. The help and usage text (``usage.py``) is imported only when
+``-h`` or a usage error needs it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
-from functools import cache
 from itertools import accumulate
 from operator import gt
+from types import SimpleNamespace
 
 from .errors import (
     ConsistencyError,
@@ -32,6 +37,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_GUARD = 2
 EXIT_SOLVER = 3
+EXIT_USAGE = 2
 
 # Most volumes a grid may hold. An in-process bounds --grid over 1e6 rows
 # took 4.5 s and 369 MiB peak RSS on an x86-64 host, and the cost grows
@@ -276,54 +282,170 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process.
+# One row per command: its summary, its handler, the options of which exactly
+# one must be given, and each option's kind and help. The kind says how a value
+# is read: float converts it, a tuple lists the accepted values (the first is
+# the default), list collects the repeats, str keeps it as given. parse_args
+# reads command lines by this table, and usage.py draws the help text from it.
+_GRID = (str, "volume grid lo:hi:count[,log|lin]")
+_COMMANDS = {
+    "profile": (
+        "evaluate the candidate envelope profile", cmd_profile, ("--v", "--grid"),
+        {"--v": (float, "single volume to evaluate"), "--grid": _GRID},
+    ),
+    "critical": (
+        "emit the critical-volume report", cmd_critical, (),
+        {"--format": (("json", "csv"), "report format")},
+    ),
+    "bounds": (
+        "emit the lower/upper bound band", cmd_bounds, ("--grid",),
+        {"--grid": _GRID, "--curve": (list, "certified lower-bound curve CSV (repeatable)")},
+    ),
+    "verify": ("run the oracle suite against the spec", cmd_verify, (), {}),
+}
+_HELP = ("-h", "--help")
 
-    Parsing leaves the parser as it was: the repeatable ``--curve`` action
-    copies its default list before appending to it.
+
+def _usage_error(command, message: str):
+    """Write the usage line and ``torusiso[ <command>]: error: <message>``,
+    then exit 2."""
+    from .usage import usage
+
+    prog = "torusiso" if command is None else f"torusiso {command}"
+    sys.stderr.write(f"{usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _help(command, name: str, value):
+    """-h/--help: print the help text and exit 0. Joined to it, only more h's
+    are taken (``-hh``, a run of short flags); any other value is refused."""
+    if value is not None and (name != "-h" or set(value) != {"h"}):
+        _usage_error(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    from .usage import help_text
+
+    sys.stdout.write(help_text(command))
+    raise SystemExit(EXIT_OK)
+
+
+def _marks(tokens, names, command) -> list:
+    """What each token is among a parser's option names, as argparse read it.
+
+    A positional is None and the first "--" is "--"; every token after it is
+    a positional. An option is its full name (None when no option matches)
+    and the value joined to it (None when there is none): a long option may
+    be shortened to a prefix that matches it alone, and carry its value
+    after "="; ``-h`` may run on into more h's.
     """
-    parser = argparse.ArgumentParser(
-        prog="torusiso",
-        description=(
-            "Isoperimetric profiles, critical volumes and bound bands for "
-            "products of flat circle factors with Euclidean space."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    marks = []
+    for token in tokens:
+        if token == "--":
+            return marks + ["--"] + [None] * (len(tokens) - len(marks) - 1)
+        prefix, eq, value = token.partition("=")
+        if token[:1] != "-" or token == "-":
+            mark = None
+        elif token in names:
+            mark = token, None
+        elif eq and prefix in names:
+            mark = prefix, value
+        elif token[1] != "-":
+            mark = (token[:2], token[2:]) if token[:2] in names else (None, None)
+        elif len(matches := [name for name in names if name.startswith(prefix)]) > 1:
+            _usage_error(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        else:
+            mark = (matches[0], value if eq else None) if matches else (None, None)
+        # No option takes a negative number, so one is a positional, as is an
+        # unknown option with a space in it.
+        if mark == (None, None) and (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token)):
+            mark = None
+        marks.append(mark)
+    return marks
 
-    p = sub.add_parser("profile", help="evaluate the candidate envelope profile")
-    p.add_argument("spec", help="manifold spec JSON file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--v", type=float, help="single volume to evaluate")
-    group.add_argument("--grid", help="volume grid lo:hi:count[,log|lin]")
-    p.set_defaults(func=cmd_profile)
 
-    c = sub.add_parser("critical", help="emit the critical-volume report")
-    c.add_argument("spec", help="manifold spec JSON file")
-    c.add_argument("--format", choices=("json", "csv"), default="json")
-    c.set_defaults(func=cmd_critical)
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read a command line (``sys.argv[1:]`` by default) as argparse read it.
 
-    b = sub.add_parser("bounds", help="emit the lower/upper bound band")
-    b.add_argument("spec", help="manifold spec JSON file")
-    b.add_argument("--grid", required=True, help="volume grid lo:hi:count[,log|lin]")
-    b.add_argument(
-        "--curve",
-        action="append",
-        default=[],
-        help="certified lower-bound curve CSV (repeatable)",
-    )
-    b.set_defaults(func=cmd_bounds)
-
-    v = sub.add_parser("verify", help="run the oracle suite against the spec")
-    v.add_argument("spec", help="manifold spec JSON file")
-    v.set_defaults(func=cmd_verify)
-    return parser
+    The result has ``command``, ``spec``, ``v``, ``grid``, ``format`` and
+    ``curve`` (None where the command has no such option), and ``func``, the
+    command's handler. Tokens are read left to right: ``-h``/``--help`` prints
+    the help text and raises SystemExit(0) when it is read, and a bad value
+    or a conflict raises SystemExit(2) when it is read. A missing argument or
+    an unknown option or positional is reported after the last token. Each
+    usage error writes the usage line and ``torusiso[ <command>]: error:
+    <message>`` to stderr.
+    """
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    marks = _marks(tokens, _HELP, None)
+    args = dict.fromkeys(("spec", "v", "grid", "format", "curve"))
+    command, one_of, options, chosen, extras = None, (), {}, None, []
+    i = 0
+    while i < len(tokens):
+        mark, token = marks[i], tokens[i]
+        i += 1
+        if mark is None or mark == "--":
+            if command is None:
+                if token not in _COMMANDS:
+                    choices = ", ".join(map(repr, _COMMANDS))
+                    _usage_error(None, f"invalid choice: {token!r} (choose from {choices})")
+                command = token
+                _, run, one_of, options = _COMMANDS[command]
+                for name, (kind, _) in options.items():
+                    args[name[2:]] = [] if kind is list else kind[0] if type(kind) is tuple else None
+                marks[i:] = _marks(tokens[i:], (*_HELP, *options), command)
+            elif args["spec"] is not None or mark == "--" and i == len(tokens):
+                extras.append(token)
+            else:
+                # The spec takes a "--" right before or after it along.
+                if mark == "--":
+                    token = tokens[i]
+                    i += 1
+                elif marks[i:i + 1] == ["--"]:
+                    i += 1
+                args["spec"] = token
+            continue
+        name, value = mark
+        if name is None:
+            extras.append(token)
+            continue
+        if name in _HELP:
+            _help(command, name, value)
+        # The value is joined to the option or is the next token, if that is a
+        # positional. A "--" is never a value, joined ("--opt=--") or not.
+        if value is None and i < len(tokens) and marks[i] is None:
+            value = tokens[i]
+            i += 1
+        if value is None or value == "--":
+            _usage_error(command, f"argument {name}: expected one argument")
+        kind = options[name][0]
+        if kind is float:
+            try:
+                value = float(value)
+            except ValueError:
+                _usage_error(command, f"argument {name}: invalid float value: {value!r}")
+        elif type(kind) is tuple and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _usage_error(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        if name in one_of:
+            if chosen not in (None, name):
+                _usage_error(command, f"argument {name}: not allowed with argument {chosen}")
+            chosen = name
+        if kind is list:
+            args[name[2:]].append(value)
+        else:
+            args[name[2:]] = value
+    if command is None:
+        _usage_error(None, "the following arguments are required: command")
+    missing = [] if args["spec"] is not None else ["spec"]
+    if one_of and chosen is None:
+        missing.append(" or ".join(one_of))
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, func=run, **args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (SpecFileError, CurveParseError) as exc:

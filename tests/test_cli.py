@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -306,7 +309,7 @@ class TestBlockWriter:
 
 
 class TestParserReuse:
-    """main builds its parser once per process; no call sees another's arguments."""
+    """parse_args keeps nothing between calls: no call sees another's arguments."""
 
     def test_curves_do_not_carry_over(self, capsys, example_file, tmp_path, monkeypatch):
         from torusiso import bounds
@@ -331,22 +334,183 @@ class TestParserReuse:
         # per-spec caches, and prints its bytes.
         assert outputs[0] == outputs[3] and outputs[1] == outputs[2]
         assert outputs[1].count(",tangent-") == 5
-        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize(
         "argv",
-        [["--help"], ["bounds", "--help"], ["bounds", "spec.json"], ["nope"]],
-        ids=["help", "bounds-help", "missing-grid", "unknown-command"],
+        [
+            ["--help"],
+            ["bounds", "--help"],
+            ["bounds", "spec.json", "-h"],
+            ["bounds", "spec.json"],
+            ["nope"],
+            ["critical", "spec.json", "--format", "xml"],
+            ["bounds", "spec.json", "--grid", "-5:10:3"],
+            ["profile", "spec.json", "--v", "1", "--grid", "1:2:3"],
+            [],
+        ],
+        ids=[
+            "help", "bounds-help", "help-after-spec", "missing-grid", "unknown-command",
+            "bad-format", "dash-grid", "v-and-grid", "empty",
+        ],
     )
     def test_help_and_usage_errors_repeat(self, capsys, argv):
-        # Twice through main, then once through a parser built afresh.
+        # Twice through main, then once through parse_args.
         outcomes = []
-        for parse in (cli.main, cli.main, cli.build_parser.__wrapped__().parse_args):
+        for parse in (cli.main, cli.main, cli.parse_args):
             with pytest.raises(SystemExit) as exit_:
                 parse(argv)
             outcomes.append((exit_.value.code, *capsys.readouterr()))
         assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert outcomes[0][0] == (0 if "--help" in argv else 2)
+        code, out, err = outcomes[0]
+        if {"-h", "--help"} & set(argv):
+            assert (code, err) == (0, "") and out.startswith("usage: torusiso")
+        else:
+            # A usage line, then "torusiso[ <command>]: error: <message>".
+            usage, message = err.splitlines()
+            assert (code, out) == (2, "") and usage.startswith("usage: torusiso")
+            assert message.startswith("torusiso") and ": error: " in message
+
+
+def _parse_outcome(parse, argv):
+    """The exit code a parse raised, or the arguments it read; floats as bits,
+    so a nan compares equal to the same nan."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exit_:
+            return exit_.code
+    fields = ("command", "spec", "v", "grid", "format", "curve")
+    values = (getattr(args, name, None) for name in fields)
+    return tuple(struct.pack("<d", x) if isinstance(x, float) else x for x in values)
+
+
+class TestArgparseParity:
+    """parse_args reads every command line as the argparse parser it replaced
+    (tests/argparse_reference.py) did: the same exit code, or the same values."""
+
+    COMMANDS = ["profile", "critical", "bounds", "verify"]
+    CORPUS = [
+        # --opt value and --opt=value, options before and after the spec.
+        ["profile", "s.json", "--v", "1"],
+        ["profile", "s.json", "--v=1"],
+        ["profile", "--grid", "1:2:3", "s.json"],
+        ["critical", "--format=csv", "s.json"],
+        ["bounds", "--curve", "c.csv", "s.json", "--grid=1:2:3"],
+        # "--" before positionals; after it, an option's name is a spec.
+        ["profile", "--v", "1", "--", "s.json"],
+        ["verify", "--", "s.json"],
+        ["verify", "--", "--v"],
+        ["verify", "--", "-"],
+        ["profile", "--v", "1", "--", "s.json", "x"],
+        ["--", "profile", "s.json", "--v", "1"],
+        # A trailing "--" goes with a spec right before it, else it is an extra.
+        ["profile", "--grid", "1:2:3", "s.json", "--"],
+        ["profile", "s.json", "--grid", "1:2:3", "--"],
+        ["verify", "s.json", "--"],
+        # Unique prefixes; "--" with "=" matches every long option.
+        ["bounds", "s.json", "--gr", "1:2:3", "--cur", "c.csv"],
+        ["critical", "s.json", "--form", "csv"],
+        ["profile", "s.json", "--g=1:2:3"],
+        ["profile", "s.json", "--=1"],
+        ["verify", "s.json", "--=1"],
+        ["bounds", "-h", "--=x"],
+        ["critical", "s.json", "--c", "csv"],
+        # The last value wins; --curve collects its repeats.
+        ["profile", "s.json", "--v", "1", "--v", "2"],
+        ["bounds", "s.json", "--grid", "1:2:3", "--grid", "4:5:6"],
+        ["critical", "s.json", "--format", "csv", "--format", "json"],
+        ["bounds", "s.json", "--grid", "1:2:3", "--curve", "a", "--curve", "b", "--cur=c"],
+        # --v and --grid: exactly one; bounds needs --grid; two formats.
+        ["profile", "s.json", "--v", "1", "--grid", "1:2:3"],
+        ["profile", "s.json", "--grid", "1:2:3", "--v", "x"],
+        ["profile", "s.json"],
+        ["bounds", "s.json"],
+        ["bounds", "s.json", "--curve", "c.csv"],
+        ["critical", "s.json", "--format", "xml"],
+        ["critical", "s.json"],
+        # --v goes through float(); only a negative number is a value.
+        ["profile", "s.json", "--v", "nan"],
+        ["profile", "s.json", "--v", "1e400"],
+        ["profile", "s.json", "--v", "x"],
+        ["profile", "s.json", "--v", "-1"],
+        ["profile", "s.json", "--v", "-.5"],
+        ["profile", "s.json", "--v", "-1e5"],
+        ["profile", "s.json", "--v=-1e5"],
+        ["profile", "s.json", "--grid", "-5:10:3"],
+        ["profile", "s.json", "--grid=-5:10:3"],
+        ["bounds", "-", "--grid", "1:2:3", "--curve", "-"],
+        ["bounds", "s.json", "--grid", "1:2:3", "--curve"],
+        # Help as soon as it is read, after deferred errors but not after
+        # immediate ones; a value joined to it is refused.
+        ["-h"],
+        ["--he"],
+        ["-hh"],
+        ["-hx"],
+        ["--help=x"],
+        ["profile", "-h"],
+        ["profile", "x", "y", "-h"],
+        ["--x", "verify", "s.json", "-h"],
+        ["verify", "s.json", "--format", "xml", "-h"],
+        ["critical", "s.json", "--format", "xml", "-h"],
+        ["profile", "s.json", "--v", "1", "--grid", "1:2:3", "-h"],
+        # Unknown commands and options, and missing arguments.
+        [],
+        ["nope"],
+        ["-1"],
+        ["--x"],
+        ["--x", "verify", "s.json"],
+        ["verify", "s.json", "--v", "1"],
+        ["verify", "s.json", "extra"],
+        ["verify"],
+    ]
+    ALPHABET = COMMANDS + [
+        "nope", "s.json", "1", "1:2:3", "json", "csv", "xml", "c.csv",
+        "--v", "--grid", "--format", "--curve", "--help", "-h", "-hh", "--x",
+        "--gr", "--g", "--cur", "--c", "--form", "--f", "--he",
+        "--v=1", "--v=-1", "--gr=1:2:3", "--form=json", "--format=xml", "--cur=c.csv",
+        "--help=x", "--=x", "--", "-", "-1", "-1e5", "1e400", "nan", "-5:10:3",
+    ]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        from argparse_reference import build_parser
+
+        return build_parser().parse_args
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_fixed_corpus(self, reference, argv):
+        assert _parse_outcome(cli.parse_args, argv) == _parse_outcome(reference, argv)
+
+    def test_seeded_draw(self, reference):
+        rng = random.Random(28)
+        differ, outcomes = [], Counter()
+        for _ in range(6000):
+            argv = [rng.choice(self.ALPHABET) for _ in range(rng.randrange(8))]
+            if argv and rng.random() < 0.8:
+                argv[0] = rng.choice(self.COMMANDS)
+            expected = _parse_outcome(reference, argv)
+            outcomes[expected if isinstance(expected, int) else "read"] += 1
+            if _parse_outcome(cli.parse_args, argv) != expected:
+                differ.append(argv)
+        assert differ == []
+        # The draw reaches help, usage errors and clean reads alike.
+        assert min(outcomes[0], outcomes[2], outcomes["read"]) > 100
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "s.json", "--v=--"],
+            ["profile", "s.json", "--grid=--"],
+            ["critical", "s.json", "--format=--"],
+            ["bounds", "s.json", "--grid", "1:2:3", "--curve=--"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_bare_separator_after_equals_is_no_value(self, reference, argv):
+        # argparse dropped the "--" and read an empty list, which crashed
+        # profile and bounds and sent critical down its CSV branch.
+        assert not isinstance(_parse_outcome(reference, argv), int)
+        assert _parse_outcome(cli.parse_args, argv) == 2
 
 
 class TestVerifyCommand:
@@ -630,9 +794,10 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": n
     def test_cold_path_skips_stdlib_it_does_not_use(self, cold_runs):
         # Records are namedtuples and annotations stay strings, so no command
         # imports dataclasses (which pulls in inspect) or typing; only the
-        # CSV report needs csv. Start-up modules (site may import typing)
-        # are not counted.
-        watched = {"dataclasses", "inspect", "typing", "csv"}
+        # CSV report needs csv; the command line is read without argparse,
+        # which brings gettext and, on its first message lookup, locale.
+        # Start-up modules (site may import typing) are not counted.
+        watched = {"dataclasses", "inspect", "typing", "csv", "argparse", "gettext", "locale"}
         loaded = {name: watched.intersection(run["new"]) for name, run in cold_runs.items()}
         assert loaded == {name: {"csv"} if name == "critical-csv" else set() for name in loaded}
 

@@ -31,7 +31,7 @@ from .errors import (
     SpecFileError,
 )
 from .mensuration import TorusProductSpec
-from .profiles import envelope_piecewise
+from .profiles import _profile_cache, envelope_piecewise
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -41,7 +41,9 @@ EXIT_USAGE = 2
 
 # Most volumes a grid may hold. An in-process bounds --grid over 1e6 rows
 # took 4.5 s and 369 MiB peak RSS on an x86-64 host, and the cost grows
-# linearly, so larger counts are refused before any grid is built.
+# linearly, so larger counts are refused before any grid is built. A grid
+# at the cap stays in memory after its command, as an entry of _grid's
+# cache: about 32 MB.
 _MAX_GRID_COUNT = 10**6
 
 # 10.0 ** y overflows from this exponent up, the log10 of the largest double
@@ -70,7 +72,9 @@ def load_spec_file(path: str) -> TorusProductSpec:
     solvers return ulp-exact roots, so no tolerance changes the output.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte order mark that some editors save first
+        # (RFC 8259 section 8.1 lets a parser ignore it).
+        with open(path, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc
@@ -95,7 +99,21 @@ def load_spec_file(path: str) -> TorusProductSpec:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse 'lo:hi:count[,log|lin]' into a sorted volume grid."""
+    """Parse 'lo:hi:count[,log|lin]' into a sorted volume grid.
+
+    Each text is parsed once per process (see _grid); every call returns a
+    new list of those volumes, so no caller's edit reaches another.
+    """
+    return list(_grid(text))
+
+
+@_profile_cache
+def _grid(text: str) -> tuple[float, ...]:
+    """The volumes of one grid text, built once per text.
+
+    The key is the exact text; refusals raise and are never stored. An
+    entry holds about 32 bytes per volume.
+    """
     body, comma, mode = text.partition(",")
     if comma and mode not in ("log", "lin"):
         raise SpecFileError(f"grid mode must be 'log' or 'lin', got {mode!r}")
@@ -114,7 +132,7 @@ def parse_grid(text: str) -> list[float]:
     if not (0.0 < lo <= hi) or not math.isfinite(hi):
         raise SpecFileError(f"grid range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     if count == 1:
-        return [lo]
+        return (lo,)
     if mode == "lin":
         grid = _spaced(lo, hi, count)
     else:
@@ -130,7 +148,7 @@ def parse_grid(text: str) -> list[float]:
     # a grid and leaves an ascending one as it is.
     if any(map(gt, grid, grid[1:])):
         grid = [min(v, hi) for v in accumulate(grid, max)]
-    return grid
+    return tuple(grid)
 
 
 def _spaced(lo: float, hi: float, count: int) -> list[float]:

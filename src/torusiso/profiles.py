@@ -93,13 +93,15 @@ EUCLIDEAN_DIM_RANGE = (2, 9)
 
 # The cache of beta, circle_piecewise, slab_piecewise, the per-spec
 # builders behind envelope_piecewise and criticals.full_report,
-# bounds._parse_curve, which builds a curve once per file text, and
-# bounds._slope_table, which scans a curve's tangent slopes once per anchor.
+# bounds._parse_curve, which builds a curve once per file text,
+# bounds._slope_table, which scans a curve's tangent slopes once per anchor,
+# and cli._grid, which builds a volume grid once per grid text.
 # full_report on a three-circle spec builds 13 distinct betas, circle
 # profiles and slabs, and band then asks for some of them again; a repeated
 # band, bounds or profile call on one spec skips its solves and its envelope
-# build, and a curve file read again with the same content skips its parse
-# and, from the same anchors, its tangent scans. Keys include
+# build, a curve file read again with the same content skips its parse
+# and, from the same anchors, its tangent scans, and a grid text seen before
+# skips its parse. Keys include
 # argument types, so n = 3.0 is never served the entry for n = 3 and still
 # meets its guard; refusals raise, so they are never stored. Each builder
 # keeps at most 32 entries, which bounds the memory, so a stream of distinct

@@ -633,6 +633,17 @@ class TestSpecFileLoading:
         assert out == ""
         assert err.startswith("error: invalid JSON")
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        # Editors may save JSON with a UTF-8 byte order mark; RFC 8259 lets a
+        # parser ignore it, as read_curve does for curve files.
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"radii": [0.7, 1.9, 2.3], "euclid_dim": 3}), encoding="utf-8")
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "critical", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "critical", str(marked)) == expected
+
     def test_grid_parse_errors(self):
         with pytest.raises(cli.SpecFileError):
             cli.parse_grid("1:10")
@@ -708,6 +719,24 @@ class TestGridBuilder:
         assert code == 0, err
         vs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
         assert vs == sorted(vs) and len(vs) == int(text.partition(",")[0].split(":")[2])
+
+    # Each grid text is parsed once per process; every caller gets its own list.
+    def test_each_call_returns_a_new_list_of_the_same_volumes(self):
+        first = cli.parse_grid("0.5:100:64,log")
+        second = cli.parse_grid("0.5:100:64,log")
+        assert first == second and first is not second
+        first.append(1e6)
+        assert cli.parse_grid("0.5:100:64,log") == second
+
+    @pytest.mark.parametrize("text", ["1:10", "1:10:5,weird", "-1:10:5,log"])
+    def test_refused_grid_is_refused_again_and_never_stored(self, text):
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(cli.SpecFileError) as refusal:
+                cli.parse_grid(text)
+            refusals.append(str(refusal.value))
+        assert refusals[0] == refusals[1]
+        assert cli._grid.cache_info().currsize == 0
 
 
 class TestColdImports:

@@ -23,7 +23,7 @@ from torusiso import (
     unit_ball_volume,
     verify_spec,
 )
-from torusiso import bounds, criticals, profiles
+from torusiso import bounds, cli, criticals, profiles
 from torusiso.mensuration import EUCLID_DIM_RANGES
 from torusiso.oracle import bisect_verify, gap_crossings
 
@@ -345,6 +345,10 @@ class TestReportCache:
         anchors = [(0.5 - i / 100.0, 1.0, True, curve) for i in range(33)]
         for anchor in anchors:
             bounds._slope_table(*anchor)
+        # 33 distinct grid texts for the grid builder, which is keyed on them.
+        grids = [f"1:{i + 2}:5" for i in range(33)]
+        for text in grids:
+            cli.parse_grid(text)
         caches = {cached.__name__: cached.cache_info() for cached in profiles._cached_builders}
         assert set(caches) == {
             "beta",
@@ -354,15 +358,17 @@ class TestReportCache:
             "_report",
             "_parse_curve",
             "_slope_table",
+            "_grid",
         }
         for name, info in caches.items():
             assert info.maxsize == info.currsize == 32, name
-        # The oldest spec, text and anchor were evicted; the newest are served
-        # from the cache.
+        # The oldest spec, text, anchor and grid text were evicted; the newest
+        # are served from the cache.
         for cached, call, keys in (
             (criticals._report, full_report, specs),
             (bounds._parse_curve, bounds._parse_curve, texts),
             (bounds._slope_table, lambda anchor: bounds._slope_table(*anchor), anchors),
+            (cli._grid, cli.parse_grid, grids),
         ):
             hits = cached.cache_info().hits
             call(keys[-1])
@@ -375,6 +381,7 @@ class TestReportCache:
         assert inspect.isfunction(criticals.full_report)
         assert inspect.isfunction(profiles.envelope_piecewise)
         assert inspect.isfunction(profiles.euclidean_piecewise)
+        assert inspect.isfunction(cli.parse_grid)
 
 
 def test_a_n_meeting_v0_1_in_double_precision_is_refused():

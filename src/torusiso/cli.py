@@ -6,18 +6,17 @@ file, curve file or grid syntax), 2 guard/domain violation or usage error,
 
 Each command imports the modules it runs when it runs, so a cold
 ``critical`` or ``profile`` does not load the bound or oracle modules.
-Command lines are read by ``parse_args`` from the ``_COMMANDS`` table, not
-by argparse, so a cold command loads no argparse, gettext or locale; it
-reads every command line the argparse parser it replaced accepted as that
-parser did. The help and usage text (``usage.py``) is imported only when
-``-h`` or a usage error needs it.
+A command line in the usual spelling (``command spec --option value ...``)
+is read by ``parse_args`` from the ``_COMMANDS`` table, so such a cold
+command loads no argparse, gettext or locale. Every other line, help and
+each usage error go to the argparse parser that ``usage.py`` builds from
+the same table; it is imported only then.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from itertools import accumulate
 from operator import gt
@@ -37,7 +36,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_GUARD = 2
 EXIT_SOLVER = 3
-EXIT_USAGE = 2
 
 # Most volumes a grid may hold. An in-process bounds --grid over 1e6 rows
 # took 4.5 s and 369 MiB peak RSS on an x86-64 host, and the cost grows
@@ -304,7 +302,8 @@ def cmd_verify(args) -> int:
 # one must be given, and each option's kind and help. The kind says how a value
 # is read: float converts it, a tuple lists the accepted values (the first is
 # the default), list collects the repeats, str keeps it as given. parse_args
-# reads command lines by this table, and usage.py draws the help text from it.
+# reads the usual command lines by this table, and usage.py builds the argparse
+# parser of every other line from it.
 _GRID = (str, "volume grid lo:hi:count[,log|lin]")
 _COMMANDS = {
     "profile": (
@@ -321,145 +320,62 @@ _COMMANDS = {
     ),
     "verify": ("run the oracle suite against the spec", cmd_verify, (), {}),
 }
-_HELP = ("-h", "--help")
-
-
-def _usage_error(command, message: str):
-    """Write the usage line and ``torusiso[ <command>]: error: <message>``,
-    then exit 2."""
-    from .usage import usage
-
-    prog = "torusiso" if command is None else f"torusiso {command}"
-    sys.stderr.write(f"{usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(EXIT_USAGE)
-
-
-def _help(command, name: str, value):
-    """-h/--help: print the help text and exit 0. Joined to it, only more h's
-    are taken (``-hh``, a run of short flags); any other value is refused."""
-    if value is not None and (name != "-h" or set(value) != {"h"}):
-        _usage_error(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    from .usage import help_text
-
-    sys.stdout.write(help_text(command))
-    raise SystemExit(EXIT_OK)
-
-
-def _marks(tokens, names, command) -> list:
-    """What each token is among a parser's option names, as argparse read it.
-
-    A positional is None and the first "--" is "--"; every token after it is
-    a positional. An option is its full name (None when no option matches)
-    and the value joined to it (None when there is none): a long option may
-    be shortened to a prefix that matches it alone, and carry its value
-    after "="; ``-h`` may run on into more h's.
-    """
-    marks = []
-    for token in tokens:
-        if token == "--":
-            return marks + ["--"] + [None] * (len(tokens) - len(marks) - 1)
-        prefix, eq, value = token.partition("=")
-        if token[:1] != "-" or token == "-":
-            mark = None
-        elif token in names:
-            mark = token, None
-        elif eq and prefix in names:
-            mark = prefix, value
-        elif token[1] != "-":
-            mark = (token[:2], token[2:]) if token[:2] in names else (None, None)
-        elif len(matches := [name for name in names if name.startswith(prefix)]) > 1:
-            _usage_error(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-        else:
-            mark = (matches[0], value if eq else None) if matches else (None, None)
-        # No option takes a negative number, so one is a positional, as is an
-        # unknown option with a space in it.
-        if mark == (None, None) and (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token)):
-            mark = None
-        marks.append(mark)
-    return marks
 
 
 def parse_args(argv=None) -> SimpleNamespace:
-    """Read a command line (``sys.argv[1:]`` by default) as argparse read it.
+    """Read a command line (``sys.argv[1:]`` by default) as argparse reads it.
 
     The result has ``command``, ``spec``, ``v``, ``grid``, ``format`` and
     ``curve`` (None where the command has no such option), and ``func``, the
-    command's handler. Tokens are read left to right: ``-h``/``--help`` prints
-    the help text and raises SystemExit(0) when it is read, and a bad value
-    or a conflict raises SystemExit(2) when it is read. A missing argument or
-    an unknown option or positional is reported after the last token. Each
-    usage error writes the usage line and ``torusiso[ <command>]: error:
-    <message>`` to stderr.
+    command's handler. A line in the usual spelling is read here (see
+    _usual); argparse (usage.py) reads every other line, prints the help
+    and reports each usage error: SystemExit(0) after help, SystemExit(2)
+    after a usage error.
     """
     tokens = sys.argv[1:] if argv is None else list(argv)
-    marks = _marks(tokens, _HELP, None)
-    args = dict.fromkeys(("spec", "v", "grid", "format", "curve"))
-    command, one_of, options, chosen, extras = None, (), {}, None, []
-    i = 0
-    while i < len(tokens):
-        mark, token = marks[i], tokens[i]
-        i += 1
-        if mark is None or mark == "--":
-            if command is None:
-                if token not in _COMMANDS:
-                    choices = ", ".join(map(repr, _COMMANDS))
-                    _usage_error(None, f"invalid choice: {token!r} (choose from {choices})")
-                command = token
-                _, run, one_of, options = _COMMANDS[command]
-                for name, (kind, _) in options.items():
-                    args[name[2:]] = [] if kind is list else kind[0] if type(kind) is tuple else None
-                marks[i:] = _marks(tokens[i:], (*_HELP, *options), command)
-            elif args["spec"] is not None or mark == "--" and i == len(tokens):
-                extras.append(token)
-            else:
-                # The spec takes a "--" right before or after it along.
-                if mark == "--":
-                    token = tokens[i]
-                    i += 1
-                elif marks[i:i + 1] == ["--"]:
-                    i += 1
-                args["spec"] = token
-            continue
-        name, value = mark
-        if name is None:
-            extras.append(token)
-            continue
-        if name in _HELP:
-            _help(command, name, value)
-        # The value is joined to the option or is the next token, if that is a
-        # positional. A "--" is never a value, joined ("--opt=--") or not.
-        if value is None and i < len(tokens) and marks[i] is None:
-            value = tokens[i]
-            i += 1
-        if value is None or value == "--":
-            _usage_error(command, f"argument {name}: expected one argument")
+    args = _usual(tokens)
+    if args is None:
+        from .usage import parse
+
+        args = parse(tokens)
+    return SimpleNamespace(**{**dict.fromkeys(("v", "grid", "format", "curve")), **args})
+
+
+def _usual(tokens) -> dict | None:
+    """The arguments of a line in the usual spelling, or None for any other.
+
+    The usual spelling is the command, the spec, then whole ``--option
+    value`` pairs with each name written in full, where neither the spec
+    nor a value starts with "-" and every value is valid. argparse reads
+    such a line the same way on every Python version.
+    """
+    if not tokens or len(tokens) % 2 or tokens[0] not in _COMMANDS:
+        return None
+    command, spec, *pairs = tokens
+    _, run, one_of, options = _COMMANDS[command]
+    args = {"command": command, "spec": spec, "func": run}
+    for name, (kind, _) in options.items():
+        args[name[2:]] = [] if kind is list else kind[0] if type(kind) is tuple else None
+    given = set()
+    for name, value in zip(pairs[::2], pairs[1::2]):
+        if name not in options or value[:1] == "-":
+            return None
         kind = options[name][0]
         if kind is float:
             try:
                 value = float(value)
             except ValueError:
-                _usage_error(command, f"argument {name}: invalid float value: {value!r}")
+                return None
         elif type(kind) is tuple and value not in kind:
-            choices = ", ".join(map(repr, kind))
-            _usage_error(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
-        if name in one_of:
-            if chosen not in (None, name):
-                _usage_error(command, f"argument {name}: not allowed with argument {chosen}")
-            chosen = name
+            return None
         if kind is list:
             args[name[2:]].append(value)
         else:
             args[name[2:]] = value
-    if command is None:
-        _usage_error(None, "the following arguments are required: command")
-    missing = [] if args["spec"] is not None else ["spec"]
-    if one_of and chosen is None:
-        missing.append(" or ".join(one_of))
-    if missing:
-        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(command=command, func=run, **args)
+        given.add(name)
+    if spec[:1] == "-" or len(given.intersection(one_of)) != bool(one_of):
+        return None
+    return args
 
 
 def main(argv=None) -> int:

@@ -304,16 +304,29 @@ def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
                 for seg in profiles.circle_piecewise(n, r).segments
             )
             checks.append(_scan_check(f"beta({label})", ball, cyl, 0.0, profiles.beta(n, r), 1e3))
-        circ1 = profiles.circle_piecewise(n + 1, spec.radii[0])
+    checks.extend(_gap_scans(report))
+    return checks
+
+
+def _gap_scans(report: CriticalReport) -> list[CheckResult]:
+    """A scan of every gap root of a report, its sub-reports' as sub[<key>]:scan:."""
+    spec, n = report.spec, report.spec.euclid_dim
+    if report.kind == "two-torus":
         slab = profiles.slab_piecewise(spec)
-        two_beta = 2.0 * profiles.beta(n, spec.radii[0])
-        checks.append(_scan_check("v0_1", circ1, slab, 0.0, report.v0_1, 1e2))
-        checks.append(_scan_check("a_n", circ1, slab, two_beta, report.a_n, 1e2))
-    else:
-        r1, r2, _ = spec.radii
-        slab_up = profiles.slab_piecewise(TorusProductSpec((r1, r2), n + 1))
-        slab3 = profiles.slab_piecewise(spec)
-        target = 2.0 * report.sub_reports["n"].v_dstar
-        root = report.u_slab_crossing
-        checks.append(_scan_check("u_slab_crossing", slab_up, slab3, target, root, 1e2))
+        checks = []
+        # Each circle's law meets the slab law at v0_i and clears it by 2 beta at a_n/b_n.
+        for r, names in zip(spec.radii, (("v0_1", "a_n"), ("v0_2", "b_n"))):
+            circle = profiles.circle_piecewise(n + 1, r)
+            for name, target in zip(names, (0.0, 2.0 * profiles.beta(n, r))):
+                root = report.constants[name].value
+                checks.append(_scan_check(name, circle, slab, target, root, 1e2))
+        return checks
+    r1, r2, _ = spec.radii
+    slab_up = profiles.slab_piecewise(TorusProductSpec((r1, r2), n + 1))
+    slab3 = profiles.slab_piecewise(spec)
+    target = 2.0 * report.sub_reports["n"].v_dstar
+    root = report.u_slab_crossing
+    checks = [_scan_check("u_slab_crossing", slab_up, slab3, target, root, 1e2)]
+    for key, sub in report.sub_reports.items():
+        checks += [CheckResult(f"sub[{key}]:{c.name}", c.ok, c.detail) for c in _gap_scans(sub)]
     return checks

@@ -1,9 +1,13 @@
-"""Help and usage text of the command line, drawn from ``cli._COMMANDS``.
+"""The argparse parser of the command line, built from ``cli._COMMANDS``.
 
-Only ``-h`` and usage errors need it. It is a module of its own so that a
-command line that parses does not compile it: a cold command compiles each
+It reads every line that ``cli.parse_args`` does not read itself: help,
+usage errors and every spelling other than ``command spec --option value
+...``. It is a module of its own so that a usual command line loads no
+argparse and does not compile this module: a cold command compiles each
 module it imports when no bytecode is cached.
 """
+
+import argparse
 
 from .cli import _COMMANDS
 
@@ -13,34 +17,36 @@ _DESCRIPTION = (
 )
 
 
-def usage(command) -> str:
-    """The usage line of the tool (command None) or of one command."""
-    if command is None:
-        return "usage: torusiso [-h] {" + ",".join(_COMMANDS) + "} ...\n"
-    _, _, one_of, options = _COMMANDS[command]
-    forms = {name: f"{name} {_metavar(name, kind)}" for name, (kind, _) in options.items()}
-    words = [command, "[-h]"]
-    if one_of:
-        group = " | ".join(forms.pop(name) for name in one_of)
-        words.append(f"({group})" if len(one_of) > 1 else group)
-    words += [f"[{form}]" for form in forms.values()]
-    return f"usage: torusiso {' '.join(words)} spec\n"
+def parse(tokens) -> dict:
+    """The arguments argparse reads from a command line, by name.
 
-
-def help_text(command) -> str:
-    """The usage line, a summary and one line per argument."""
-    if command is None:
-        summary = _DESCRIPTION
-        rows = [(name, row[0]) for name, row in _COMMANDS.items()]
-    else:
-        summary, _, _, options = _COMMANDS[command]
-        rows = [("spec", "manifold spec JSON file")]
-        rows += [(f"{name} {_metavar(name, kind)}", text) for name, (kind, text) in options.items()]
-    rows.append(("-h, --help", "show this help message and exit"))
-    width = max(len(left) for left, _ in rows)
-    lines = "".join(f"  {left:<{width}}  {text}\n" for left, text in rows)
-    return f"{usage(command)}\n{summary}\n\n{lines}"
-
-
-def _metavar(name: str, kind) -> str:
-    return "{" + ",".join(kind) + "}" if type(kind) is tuple else name[2:].upper()
+    argparse reads ``--opt=--`` as an empty list; that is refused here as an
+    option without its value, through the command's own parser. It is the
+    one line this parser reads otherwise than argparse.
+    """
+    parser = argparse.ArgumentParser(prog="torusiso", description=_DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for command, (summary, run, one_of, options) in _COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=summary, description=summary)
+        p.add_argument("spec", help="manifold spec JSON file")
+        # One option of one_of is required by itself, two or more as a group.
+        group = p.add_mutually_exclusive_group(required=True) if len(one_of) > 1 else p
+        for name, (kind, text) in options.items():
+            if kind is float:
+                read = {"type": float}
+            elif type(kind) is tuple:
+                read = {"choices": kind, "default": kind[0]}
+            elif kind is list:
+                read = {"action": "append", "default": []}
+            else:
+                read = {}
+            into = group if name in one_of else p
+            into.add_argument(name, required=one_of == (name,), help=text, **read)
+        p.set_defaults(func=run)
+    args = vars(parser.parse_args(tokens))
+    for name, (kind, _) in _COMMANDS[args["command"]][3].items():
+        values = args[name[2:]] if kind is list else [args[name[2:]]]
+        if [] in values:
+            parsers[args["command"]].error(f"argument {name}: expected one argument")
+    return args

@@ -462,6 +462,18 @@ class TestArgparseParity:
         ["verify", "s.json", "--v", "1"],
         ["verify", "s.json", "extra"],
         ["verify"],
+        # At the edge of the usual spelling: a command's name as the spec, empty
+        # values, a value that starts with a space or uses float()'s underscores,
+        # a value with a space in it, a value without its option, and names
+        # that only start an option's name.
+        ["verify", "profile"],
+        ["profile", "", "--grid", ""],
+        ["profile", "s.json", "--v", " -1"],
+        ["profile", "s.json", "--v", "1_0"],
+        ["bounds", "s.json", "--grid", "1:2:3", "--curve", "a b"],
+        ["critical", "s.json", "--format", "csv", "x"],
+        ["critical", "s.json", "--", "csv"],
+        ["critical", "s.json", "-", "csv"],
     ]
     ALPHABET = COMMANDS + [
         "nope", "s.json", "1", "1:2:3", "json", "csv", "xml", "c.csv",

@@ -285,10 +285,47 @@ class TestVerification:
         assert checks and all(check.ok for check in checks)
         assert 1e299 < envelope_piecewise(spec).breakpoints()[0] < 1e301
 
-    def test_verify_spec_k3_scans_slab_crossing(self):
-        checks = verify_spec(TorusProductSpec((0.6, 1.1, 2.3), 3))
-        assert "scan:u_slab_crossing" in {check.name for check in checks}
+    GAP_SCANS = ["scan:v0_1", "scan:a_n", "scan:v0_2", "scan:b_n"]
+
+    def test_verify_spec_k2_scans_every_gap_root(self, example_spec):
+        checks = verify_spec(example_spec)
+        scans = [check.name for check in checks if check.name.startswith("scan:")]
+        assert scans == ["scan:beta(r1)", "scan:beta(r2)", *self.GAP_SCANS]
         assert all(check.ok for check in checks)
+
+    def test_verify_spec_k3_scans_slab_crossing(self):
+        # The crossing, then every gap root of both two-circle sub-reports.
+        checks = verify_spec(TorusProductSpec((0.6, 1.1, 2.3), 3))
+        scans = [check.name for check in checks if "scan:" in check.name]
+        assert scans == [
+            "scan:u_slab_crossing",
+            *(f"sub[{key}]:{name}" for key in ("n", "n_plus_1") for name in self.GAP_SCANS),
+        ]
+        assert all(check.ok for check in checks)
+
+    @pytest.mark.parametrize(
+        "radii, key",
+        [((0.7, 1.9), None), ((0.6, 1.1, 2.3), "n"), ((0.6, 1.1, 2.3), "n_plus_1")],
+        ids=["k2", "k3-sub-n", "k3-sub-n_plus_1"],
+    )
+    def test_b_n_off_its_root_fails_its_scan(self, radii, key, monkeypatch):
+        # b_n sets v_dstar, so its scan is the one that shows a b_n solved to
+        # another sign change; moved 1% off, it fails, in a sub-report too.
+        def moved(report):
+            record = report.constants["b_n"]
+            constants = {**report.constants, "b_n": record._replace(value=1.01 * record.value)}
+            return report._replace(constants=constants)
+
+        spec = TorusProductSpec(radii, 3)
+        report = full_report(spec)
+        if key is None:
+            report = moved(report)
+        else:
+            subs = {**report.sub_reports, key: moved(report.sub_reports[key])}
+            report = report._replace(sub_reports=subs)
+        monkeypatch.setattr(oracle, "full_report", lambda s: report)
+        failed = {c.name for c in verify_spec(spec) if not c.ok and "scan:" in c.name}
+        assert failed == {"scan:b_n" if key is None else f"sub[{key}]:scan:b_n"}
 
 
 class TestProfileAgreementWindow:

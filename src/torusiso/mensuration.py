@@ -153,38 +153,42 @@ def _ball_dim(spec: TorusProductSpec, region: CandidateRegion) -> int:
 
 def region_volume(spec: TorusProductSpec, region: CandidateRegion) -> float:
     """Volume of the region: (product of circumferences) * b_m * R^m."""
-    m = _ball_dim(spec, region)
-    return (
-        spec.torus_measure(region.circle_indices)
-        * unit_ball_volume(m)
-        * region.ball_radius**m
-    )
+    return _region_measure(spec, region, 0)
 
 
 def region_boundary_area(spec: TorusProductSpec, region: CandidateRegion) -> float:
     """Boundary area of the region: (product of circumferences) * m * b_m * R^(m-1).
 
     Equals the derivative of region_volume with respect to the ball radius.
-    When a factor or the product leaves the normal doubles (a huge torus
-    times the underflowed power of a tiny ball, say), the factors' logarithms
-    are summed instead, so the area is 0.0 or inf only when it really lies
+    """
+    return _region_measure(spec, region, 1)
+
+
+def _region_measure(spec: TorusProductSpec, region: CandidateRegion, drop: int) -> float:
+    """(product of circumferences) * m^drop * b_m * R^(m - drop) for the region's m.
+
+    The volume for drop 0, the boundary area for drop 1. When a factor or
+    the product leaves the normal doubles (a huge torus times the
+    underflowed power of a tiny ball, say), the factors' logarithms are
+    summed instead, so the result is 0.0 or inf only when it really lies
     past the double range.
     """
     m = _ball_dim(spec, region)
-    factor = spec.torus_measure(region.circle_indices) * m * unit_ball_volume(m)
+    coeff = m**drop
+    factor = spec.torus_measure(region.circle_indices) * coeff * unit_ball_volume(m)
     try:
-        power = region.ball_radius ** (m - 1)
+        power = region.ball_radius ** (m - drop)
     except OverflowError:
         power = math.inf
-    area = factor * power
-    if all(sys.float_info.min <= x < math.inf for x in (factor, power, area)):
-        return area
-    log_area = (
+    product = factor * power
+    if all(sys.float_info.min <= x < math.inf for x in (factor, power, product)):
+        return product
+    log_product = (
         sum(math.log(TWO_PI) + math.log(spec.radii[i]) for i in region.circle_indices)
-        + math.log(m * unit_ball_volume(m))
-        + (m - 1) * math.log(region.ball_radius)
+        + math.log(coeff * unit_ball_volume(m))
+        + (m - drop) * math.log(region.ball_radius)
     )
     try:
-        return math.exp(log_area)
+        return math.exp(log_product)
     except OverflowError:
         return math.inf

@@ -25,6 +25,7 @@ from .mensuration import (
     CandidateRegion,
     TorusProductSpec,
     region_boundary_area,
+    region_volume,
     unit_ball_volume,
 )
 from .records import record
@@ -159,83 +160,91 @@ def bisect_verify(residual: Callable[[float], float], root: float, tolerance: fl
 
 
 # ---------------------------------------------------------------------------
-# Residual systems for the critical reports.
+# The defining relations of the critical reports.
 
 
-def t2_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
-    """Defining-equation residuals for every constant of a two-circle report."""
-    spec = report.spec
-    r1, r2 = spec.radii
-    n = spec.euclid_dim
-    b1 = profiles.beta(n, r1)
-    b2 = profiles.beta(n, r2)
-    circ1 = profiles.circle_piecewise(n + 1, r1)
-    circ2 = profiles.circle_piecewise(n + 1, r2)
-    slab = profiles.slab_piecewise(spec)
-    ball = profiles.euclidean_piecewise(n + 1)
+def _relations(report: CriticalReport) -> tuple[dict, dict]:
+    """The relations that define a report's constants: (residuals, gaps).
 
-    v_s_value = min(
-        TWO_PI * r1 * unit_ball_volume(n + 1) * (math.pi * r2) ** (n + 1),
-        unit_ball_volume(n + 2) * (math.pi * r1) ** (n + 2),
-    )
-    k_value = max(
-        TWO_PI * r1 * ball(report.theta_star),
-        TWO_PI * r2 * ball(report.sigma_star),
-    )
-    return {
-        "theta_star": lambda x: math.pi * r1 * ball(x) + x - b2,
-        "sigma_star": lambda x: math.pi * r2 * ball(x) + x - b1,
-        "K_star": lambda x: x - k_value,
-        "c_n": lambda x: circ1(x) - report.K_star,
-        "v_s": lambda x: x - v_s_value,
-        "v0_1": lambda x: circ1(x) - slab(x),
-        "v0_2": lambda x: circ2(x) - slab(x),
-        "v_star": lambda x: x - min(report.v_s, report.c_n, report.v0_1),
-        "a_n": lambda x: circ1(x) - slab(x) - 2.0 * b1,
-        "b_n": lambda x: circ2(x) - slab(x) - 2.0 * b2,
-        "v_dstar": lambda x: x - max(report.a_n, report.b_n),
-    }
-
-
-def t3_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
-    """Defining-equation residuals for every constant of a three-circle report.
-
-    The max and min relations read their terms from the sub-reports and
-    sibling records, never from the constant they define.
+    ``gaps`` maps each gap root, in scan order, to its (upper, lower, target)
+    triple: the root is where upper - lower crosses target. ``residuals``
+    maps every other constant to its residual. The max and min relations
+    read their terms from the sub-reports and sibling records, never from
+    the constant they define; the embedding volumes are region_volume's.
     """
-    spec = report.spec
+    spec, n = report.spec, report.spec.euclid_dim
+    if report.kind == "two-torus":
+        r1, r2 = spec.radii
+        b1, b2 = profiles.beta(n, r1), profiles.beta(n, r2)
+        circ1, circ2 = (profiles.circle_piecewise(n + 1, r) for r in spec.radii)
+        slab = profiles.slab_piecewise(spec)
+        ball = profiles.euclidean_piecewise(n + 1)
+        # Circle r1 times the (n+1)-ball of radius pi r2, and the (n+2)-ball of radius pi r1.
+        v_s_value = min(
+            region_volume(spec, CandidateRegion((0,), math.pi * r2)),
+            region_volume(spec, CandidateRegion((), math.pi * r1)),
+        )
+        k_value = max(TWO_PI * r1 * ball(report.theta_star), TWO_PI * r2 * ball(report.sigma_star))
+        residuals = {
+            "theta_star": lambda x: math.pi * r1 * ball(x) + x - b2,
+            "sigma_star": lambda x: math.pi * r2 * ball(x) + x - b1,
+            "K_star": lambda x: x - k_value,
+            "c_n": lambda x: circ1(x) - report.K_star,
+            "v_s": lambda x: x - v_s_value,
+            "v_star": lambda x: x - min(report.v_s, report.c_n, report.v0_1),
+            "v_dstar": lambda x: x - max(report.a_n, report.b_n),
+        }
+        # Each circle's law meets the slab law at v0_i and clears it by 2 beta at a_n/b_n.
+        gaps = {
+            "v0_1": (circ1, slab, 0.0),
+            "a_n": (circ1, slab, 2.0 * b1),
+            "v0_2": (circ2, slab, 0.0),
+            "b_n": (circ2, slab, 2.0 * b2),
+        }
+        return residuals, gaps
     sub_n = report.sub_reports["n"]
     sub_up = report.sub_reports["n_plus_1"]
-    crossing = report.u_slab_crossing
     r1, r2, r3 = spec.radii
-    n = spec.euclid_dim
     circ1 = profiles.circle_piecewise(n + 2, r1)
-    two_up = TorusProductSpec((r1, r2), n + 1)
-    slab_up = profiles.slab_piecewise(two_up)
-    slab3 = profiles.slab_piecewise(spec)
     ball = profiles.euclidean_piecewise(n + 2)
-
     w_value = min(sub_n.v_star, profiles.beta(n + 1, r1))
-    realizable = TWO_PI * r1 * unit_ball_volume(n + 2) * (math.pi * r2) ** (n + 2)
-    return {
+    # Circle r1 times the (n+2)-ball of radius pi r2.
+    realizable = region_volume(spec, CandidateRegion((0,), math.pi * r2))
+    residuals = {
         "w_star": lambda x: x - w_value,
         "eta_star": lambda x: math.pi * r3 * ball(x) + x - report.w_star,
         "C_star": lambda x: x - 2.0 * (report.w_star - report.eta_star),
         "u0": lambda x: circ1(x) - report.C_star,
         "u_star": lambda x: x - min(report.u0, sub_up.v_star, realizable),
-        "u_slab_crossing": lambda x: slab_up(x) - slab3(x) - 2.0 * sub_n.v_dstar,
-        "u_dstar": lambda x: x - max(sub_up.v_dstar, crossing),
+        "u_dstar": lambda x: x - max(sub_up.v_dstar, report.u_slab_crossing),
     }
+    slab_up = profiles.slab_piecewise(TorusProductSpec((r1, r2), n + 1))
+    gaps = {"u_slab_crossing": (slab_up, profiles.slab_piecewise(spec), 2.0 * sub_n.v_dstar)}
+    return residuals, gaps
 
 
 def report_residuals(report: CriticalReport) -> dict[str, Callable[[float], float]]:
-    if report.kind == "two-torus":
-        return t2_residuals(report)
-    return t3_residuals(report)
+    """Every constant's defining residual; a gap root's is upper(x) - lower(x) - target."""
+    residuals, gaps = _relations(report)
+    for name, (upper, lower, target) in gaps.items():
+        residuals[name] = lambda x, u=upper, l=lower, t=target: u(x) - l(x) - t
+    return residuals
+
+
+def _walk(report: CriticalReport, checks) -> list[CheckResult]:
+    """checks(report), then each sub-report's walk, its names as sub[<key>]:<name>."""
+    results = checks(report)
+    for key, sub in report.sub_reports.items():
+        results += [c._replace(name=f"sub[{key}]:{c.name}") for c in _walk(sub, checks)]
+    return results
 
 
 def verify_report(report: CriticalReport) -> list[CheckResult]:
     """bisect_verify every reported constant against its defining residual."""
+    return _walk(report, _constant_checks)
+
+
+def _constant_checks(report: CriticalReport) -> list[CheckResult]:
     residuals = report_residuals(report)
     results = []
     for name, record in report.constants.items():
@@ -243,10 +252,27 @@ def verify_report(report: CriticalReport) -> list[CheckResult]:
         ok = bisect_verify(residual, record.value, _CHECK_TOLERANCE)
         detail = f"value={record.value!r} residual_at_value={residual(record.value):.3e}"
         results.append(CheckResult(f"constant:{name}", ok, detail))
-    for key, sub in report.sub_reports.items():
-        for res in verify_report(sub):
-            results.append(CheckResult(f"sub[{key}]:{res.name}", res.ok, res.detail))
     return results
+
+
+def _gap_scans(report: CriticalReport) -> list[CheckResult]:
+    """A scan of each of the report's own gap roots, in the table's order."""
+    _, gaps = _relations(report)
+    return [
+        _scan_check(name, *triple, report.constants[name].value, 1e2)
+        for name, triple in gaps.items()
+    ]
+
+
+def _scan_check(
+    name: str, upper, lower, target: float, root: float, spread: float
+) -> CheckResult:
+    # The last crossing on [root / spread, root * spread] must be the reported
+    # root within tolerance; with no crossing the NaN bracket fails.
+    crossings = gap_crossings(upper, lower, target, root / spread, root * spread)
+    a, b = crossings[-1] if crossings else (math.nan, math.nan)
+    ok = a * (1.0 - _CHECK_TOLERANCE) <= root <= b * (1.0 + _CHECK_TOLERANCE)
+    return CheckResult(f"scan:{name}", ok, f"crossings={crossings}")
 
 
 def _profile_agreement(spec: TorusProductSpec) -> CheckResult:
@@ -271,17 +297,6 @@ def _profile_agreement(spec: TorusProductSpec) -> CheckResult:
     return CheckResult("profile-vs-oracle", worst <= 1e-9, f"max relative gap {worst:.3e}")
 
 
-def _scan_check(
-    name: str, upper, lower, target: float, root: float, spread: float
-) -> CheckResult:
-    # The last crossing on [root / spread, root * spread] must be the reported
-    # root within tolerance; with no crossing the NaN bracket fails.
-    crossings = gap_crossings(upper, lower, target, root / spread, root * spread)
-    a, b = crossings[-1] if crossings else (math.nan, math.nan)
-    ok = a * (1.0 - _CHECK_TOLERANCE) <= root <= b * (1.0 + _CHECK_TOLERANCE)
-    return CheckResult(f"scan:{name}", ok, f"crossings={crossings}")
-
-
 def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
     """Full oracle suite for one spec: profiles, constants and crossings.
 
@@ -304,29 +319,5 @@ def verify_spec(spec: TorusProductSpec) -> list[CheckResult]:
                 for seg in profiles.circle_piecewise(n, r).segments
             )
             checks.append(_scan_check(f"beta({label})", ball, cyl, 0.0, profiles.beta(n, r), 1e3))
-    checks.extend(_gap_scans(report))
-    return checks
-
-
-def _gap_scans(report: CriticalReport) -> list[CheckResult]:
-    """A scan of every gap root of a report, its sub-reports' as sub[<key>]:scan:."""
-    spec, n = report.spec, report.spec.euclid_dim
-    if report.kind == "two-torus":
-        slab = profiles.slab_piecewise(spec)
-        checks = []
-        # Each circle's law meets the slab law at v0_i and clears it by 2 beta at a_n/b_n.
-        for r, names in zip(spec.radii, (("v0_1", "a_n"), ("v0_2", "b_n"))):
-            circle = profiles.circle_piecewise(n + 1, r)
-            for name, target in zip(names, (0.0, 2.0 * profiles.beta(n, r))):
-                root = report.constants[name].value
-                checks.append(_scan_check(name, circle, slab, target, root, 1e2))
-        return checks
-    r1, r2, _ = spec.radii
-    slab_up = profiles.slab_piecewise(TorusProductSpec((r1, r2), n + 1))
-    slab3 = profiles.slab_piecewise(spec)
-    target = 2.0 * report.sub_reports["n"].v_dstar
-    root = report.u_slab_crossing
-    checks = [_scan_check("u_slab_crossing", slab_up, slab3, target, root, 1e2)]
-    for key, sub in report.sub_reports.items():
-        checks += [CheckResult(f"sub[{key}]:{c.name}", c.ok, c.detail) for c in _gap_scans(sub)]
+    checks.extend(_walk(report, _gap_scans))
     return checks

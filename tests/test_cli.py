@@ -213,6 +213,36 @@ class TestBoundsCommand:
         assert out == ""
         assert f"line {line_no}" in err
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("# certified_lower_bound: no\nv,area\n1,2\n3,4\n", 1,
+             "line 1: certified_lower_bound must be 'yes'"),
+            ("# certified_lower_bound: yes\nvol,area\n1,2\n3,4\n", 2,
+             "line 2: expected header 'v,area', got 'vol,area'"),
+            ("# certified_lower_bound: yes\nv,area\n1,2,3\n3,4\n", 3,
+             "line 3: expected two comma-separated values"),
+            ("# certified_lower_bound: yes\n", None, "missing 'v,area' header"),
+            ("# certified_lower_bound: yes\nv,area\n1,2\n", None,
+             "a tabulated curve needs at least 2 points"),
+        ],
+        ids=["not-certified", "wrong-header", "three-fields", "no-header", "one-sample"],
+    )
+    def test_curve_file_refusal_is_one_error_line(
+        self, capsys, example_file, tmp_path, text, line_no, message
+    ):
+        from torusiso import CurveParseError, read_curve
+
+        curve = tmp_path / "curve.csv"
+        curve.write_text(text)
+        code, out, err = run(
+            capsys, "bounds", example_file, "--grid", "1:10:5,log", "--curve", str(curve)
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        with pytest.raises(CurveParseError) as refusal:
+            read_curve(str(curve))
+        assert refusal.value.line_no == line_no
+
     def test_missing_curve_file_is_parse_error(self, capsys, example_file, tmp_path):
         missing = str(tmp_path / "missing.csv")
         code, out, err = run(
@@ -525,11 +555,60 @@ class TestArgparseParity:
         assert _parse_outcome(cli.parse_args, argv) == 2
 
 
+# The check names of a two-circle report's constants, in report order, and
+# of its gap scans, in scan order.
+T2_CONSTANTS = (
+    "theta_star", "sigma_star", "K_star", "c_n", "v_s", "v0_1", "v0_2", "v_star", "a_n",
+    "b_n", "v_dstar",
+)
+T2_SCANS = ("v0_1", "a_n", "v0_2", "b_n")
+T3_CONSTANTS = ("w_star", "eta_star", "C_star", "u0", "u_star", "u_slab_crossing", "u_dstar")
+VERIFY_NAMES = {
+    "k1": ["profile-vs-oracle"],
+    "k2-example": [
+        "profile-vs-oracle",
+        *(f"constant:{name}" for name in T2_CONSTANTS),
+        "scan:beta(r1)",
+        "scan:beta(r2)",
+        *(f"scan:{name}" for name in T2_SCANS),
+    ],
+    "k3": [
+        "profile-vs-oracle",
+        *(f"constant:{name}" for name in T3_CONSTANTS),
+        *(f"sub[n]:constant:{name}" for name in T2_CONSTANTS),
+        *(f"sub[n_plus_1]:constant:{name}" for name in T2_CONSTANTS),
+        "scan:u_slab_crossing",
+        *(f"sub[n]:scan:{name}" for name in T2_SCANS),
+        *(f"sub[n_plus_1]:scan:{name}" for name in T2_SCANS),
+    ],
+}
+
+
 class TestVerifyCommand:
     def test_example_spec_passes(self, capsys, example_file):
         code, out, _ = run(capsys, "verify", example_file)
         assert code == 0
         assert "all" in out.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "radii, n, case",
+        [
+            ([1.2], 3, "k1"),
+            ([SQRT_PI_RADIUS, SQRT_PI_RADIUS], 2, "k2-example"),
+            ([0.6, 1.1, 2.3], 3, "k3"),
+        ],
+        ids=["k1", "k2-example", "k3"],
+    )
+    def test_whole_stdout_in_check_order(self, capsys, tmp_path, radii, n, case):
+        # The order of the checks is part of the output: constants in report
+        # order, each sub-report's after its parent's, then the scans.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"radii": radii, "euclid_dim": n}))
+        names = VERIFY_NAMES[case]
+        expected = "".join(f"PASS {name}\n" for name in names)
+        expected += f"all {len(names)} checks passed\n"
+        assert run(capsys, "verify", str(path)) == (0, expected, "")
+        assert len(names) == {"k1": 1, "k2-example": 18, "k3": 39}[case]
 
     def test_loose_tolerance_still_passes(self, capsys, tmp_path):
         path = tmp_path / "loose.json"
@@ -589,6 +668,28 @@ class TestSpecFileLoading:
         path.write_text(json.dumps({"radii": "wide", "euclid_dim": 2}))
         code, _, _ = run(capsys, "profile", str(path), "--v", "1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (None, ["critical"], "cannot read spec file "),
+            ("[0.7, 1.9]", ["critical"], "spec file must contain a JSON object"),
+            ('{"radii": ["0.7", 1.9], "euclid_dim": 2}', ["critical"],
+             "spec field 'radii' must contain numbers, got '0.7'"),
+            ('{"radii": [0.7, 1.9], "euclid_dim": 2}', ["profile", "--grid", "a:b:3"],
+             "could not parse grid numbers from 'a:b:3'"),
+        ],
+        ids=["missing-file", "json-array", "string-radius", "grid-a:b:3"],
+    )
+    def test_refusal_is_one_error_line(self, capsys, tmp_path, text, argv, message):
+        path = tmp_path / "spec.json"
+        if text is not None:
+            path.write_text(text)
+        command, *options = argv
+        code, out, err = run(capsys, command, str(path), *options)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_negative_radius_is_guard(self, capsys, tmp_path):
         path = tmp_path / "neg.json"
@@ -665,6 +766,8 @@ class TestSpecFileLoading:
             cli.parse_grid("1:10:5,")
         with pytest.raises(cli.SpecFileError):
             cli.parse_grid("-1:10:5,log")
+        with pytest.raises(cli.SpecFileError, match="could not parse grid numbers"):
+            cli.parse_grid("a:b:3")
         assert cli.parse_grid("2:2:1") == [2.0]
 
     def test_grid_count_is_bounded(self):
@@ -740,7 +843,7 @@ class TestGridBuilder:
         first.append(1e6)
         assert cli.parse_grid("0.5:100:64,log") == second
 
-    @pytest.mark.parametrize("text", ["1:10", "1:10:5,weird", "-1:10:5,log"])
+    @pytest.mark.parametrize("text", ["1:10", "1:10:5,weird", "-1:10:5,log", "a:b:3"])
     def test_refused_grid_is_refused_again_and_never_stored(self, text):
         refusals = []
         for _ in range(2):

@@ -122,6 +122,31 @@ def test_boundary_area_whose_factors_leave_the_double_range(radii, n, indices, r
     assert rel(area, exact) < 1e-12
 
 
+def test_volume_whose_factors_leave_the_double_range():
+    # The torus measure (2 pi 1e-300)^2 underflows to 0.0, and the ball's
+    # power brings the volume back to 4 pi^3 1e-298; the 5-ball of radius
+    # 1e200 lies past the largest double, where R^5 raises OverflowError.
+    spec = TorusProductSpec((1e-300, 1e-300), 2)
+    volume = region_volume(spec, CandidateRegion((0, 1), 1e150))
+    assert math.isclose(volume, 1.2402510672118e-298, rel_tol=1e-12)
+    assert region_volume(TorusProductSpec((1.0, 2.0), 3), CandidateRegion((), 1e200)) == math.inf
+
+
+@pytest.mark.parametrize("radii, n", [((0.7,), 7), ((0.7, 1.3), 2), ((1e-30, 1e30, 2.1), 4)])
+def test_direct_product_bits_where_every_factor_is_normal(radii, n):
+    # (product of circumferences) * m^drop * b_m * R^(m - drop), in that order.
+    spec = TorusProductSpec(radii, n)
+    for size in range(spec.circle_count + 1):
+        indices = tuple(range(size))
+        m = spec.circle_count - size + n
+        for radius in (1e-20, 0.37, 1.0, 4.5e12):
+            region = CandidateRegion(indices, radius)
+            measure = spec.torus_measure(indices)
+            b_m = unit_ball_volume(m)
+            assert region_volume(spec, region) == measure * b_m * radius**m
+            assert region_boundary_area(spec, region) == measure * m * b_m * radius ** (m - 1)
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0, math.pi])
 def test_scaling_laws(lam):
     spec = TorusProductSpec((1.0, 2.0), 4)

@@ -404,6 +404,19 @@ class TestPiecewise:
                     PowerSegment(50.0, 0.5, 2.0, math.inf, "slab"),
                 )
             )
+        # (0, 1] then (2, inf) leaves (1, 2] uncovered; (0, 2] then (1, inf)
+        # covers it twice.
+        for v_hi, v_lo in ((1.0, 2.0), (2.0, 1.0)):
+            with pytest.raises(DomainError, match=f"overlap between segments at {v_hi} vs {v_lo}"):
+                PiecewiseProfile(
+                    (
+                        PowerSegment(1.0, 0.5, 0.0, v_hi, "ball"),
+                        PowerSegment(1.0, 0.5, v_lo, math.inf, "slab"),
+                    )
+                )
+        for area in (0.0, math.nan):
+            with pytest.raises(DomainError, match="area must be positive"):
+                PiecewiseProfile((good,)).solve_value(area)
         assert PiecewiseProfile((good,))(4.0) == pytest.approx(2.0)
 
     def test_solve_value_round_trip(self, example_spec):

@@ -7,6 +7,7 @@ Each public name is resolved from its module on first use, so ``import
 torusiso`` loads no submodule and a CLI command loads only what it runs.
 """
 
+import sys
 from importlib import import_module
 
 # Public name -> the submodule that defines it.
@@ -52,10 +53,16 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # Resolved on every access and never cached in this namespace, so a patch
-    # of the defining module is also seen through the package root.
+    # of the defining module is also seen through the package root. A loaded
+    # module is taken from sys.modules; a missing one, or one still running
+    # its own imports, goes through import_module, which waits for it.
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    qualified = f"{__name__}.{_EXPORTS[name]}"
+    module = sys.modules.get(qualified)
+    if module is None or getattr(module.__spec__, "_initializing", False):
+        module = import_module(qualified)
+    return getattr(module, name)
 
 
 def __dir__():

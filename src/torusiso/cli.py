@@ -38,10 +38,10 @@ EXIT_GUARD = 2
 EXIT_SOLVER = 3
 
 # Most volumes a grid may hold. An in-process bounds --grid over 1e6 rows
-# took 4.5 s and 369 MiB peak RSS on an x86-64 host, and the cost grows
+# took 1.8-2.1 s and 333 MiB peak RSS on an x86-64 host, and the cost grows
 # linearly, so larger counts are refused before any grid is built. A grid
 # at the cap stays in memory after its command, as an entry of _grid's
-# cache: about 32 MB.
+# cache: about 51 MB.
 _MAX_GRID_COUNT = 10**6
 
 # 10.0 ** y overflows from this exponent up, the log10 of the largest double
@@ -102,15 +102,18 @@ def parse_grid(text: str) -> list[float]:
     Each text is parsed once per process (see _grid); every call returns a
     new list of those volumes, so no caller's edit reaches another.
     """
-    return list(_grid(text))
+    return list(_grid(text)[0])
 
 
 @_profile_cache
-def _grid(text: str) -> tuple[float, ...]:
-    """The volumes of one grid text, built once per text.
+def _grid(text: str) -> tuple[tuple[float, ...], str]:
+    """The volumes of one grid text and their printed column, built once per text.
 
-    The key is the exact text; refusals raise and are never stored. An
-    entry holds about 32 bytes per volume.
+    The column is every volume's ``%.17g`` followed by a space, in order:
+    the tables bake it into their row templates (see _table), so no command
+    formats a grid's volumes again. The key is the exact text; refusals
+    raise and are never stored. An entry holds about 51 bytes per volume:
+    32 for the volumes and 19 for the column.
     """
     body, comma, mode = text.partition(",")
     if comma and mode not in ("log", "lin"):
@@ -130,8 +133,8 @@ def _grid(text: str) -> tuple[float, ...]:
     if not (0.0 < lo <= hi) or not math.isfinite(hi):
         raise SpecFileError(f"grid range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
     if count == 1:
-        return (lo,)
-    if mode == "lin":
+        grid = [lo]
+    elif mode == "lin":
         grid = _spaced(lo, hi, count)
     else:
         # The linear layout of the exponents (as _spaced lays them out),
@@ -146,7 +149,8 @@ def _grid(text: str) -> tuple[float, ...]:
     # a grid and leaves an ascending one as it is.
     if any(map(gt, grid, grid[1:])):
         grid = [min(v, hi) for v in accumulate(grid, max)]
-    return tuple(grid)
+    grid = tuple(grid)
+    return grid, "%.17g " * count % grid
 
 
 def _spaced(lo: float, hi: float, count: int) -> list[float]:
@@ -157,31 +161,45 @@ def _spaced(lo: float, hi: float, count: int) -> list[float]:
     return points
 
 
-def _rows(template: str, *columns) -> str:
-    """``template % row`` for every row of the columns, in one format call.
+def _table(header: str, labels: str, *blocks) -> str:
+    """A CSV table whose volume column is printed already, in one format call.
 
-    The columns are interleaved into one flat list by slice assignment. On
-    1,000-row tables one ``%`` per block costs about 0.65 us per float
-    written, against about 0.8 us with a ``%`` and a tuple per row (x86-64);
-    "%.17g" gives the bytes of _fmt.
+    ``labels`` holds each row's volume followed by a space (see _grid), and
+    neither ``header`` nor a tail holds a space. Each block is a row format
+    ``tail`` and the block's other columns, in row order: the block's
+    spaces become its tail, and its columns are
+    interleaved into one flat list of cells by slice assignment. So the one
+    ``%`` formats only those cells; on 1,000-row tables it costs about
+    0.65 us per float written, against about 0.8 us with a ``%`` and a tuple
+    per row (x86-64). "%.17g" gives the bytes of _fmt, and the labels are
+    those bytes.
     """
-    width, count = len(columns), len(columns[0])
-    cells = [None] * (width * count)
-    for i, column in enumerate(columns):
-        cells[i::width] = column
-    return template * count % tuple(cells)
+    template, size = header + labels, 0
+    for tail, *columns in blocks:
+        template = template.replace(" ", tail, len(columns[0]))
+        size += len(columns) * len(columns[0])
+    # One list of every block's cells: a 10^6-row table makes no second copy.
+    cells, start = [None] * size, 0
+    for _, *columns in blocks:
+        width = len(columns)
+        stop = start + width * len(columns[0])
+        for i, column in enumerate(columns):
+            cells[start + i : stop : width] = column
+        start = stop
+    return template % tuple(cells)
 
 
 def cmd_profile(args) -> int:
     spec = load_spec_file(args.spec)
     if args.v is not None:
         grid, evaluate = [args.v], envelope_piecewise(spec).values
+        labels = "%.17g " % args.v
     else:
-        # parse_grid's volumes are positive, finite and ascending already.
-        grid, evaluate = parse_grid(args.grid), envelope_piecewise(spec)._columns
+        # The grid's volumes are positive, finite and ascending already.
+        (grid, labels), evaluate = _grid(args.grid), envelope_piecewise(spec)._columns
     areas, segments = evaluate(grid)
     regimes = [s.regime for s in segments]
-    sys.stdout.write("v,area,regime\n" + _rows("%.17g,%.17g,%s\n", grid, areas, regimes))
+    sys.stdout.write(_table("v,area,regime\n", labels, (",%.17g,%s\n", areas, regimes)))
     return EXIT_OK
 
 
@@ -246,24 +264,30 @@ def cmd_bounds(args) -> int:
     from . import bounds
 
     spec = load_spec_file(args.spec)
-    grid = parse_grid(args.grid)
+    grid, labels = _grid(args.grid)
     curves = [bounds.read_curve(path) for path in args.curve]
-    v, upper, lower, regimes, sources = bounds.band(spec, grid, curves)
-    # band puts exact rows only at the two ends, so the table is three
-    # blocks: the exact head, the inside rows and the exact tail.
+    blocks = _band_blocks(*bounds.band(spec, grid, curves)[1:])
+    sys.stdout.write(_table("v,upper,lower,upper_regime,lower_source\n", labels, *blocks))
+    return EXIT_OK
+
+
+def _band_blocks(upper, lower, regimes, sources) -> tuple:
+    """The blocks of a band's table for _table: the exact head, the inside
+    rows and the exact tail, as band puts exact rows only at the two ends.
+
+    An exact row's lower is its upper: its upper is formatted once and
+    printed twice. The band's own columns are freed when this returns, so a
+    10^6-row band does not hold them while its table is formatted.
+    """
     first = _exact_run(sources)
     stop = len(sources) - _exact_run(sources[first:][::-1])
     inside = slice(first, stop)
-    sys.stdout.write(
-        "v,upper,lower,upper_regime,lower_source\n"
-        + _exact_rows(v[:first], upper[:first], regimes[:first])
-        + _rows(
-            "%.17g,%.17g,%.17g,%s,%s\n",
-            v[inside], upper[inside], lower[inside], regimes[inside], sources[inside],
-        )
-        + _exact_rows(v[stop:], upper[stop:], regimes[stop:])
+    head, tail = (("%.17g " * len(tops) % tops).split() for tops in (upper[:first], upper[stop:]))
+    return (
+        (",%s,%s,%s,exact\n", head, head, regimes[:first]),
+        (",%.17g,%.17g,%s,%s\n", upper[inside], lower[inside], regimes[inside], sources[inside]),
+        (",%s,%s,%s,exact\n", tail, tail, regimes[stop:]),
     )
-    return EXIT_OK
 
 
 def _exact_run(sources) -> int:
@@ -272,12 +296,6 @@ def _exact_run(sources) -> int:
         if source != "exact":
             return i
     return len(sources)
-
-
-def _exact_rows(v, upper, regimes) -> str:
-    # An exact row's lower is its upper: format upper once, print it twice.
-    tops = ("%.17g " * len(upper) % tuple(upper)).split()
-    return _rows("%.17g,%s,%s,%s,exact\n", v, tops, tops, regimes)
 
 
 def cmd_verify(args) -> int:

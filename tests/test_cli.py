@@ -338,6 +338,85 @@ class TestBlockWriter:
         assert out == profile_table(grid, *envelope_piecewise(spec).values(grid))
 
 
+class TestWarmGridTables:
+    """A grid text's volume column is printed once per process (cli._grid) and
+    baked into every later table: warm runs print the per-row writers' bytes."""
+
+    SPECS = TestBlockWriter.SPECS
+
+    @staticmethod
+    def spec_file(tmp_path, spec):
+        path = tmp_path / f"k{spec.circle_count}.json"
+        path.write_text(json.dumps({"radii": list(spec.radii), "euclid_dim": spec.euclid_dim}))
+        return str(path)
+
+    def curve_file(self, tmp_path):
+        # Half the lower of the two envelopes lies below both: a valid curve for either spec.
+        from grids import log_grid
+        from torusiso import envelope_piecewise
+
+        envelopes = [envelope_piecewise(spec) for spec in self.SPECS]
+        rows = "".join(
+            f"{v!r},{0.5 * min(e(v) for e in envelopes)!r}\n" for v in log_grid(1e-3, 1e6, 90)
+        )
+        path = tmp_path / "curve.csv"
+        path.write_text("# label: half\n# certified_lower_bound: yes\nv,area\n" + rows)
+        return str(path)
+
+    @staticmethod
+    def expected(command, spec, text, curves):
+        from torusiso import band, envelope_piecewise
+
+        grid = cli.parse_grid(text)
+        if command == "profile":
+            return profile_table(grid, *envelope_piecewise(spec).values(grid))
+        return bounds_table(band(spec, grid, curves))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["k2-then-k3", "k3-then-k2"])
+    def test_repeated_and_shared_texts_print_the_row_writers_bytes(
+        self, capsys, tmp_path, clear_spec_caches, order
+    ):
+        from torusiso import full_report, read_curve
+
+        first, second = (self.SPECS[i] for i in order)
+        files = {spec: self.spec_file(tmp_path, spec) for spec in self.SPECS}
+        curve = self.curve_file(tmp_path)
+        report = full_report(first)
+        v_lo, v_hi = (report.v_star, report.v_dstar) if first.circle_count == 2 else (
+            report.u_star, report.u_dstar
+        )
+        commands = [("profile", []), ("bounds", []), ("bounds", ["--curve", curve])]
+        for name, text in [*TestBlockWriter.grids(v_lo, v_hi).items(), ("point", "3.5:3.5:1")]:
+            clear_spec_caches()
+            for spec in (first, first, second):
+                for command, extra in commands:
+                    code, out, err = run(capsys, command, files[spec], "--grid", text, *extra)
+                    curves = [read_curve(curve)] if extra else []
+                    assert (code, err) == (0, ""), (name, command)
+                    assert out == self.expected(command, spec, text, curves), (name, command, spec)
+            # One parse, then every run and every reference served from the cache.
+            assert cli._grid.cache_info().misses == 1, name
+
+    def test_edited_grid_list_never_reaches_a_printed_column(self, capsys, tmp_path):
+        text = "0.5:100:64,log"
+        path = self.spec_file(tmp_path, self.SPECS[0])
+        cold = {
+            command: run(capsys, command, path, "--grid", text) for command in ("profile", "bounds")
+        }
+        column = [format(v, ".17g") for v in cli.parse_grid(text)]
+        for edit in (
+            lambda grid: grid.reverse(),
+            lambda grid: grid.__setitem__(0, 1e6),
+            lambda grid: grid.append(7.0),
+            lambda grid: grid.clear(),
+        ):
+            edit(cli.parse_grid(text))
+            for command, expected in cold.items():
+                assert run(capsys, command, path, "--grid", text) == expected
+        for command, (_, out, _) in cold.items():
+            assert [line.split(",")[0] for line in out.splitlines()[1:]] == column
+
+
 class TestParserReuse:
     """parse_args keeps nothing between calls: no call sees another's arguments."""
 
@@ -972,6 +1051,24 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": n
         # Never cached at the root: a patch of the defining module shows through.
         monkeypatch.setattr(criticals, "full_report", "patched")
         assert torusiso.full_report == "patched"
+
+    def test_root_imports_only_a_missing_or_initialising_module(self, monkeypatch):
+        import torusiso
+        from torusiso import criticals
+
+        imported = []
+        monkeypatch.setattr(
+            torusiso, "import_module", lambda name: imported.append(name) or criticals
+        )
+        assert torusiso.full_report is criticals.full_report and imported == []
+        # A module still running its own imports, or one not loaded, is left to
+        # the import system, which waits for it or loads it.
+        monkeypatch.setattr(criticals.__spec__, "_initializing", True, raising=False)
+        assert torusiso.full_report is criticals.full_report
+        monkeypatch.setattr(criticals.__spec__, "_initializing", False, raising=False)
+        monkeypatch.delitem(sys.modules, "torusiso.criticals")
+        assert torusiso.full_report is criticals.full_report
+        assert imported == ["torusiso.criticals"] * 2
 
 
 class TestExtremeRadii:

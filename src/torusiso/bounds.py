@@ -25,7 +25,7 @@ from functools import cached_property
 from operator import attrgetter, gt
 
 from .criticals import CriticalReport, full_report
-from .errors import CurveParseError, DomainError
+from .errors import CurveParseError, DomainError, positive_finite
 from .mensuration import TorusProductSpec
 from .profiles import _profile_cache, beta, circle_piecewise, envelope_piecewise
 from .records import record
@@ -238,6 +238,13 @@ def _thresholds(report: CriticalReport) -> tuple[float, float]:
     return report.u_star, report.u_dstar
 
 
+def _exact_cut(grid: Sequence[float], report: CriticalReport) -> tuple[int, int]:
+    """(first, stop): a sorted grid's rows strictly inside the open threshold
+    interval are grid[first:stop], and band's exact rows are the ones outside."""
+    v_lo, v_hi = _thresholds(report)
+    return bisect_right(grid, v_lo), bisect_left(grid, v_hi)
+
+
 def _chord(lo_anchor: tuple[float, float], hi_anchor: tuple[float, float], v: float) -> float:
     """Chord between the two exactly-known threshold points; valid by concavity."""
     (v_lo, y_lo), (v_hi, y_hi) = lo_anchor, hi_anchor
@@ -380,7 +387,7 @@ def band(
     grid = [float(v) for v in grid]
     for v in grid:
         if not (v > 0.0) or not math.isfinite(v):
-            raise DomainError(f"grid volumes must be positive, got {v!r}")
+            positive_finite(v, "grid volume")
     if any(map(gt, grid, grid[1:])):
         raise DomainError("grid volumes must be sorted ascending")
     if report is None:
@@ -392,9 +399,8 @@ def band(
     lo_anchor = (v_lo, envelope(v_lo))
     hi_anchor = (v_hi, envelope(v_hi))
     tops, segs = envelope._columns(grid)
-    # The grid is sorted, so the rows strictly inside (v_lo, v_hi) are one
-    # slice; the exact rows outside it take the upper value as their lower.
-    first, stop = bisect_right(grid, v_lo), bisect_left(grid, v_hi)
+    # The exact rows outside the inside slice take the upper value as their lower.
+    first, stop = _exact_cut(grid, report)
     inside = grid[first:stop]
     # Each curve's tangent columns over the inside rows, in the fold's order.
     tangents = []

@@ -262,25 +262,26 @@ def cmd_critical(args) -> int:
 
 def cmd_bounds(args) -> int:
     from . import bounds
+    from .criticals import full_report
 
     spec = load_spec_file(args.spec)
     grid, labels = _grid(args.grid)
     curves = [bounds.read_curve(path) for path in args.curve]
-    blocks = _band_blocks(*bounds.band(spec, grid, curves)[1:])
+    report = full_report(spec)
+    cut = bounds._exact_cut(grid, report)
+    blocks = _band_blocks(*cut, *bounds.band(spec, grid, curves, report=report)[1:])
     sys.stdout.write(_table("v,upper,lower,upper_regime,lower_source\n", labels, *blocks))
     return EXIT_OK
 
 
-def _band_blocks(upper, lower, regimes, sources) -> tuple:
+def _band_blocks(first, stop, upper, lower, regimes, sources) -> tuple:
     """The blocks of a band's table for _table: the exact head, the inside
-    rows and the exact tail, as band puts exact rows only at the two ends.
+    rows and the exact tail, cut where band cuts them (bounds._exact_cut).
 
     An exact row's lower is its upper: its upper is formatted once and
     printed twice. The band's own columns are freed when this returns, so a
     10^6-row band does not hold them while its table is formatted.
     """
-    first = _exact_run(sources)
-    stop = len(sources) - _exact_run(sources[first:][::-1])
     inside = slice(first, stop)
     head, tail = (("%.17g " * len(tops) % tops).split() for tops in (upper[:first], upper[stop:]))
     return (
@@ -288,14 +289,6 @@ def _band_blocks(upper, lower, regimes, sources) -> tuple:
         (",%.17g,%.17g,%s,%s\n", upper[inside], lower[inside], regimes[inside], sources[inside]),
         (",%s,%s,%s,exact\n", tail, tail, regimes[stop:]),
     )
-
-
-def _exact_run(sources) -> int:
-    """How many rows at the start of ``sources`` are exact."""
-    for i, source in enumerate(sources):
-        if source != "exact":
-            return i
-    return len(sources)
 
 
 def cmd_verify(args) -> int:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one positive-finite check."""
+
+import math
 
 
 class TorusIsoError(Exception):
@@ -27,3 +29,14 @@ class CurveParseError(TorusIsoError, ValueError):
     def __init__(self, message, line_no=None):
         super().__init__(message)
         self.line_no = line_no
+
+
+def positive_finite(value, name: str):
+    """``value`` itself, if it is a positive finite real; else a DomainError naming ``name``.
+
+    It converts nothing: a caller that accepts strings or ints calls float()
+    first, and a value that does not compare with 0.0 raises TypeError.
+    """
+    if not (value > 0.0) or not math.isfinite(value):
+        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+    return value

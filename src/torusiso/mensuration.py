@@ -13,7 +13,7 @@ import math
 import sys
 from collections.abc import Iterable
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, positive_finite
 from .records import record
 
 TWO_PI = 2.0 * math.pi
@@ -93,8 +93,7 @@ class TorusProductSpec(record("TorusProductSpec", "radii euclid_dim")):
                 f"at most {max(EUCLID_DIM_RANGES)} circle factors are supported, got {k}"
             )
         for r in radii:
-            if not (r > 0.0) or not math.isfinite(r):
-                raise DomainError(f"circle radii must be positive finite reals, got {r!r}")
+            positive_finite(r, "circle radius")
         n = euclid_dim
         if not isinstance(n, int) or isinstance(n, bool):
             raise DomainError(f"euclid_dim must be an integer, got {n!r}")
@@ -146,8 +145,7 @@ def _ball_dim(spec: TorusProductSpec, region: CandidateRegion) -> int:
             raise DomainError(
                 f"circle index {i} out of range for {spec.circle_count} factors"
             )
-    if not (region.ball_radius > 0.0) or not math.isfinite(region.ball_radius):
-        raise DomainError(f"ball radius must be positive, got {region.ball_radius!r}")
+    positive_finite(region.ball_radius, "ball radius")
     return spec.circle_count - len(indices) + spec.euclid_dim
 
 

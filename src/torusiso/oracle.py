@@ -19,7 +19,7 @@ from collections.abc import Callable
 
 from . import profiles
 from .criticals import CriticalReport, full_report
-from .errors import DomainError
+from .errors import DomainError, positive_finite
 from .mensuration import (
     TWO_PI,
     CandidateRegion,
@@ -51,9 +51,7 @@ def candidate_min_area(
     from region volume = v, and measures each boundary through mensuration
     only.
     """
-    v = float(v)
-    if not (v > 0.0) or not math.isfinite(v):
-        raise DomainError(f"volume must be positive, got {v!r}")
+    v = positive_finite(float(v), "volume")
     best: tuple[float, CandidateRegion] | None = None
     for size in range(spec.circle_count + 1):
         for indices in itertools.combinations(range(spec.circle_count), size):

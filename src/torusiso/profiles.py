@@ -31,7 +31,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, positive_finite
 from .mensuration import (
     EUCLID_DIM_RANGES,
     TWO_PI,
@@ -131,8 +131,7 @@ class PowerSegment(record("PowerSegment", "coeff exponent v_lo v_hi regime")):
     __slots__ = ()
 
     def __new__(cls, coeff: float, exponent: float, v_lo: float, v_hi: float, regime: str):
-        if not (coeff > 0.0) or not math.isfinite(coeff):
-            raise DomainError(f"segment coefficient must be positive, got {coeff!r}")
+        positive_finite(coeff, "segment coefficient")
         if not 0.0 < exponent <= 1.0:
             raise DomainError(f"segment exponent must be in (0, 1], got {exponent!r}")
         if not (0.0 <= v_lo < v_hi):
@@ -212,7 +211,7 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
 
         For a minimum envelope this is a segment of the winning candidate.
         """
-        return self._segment(_check_volume(v))
+        return self._segment(positive_finite(float(v), "volume"))
 
     def _segment(self, v: float) -> PowerSegment:
         # segment_at at a checked volume.
@@ -222,7 +221,7 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
 
     def __call__(self, v: float) -> float:
         """The area at a positive finite volume v: the law of segment_at(v)."""
-        v = _check_volume(v)
+        v = positive_finite(float(v), "volume")
         seg = self._segment(v)
         return seg.coeff * v**seg.exponent
 
@@ -234,7 +233,7 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         can differ from it in the last bit, which would change printed
         digits. Unsorted volumes are evaluated one row at a time.
         """
-        volumes = [_check_volume(v) for v in volumes]
+        volumes = [positive_finite(float(v), "volume") for v in volumes]
         if volumes == sorted(volumes):
             return self._columns(volumes)
         return self._compared(volumes)
@@ -285,8 +284,7 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
 
     def solve_value(self, area: float) -> float:
         """Volume at which this (strictly increasing) profile reaches ``area``."""
-        if not (area > 0.0) or not math.isfinite(area):
-            raise DomainError(f"area must be positive, got {area!r}")
+        positive_finite(area, "area")
         for seg in self.segments[:-1]:
             if area <= seg.value(seg.v_hi):
                 return seg.solve_value(area)
@@ -306,20 +304,6 @@ def _winning_segment(curves, v: float) -> PowerSegment:
         if best is None or value < area:
             best, area = seg, value
     return best
-
-
-def _check_volume(v: float) -> float:
-    v = float(v)
-    if not (v > 0.0) or not math.isfinite(v):
-        raise DomainError(f"volume must be a positive finite real, got {v!r}")
-    return v
-
-
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if not (r > 0.0) or not math.isfinite(r):
-        raise DomainError(f"radius must be a positive finite real, got {r!r}")
-    return r
 
 
 def _check_range(value: int, lo_hi: tuple[int, int], what: str) -> int:
@@ -366,7 +350,7 @@ def beta(n: int, r: float) -> float:
     underflows to a subnormal are refused.
     """
     _check_range(n, EUCLID_DIM_RANGES[1], "the circle-product profile")
-    r = _check_radius(r)
+    r = positive_finite(float(r), "radius")
     w_prev = unit_sphere_area(n - 1)
     w_n = unit_sphere_area(n)
     try:
@@ -513,7 +497,7 @@ def minimum_envelope(
                 f"the envelope's {points[lo]} v = {lo!r}{where} is past half the largest "
                 "double, so no volume beyond it can be probed"
             )
-        src = _winning_segment(curves, _check_volume(probe))
+        src = _winning_segment(curves, positive_finite(float(probe), "volume"))
         segments.append(PowerSegment(src.coeff, src.exponent, lo, hi, src.regime))
         # The interval's normal volumes farther than _CUT_MARGIN from its
         # ends take src's law, if the probe is a normal volume whose winning

@@ -32,7 +32,7 @@ import math
 import struct
 import sys
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, positive_finite
 from .profiles import PiecewiseProfile, PowerSegment
 from .records import record
 
@@ -175,12 +175,6 @@ def _ulp_root(evaluate, target: float, lo: float, hi: float, equation) -> RootRe
     return RootResult(hi, r_hi, evaluations, (lo, hi), max(abs(target), a_hi))
 
 
-def _check_positive(*named: tuple[str, float]) -> None:
-    for name, value in named:
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be a positive finite real, got {value!r}")
-
-
 def solve_balance(scale: float, coeff: float, p: float, target: float) -> RootResult:
     """Unique root of the balance equation scale * (coeff * x^p) + x = target.
 
@@ -192,7 +186,8 @@ def solve_balance(scale: float, coeff: float, p: float, target: float) -> RootRe
     sign. The terms are evaluated as written, so with scale = pi * r this
     repeats ``pi * r * ball(x) + x`` float for float.
     """
-    _check_positive(("scale", scale), ("coeff", coeff), ("p", p), ("target", target))
+    for name, value in ("scale", scale), ("coeff", coeff), ("p", p), ("target", target):
+        positive_finite(value, name)
     sc = scale * coeff
     lo = max(min(0.25 * target, _ratio_power(target, 4.0 * sc, 1.0 / p)), _MIN_NORMAL)
     hi = min(2.0 * target, _ratio_power(2.0 * target, sc, 1.0 / p), _MAX)
@@ -235,7 +230,8 @@ def solve_power_gap(c1: float, p1: float, c2: float, p2: float, target: float) -
     does not take it along. Ends outside the normal doubles are moved to the
     nearest normal double, where the residual must still have its sign.
     """
-    _check_positive(("c1", c1), ("c2", c2))
+    positive_finite(c1, "c1")
+    positive_finite(c2, "c2")
     if not p1 > p2 > 0.0:
         raise DomainError(f"exponents must satisfy p1 > p2 > 0, got {p1}, {p2}")
     if target < 0.0:

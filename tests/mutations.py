@@ -1,0 +1,117 @@
+"""Mutation gate: each mutation below must make its listed test files fail.
+
+A mutation is an exact substitution that must match its file once. For each
+one, src/, tests/ and pyproject.toml are copied to a temporary directory,
+the substitution is made in the copy, and the listed test files run there
+with PYTHONPATH set to the copy's src/ (so conftest.SRC points at the copy
+as well). A mutation whose tests still pass has survived. The listed files
+first run once on an unmutated copy, which must pass.
+
+    python tests/mutations.py
+
+Standard library only, besides pytest itself. Exits 0 when every mutation
+is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (what the mutation breaks, file, old text, new text, test files that must fail).
+MUTATIONS = (
+    (
+        "positive_finite accepts zero",
+        "src/torusiso/errors.py",
+        "not (value > 0.0)",
+        "not (value >= 0.0)",
+        ("tests/test_refusals.py",),
+    ),
+    (
+        "_exact_cut puts a row on v_lo inside the band",
+        "src/torusiso/bounds.py",
+        "return bisect_right(grid, v_lo)",
+        "return bisect_left(grid, v_lo)",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "_winning_segment gives a tie to the later curve",
+        "src/torusiso/profiles.py",
+        "if best is None or value < area:",
+        "if best is None or value <= area:",
+        ("tests/test_grid_path.py",),
+    ),
+    (
+        "_table fills every row with the first block's format",
+        "src/torusiso/cli.py",
+        'template = template.replace(" ", tail, len(columns[0]))',
+        'template = template.replace(" ", tail)',
+        ("tests/test_cli.py",),
+    ),
+    (
+        "_usual reads a value that starts with '-'",
+        "src/torusiso/cli.py",
+        'if name not in options or value[:1] == "-":',
+        "if name not in options:",
+        ("tests/test_cli.py",),
+    ),
+)
+
+
+def _copy_tree(destination: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, destination / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", destination / "pyproject.toml")
+
+
+def _tests_pass(tree: Path, test_files) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_files]
+    result = subprocess.run(
+        command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    return result.returncode == 0
+
+
+def main() -> int:
+    problems = []
+    for what, path, old, new, _ in MUTATIONS:
+        found = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            problems.append(f"{what}: {old!r} occurs {found} times in {path}, not once")
+    if problems:
+        print("\n".join(problems))
+        return 1
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="torusiso-mutations-") as scratch:
+        base = Path(scratch) / "unmutated"
+        _copy_tree(base)
+        files = sorted({name for *_, test_files in MUTATIONS for name in test_files})
+        if not _tests_pass(base, files):
+            print(f"the unmutated tree fails {' '.join(files)}; no mutation was run")
+            return 1
+        survivors = 0
+        for index, (what, path, old, new, test_files) in enumerate(MUTATIONS):
+            tree = Path(scratch) / f"mutation-{index}"
+            _copy_tree(tree)
+            target = tree / path
+            target.write_text(
+                target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8"
+            )
+            killed = not _tests_pass(tree, test_files)
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {what} ({path})")
+    print(f"{len(MUTATIONS) - survivors} of {len(MUTATIONS)} killed in {time.monotonic() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,16 @@
 """Frozen reference values shared across the test suite.
 
-Each number was computed by an independent oracle run in 50-digit
-arithmetic: grid-scan bracketing of the defining equation followed by root
-refinement, or direct evaluation of the exact closed form. The tests that
-use them also re-derive the cheap ones live (grid scans, mensuration
-inversion, crossing scans) so the frozen digits never become the only
-evidence.
+The eight values with a closed form beside them (EUCLID4_AT_1, the four
+BETA_*, V0_EXAMPLE, V0_UNIT and SLAB_AT_VDSTAR_EXAMPLE, the last from the
+frozen VDSTAR_EXAMPLE) are pinned by
+test_profiles.py::test_closed_form_reference_values_are_correctly_rounded:
+each is the double nearest its closed form evaluated in 50-digit mpmath.
+The other values are roots of defining equations, taken from a 50-digit
+run (grid-scan bracketing, then root refinement) whose script is not in
+the repo; a tests/mp_oracle.py that regenerates them is still to be
+written. The tests that use them also re-derive the cheap ones live (grid
+scans, mensuration inversion, crossing scans) so the frozen digits never
+become the only evidence.
 """
 
 import math

@@ -326,6 +326,31 @@ class TestBlockWriter:
         assert result.lower_source[0] == result.lower_source[-1] == "exact"
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"k{s.circle_count}")
+    def test_exact_cut_is_the_exact_runs_of_band(self, spec):
+        # bounds._exact_cut cuts the table's blocks: the rows at or below v_lo
+        # and at or above v_hi, and only those, are band's exact rows.
+        from torusiso import band, bounds, full_report
+
+        report = full_report(spec)
+        v_lo, v_hi = bounds._thresholds(report)
+        grids = {
+            **self.grids(v_lo, v_hi),
+            "on both thresholds": f"{v_lo!r}:{v_hi!r}:5",
+            "single on v_hi": f"{v_hi!r}:{v_hi!r}:1",
+            "ends on v_lo": f"{v_lo / 10!r}:{v_lo!r}:4,lin",
+        }
+        for name, text in grids.items():
+            grid = cli.parse_grid(text)
+            first, stop = bounds._exact_cut(grid, report)
+            sources = band(spec, grid, report=report).lower_source
+            assert set(sources[:first]) | set(sources[stop:]) <= {"exact"}, name
+            assert "exact" not in sources[first:stop], name
+            assert all(v <= v_lo for v in grid[:first]), name
+            assert all(v_lo < v < v_hi for v in grid[first:stop]), name
+            assert all(v >= v_hi for v in grid[stop:]), name
+        assert cli.parse_grid(grids["on both thresholds"])[::4] == [v_lo, v_hi]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"k{s.circle_count}")
     @pytest.mark.parametrize("text", ["0.01:1e6:40,lin", "0.01:1e6:40", "3.5:3.5:1"])
     def test_profile_blocks_match_the_row_writer(self, capsys, tmp_path, spec, text):
         from torusiso import envelope_piecewise

@@ -37,8 +37,11 @@ from refvalues import (
     CN_EXAMPLE,
     EUCLID4_AT_1,
     K_EXAMPLE,
+    SLAB_AT_VDSTAR_EXAMPLE,
     SQRT_PI_RADIUS,
     V0_EXAMPLE,
+    V0_UNIT,
+    VDSTAR_EXAMPLE,
 )
 
 
@@ -415,7 +418,7 @@ class TestPiecewise:
                     )
                 )
         for area in (0.0, math.nan):
-            with pytest.raises(DomainError, match="area must be positive"):
+            with pytest.raises(DomainError, match="area must be a positive finite real"):
                 PiecewiseProfile((good,)).solve_value(area)
         assert PiecewiseProfile((good,))(4.0) == pytest.approx(2.0)
 
@@ -484,3 +487,25 @@ print(json.dumps([[type(a).__name__, a.hex()] for a in scalars]))
     result = json.loads(fresh_python(source))
     expected = [["float", profile(v).hex()] for v in [*volumes, 7.0]]
     assert result == expected
+
+
+def test_closed_form_reference_values_are_correctly_rounded():
+    # Each closed-form value in refvalues is the double nearest its
+    # 50-digit value: float() of an mpf rounds to nearest.
+    mpmath = pytest.importorskip("mpmath")
+    mpf, pi = mpmath.mpf, mpmath.pi
+    with mpmath.workdps(50):
+        closed_forms = {
+            "EUCLID4_AT_1": (EUCLID4_AT_1, 4 * (pi**2 / 2) ** (mpf(1) / 4)),
+            "BETA_2_1": (BETA_2_1, 32 * pi**4 / 81),
+            "BETA_2_SQ": (BETA_2_SQ, 32 * pi ** (mpf(5) / 2) / 81),
+            "BETA_3_1": (BETA_3_1, 6561 * pi**2 / 512),
+            "BETA_3_SQ": (BETA_3_SQ, mpf(6561) / 512),
+            "V0_EXAMPLE": (V0_EXAMPLE, 64 * pi**3 / 81),
+            "V0_UNIT": (V0_UNIT, 64 * pi**5 / 81),
+            "SLAB_AT_VDSTAR_EXAMPLE": (
+                SLAB_AT_VDSTAR_EXAMPLE, 4 * pi * mpmath.sqrt(mpf(VDSTAR_EXAMPLE))
+            ),
+        }
+        for name, (frozen, exact) in closed_forms.items():
+            assert frozen == float(exact), name

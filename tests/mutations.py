@@ -62,6 +62,83 @@ MUTATIONS = (
         "if name not in options:",
         ("tests/test_cli.py",),
     ),
+    (
+        "positive_finite accepts an infinite value",
+        "src/torusiso/errors.py",
+        "if not (value > 0.0) or not math.isfinite(value):",
+        "if not (value > 0.0):",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "main gives a ConsistencyError the guard exit code",
+        "src/torusiso/cli.py",
+        "return EXIT_SOLVER",
+        "return EXIT_GUARD",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "_grid accepts one volume past the grid count cap",
+        "src/torusiso/cli.py",
+        "_MAX_GRID_COUNT = 10**6",
+        "_MAX_GRID_COUNT = 10**6 + 1",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "parse_grid hands out the cached volumes themselves",
+        "src/torusiso/cli.py",
+        "return list(_grid(text)[0])",
+        "return _grid(text)[0]",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "CriticalReport keeps a writable dict of its constants",
+        "src/torusiso/criticals.py",
+        "constants = MappingProxyType(dict(constants))",
+        "constants = dict(constants)",
+        ("tests/test_criticals.py",),
+    ),
+    (
+        "_ordered refuses thresholds that meet in double precision",
+        "src/torusiso/criticals.py",
+        "if lo <= hi:",
+        "if lo < hi:",
+        ("tests/test_criticals.py",),
+    ),
+    (
+        "a sub-report's refusal drops its key, radii and n",
+        "src/torusiso/criticals.py",
+        'f"{exc}; in sub-report {key} of radii {spec.radii!r}, n = {n}"',
+        'f"{exc}"',
+        ("tests/test_criticals.py",),
+    ),
+    (
+        "read_curve caches curves by path, not by content",
+        "src/torusiso/bounds.py",
+        "def read_curve(path) -> TabulatedCurve:",
+        "@_profile_cache\ndef read_curve(path) -> TabulatedCurve:",
+        ("tests/test_bounds.py",),
+    ),
+    (
+        "_parse_curve blames every bad sample on the first data line",
+        "src/torusiso/bounds.py",
+        'line_no = line_nos[int(where.removeprefix("point "))]',
+        "line_no = line_nos[0]",
+        ("tests/test_bounds.py",),
+    ),
+    (
+        "solve_piecewise_gap drops its probe at twice the root",
+        "src/torusiso/roots.py",
+        "if upper(probe) - lower(probe) <= target:",
+        "if False:",
+        ("tests/test_roots.py",),
+    ),
+    (
+        "_root_left_of skips a window whose gap falls short of the target",
+        "src/torusiso/roots.py",
+        "_SKIP_MARGIN = 16 * 2.0**-53",
+        "_SKIP_MARGIN = -16 * 2.0**-53",
+        ("tests/test_roots.py",),
+    ),
 )
 
 

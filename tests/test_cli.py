@@ -796,10 +796,15 @@ class TestSpecFileLoading:
         assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_negative_radius_is_guard(self, capsys, tmp_path):
+        # An infinite radius too: json writes and reads it as the Infinity
+        # literal. Each is refused by name, in one error line.
         path = tmp_path / "neg.json"
-        path.write_text(json.dumps({"radii": [-1.0, 1.0], "euclid_dim": 2}))
-        code, _, _ = run(capsys, "profile", str(path), "--v", "1")
-        assert code == 2
+        for radius, shown in ((-1.0, "-1.0"), (math.inf, "inf")):
+            path.write_text(json.dumps({"radii": [radius, 1.0], "euclid_dim": 2}))
+            for argv in (["profile", str(path), "--v", "1"], ["critical", str(path)]):
+                assert run(capsys, *argv) == (
+                    2, "", f"error: circle radius must be a positive finite real, got {shown}\n"
+                ), (radius, argv[0])
 
     @pytest.mark.parametrize("tolerance", [1e-20, 1e-16, 1e-15, 0.0, -1e-12, 1e-6, 0.001])
     def test_tolerance_field_changes_nothing(self, capsys, tmp_path, tolerance):

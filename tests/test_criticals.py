@@ -605,9 +605,15 @@ def test_extreme_radii_end_in_a_report_or_a_named_refusal(lo, hi):
 
 
 def test_balance_bracket_past_the_largest_double():
-    # (2T / (s c)) ** (1/p) overflows for this spec's theta_star bracket,
-    # which must not escape as a bare OverflowError; the spec's report
-    # (once refused by a K_star re-check) passes the oracle suite.
-    spec = TorusProductSpec((2.409878158451198e-34, 4.3877787823233855e54), 3)
-    assert full_report(spec).spec == spec
-    assert all(check.ok for check in verify_spec(spec))
+    # (2T / (s c)) ** (1/p) overflows for the first spec's theta_star
+    # bracket, which must not escape as a bare OverflowError. The second
+    # spec's tiny ball term once made that K_star re-check cancel. Each
+    # spec's report (both once refused by the re-check) passes the oracle
+    # suite.
+    for spec in (
+        TorusProductSpec((2.409878158451198e-34, 4.3877787823233855e54), 3),
+        TorusProductSpec((8.133372518560809e-14, 1.9107829132335996), 2),
+    ):
+        assert full_report(spec).spec == spec
+        checks = verify_spec(spec)
+        assert checks and all(check.ok for check in checks), spec

@@ -301,6 +301,28 @@ class TestWindowScan:
             upper, SQRT, 1.0
         )
 
+    def test_root_a_few_ulps_past_a_window_start_is_solved(self):
+        # v^0.75 split at 16, against sqrt(v), with the target the gap 8 ulps
+        # past 16: just below 16 the computed gap is about 4u relative short
+        # of the target, inside the skip margin's width, so only a margin
+        # that demands a positive excess keeps the right window.
+        upper = power_profile((1.0, 0.75, 16.0), (1.0, 0.75, math.inf))
+        v = 16.0 + 8 * math.ulp(16.0)
+        result = solve_piecewise_gap(upper, SQRT, upper(v) - SQRT(v))
+        assert 16.0 < result.root <= 16.0 + 16 * math.ulp(16.0)
+        assert result == solve_piecewise_gap_every_window(upper, SQRT, upper(v) - SQRT(v))
+
+    def test_gap_that_falls_back_below_the_target_is_refused(self):
+        # 2 v^0.9 up to 10, then a 0.1-exponent law, against v^0.8: the gap
+        # meets the target at 9.5 in the left window, but at twice that root
+        # the flat right law has fallen back below it.
+        upper = power_profile((2.0, 0.9, 10.0), (2.0 * 10.0**0.8, 0.1, math.inf))
+        lower = power_profile((1.0, 0.8, math.inf))
+        target = upper(9.5) - lower(9.5)
+        assert upper(19.0) - lower(19.0) < target
+        with pytest.raises(ConsistencyError, match=r"stay above the target past the root 9\.5$"):
+            solve_piecewise_gap(upper, lower, target)
+
 
 _LOG_RADIUS = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3))
 

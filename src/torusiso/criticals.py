@@ -106,14 +106,28 @@ class CriticalReport(record("CriticalReport", "spec kind constants sub_reports")
         return self
 
 
-def _balance_root(radius: float, ball: PiecewiseProfile, target: float):
-    """Root of pi * radius * ball(x) + x = target, for the one-segment ball law of some R^m.
+def _balance(equation: str, radius: float, ball: PiecewiseProfile, target: float):
+    """Record of the root of pi * radius * ball(x) + x = target, for a one-segment ball law.
 
     For the positive finite x the solver passes, ``coeff * x**exponent`` is
     ball(x) bit for bit.
     """
     (segment,) = ball.segments
-    return solve_balance(math.pi * radius, segment.coeff, segment.exponent, target)
+    found = solve_balance(math.pi * radius, segment.coeff, segment.exponent, target)
+    return ConstantRecord(found.root, equation, found.residual)
+
+
+def _gap(equation: str, upper, lower, target: float, named_by: PiecewiseProfile | None = None):
+    """Record of the terminal root of upper - lower = target, in ``named_by``'s regime if given."""
+    found = solve_piecewise_gap(upper, lower, target)
+    regime = None if named_by is None else named_by.segment_at(found.root).regime
+    return ConstantRecord(found.root, equation, found.residual, regime)
+
+
+def _level(equation: str, profile: PiecewiseProfile, area: float):
+    """Record of the volume where ``profile`` reaches ``area``, with the branch it lies on."""
+    x = profile.solve_value(area)
+    return ConstantRecord(x, equation, profile(x) - area, profile.segment_at(x).regime)
 
 
 def _pi_r_power(r: float, m: int) -> float:
@@ -124,21 +138,15 @@ def _pi_r_power(r: float, m: int) -> float:
         raise DomainError(f"(pi * {r!r})^{m} is past the largest double") from None
 
 
-def _ordered(spec: TorusProductSpec, lo_name: str, lo: float, hi_name: str, hi: float):
-    """The check lo <= hi: thresholds that meet in double precision pass it."""
+def _ordered(spec: TorusProductSpec, lo_name: str, lo: float, hi_name: str, hi: float) -> None:
+    """Refuse lo > hi with a ConsistencyError: thresholds that meet in double precision pass."""
     if lo <= hi:
-        return True, ""
+        return
     bits_lo, bits_hi = struct.unpack("<2q", struct.pack("<2d", lo, hi))
-    return False, (
+    raise ConsistencyError(
         f"expected {lo_name} <= {hi_name}: {hi_name} = {hi!r} is {bits_lo - bits_hi} ulps below "
         f"{lo_name} = {lo!r} (n = {spec.euclid_dim}, r2/r1 = {spec.radii[1] / spec.radii[0]:.6g})"
     )
-
-
-def _check_invariants(checks: list[tuple[bool, str]]) -> None:
-    for ok, message in checks:
-        if not ok:
-            raise ConsistencyError(message)
 
 
 def _t2_report(spec: TorusProductSpec) -> CriticalReport:
@@ -150,10 +158,10 @@ def _t2_report(spec: TorusProductSpec) -> CriticalReport:
     # The shorter circumference is balanced against the larger factor's
     # breakpoint volume, and vice versa; for equal radii both coincide.
     ball = euclidean_piecewise(n + 1)
-    theta = _balance_root(r1, ball, beta_2)
-    sigma = _balance_root(r2, ball, beta_1)
+    theta = _balance("pi*r1 * ball_area(n+1, x) + x = beta(n, r2)", r1, ball, beta_2)
+    sigma = _balance("pi*r2 * ball_area(n+1, x) + x = beta(n, r1)", r2, ball, beta_1)
 
-    k_star = max(TWO_PI * r1 * ball(theta.root), TWO_PI * r2 * ball(sigma.root))
+    k_star = max(TWO_PI * r1 * ball(theta.value), TWO_PI * r2 * ball(sigma.value))
 
     v_s = min(
         TWO_PI * r1 * unit_ball_volume(n + 1) * _pi_r_power(r2, n + 1),
@@ -164,77 +172,52 @@ def _t2_report(spec: TorusProductSpec) -> CriticalReport:
     circle_2 = circle_piecewise(n + 1, r2)
     slab = slab_piecewise(spec)
 
-    c_n = circle_1.solve_value(k_star)
-    c_residual = circle_1(c_n) - k_star
-    c_regime = circle_1.segment_at(c_n).regime
+    c_n = _level("circle_area(n+1, r1, x) = K_star", circle_1, k_star)
+    v0_1 = _gap("circle_area(n+1, r1, x) = slab_area(x)", circle_1, slab, 0.0, circle_1)
+    v0_2 = _gap("circle_area(n+1, r2, x) = slab_area(x)", circle_2, slab, 0.0, circle_2)
+    a_n = _gap(
+        "circle_area(n+1, r1, x) - slab_area(x) = 2*beta(n, r1)",
+        circle_1, slab, 2.0 * beta_1, circle_1,
+    )
+    b_n = _gap(
+        "circle_area(n+1, r2, x) - slab_area(x) = 2*beta(n, r2)",
+        circle_2, slab, 2.0 * beta_2, circle_2,
+    )
 
-    v0_1 = solve_piecewise_gap(circle_1, slab, 0.0)
-    v0_2 = solve_piecewise_gap(circle_2, slab, 0.0)
-    a_n = solve_piecewise_gap(circle_1, slab, 2.0 * beta_1)
-    b_n = solve_piecewise_gap(circle_2, slab, 2.0 * beta_2)
-
-    v_star = min(v_s, c_n, v0_1.root)
-    v_dstar = max(a_n.root, b_n.root)
-    records = {
-        "theta_star": ConstantRecord(
-            theta.root, "pi*r1 * ball_area(n+1, x) + x = beta(n, r2)", theta.residual
-        ),
-        "sigma_star": ConstantRecord(
-            sigma.root, "pi*r2 * ball_area(n+1, x) + x = beta(n, r1)", sigma.residual
-        ),
+    v_star = min(v_s, c_n.value, v0_1.value)
+    v_dstar = max(a_n.value, b_n.value)
+    # Only orderings can fail here: the roots are normal doubles, K_star
+    # has passed solve_value's positive-finite check, and v_star < v_dstar
+    # follows from the chain.
+    _ordered(spec, "theta_star", theta.value, "beta(n, r2)", beta_2)
+    _ordered(spec, "sigma_star", sigma.value, "beta(n, r1)", beta_1)
+    if not v_star <= v0_1.value < v_dstar:
+        raise ConsistencyError("expected v_star <= v0_1 < v_dstar")
+    _ordered(spec, "v0_1", v0_1.value, "a_n", a_n.value)
+    _ordered(spec, "v0_2", v0_2.value, "b_n", b_n.value)
+    return CriticalReport(spec, "two-torus", {
+        "theta_star": theta,
+        "sigma_star": sigma,
         "K_star": ConstantRecord(
             k_star,
             "max(2*pi*r1 * ball_area(n+1, theta_star), 2*pi*r2 * ball_area(n+1, sigma_star))",
             0.0,
         ),
-        "c_n": ConstantRecord(c_n, "circle_area(n+1, r1, x) = K_star", c_residual, c_regime),
+        "c_n": c_n,
         "v_s": ConstantRecord(
             v_s,
             "min(volume(circle r1 x ball(n+1, pi*r2)), volume(ball(n+2, pi*r1)))",
             0.0,
         ),
-        "v0_1": ConstantRecord(
-            v0_1.root,
-            "circle_area(n+1, r1, x) = slab_area(x)",
-            v0_1.residual,
-            circle_1.segment_at(v0_1.root).regime,
-        ),
-        "v0_2": ConstantRecord(
-            v0_2.root,
-            "circle_area(n+1, r2, x) = slab_area(x)",
-            v0_2.residual,
-            circle_2.segment_at(v0_2.root).regime,
-        ),
+        "v0_1": v0_1,
+        "v0_2": v0_2,
         "v_star": ConstantRecord(v_star, "min(v_s, c_n, v0_1)", 0.0),
-        "a_n": ConstantRecord(
-            a_n.root,
-            "circle_area(n+1, r1, x) - slab_area(x) = 2*beta(n, r1)",
-            a_n.residual,
-            circle_1.segment_at(a_n.root).regime,
-        ),
-        "b_n": ConstantRecord(
-            b_n.root,
-            "circle_area(n+1, r2, x) - slab_area(x) = 2*beta(n, r2)",
-            b_n.residual,
-            circle_2.segment_at(b_n.root).regime,
-        ),
+        "a_n": a_n,
+        "b_n": b_n,
         "v_dstar": ConstantRecord(
             v_dstar, "max(a_n, b_n)", 0.0, circle_1.segment_at(v_dstar).regime
         ),
-    }
-    # Only orderings can fail here: the roots are normal doubles, K_star
-    # has passed solve_value's positive-finite check, and v_star < v_dstar
-    # follows from the chain.
-    _check_invariants(
-        [
-            _ordered(spec, "theta_star", theta.root, "beta(n, r2)", beta_2),
-            _ordered(spec, "sigma_star", sigma.root, "beta(n, r1)", beta_1),
-            (v_star <= v0_1.root < v_dstar, "expected v_star <= v0_1 < v_dstar"),
-            _ordered(spec, "v0_1", v0_1.root, "a_n", a_n.root),
-            _ordered(spec, "v0_2", v0_2.root, "b_n", b_n.root),
-        ]
-    )
-    return CriticalReport(spec, "two-torus", records)
+    })
 
 
 def _t3_report(spec: TorusProductSpec) -> CriticalReport:
@@ -251,50 +234,42 @@ def _t3_report(spec: TorusProductSpec) -> CriticalReport:
     sub_n, sub_up = subs["n"], subs["n_plus_1"]
 
     w_star = min(sub_n.v_star, beta(n + 1, r1))
-    eta = _balance_root(r3, euclidean_piecewise(n + 2), w_star)
-    c_star = 2.0 * (w_star - eta.root)
-
-    circle_1 = circle_piecewise(n + 2, r1)
-    u0 = circle_1.solve_value(c_star)
-    u0_residual = circle_1(u0) - c_star
-    u0_regime = circle_1.segment_at(u0).regime
+    eta = _balance(
+        "pi*r3 * ball_area(n+2, x) + x = w_star", r3, euclidean_piecewise(n + 2), w_star
+    )
+    c_star = 2.0 * (w_star - eta.value)
+    u0 = _level("circle_area(n+2, r1, x) = C_star", circle_piecewise(n + 2, r1), c_star)
 
     # Largest volume at which the one-circle minimizers embed: the ball
     # factor must fit within half the second circumference, radius pi * r2.
     realizable = TWO_PI * r1 * unit_ball_volume(n + 2) * _pi_r_power(r2, n + 2)
 
-    slab_gap = solve_piecewise_gap(
+    slab_crossing = _gap(
+        "two_circle_slab_area(n+1, x) - three_circle_slab_area(n, x) = 2*v_dstar(r1, r2; n)",
         slab_piecewise(TorusProductSpec((r1, r2), n + 1)),
         slab_piecewise(spec),
         2.0 * sub_n.v_dstar,
     )
 
-    u_star = min(u0, sub_up.v_star, realizable)
-    u_dstar = max(sub_up.v_dstar, slab_gap.root)
-    records = {
+    u_star = min(u0.value, sub_up.v_star, realizable)
+    u_dstar = max(sub_up.v_dstar, slab_crossing.value)
+    # w_star and u_star are minima led by a value that is not NaN, so they
+    # lie at or below it; C_star has passed solve_value's check.
+    if not u_star <= u_dstar:
+        raise ConsistencyError("expected u_star <= u_dstar")
+    return CriticalReport(spec, "three-torus", {
         "w_star": ConstantRecord(w_star, "min(v_star(r1, r2; n), beta(n+1, r1))", 0.0),
-        "eta_star": ConstantRecord(
-            eta.root, "pi*r3 * ball_area(n+2, x) + x = w_star", eta.residual
-        ),
+        "eta_star": eta,
         "C_star": ConstantRecord(c_star, "2*(w_star - eta_star)", 0.0),
-        "u0": ConstantRecord(u0, "circle_area(n+2, r1, x) = C_star", u0_residual, u0_regime),
+        "u0": u0,
         "u_star": ConstantRecord(
             u_star,
             "min(u0, v_star(r1, r2; n+1), 2*pi*r1 * volume(ball(n+2, pi*r2)))",
             0.0,
         ),
-        "u_slab_crossing": ConstantRecord(
-            slab_gap.root,
-            "two_circle_slab_area(n+1, x) - three_circle_slab_area(n, x) "
-            "= 2*v_dstar(r1, r2; n)",
-            slab_gap.residual,
-        ),
+        "u_slab_crossing": slab_crossing,
         "u_dstar": ConstantRecord(u_dstar, "max(v_dstar(r1, r2; n+1), u_slab_crossing)", 0.0),
-    }
-    # w_star and u_star are minima led by a value that is not NaN, so they
-    # lie at or below it; C_star has passed solve_value's check.
-    _check_invariants([(u_star <= u_dstar, "expected u_star <= u_dstar")])
-    return CriticalReport(spec, "three-torus", records, subs)
+    }, subs)
 
 
 def full_report(spec: TorusProductSpec) -> CriticalReport:

@@ -143,8 +143,19 @@ class PowerSegment(record("PowerSegment", "coeff exponent v_lo v_hi regime")):
         return self.coeff * v**self.exponent
 
     def solve_value(self, area: float) -> float:
-        """Volume at which this power law takes the given area value."""
-        return (area / self.coeff) ** (1.0 / self.exponent)
+        """Volume at which this power law takes the given area value.
+
+        A volume past the largest double is refused by name.
+        """
+        try:
+            volume = (area / self.coeff) ** (1.0 / self.exponent)
+        except OverflowError:
+            volume = math.inf
+        if volume == math.inf:
+            raise DomainError(
+                f"the volume where the profile reaches area {area!r} is past the largest double"
+            )
+        return volume
 
 
 class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):

@@ -202,6 +202,12 @@ def solve_balance(scale: float, coeff: float, p: float, target: float) -> RootRe
     return _ulp_root(evaluate, target, lo, hi, equation)
 
 
+def _gap_target(target: float) -> None:
+    """Refuse a gap target that is not a nonnegative finite real (0.0 and -0.0 pass)."""
+    if target < 0.0 or not math.isfinite(target):
+        raise DomainError(f"target must be a nonnegative finite real, got {target!r}")
+
+
 def power_gap_stationary_point(c1: float, p1: float, c2: float, p2: float) -> float:
     """Analytic minimizer of c1 x^p1 - c2 x^p2 for p1 > p2 > 0.
 
@@ -234,8 +240,7 @@ def solve_power_gap(c1: float, p1: float, c2: float, p2: float, target: float) -
     positive_finite(c2, "c2")
     if not p1 > p2 > 0.0:
         raise DomainError(f"exponents must satisfy p1 > p2 > 0, got {p1}, {p2}")
-    if target < 0.0:
-        raise DomainError(f"target must be nonnegative, got {target}")
+    _gap_target(target)
     d = p1 - p2
     x_min = power_gap_stationary_point(c1, p1, c2, p2)
     xl = max(_ratio_power(c2, c1, 1.0 / d), _ratio_power(target, c1, 1.0 / p1))
@@ -313,8 +318,7 @@ def solve_piecewise_gap(
     window, checked over all of them before the scan, signals that the
     structural assumptions behind the pipeline were violated.
     """
-    if target < 0.0:
-        raise DomainError(f"target must be nonnegative, got {target}")
+    _gap_target(target)
     windows = []  # ascending: both profiles' segments are in volume order
     for sa in upper.segments:
         for sb in lower.segments:

@@ -139,6 +139,34 @@ MUTATIONS = (
         "_SKIP_MARGIN = -16 * 2.0**-53",
         ("tests/test_roots.py",),
     ),
+    (
+        "_tangents takes slopes that tie within rounding as decided",
+        "src/torusiso/bounds.py",
+        "_SCAN_MARGIN = 20 * 2.0**-53",
+        "_SCAN_MARGIN = 0.0",
+        ("tests/test_bounds.py",),
+    ),
+    (
+        "an envelope hands the rows next to a cut to the interval's winner",
+        "src/torusiso/profiles.py",
+        "_CUT_MARGIN = 1e-9",
+        "_CUT_MARGIN = 0.0",
+        ("tests/test_grid_path.py",),
+    ),
+    (
+        "_gap drops the regime of every circle-slab crossing",
+        "src/torusiso/criticals.py",
+        "regime = None if named_by is None else named_by.segment_at(found.root).regime",
+        "regime = None",
+        ("tests/test_criticals.py",),
+    ),
+    (
+        "_gap_target accepts a NaN target",
+        "src/torusiso/roots.py",
+        "if target < 0.0 or not math.isfinite(target):",
+        "if target < 0.0 or math.isinf(target):",
+        ("tests/test_refusals.py",),
+    ),
 )
 
 

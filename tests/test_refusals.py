@@ -5,6 +5,9 @@ zero, negative zero, a negative value, nan and both infinities are refused
 with a DomainError that reads "<name> must be a positive finite real, got
 <value>". The check converts nothing: a string is refused by the caller's
 own float() (ValueError) or by the comparison with 0.0 (TypeError).
+
+Two more refusals name their value in one form each: a gap target that is
+not a nonnegative finite real, and a level volume past the largest double.
 """
 
 import math
@@ -18,8 +21,11 @@ from torusiso import (
     band,
     beta,
     candidate_min_area,
+    circle_piecewise,
     envelope_piecewise,
     euclidean_piecewise,
+    slab_piecewise,
+    solve_piecewise_gap,
 )
 from torusiso.mensuration import CandidateRegion, region_volume
 from torusiso.roots import solve_balance, solve_power_gap
@@ -95,3 +101,43 @@ def test_float_callers_still_read_numeric_strings():
     assert profile("2.5") == profile(2.5)
     assert candidate_min_area(SPEC, "2.5") == candidate_min_area(SPEC, 2.5)
     assert TorusProductSpec(("1.9", 0.7), 3) == SPEC
+
+
+# Both gap solvers share one check of the target.
+GAP_SOLVERS = {
+    "solve_power_gap": lambda t: solve_power_gap(2.0, 0.9, 1.0, 0.5, t),
+    "solve_piecewise_gap": lambda t: solve_piecewise_gap(
+        circle_piecewise(4, 0.7), slab_piecewise(SPEC), t
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, -math.inf, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("entry", GAP_SOLVERS)
+def test_gap_target_refusal_names_the_target(entry, value):
+    with pytest.raises(DomainError) as caught:
+        GAP_SOLVERS[entry](value)
+    assert str(caught.value) == f"target must be a nonnegative finite real, got {value!r}"
+
+
+@pytest.mark.parametrize("entry", GAP_SOLVERS)
+def test_gap_target_of_either_zero_is_solved(entry):
+    assert GAP_SOLVERS[entry](-0.0) == GAP_SOLVERS[entry](0.0)
+
+
+# A finite area whose volume is past the largest double: the power raises
+# OverflowError, or the quotient area / coeff is already infinite.
+LEVELS = {
+    "circle_piecewise": lambda: circle_piecewise(3, 1.0).solve_value(1e300),
+    "euclidean_piecewise": lambda: euclidean_piecewise(9).solve_value(1e300),
+    "PowerSegment": lambda: PowerSegment(1e-10, 0.5, 0.0, math.inf, "ball").solve_value(1e300),
+}
+
+
+@pytest.mark.parametrize("entry", LEVELS)
+def test_volume_past_the_largest_double_is_refused_by_name(entry):
+    with pytest.raises(DomainError) as caught:
+        LEVELS[entry]()
+    assert str(caught.value) == (
+        "the volume where the profile reaches area 1e+300 is past the largest double"
+    )

@@ -162,7 +162,7 @@ class TestSolvePiecewiseGap:
         assert circle.segment_at(result.root).regime == "cylinder"
 
     def test_negative_target_is_refused(self):
-        with pytest.raises(DomainError, match="target must be nonnegative, got -1.0"):
+        with pytest.raises(DomainError, match="target must be a nonnegative finite real, got -1.0"):
             solve_piecewise_gap(circle_piecewise(3, 1.0), circle_piecewise(3, 2.0), -1.0)
 
     def test_degenerate_equal_profiles(self, example_spec):

@@ -26,14 +26,13 @@ EUCLID_DIM_RANGES = {1: (2, 7), 2: (2, 5), 3: (2, 4)}
 
 
 def _gamma_half(twice_x: int) -> float:
-    """Gamma(twice_x / 2) for a positive integer twice_x, in closed form.
+    """Gamma(twice_x / 2) for an integer twice_x >= 2, in closed form.
 
     Integer arguments reduce to a factorial; half-integer arguments use
     Gamma(k + 1/2) = (2k)! / (4^k k!) * sqrt(pi), evaluated with exact
-    integer arithmetic before the final float conversion.
+    integer arithmetic before the final float conversion. The callers check
+    their dimensions, so they pass n + 1 >= 2 and m + 2 >= 3.
     """
-    if twice_x <= 0:
-        raise DomainError(f"gamma argument must be positive, got {twice_x}/2")
     if twice_x % 2 == 0:
         return float(math.factorial(twice_x // 2 - 1))
     k = (twice_x - 1) // 2

@@ -116,6 +116,14 @@ def _profile_cache(builder):
     return cached
 
 
+def _ratio_power(num: float, den: float, exponent: float) -> float:
+    """(num / den) ** exponent for positive operands; inf where that leaves the doubles."""
+    try:
+        return (num / den) ** exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 REGIME_BALL = "ball"
 REGIME_CYLINDER = "cylinder"
 REGIME_SLAB = "slab"
@@ -147,10 +155,7 @@ class PowerSegment(record("PowerSegment", "coeff exponent v_lo v_hi regime")):
 
         A volume past the largest double is refused by name.
         """
-        try:
-            volume = (area / self.coeff) ** (1.0 / self.exponent)
-        except OverflowError:
-            volume = math.inf
+        volume = _ratio_power(area, self.coeff, 1.0 / self.exponent)
         if volume == math.inf:
             raise DomainError(
                 f"the volume where the profile reaches area {area!r} is past the largest double"
@@ -433,19 +438,16 @@ def slab_piecewise(spec: TorusProductSpec) -> PiecewiseProfile:
     return PiecewiseProfile((seg,))
 
 
-def _segment_crossing(a: PowerSegment, b: PowerSegment) -> float | None:
-    """Unique positive crossing of two distinct power laws, or None.
+def _segment_crossing(a: PowerSegment, b: PowerSegment) -> float:
+    """Unique positive crossing of two power laws, or inf where it splits no segment.
 
-    None also when the crossing overflows, or when the coefficient ratio
-    underflows to 0.0 under a negative power: the crossing then lies beyond
-    every double volume, so it cannot split a segment.
+    inf for laws of one exponent, which never cross (or coincide), and where
+    the crossing overflows or the coefficient ratio underflows to 0.0 under
+    a negative power: the crossing then lies beyond every double volume.
     """
     if a.exponent == b.exponent:
-        return None
-    try:
-        return (b.coeff / a.coeff) ** (1.0 / (a.exponent - b.exponent))
-    except (OverflowError, ZeroDivisionError):
-        return None
+        return math.inf
+    return _ratio_power(b.coeff, a.coeff, 1.0 / (a.exponent - b.exponent))
 
 
 def _probe_point(lo: float, hi: float) -> float:
@@ -490,7 +492,7 @@ def minimum_envelope(
                     continue
                 separated = separated and abs(sa.exponent - sb.exponent) >= _EXPONENT_GAP
                 x = _segment_crossing(sa, sb)
-                if x is not None and lo < x < hi:
+                if lo < x < hi:
                     points.setdefault(x, f"{sa.regime}/{sb.regime} crossing")
     ordered = []
     for p in sorted(points):

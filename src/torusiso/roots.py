@@ -33,7 +33,7 @@ import struct
 import sys
 
 from .errors import ConsistencyError, DomainError, positive_finite
-from .profiles import PiecewiseProfile, PowerSegment
+from .profiles import PiecewiseProfile, PowerSegment, _ratio_power
 from .records import record
 
 # The residual check of every RootResult, relative to its scale. An
@@ -98,14 +98,6 @@ class RootResult(record("RootResult", "root residual iterations bracket scale"))
         return tuple.__new__(cls, (root, residual, iterations, bracket, scale))
 
 
-def _ratio_power(num: float, den: float, exponent: float) -> float:
-    """(num / den) ** exponent for positive operands; inf where that leaves the doubles."""
-    try:
-        return (num / den) ** exponent
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-
-
 def _ulp_root(evaluate, target: float, lo: float, hi: float, equation) -> RootResult:
     """Root of an increasing, log-convex residual between two normal doubles.
 
@@ -121,7 +113,8 @@ def _ulp_root(evaluate, target: float, lo: float, hi: float, equation) -> RootRe
     most MAX_EVALUATIONS evaluations.
     """
     if not (_MIN_NORMAL <= lo < hi <= _MAX):
-        raise DomainError(f"the bracket [{lo!r}, {hi!r}] of {equation()} leaves the normal doubles")
+        end = f"upper end {hi!r}" if not hi > _MIN_NORMAL else f"lower end {lo!r}"
+        raise DomainError(f"the bracket of {equation()} leaves the normal doubles at its {end}")
     r_lo, s_lo, a_lo = evaluate(lo)
     r_hi, s_hi, a_hi = evaluate(hi)
     if not r_lo < 0.0 <= r_hi:
@@ -211,15 +204,15 @@ def _gap_target(target: float) -> None:
 def power_gap_stationary_point(c1: float, p1: float, c2: float, p2: float) -> float:
     """Analytic minimizer of c1 x^p1 - c2 x^p2 for p1 > p2 > 0.
 
-    A minimizer whose power overflows is refused by name.
+    A minimizer past the largest double is refused by name.
     """
-    try:
-        return ((c2 * p2) / (c1 * p1)) ** (1.0 / (p1 - p2))
-    except OverflowError:
+    x_min = _ratio_power(c2 * p2, c1 * p1, 1.0 / (p1 - p2))
+    if x_min == math.inf:
         raise DomainError(
             f"the stationary point of c1 x^p1 - c2 x^p2 with c1 = {c1!r}, p1 = {p1!r}, "
             f"c2 = {c2!r}, p2 = {p2!r} is past the largest double"
-        ) from None
+        )
+    return x_min
 
 
 def solve_power_gap(c1: float, p1: float, c2: float, p2: float, target: float) -> RootResult:
@@ -268,7 +261,7 @@ def _window_root(
         # Equal coefficients with a zero target were refused by the caller.
         if target == 0.0 or sa.coeff <= sb.coeff:
             return None
-        root = (target / (sa.coeff - sb.coeff)) ** (1.0 / sa.exponent)
+        root = _ratio_power(target, sa.coeff - sb.coeff, 1.0 / sa.exponent)
         if not lo <= root < hi:
             return None
         lead = sa.value(root)
@@ -314,7 +307,8 @@ def solve_piecewise_gap(
     below every root in the windows right of it, so that root is the
     largest admissible one, and the windows left of it are never solved.
     The gap must stay above the target past that root (checked at twice
-    the root); a failure there, or a gap that is identically zero on any
+    the root, so a root past half the largest double is refused by name);
+    a failure there, or a gap that is identically zero on any
     window, checked over all of them before the scan, signals that the
     structural assumptions behind the pipeline were violated.
     """
@@ -336,6 +330,11 @@ def solve_piecewise_gap(
     else:
         raise DomainError("the gap never meets the target inside any segment window")
     probe = 2.0 * best.root
+    if probe == math.inf:
+        raise DomainError(
+            f"the gap's root {best.root!r} is past half the largest double, so no volume "
+            "beyond it can be probed"
+        )
     if upper(probe) - lower(probe) <= target:
         raise ConsistencyError(
             f"gap does not stay above the target past the root {best.root}"

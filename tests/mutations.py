@@ -167,6 +167,83 @@ MUTATIONS = (
         "if target < 0.0 or math.isinf(target):",
         ("tests/test_refusals.py",),
     ),
+    (
+        "_ratio_power lets an overflowing power escape",
+        "src/torusiso/profiles.py",
+        "except (OverflowError, ZeroDivisionError):",
+        "except ZeroDivisionError:",
+        ("tests/test_roots.py",),
+    ),
+    (
+        "power_gap_stationary_point returns a stationary point of inf",
+        "src/torusiso/roots.py",
+        "if x_min == math.inf:",
+        "if False:",
+        ("tests/test_roots.py",),
+    ),
+    (
+        "solve_piecewise_gap probes at twice a root past half the largest double",
+        "src/torusiso/roots.py",
+        "if probe == math.inf:",
+        "if False:",
+        ("tests/test_criticals.py",),
+    ),
+    (
+        "_make builds a record past __new__",
+        "src/torusiso/records.py",
+        "return cls(*iterable)",
+        "return tuple.__new__(cls, iterable)",
+        ("tests/test_records.py",),
+    ),
+    (
+        "_ulp_root iterates on a bracket without a sign change",
+        "src/torusiso/roots.py",
+        "if not r_lo < 0.0 <= r_hi:",
+        "if False:",
+        ("tests/test_roots.py",),
+    ),
+    (
+        "_ulp_root blames the lower end of a bracket whose upper end left",
+        "src/torusiso/roots.py",
+        "if not hi > _MIN_NORMAL else",
+        "if hi > _MIN_NORMAL else",
+        ("tests/test_roots.py",),
+    ),
+    (
+        "solve_power_gap's refusals drop the gap's target",
+        "src/torusiso/roots.py",
+        'return f"{c1!r} x^{p1!r} - {c2!r} x^{p2!r} = {target!r}"',
+        'return f"{c1!r} x^{p1!r} - {c2!r} x^{p2!r}"',
+        ("tests/test_roots.py",),
+    ),
+    (
+        "_window_root solves an equal-exponent gap that has no root",
+        "src/torusiso/roots.py",
+        "if target == 0.0 or sa.coeff <= sb.coeff:",
+        "if False:",
+        ("tests/test_roots.py",),
+    ),
+    (
+        "_window_root keeps a closed-form root outside its window",
+        "src/torusiso/roots.py",
+        "if not lo <= root < hi:",
+        "if False:",
+        ("tests/test_roots.py",),
+    ),
+    (
+        "dir(torusiso) leaves out the lazy exports",
+        "src/torusiso/__init__.py",
+        "return sorted([*globals(), *_EXPORTS])",
+        "return sorted(globals())",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "_t2_report drops its v_star <= v0_1 < v_dstar chain check",
+        "src/torusiso/criticals.py",
+        "if not v_star <= v0_1.value < v_dstar:",
+        "if False:",
+        ("tests/test_criticals.py",),
+    ),
 )
 
 

@@ -1082,6 +1082,12 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "modules": modules, "new": n
         monkeypatch.setattr(criticals, "full_report", "patched")
         assert torusiso.full_report == "patched"
 
+    def test_dir_lists_every_export(self):
+        import torusiso
+
+        assert len(torusiso.__all__) == 33
+        assert set(torusiso.__all__) <= set(dir(torusiso))
+
     def test_root_imports_only_a_missing_or_initialising_module(self, monkeypatch):
         import torusiso
         from torusiso import criticals
@@ -1199,6 +1205,21 @@ def test_a_n_meeting_v0_1_exits_three(capsys, tmp_path):
         "",
         "error: expected v0_1 <= a_n: a_n = 26143878.35939773 is 12 ulps below "
         "v0_1 = 26143878.359397776 (n = 5, r2/r1 = 2044.85)\n",
+    )
+
+
+def test_gap_root_past_half_the_largest_double_exits_two(capsys, tmp_path):
+    # A gap root whose double, the probe past it, overflows: one error line
+    # that names the root, and exit code 2.
+    path = tmp_path / "spec.json"
+    radii = [1.9450022466248223e57, 1.702981133695231e37, 1.2439526350866184e-20]
+    path.write_text(json.dumps({"radii": radii, "euclid_dim": 4}))
+    code, out, err = run(capsys, "critical", str(path))
+    assert (code, out, err) == (
+        2,
+        "",
+        "error: the gap's root 1.0019081083106504e+308 is past half the largest double, "
+        "so no volume beyond it can be probed\n",
     )
 
 

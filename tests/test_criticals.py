@@ -419,6 +419,37 @@ def test_three_circle_refusal_names_its_sub_report_and_spec():
     assert str(refusal.value).startswith(f"{sub_refusal.value}; ")
 
 
+def test_v_dstar_at_v0_1_breaks_the_chain(monkeypatch, unit_spec):
+    # Nothing rules out a computed a_n equal to v0_1 with b_n at or below it:
+    # _ordered passes a_n == v0_1. Then v_dstar = v0_1 and the chain check
+    # refuses. The gaps are solved in the order v0_1, v0_2, a_n, b_n; here
+    # a_n and b_n are given v0_1's root.
+    solve = criticals.solve_piecewise_gap
+    found = []
+
+    def pinned(upper, lower, target):
+        found.append(solve(upper, lower, target))
+        return found[0] if len(found) > 2 else found[-1]
+
+    monkeypatch.setattr(criticals, "solve_piecewise_gap", pinned)
+    with pytest.raises(ConsistencyError, match=r"^expected v_star <= v0_1 < v_dstar$"):
+        full_report(unit_spec)
+    assert len(found) == 4
+
+
+def test_slab_crossing_past_half_the_largest_double_is_refused():
+    # u_slab_crossing lies past half the largest double, so the probe at
+    # twice it overflows; once refused as "volume must be a positive finite
+    # real, got inf".
+    radii = (1.9450022466248223e57, 1.702981133695231e37, 1.2439526350866184e-20)
+    with pytest.raises(DomainError) as refusal:
+        full_report(TorusProductSpec(radii, 4))
+    assert str(refusal.value) == (
+        "the gap's root 1.0019081083106504e+308 is past half the largest double, "
+        "so no volume beyond it can be probed"
+    )
+
+
 def test_reports_match_golden_fixture():
     # Every constant, residual and regime bit, and every refusal message, of
     # the seeded fixture specs; rewrite the fixture only for an intended change.

@@ -157,6 +157,17 @@ def test_invalid_fields_raise_on_construction_and_on_replace(cls):
     assert str(built.value) == str(replaced.value) == message
 
 
+@checked_cases
+def test_make_builds_through_the_checks(cls):
+    # namedtuple's own _make would build the record past __new__.
+    fields, _, bad, error, _ = CASES[cls]
+    kind, message = error
+    values = {**fields, **bad}
+    with pytest.raises(kind) as made:
+        cls._make(values[name] for name in cls._fields if name in values)
+    assert str(made.value) == message
+
+
 @cases
 def test_replace_builds_a_checked_copy(cls):
     fields, change, _, _, derived = CASES[cls]

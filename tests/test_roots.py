@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,20 @@ class TestSolvePiecewiseGap:
         with pytest.raises(DomainError, match=pattern):
             solve_piecewise_gap(circle, slab, 0.0)
 
+    @pytest.mark.parametrize(
+        "c1, p1, c2, p2", [(1e-300, 0.9, 1e300, 0.1), (1e-300, 1e-30, 1.0, 1e-31)]
+    )
+    def test_stationary_ratio_that_leaves_the_doubles_is_refused(self, c1, p1, c2, p2):
+        # c2 p2 / (c1 p1) overflows to inf without raising (the refusal once
+        # gave a bracket [inf, ...]), or c1 p1 underflows to 0.0 (once a bare
+        # ZeroDivisionError): the refusal names the stationary point.
+        with pytest.raises(DomainError) as refusal:
+            solve_power_gap(c1, p1, c2, p2, 0.0)
+        assert str(refusal.value) == (
+            f"the stationary point of c1 x^p1 - c2 x^p2 with c1 = {c1!r}, p1 = {p1!r}, "
+            f"c2 = {c2!r}, p2 = {p2!r} is past the largest double"
+        )
+
 
 def power_profile(*laws):
     """PiecewiseProfile from (coeff, exponent, v_hi) laws, each starting where the last ended."""
@@ -311,6 +326,32 @@ class TestWindowScan:
         result = solve_piecewise_gap(upper, SQRT, upper(v) - SQRT(v))
         assert 16.0 < result.root <= 16.0 + 16 * math.ulp(16.0)
         assert result == solve_piecewise_gap_every_window(upper, SQRT, upper(v) - SQRT(v))
+
+    @pytest.mark.parametrize(
+        "c_upper, c_lower, target",
+        [(2.0, 1.0, 0.0), (1.0, 2.0, 1.0), (1.0 + 2.0**-52, 1.0, 1e200)],
+        ids=["zero-target", "smaller-coefficient", "root-past-the-doubles"],
+    )
+    def test_equal_exponent_gap_that_never_meets_its_target_is_refused(
+        self, c_upper, c_lower, target
+    ):
+        # The gap (c_upper - c_lower) sqrt(v) is positive, or below a positive
+        # target, at every v > 0, or meets it only past the largest double:
+        # (1e200 / 2**-52) ** 2 overflows, which once escaped as a bare
+        # OverflowError.
+        upper = power_profile((c_upper, 0.5, math.inf))
+        lower = power_profile((c_lower, 0.5, math.inf))
+        with pytest.raises(DomainError, match="^the gap never meets the target"):
+            solve_piecewise_gap(upper, lower, target)
+
+    def test_equal_exponent_root_outside_its_window_falls_back_left(self):
+        # 2v up to 1, then 2 sqrt(v), against sqrt(v): past 1 the gap sqrt(v)
+        # meets 1/2 at 1/4, outside its window, so the left window's
+        # 2v - sqrt(v) = 1/2 gives the root ((1 + sqrt(5)) / 4)^2.
+        upper = power_profile((2.0, 1.0, 1.0), (2.0, 0.5, math.inf))
+        result = solve_piecewise_gap(upper, SQRT, 0.5)
+        assert rel(result.root, (3.0 + math.sqrt(5.0)) / 8.0) < 1e-12
+        assert result == solve_piecewise_gap_every_window(upper, SQRT, 0.5)
 
     def test_gap_that_falls_back_below_the_target_is_refused(self):
         # 2 v^0.9 up to 10, then a 0.1-exponent law, against v^0.8: the gap
@@ -469,10 +510,36 @@ class TestUlpLoop:
         assert rel(result.root, 1.0) < 1e-11
         assert_ulp_exact(result, _gap_residual(*args))
 
+    def test_gap_bracket_refusal_gives_its_equation(self):
+        # The zero (c2/c1)^(1/(p1 - p2)) and (T/c1)^(1/p1) both underflow to 0.
+        with pytest.raises(DomainError) as refusal:
+            solve_power_gap(1e300, 0.9, 1e-300, 0.1, 0.0)
+        assert str(refusal.value) == (
+            "the bracket of 1e+300 x^0.9 - 1e-300 x^0.1 = 0.0 leaves the normal doubles "
+            "at its upper end 0.0"
+        )
+
+    def test_residuals_that_do_not_change_sign_are_refused(self):
+        # The root 2/3 of the smallest normal double is subnormal, so the
+        # residual is already positive at the lower end, that double itself.
+        tiny = sys.float_info.min
+        with pytest.raises(DomainError) as refusal:
+            solve_balance(2.0, 1.0, 1.0, 2 * tiny)
+        assert str(refusal.value) == (
+            f"the residuals of 2.0 * (1.0 * x^1.0) + x = {2 * tiny!r} at its bracket "
+            f"[{tiny!r}, {2 * tiny!r}] are {tiny!r} and {4 * tiny!r}, not a sign change"
+        )
+
     def test_bracket_end_outside_the_normal_doubles_is_refused(self):
-        # The root, near 1e-1200, lies far below the smallest normal double.
-        with pytest.raises(DomainError, match="the bracket .* leaves the normal doubles"):
+        # The root, near 1e-1200, lies far below the smallest normal double:
+        # hi = min(2T, (2T / (s c))^(1/p)) underflows to 0.0, below lo, and
+        # the refusal names that end.
+        with pytest.raises(DomainError) as refusal:
             solve_balance(1e300, 1e300, 0.75, 1e-300)
+        assert str(refusal.value) == (
+            "the bracket of 1e+300 * (1e+300 * x^0.75) + x = 1e-300 leaves the normal doubles "
+            "at its upper end 0.0"
+        )
 
     def test_zero_of_the_gap_below_the_doubles_leaves_the_upper_end(self):
         # (c2/c1)^(1/(p1 - p2)) underflows to 0 here, but the root, where

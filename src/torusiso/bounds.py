@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import cached_property
-from operator import attrgetter, gt
+from operator import gt, itemgetter
 
 from .criticals import CriticalReport, full_report
 from .errors import CurveParseError, DomainError, positive_finite
@@ -245,66 +245,95 @@ def _exact_cut(grid: Sequence[float], report: CriticalReport) -> tuple[int, int]
     return bisect_right(grid, v_lo), bisect_left(grid, v_hi)
 
 
-def _chord(lo_anchor: tuple[float, float], hi_anchor: tuple[float, float], v: float) -> float:
-    """Chord between the two exactly-known threshold points; valid by concavity."""
+def _chord(lo_anchor, hi_anchor, volumes: Sequence[float], tops: Sequence[float]) -> list[float]:
+    """Chord between the two exactly-known threshold points at each volume; valid by concavity.
+
+    A rounded chord at most _TOUCH_RTOL above ``tops[j]`` touches the envelope: it is clamped.
+    """
     (v_lo, y_lo), (v_hi, y_hi) = lo_anchor, hi_anchor
-    t = (v - v_lo) / (v_hi - v_lo)
-    return y_lo + t * (y_hi - y_lo)
+    width, rise, touch = v_hi - v_lo, y_hi - y_lo, 1.0 + _TOUCH_RTOL
+    return [
+        top if top < (chord := y_lo + (v - v_lo) / width * rise) <= top * touch else chord
+        for v, top in zip(volumes, tops)
+    ]
 
 
 def _tangents(
-    anchor: tuple[float, float], side: str, curve: TabulatedCurve, volumes: Sequence[float]
-) -> list[float | None]:
-    """Best anchor line through each volume's admissible samples; None where there are none.
+    anchor: tuple[float, float], side: str, curve: TabulatedCurve, volumes: Sequence[float],
+    tops: Sequence[float], lowers: list[float], sources: list[str],
+) -> tuple[int, float] | None:
+    """Fold the best anchor line through each volume's admissible samples into a band's columns.
+
+    Row j's line, clamped to ``tops[j]`` within _TOUCH_RTOL, replaces a smaller
+    ``lowers[j]`` and names ``sources[j]`` "tangent-<side>". The fold stops at
+    the first row whose line lies farther above, and returns ``(j, line)``.
 
     Admissible samples sit on the far side of v from the anchor, so v lies
     between the sample and the anchor and concavity makes each line a valid
     lower bound at v. ``side="left"`` is an anchor below the volumes, whose
     admissible samples are ``w >= v``; ``side="right"`` an anchor above them,
-    with samples ``w <= v``. The volumes must lie strictly on that side of
-    the anchor, so no line divides by zero.
+    with samples ``w <= v``. The volumes must be ascending and lie strictly
+    on that side of the anchor, so no line divides by zero.
 
-    Each value has the bits of the largest ``c + (a0 - c) * (v - w) / (v0 - w)``
+    Each line has the bits of the largest ``c + (a0 - c) * (v - w) / (v0 - w)``
     over the admissible samples. That line is ``a0 + (v - v0) * s`` with
     slope ``s = (c - a0) / (w - v0)``, so the best sample is the one of the
     largest slope (left) or the smallest (right). The admissible samples of a
     row are the first k of _slope_table's scan, whose entry k holds the best
     signed slope, the second best, the best's index and the rounding bound
     of those k samples. A row whose volume lies in _SCAN_RANGE takes its
-    best sample's value where the gap between the two slopes, times
+    best sample's line where the gap between the two slopes, times
     ``|v - v0|``, exceeds its entry's bound, and the exact maximum over its
     samples elsewhere; no row depends on which other rows share the call.
     """
     v0, a0 = anchor
     ws, cs = curve.volumes, curve.areas
+    n = len(ws)
     left = side == "left"
-    # Each row's admissible samples are the first k of the scan order.
-    if left:
-        counts = [len(ws) - bisect_left(ws, v) for v in volumes]
-    else:
-        counts = [bisect_right(ws, v) for v in volumes]
-    if not any(counts):
-        return [None] * len(counts)
-    tops = _slope_table(v0, a0, left, curve)
+    # The rows that admit a sample, v <= ws[-1] (left) or v >= ws[0] (right).
+    start = 0 if left else bisect_left(volumes, ws[0])
+    stop = bisect_right(volumes, ws[-1]) if left else len(volumes)
+    if start == stop:
+        return None
+    table = _slope_table(v0, a0, left, curve)
+    # A row's admissible samples are the first k of the scan, k = n - p
+    # (left) or p (right) for p its bisect_left (left) or bisect_right. Over
+    # ascending rows p only grows: it is walked up from the first row's.
+    p = (bisect_left if left else bisect_right)(ws, volumes[start])
     # Negating a quotient or a difference is exact, so a right anchor's
     # signed slope (a0 - c) / (w - v0) and distance v0 - v are the left
     # formulas' negations, bit for bit.
     sign = 1.0 if left else -1.0
     low, high = _SCAN_RANGE
-    values: list[float | None] = []
-    for v, k in zip(volumes, counts):
-        if not k:
-            values.append(None)
-            continue
-        best, second, i, bound = tops[k]
-        if low <= v <= high and sign * (v - v0) * (best - second) > bound:
-            w, c = ws[i], cs[i]
-            values.append(c + (a0 - c) * (v - w) / (v0 - w))
+    touch, tag = 1.0 + _TOUCH_RTOL, "tangent-" + side
+    last = -1  # the sample whose c, a0 - c, w and v0 - w are held
+    for j in range(start, stop):
+        v = volumes[j]
+        if left:
+            while ws[p] < v:
+                p += 1
+            k = n - p
         else:
-            first, stop = (len(ws) - k, len(ws)) if left else (0, k)
-            samples = zip(ws[first:stop], cs[first:stop])
-            values.append(max([c + (a0 - c) * (v - w) / (v0 - w) for w, c in samples]))
-    return values
+            while p < n and ws[p] <= v:
+                p += 1
+            k = p
+        best, second, i, bound = table[k]
+        if low <= v <= high and sign * (v - v0) * (best - second) > bound:
+            if i != last:
+                last, c, w, rise, run = i, cs[i], ws[i], a0 - cs[i], v0 - ws[i]
+            value = c + rise * (v - w) / run
+        else:
+            first = n - k if left else 0
+            samples = zip(ws[first : first + k], cs[first : first + k])
+            value = max([ci + (a0 - ci) * (v - wi) / (v0 - wi) for wi, ci in samples])
+        top = tops[j]
+        if value > top:
+            if value > top * touch:
+                return j, value
+            value = top  # envelope touch, within rounding
+        if value > lowers[j]:
+            lowers[j], sources[j] = value, tag
+    return None
 
 
 @_profile_cache
@@ -363,7 +392,7 @@ def _offsets(spec: TorusProductSpec, grid: list[float]) -> list[float]:
     best = [0.0] * len(grid)
     for r in spec.radii:
         shift = 2.0 * beta(n, r)
-        areas, _ = circle_piecewise(n + 1, r)._columns(grid)
+        areas = circle_piecewise(n + 1, r)._columns(grid)[0]
         best = [a - shift if a - shift > b else b for a, b in zip(areas, best)]
     return best
 
@@ -396,55 +425,40 @@ def band(
         raise DomainError(f"band for {spec} was given the report of {report.spec}")
     v_lo, v_hi = _thresholds(report)
     envelope = envelope_piecewise(spec)
-    lo_anchor = (v_lo, envelope(v_lo))
-    hi_anchor = (v_hi, envelope(v_hi))
-    tops, segs = envelope._columns(grid)
+    lo_anchor, hi_anchor = (v_lo, envelope(v_lo)), (v_hi, envelope(v_hi))
+    tops, _, regimes = envelope._columns(grid)
     # The exact rows outside the inside slice take the upper value as their lower.
     first, stop = _exact_cut(grid, report)
-    inside = grid[first:stop]
-    # Each curve's tangent columns over the inside rows, in the fold's order.
-    tangents = []
+    inside, inside_tops = grid[first:stop], tops[first:stop]
+    # One pass per lower-bound source over the inside rows, in the order a
+    # row weighs them: the chord, each curve's left then right tangent, the
+    # offset. A later source wins a row only where it is strictly larger.
+    lowers = _chord(lo_anchor, hi_anchor, inside, inside_tops)
+    sources = ["chord"] * len(inside)
+    offences = []  # each tangent pass's first (row, line, label)
     for curve in curves:
-        label = curve.label or "unlabeled"
-        tangents.append((label, "tangent-left", _tangents(lo_anchor, "left", curve, inside)))
-        tangents.append((label, "tangent-right", _tangents(hi_anchor, "right", curve, inside)))
-    two_circles = spec.circle_count == 2
-    if two_circles:
-        offsets = _offsets(spec, inside)
-
-    lowers, sources = [], []
-    for j, v in enumerate(inside):
-        top = tops[first + j]
-        lower = _chord(lo_anchor, hi_anchor, v)
-        if top < lower <= top * (1.0 + _TOUCH_RTOL):
-            lower = top  # the rounded chord touches the envelope
-        source = "chord"
-        for label, tag, values in tangents:
-            value = values[j]
-            if value is None:
-                continue
-            if value > top:
-                if value > top * (1.0 + _TOUCH_RTOL):
-                    # A genuine lower-bound curve can never push the band
-                    # above the candidate envelope.
-                    raise DomainError(
-                        f"curve {label!r} yields lower bound {value} above "
-                        f"the envelope {top} at v={v}; it cannot be a "
-                        "valid lower bound for this manifold"
-                    )
-                value = top  # envelope touch, within rounding
-            if value > lower:
-                lower, source = value, tag
-        if two_circles:
-            offset = offsets[j]
-            if lower < offset <= top:
-                lower, source = offset, "cylinder-offset"
-        lowers.append(lower)
-        sources.append(source)
+        for anchor, side in ((lo_anchor, "left"), (hi_anchor, "right")):
+            offence = _tangents(anchor, side, curve, inside, inside_tops, lowers, sources)
+            if offence is not None:
+                offences.append((*offence, curve.label or "unlabeled"))
+    if offences:
+        # A genuine lower-bound curve can never push the band above the
+        # candidate envelope. The first row's offence is refused, and of a
+        # row's offences the first pass's (min keeps the first of equals).
+        j, value, label = min(offences, key=itemgetter(0))
+        raise DomainError(
+            f"curve {label!r} yields lower bound {value} above "
+            f"the envelope {inside_tops[j]} at v={inside[j]}; it cannot be a "
+            "valid lower bound for this manifold"
+        )
+    if spec.circle_count == 2:
+        for j, (offset, top) in enumerate(zip(_offsets(spec, inside), inside_tops)):
+            if lowers[j] < offset <= top:
+                lowers[j], sources[j] = offset, "cylinder-offset"
     return BoundBand(
         tuple(grid),
         tuple(tops),
         (*tops[:first], *lowers, *tops[stop:]),
-        tuple(map(attrgetter("regime"), segs)),
+        tuple(regimes),
         ("exact",) * first + tuple(sources) + ("exact",) * (len(grid) - stop),
     )

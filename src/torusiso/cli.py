@@ -190,15 +190,14 @@ def _table(header: str, labels: str, *blocks) -> str:
 
 
 def cmd_profile(args) -> int:
-    spec = load_spec_file(args.spec)
+    envelope = envelope_piecewise(load_spec_file(args.spec))
     if args.v is not None:
-        grid, evaluate = [args.v], envelope_piecewise(spec).values
-        labels = "%.17g " % args.v
+        areas, (segment,) = envelope.values([args.v])
+        labels, regimes = "%.17g " % args.v, [segment.regime]
     else:
         # The grid's volumes are positive, finite and ascending already.
-        (grid, labels), evaluate = _grid(args.grid), envelope_piecewise(spec)._columns
-    areas, segments = evaluate(grid)
-    regimes = [s.regime for s in segments]
+        grid, labels = _grid(args.grid)
+        areas, _, regimes = envelope._columns(grid)
     sys.stdout.write(_table("v,area,regime\n", labels, (",%.17g,%s\n", areas, regimes)))
     return EXIT_OK
 

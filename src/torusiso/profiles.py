@@ -251,19 +251,19 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
         """
         volumes = [positive_finite(float(v), "volume") for v in volumes]
         if volumes == sorted(volumes):
-            return self._columns(volumes)
-        return self._compared(volumes)
+            return self._columns(volumes)[:2]
+        return self._compared(volumes)[:2]
 
-    def _columns(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-        # values() on checked volumes in ascending order. The pieces are
+    def _columns(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment], list[str]]:
+        # values() on checked volumes in ascending order, and the regime
+        # column of its segments, built one block at a time. The pieces are
         # found by bisection, so an unsorted list gives wrong rows without an
         # error: values() sends those to _compared, and parse_grid and band
         # order and check their grids. A piece (lo, hi, segment) gives the
         # segment's law to the rows lo < v <= hi, one slice of the grid. A
         # plain profile's pieces are its segments; an envelope's come from
         # minimum_envelope, and the rows between them go through _compared.
-        areas: list[float] = []
-        segs: list[PowerSegment] = []
+        columns = areas, segs, regimes = [], [], []
         start = 0
         for lo, hi, seg in self._pieces:
             first = bisect_right(volumes, lo, start)
@@ -277,23 +277,23 @@ class PiecewiseProfile(record("PiecewiseProfile", "segments candidates")):
             if self.candidates and not (_AREA_RANGE[0] <= won[0] and won[-1] <= _AREA_RANGE[1]):
                 continue
             if start < first:
-                near_areas, near_segs = self._compared(volumes[start:first])
-                areas += near_areas
-                segs += near_segs
+                for column, near in zip(columns, self._compared(volumes[start:first])):
+                    column += near
             areas += won
             segs += [seg] * (stop - first)
+            regimes += [seg.regime] * (stop - first)
             start = stop
         if start < len(volumes):
-            near_areas, near_segs = self._compared(volumes[start:])
-            areas += near_areas
-            segs += near_segs
-        return areas, segs
+            for column, near in zip(columns, self._compared(volumes[start:])):
+                column += near
+        return columns
 
-    def _compared(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment]]:
-        # values() on checked volumes in any order, one row at a time
+    def _compared(self, volumes: list[float]) -> tuple[list[float], list[PowerSegment], list[str]]:
+        # _columns' three columns on checked volumes in any order, row by row
         # through _segment: _winning_segment alone compares candidates.
         segs = [self._segment(v) for v in volumes]
-        return [seg.coeff * v**seg.exponent for v, seg in zip(volumes, segs)], segs
+        areas = [seg.coeff * v**seg.exponent for v, seg in zip(volumes, segs)]
+        return areas, segs, [seg.regime for seg in segs]
 
     def breakpoints(self) -> tuple[float, ...]:
         return self._cuts

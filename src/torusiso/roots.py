@@ -204,13 +204,15 @@ def _gap_target(target: float) -> None:
 def power_gap_stationary_point(c1: float, p1: float, c2: float, p2: float) -> float:
     """Analytic minimizer of c1 x^p1 - c2 x^p2 for p1 > p2 > 0.
 
-    A minimizer past the largest double is refused by name.
+    A minimizer past the largest double, or one that is NaN because c1 * p1
+    and c2 * p2 both overflow, is refused by name.
     """
     x_min = _ratio_power(c2 * p2, c1 * p1, 1.0 / (p1 - p2))
-    if x_min == math.inf:
+    if not x_min < math.inf:
         raise DomainError(
             f"the stationary point of c1 x^p1 - c2 x^p2 with c1 = {c1!r}, p1 = {p1!r}, "
-            f"c2 = {c2!r}, p2 = {p2!r} is past the largest double"
+            f"c2 = {c2!r}, p2 = {p2!r} is "
+            + ("past the largest double" if x_min == math.inf else "NaN: c1 p1 and c2 p2 overflow")
         )
     return x_min
 
@@ -262,6 +264,11 @@ def _window_root(
         if target == 0.0 or sa.coeff <= sb.coeff:
             return None
         root = _ratio_power(target, sa.coeff - sb.coeff, 1.0 / sa.exponent)
+        if root == hi == math.inf:
+            raise DomainError(
+                f"the gap never meets the target at a double: {sa.coeff!r} v^{sa.exponent!r} "
+                f"- {sb.coeff!r} v^{sb.exponent!r} = {target!r} holds only past the largest double"
+            )
         if not lo <= root < hi:
             return None
         lead = sa.value(root)

@@ -177,7 +177,7 @@ MUTATIONS = (
     (
         "power_gap_stationary_point returns a stationary point of inf",
         "src/torusiso/roots.py",
-        "if x_min == math.inf:",
+        "if not x_min < math.inf:",
         "if False:",
         ("tests/test_roots.py",),
     ),
@@ -236,6 +236,34 @@ MUTATIONS = (
         "return sorted([*globals(), *_EXPORTS])",
         "return sorted(globals())",
         ("tests/test_cli.py",),
+    ),
+    (
+        "band folds tangent-right before tangent-left",
+        "src/torusiso/bounds.py",
+        'for anchor, side in ((lo_anchor, "left"), (hi_anchor, "right")):',
+        'for anchor, side in ((hi_anchor, "right"), (lo_anchor, "left")):',
+        ("tests/test_grid_path.py",),
+    ),
+    (
+        "_chord clamps with < for <=",
+        "src/torusiso/bounds.py",
+        "<= top * touch else chord",
+        "< top * touch else chord",
+        ("tests/test_grid_path.py",),
+    ),
+    (
+        "band raises the last offence, not the first",
+        "src/torusiso/bounds.py",
+        "j, value, label = min(offences, key=itemgetter(0))",
+        "j, value, label = offences[-1]",
+        ("tests/test_grid_path.py",),
+    ),
+    (
+        "_columns takes a block's regime from the previous block",
+        "src/torusiso/profiles.py",
+        "regimes += [seg.regime] * (stop - first)",
+        "regimes += [regimes[-1] if regimes else seg.regime] * (stop - first)",
+        ("tests/test_grid_path.py",),
     ),
     (
         "_t2_report drops its v_star <= v0_1 < v_dstar chain check",

@@ -29,6 +29,7 @@ from torusiso import (
 from torusiso import bounds as bounds_mod
 
 from grids import log_grid
+from scalar_reference import band_rows, tangent_column
 from refvalues import (
     K_EXAMPLE,
     SLAB_AT_VDSTAR_EXAMPLE,
@@ -58,8 +59,8 @@ def anchors(spec, report):
 
 
 # Each lower bound is checked on band rows whose lower_source names it; the
-# per-row helpers are called directly only where another source wins every
-# row at the volumes a check needs.
+# chord column and the tangent passes are called directly only where another
+# source wins every row at the volumes a check needs.
 
 
 class TestChordBound:
@@ -79,10 +80,10 @@ class TestChordBound:
         # The offset bound wins the band row at the midpoint.
         lo_anchor, hi_anchor = anchors(example_spec, example_report)
         mid = 0.5 * (example_report.v_star + example_report.v_dstar)
-        left = bounds_mod._chord(lo_anchor, hi_anchor, example_report.v_star)
-        right = bounds_mod._chord(lo_anchor, hi_anchor, example_report.v_dstar)
+        volumes = [example_report.v_star, example_report.v_dstar, mid]
+        # Under an infinite envelope no row is clamped.
+        left, right, chord = bounds_mod._chord(lo_anchor, hi_anchor, volumes, [math.inf] * 3)
         assert rel(left, lo_anchor[1]) < 1e-15 and rel(right, hi_anchor[1]) < 1e-15
-        chord = bounds_mod._chord(lo_anchor, hi_anchor, mid)
         assert rel(chord, 0.5 * (left + right)) < 1e-12
 
 
@@ -90,16 +91,17 @@ class TestTangentBound:
     def test_degenerate_curve_reproduces_chord(self, example_spec, example_report):
         # A curve through the two anchors spans the chord from either anchor.
         # The offset bound wins the rows at 20 and 40, so the right anchor's
-        # line is read from the per-row helper there.
+        # line is read from its tangent pass there.
         lo_anchor, hi_anchor = anchors(example_spec, example_report)
         curve = TabulatedCurve((lo_anchor, hi_anchor))
         row = band_row(example_spec, example_report, 5.0, [curve])
         assert row.lower_source == "tangent-left"
-        assert rel(row.lower, bounds_mod._chord(lo_anchor, hi_anchor, 5.0)) < 1e-12
-        volumes = (5.0, 20.0, 40.0)
-        values = bounds_mod._tangents(hi_anchor, "right", curve, volumes)
-        for v, value in zip(volumes, values):
-            assert rel(value, bounds_mod._chord(lo_anchor, hi_anchor, v)) < 1e-12
+        volumes = [5.0, 20.0, 40.0]
+        chords = bounds_mod._chord(lo_anchor, hi_anchor, volumes, [math.inf] * 3)
+        assert rel(row.lower, chords[0]) < 1e-12
+        values = tangent_column(hi_anchor, "right", curve, volumes)
+        for value, chord in zip(values, chords):
+            assert rel(value, chord) < 1e-12
 
     def test_matches_direct_discrete_maximum(self, example_spec, example_report):
         _, anchor = anchors(example_spec, example_report)
@@ -138,11 +140,11 @@ class TestTangentBound:
         # keeps the chord.
         lo_anchor, hi_anchor = anchors(example_spec, example_report)
         curve = TabulatedCurve(((60.0, 1.0), (70.0, 1.2)))
-        assert bounds_mod._tangents(hi_anchor, "right", curve, [5.0]) == [None]
+        assert tangent_column(hi_anchor, "right", curve, [5.0]) == [None]
         row = band_row(example_spec, example_report, 5.0, [curve])
         assert row == band_row(example_spec, example_report, 5.0)
         assert row.lower_source == "chord"
-        assert row.lower == bounds_mod._chord(lo_anchor, hi_anchor, 5.0)
+        assert [row.lower] == bounds_mod._chord(lo_anchor, hi_anchor, [5.0], [row.upper])
 
 
 class TestSlopeTable:
@@ -150,14 +152,14 @@ class TestSlopeTable:
 
     @staticmethod
     def band_and_tangents(spec, report, curve, grid):
-        """The band, and both anchors' _tangents over its inside rows as band scans them."""
+        """The band, and both anchors' tangent passes over its inside rows as band runs them."""
         envelope = envelope_piecewise(spec)
         v_lo, v_hi = report.v_star, report.v_dstar
         inside = [v for v in grid if v_lo < v < v_hi]
         return (
             band(spec, grid, [curve], report=report),
-            bounds_mod._tangents((v_lo, envelope(v_lo)), "left", curve, inside),
-            bounds_mod._tangents((v_hi, envelope(v_hi)), "right", curve, inside),
+            tangent_column((v_lo, envelope(v_lo)), "left", curve, inside),
+            tangent_column((v_hi, envelope(v_hi)), "right", curve, inside),
         )
 
     def cold(self, clear_spec_caches, spec, curve, grid):
@@ -246,9 +248,9 @@ class TestSlopeTable:
         narrow = log_grid(5.0, 50.0, 40)
         wide = sorted({*log_grid(0.6, 140.0, 120), *ws[::9], ws[-1]})
         for grid in (narrow, wide):
-            got = bounds_mod._tangents(right, "right", curve, grid)
+            got = tangent_column(right, "right", curve, grid)
             assert got == [self.sample_loop(right, curve, v) for v in grid]
-            got = bounds_mod._tangents(left, "left", curve, grid)
+            got = tangent_column(left, "left", curve, grid)
             assert got == [self.sample_loop(left, curve, v) for v in grid]
             for v in grid:
                 k = bisect.bisect_right(ws, v)
@@ -480,6 +482,12 @@ def test_chord_touching_the_envelope_is_clamped(spec):
     result = band(spec, sorted(grid), report=report)
     assert set(result.lower_source) <= {"chord", "cylinder-offset"}
     assert all(lower <= upper for lower, upper in zip(result.lower, result.upper))
+    # The clamped rows, and every other column, are the former row loop's.
+    assert any(
+        source == "chord" and lower == upper
+        for lower, upper, source in zip(result.lower, result.upper, result.lower_source)
+    )
+    assert repr(result) == repr(band_rows(spec, sorted(grid), report=report))
 
 
 class TestCurveFile:

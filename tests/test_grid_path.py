@@ -8,6 +8,8 @@ the offset closed form written out per volume, including at volumes placed exact
 where the tie-breaks decide the regime tag.
 """
 
+import bisect
+import itertools
 import json
 import math
 import random
@@ -22,6 +24,7 @@ import torusiso.bounds as bounds_mod
 import torusiso.cli as cli_mod
 import torusiso.profiles as profiles_mod
 from torusiso import (
+    ConsistencyError,
     DomainError,
     PiecewiseProfile,
     PowerSegment,
@@ -36,7 +39,14 @@ from torusiso import (
 
 from grids import log_grid
 from refvalues import SQRT_PI_RADIUS
-from scalar_reference import circle_profile, envelope_profile, first_minimal_segment
+from scalar_reference import (
+    band_rows,
+    chord_row,
+    circle_profile,
+    envelope_profile,
+    first_minimal_segment,
+    tangent_column,
+)
 
 SPECS = [
     *(TorusProductSpec((SQRT_PI_RADIUS, SQRT_PI_RADIUS), n) for n in (2, 3, 4, 5)),
@@ -218,7 +228,7 @@ def test_cli_grid_csv_equals_scalar_reference(spec, tmp_path, capsys):
 
 
 def tangent_columns(anchor, curve, volumes):
-    """The column kernel's values and tangent_reference's, over ascending volumes.
+    """The tangent passes' lines and tangent_reference's, over ascending volumes.
 
     Volumes below the anchor take the right-anchor side (samples w <= v),
     the others the left-anchor side (samples w >= v), as tangent_reference does.
@@ -227,8 +237,8 @@ def tangent_columns(anchor, curve, volumes):
     below = [v for v in volumes if v < anchor[0]]
     above = volumes[len(below):]
     got = [
-        *bounds_mod._tangents(anchor, "right", curve, below),
-        *bounds_mod._tangents(anchor, "left", curve, above),
+        *tangent_column(anchor, "right", curve, below),
+        *tangent_column(anchor, "left", curve, above),
     ]
     return got, [tangent_reference(anchor, curve, v) for v in volumes]
 
@@ -391,6 +401,193 @@ def test_curves_above_the_envelope_refused_in_row_order():
         band(spec, grid, [late, early], report=report)
 
 
+def test_curves_above_the_envelope_refused_at_the_first_row_in_either_order():
+    # Each tangent pass stops at its own first offence; band refuses the
+    # earliest row of all passes, whichever curve came first.
+    spec = SPECS[0]
+    report = full_report(spec)
+    v_lo, v_hi = thresholds(report)
+    grid = log_grid(v_lo, v_hi, 42)[1:-1]
+
+    def bumped(label, row):
+        scales = [1.01 if i == row else 0.9 for i in range(len(grid))]
+        return TabulatedCurve(
+            tuple((v, s * envelope_profile(spec, v)[0]) for v, s in zip(grid, scales)), label
+        )
+
+    early, late = bumped("early", 10), bumped("late", 30)
+    for curves in ([early, late], [late, early]):
+        with pytest.raises(DomainError, match="^curve 'early' "):
+            band(spec, grid, curves, report=report)
+    # Two curves that offend first on the same row: the earlier curve's
+    # line is refused.
+    twin = bumped("twin", 10)
+    for curves, named in (([early, twin], "early"), ([twin, early], "twin")):
+        with pytest.raises(DomainError, match=f"^curve '{named}' "):
+            band(spec, grid, curves, report=report)
+
+
+def band_outcome(spec, grid, curves, report, build):
+    """repr of the band build() gives, or the class and message of its refusal."""
+    try:
+        return repr(build(spec, grid, curves, report=report))
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def column_spec(rng, k):
+    """A seeded spec with k circles whose report solves."""
+    while True:
+        radii = tuple(math.exp(rng.uniform(-1.5, 1.5)) for _ in range(k))
+        spec = TorusProductSpec(radii, rng.randint(2, 5 if k == 2 else 4))
+        try:
+            return spec, full_report(spec)
+        except (DomainError, ConsistencyError):
+            continue
+
+
+def column_curves(rng, spec, report):
+    """Curves that give each bound source and each branch of the tangent passes rows.
+
+    Scaled envelope samples win tangent rows; samples over part of the
+    interval leave rows with no admissible sample on either side; samples
+    a hair above the envelope are clamped to it on the rows they sit on;
+    samples on one line through the lower anchor tie in slope, so the rows
+    they win take the exact maximum. Returns the curves, and the sample
+    volumes of the partial, touching and collinear ones by name.
+    """
+    v_lo, v_hi = thresholds(report)
+    area = lambda v: envelope_profile(spec, v)[0]  # noqa: E731
+    mid = math.sqrt(v_lo * v_hi)
+    spread = sorted(math.exp(rng.uniform(math.log(v_lo / 2), math.log(v_hi * 2))) for _ in range(40))
+    part = log_grid(v_lo * 1.1, mid, 30)
+    touch = log_grid(v_lo * 1.05, v_hi / 1.05, 7)
+    # A line from the lower anchor, steeper than the chord but below the
+    # envelope until close to where it crosses it.
+    y_lo = area(v_lo)
+    chord = (area(v_hi) - y_lo) / (v_hi - v_lo)
+    step = v_lo * 1e-6
+    slope = chord + 0.5 * ((area(v_lo + step) - y_lo) / step - chord)
+    line = [
+        (w, y_lo + slope * (w - v_lo))
+        for w in log_grid(v_lo * 1.01, v_hi, 60)
+        if y_lo + slope * (w - v_lo) < 0.999 * area(w)
+    ]
+    return [
+        TabulatedCurve(tuple((w, rng.uniform(0.9, 0.99) * area(w)) for w in spread), "spread"),
+        TabulatedCurve(tuple((w, 0.97 * area(w)) for w in part), "part"),
+        TabulatedCurve(tuple((w, (1.0 + 1e-12) * area(w)) for w in touch), "touch"),
+        TabulatedCurve(tuple(line), "collinear"),
+    ], {"part": part, "touch": touch, "line": [w for w, _ in line]}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_band_columns_equal_the_former_row_loop(seed):
+    # band folds each lower-bound source over all inside rows in turn;
+    # band_rows, the former loop, weighs every source row by row. All five
+    # columns must agree bit for bit, with and without curves, on k = 2
+    # (offset rows) and k = 3.
+    rng = random.Random(seed)
+    seen = set()
+    for k in (2, 3):
+        spec, report = column_spec(rng, k)
+        curves, volumes = column_curves(rng, spec, report)
+        v_lo, v_hi = thresholds(report)
+        grid = {*log_grid(v_lo / 3.0, v_hi * 3.0, 150), *volumes["touch"], *volumes["line"][:5]}
+        grid = sorted(grid)
+        for chosen in ([], curves, curves[::-1], [curves[1], curves[3]], [curves[3]]):
+            result = band(spec, grid, chosen, report=report)
+            assert repr(result) == repr(band_rows(spec, grid, chosen, report=report))
+            seen.update(result.lower_source)
+            inside = [i for i, source in enumerate(result.lower_source) if source != "exact"]
+            seen.update(
+                f"touch {result.lower_source[i]}" for i in inside if result.lower[i] == result.upper[i]
+            )
+        # Rows past the partial curve's last sample admit none from the left.
+        assert any(volumes["part"][-1] < v < v_hi for v in grid)
+        # The collinear samples' slopes tie, so rows that admit them fail
+        # the scan's test and take the exact maximum.
+        table = bounds_mod._slope_table(v_lo, envelope_profile(spec, v_lo)[0], True, curves[3])
+        ws = curves[3].volumes
+        rows = [v for v in grid if v_lo < v <= ws[-1]]
+        entries = [table[len(ws) - bisect.bisect_left(ws, v)] for v in rows]
+        assert any(
+            (v - v_lo) * (best - second) <= bound
+            for v, (best, second, _, bound) in zip(rows, entries)
+        )
+    assert {"chord", "tangent-left", "tangent-right", "cylinder-offset"} <= seen
+    assert "touch tangent-left" in seen or "touch tangent-right" in seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_band_refusals_equal_the_former_row_loop(seed):
+    # Curves bumped above the envelope at seeded samples, in every order of
+    # two: the passes refuse the same row, curve and anchor, with the same
+    # message, as the row-by-row loop.
+    rng = random.Random(100 + seed)
+    for k in (2, 3):
+        spec, report = column_spec(rng, k)
+        v_lo, v_hi = thresholds(report)
+        grid = log_grid(v_lo, v_hi, 80)[1:-1]
+        ws = log_grid(v_lo * 1.01, v_hi / 1.01, 50)
+        curves = []
+        for label in "abc":
+            bumps = set(rng.sample(range(len(ws)), 2))
+            curves.append(
+                TabulatedCurve(
+                    tuple(
+                        (w, (1.02 if i in bumps else 0.9) * envelope_profile(spec, w)[0])
+                        for i, w in enumerate(ws)
+                    ),
+                    label,
+                )
+            )
+        for chosen in itertools.permutations(curves, 2):
+            outcome = band_outcome(spec, grid, chosen, report, band)
+            assert outcome[0] == "DomainError"
+            assert outcome == band_outcome(spec, grid, chosen, report, band_rows)
+
+
+def test_chord_and_tangent_clamps_include_their_bound():
+    # A value exactly _TOUCH_RTOL above its row's envelope value is a touch,
+    # clamped to it; one ulp further is not.
+    touch = 1.0 + bounds_mod._TOUCH_RTOL
+    lo_anchor, hi_anchor = (1.0, 2.0), (3.0, 5.0)
+    volumes = log_grid(1.1, 2.9, 400)
+    chords = bounds_mod._chord(lo_anchor, hi_anchor, volumes, [math.inf] * len(volumes))
+    assert chords == [chord_row(lo_anchor, hi_anchor, v) for v in volumes]
+    tops = [chord / touch for chord in chords]
+    on_bound = [top * touch == chord for top, chord in zip(tops, chords)]
+    assert any(on_bound)
+    # Envelope values on the bound are touched; one ulp below it, not.
+    for tops, clamps in ((tops, True), ([math.nextafter(top, 0.0) for top in tops], False)):
+        clamped = bounds_mod._chord(lo_anchor, hi_anchor, volumes, tops)
+        for top, chord, got in zip(tops, chords, clamped):
+            assert got == (top if top < chord <= top * touch else chord)
+        assert any(got == top for got, top in zip(clamped, tops)) == clamps
+
+    curve = TabulatedCurve(tuple((w, 1.5 * w**0.5) for w in log_grid(1.5, 2.5, 9)))
+    lines = tangent_column(lo_anchor, "left", curve, volumes)
+    rows = [i for i, line in enumerate(lines) if line is not None]
+    tops = [math.inf] * len(volumes)
+    for i in rows:
+        tops[i] = lines[i] / touch
+    on_rows = [i for i in rows if tops[i] * touch == lines[i]]
+    assert on_rows
+    lowers, sources = [0.0] * len(volumes), ["chord"] * len(volumes)
+    keep = [tops[i] if i in on_rows else math.inf for i in range(len(volumes))]
+    assert bounds_mod._tangents(lo_anchor, "left", curve, volumes, keep, lowers, sources) is None
+    assert [lowers[i] for i in on_rows] == [tops[i] for i in on_rows]
+    assert {sources[i] for i in on_rows} == {"tangent-left"}
+    # An envelope one ulp lower under the last such row: it is refused there.
+    i = max(i for i in on_rows if math.nextafter(tops[i], 0.0) * touch < lines[i])
+    keep[i] = math.nextafter(tops[i], 0.0)
+    offence = bounds_mod._tangents(lo_anchor, "left", curve, volumes, keep, lowers, sources)
+    assert offence == (i, lines[i])
+
+
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cylinder_offset_bound_equals_closed_form(n):
     spec = TorusProductSpec((0.7, 1.9), n)
@@ -489,6 +686,23 @@ def test_grid_rows_are_the_segments_of_the_single_volume_rule(spec):
     random.Random(5).shuffle(order)
     expected = ([areas[i] for i in order], [segments[i] for i in order])
     assert profile.values([volumes[i] for i in order]) == expected
+
+
+@pytest.mark.parametrize("spec", RULE_SPECS, ids=spec_id)
+def test_regime_column_is_the_regimes_of_the_segment_column(spec):
+    # _columns gives each block's regime once for all its rows, and the
+    # rows near a cut one at a time; every row's regime is its segment's,
+    # as the row-by-row rule finds it, on the envelope and on each of its
+    # candidates (whose blocks are their segments).
+    profile = envelope_piecewise(spec)
+    volumes = near_cut_volumes(profile, seed=len(spec.radii) * 10 + spec.euclid_dim)
+    changes = 0
+    for each in (profile, *profile.candidates):
+        areas, segments, regimes = each._columns(volumes)
+        assert (areas, segments, regimes) == each._compared(volumes)
+        assert regimes == [segment.regime for segment in segments]
+        changes += sum(a != b for a, b in zip(regimes, regimes[1:]))
+    assert changes
 
 
 def one_law(coeff, exponent, regime):

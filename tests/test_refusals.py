@@ -8,6 +8,8 @@ own float() (ValueError) or by the comparison with 0.0 (TypeError).
 
 Two more refusals name their value in one form each: a gap target that is
 not a nonnegative finite real, and a level volume past the largest double.
+So do two gap refusals past the doubles: a stationary point that is NaN,
+and a gap that meets its target only past the largest double.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 
 from torusiso import (
     DomainError,
+    PiecewiseProfile,
     PowerSegment,
     TorusProductSpec,
     band,
@@ -140,4 +143,31 @@ def test_volume_past_the_largest_double_is_refused_by_name(entry):
         LEVELS[entry]()
     assert str(caught.value) == (
         "the volume where the profile reaches area 1e+300 is past the largest double"
+    )
+
+
+def test_stationary_point_of_two_overflowing_products_is_refused_by_name():
+    # c1 * p1 and c2 * p2 both overflow, so their ratio is inf / inf = NaN,
+    # which once reached the bracket as "leaves the normal doubles at its
+    # lower end nan".
+    with pytest.raises(DomainError) as caught:
+        solve_power_gap(1e300, 1e10, 1e300, 1e9, 0.0)
+    assert str(caught.value) == (
+        "the stationary point of c1 x^p1 - c2 x^p2 with c1 = 1e+300, p1 = 10000000000.0, "
+        "c2 = 1e+300, p2 = 1000000000.0 is NaN: c1 p1 and c2 p2 overflow"
+    )
+
+
+def test_gap_that_meets_its_target_only_past_the_largest_double_is_refused_by_name():
+    # (1e200 / 2**-52) ** 2 overflows: the last window's root lies past every
+    # double, and the scan once went on left as though the window had none.
+    upper, lower = (
+        PiecewiseProfile((PowerSegment(coeff, 0.5, 0.0, math.inf, "ball"),))
+        for coeff in (1.0 + 2.0**-52, 1.0)
+    )
+    with pytest.raises(DomainError) as caught:
+        solve_piecewise_gap(upper, lower, 1e200)
+    assert str(caught.value) == (
+        "the gap never meets the target at a double: 1.0000000000000002 v^0.5 - 1.0 v^0.5 "
+        "= 1e+200 holds only past the largest double"
     )
